@@ -9,12 +9,11 @@ A trial form achieving equality therefore certifies CM; consistently larger
 lengths over all trials give a probabilistic NotCM.
 """
 
-import hashlib
 import random
 from dataclasses import dataclass
 from math import comb
 
-from .field import PrimeField
+from .field import PrimeField, derive_seed
 from .poly import Polynomial, PolynomialRing, random_linear_form
 from .groebner import (
     BudgetExceededError,
@@ -39,12 +38,6 @@ DEFAULT_TRIALS = 5
 
 class CriteriaAgreementError(RuntimeError):
     """A closed-form NotCM criterion contradicted a computed CM certificate."""
-
-
-def derive_seed(*parts) -> int:
-    """Deterministic labeled sub-seed (stable across platforms and runs)."""
-    data = ":".join(str(p) for p in parts).encode()
-    return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
 
 
 @dataclass(frozen=True)

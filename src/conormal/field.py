@@ -3,6 +3,10 @@
 Field elements are plain Python ints kept canonical in [0, p).  The
 PrimeField object carries the modulus and provides the arithmetic; this
 keeps the hot loops (polynomial reduction) free of wrapper objects.
+
+The module also owns seed derivation.  `stable_seed` and `derive_seed`
+hash different text formats, and every random draw of a report depends
+on which one it went through, so the two stay separate.
 """
 
 import hashlib
@@ -16,6 +20,12 @@ def stable_seed(seed):
     if isinstance(seed, int):
         return seed
     data = repr(seed).encode()
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+
+
+def derive_seed(*parts) -> int:
+    """Deterministic labeled sub-seed (stable across platforms and runs)."""
+    data = ":".join(str(p) for p in parts).encode()
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
 
 

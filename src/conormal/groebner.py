@@ -307,14 +307,16 @@ def _final_reduce(ring, basis, budget):
             continue
         minimal.append(f)
         lts.append(lt)
-    reduced = list(minimal)
-    for i, f in enumerate(minimal):
-        index = _LtIndex(ring)
-        for j, g in enumerate(reduced):
-            if j != i:
-                index.add(g)
-        red = _reduce_terms(ring, f.terms, index, budget)
-        reduced[i] = ring._from_packed_dict(red).monic()
+    # a tail term lies below its own leading term, so one index serves all
+    index = _LtIndex(ring)
+    for f in minimal:
+        index.add(f)
+    reduced = []
+    for f in minimal:
+        _, lt, c = f.terms[0]
+        red = _reduce_terms(ring, f.terms[1:], index, budget)
+        red[lt] = c
+        reduced.append(ring._from_packed_dict(red))
     return reduced
 
 
@@ -345,6 +347,17 @@ def buchberger(
         h_mono = h.is_monomial()
         t = len(G)
         new = [(i, lcm(entry[1], lt_h), entry[1] + lt_h) for i, entry in enumerate(G)]
+        # criterion F: drop old pairs whose lcm is a proper multiple of lt_h
+        pairs[:] = [
+            (d, k, i, j, l)
+            for d, k, i, j, l in pairs
+            if not (
+                ring.mono_divides(lt_h, l)
+                and lcm(G[i][1], lt_h) != l
+                and lcm(lt_h, G[j][1]) != l
+            )
+        ]
+        heapq.heapify(pairs)
         # drop a new pair if another new pair's lcm properly divides its lcm
         surviving = []
         for i, l, s in new:
@@ -363,21 +376,6 @@ def buchberger(
                 continue
             i = members[0][0]
             heapq.heappush(pairs, (l >> shift, key(l), i, t, l))
-        # criterion F: drop old pairs whose lcm is a proper multiple of lt_h
-        kept_old = []
-        while pairs:
-            entry = heapq.heappop(pairs)
-            kept_old.append(entry)
-        for entry in kept_old:
-            d, k, i, j, l = entry
-            if entry[3] == t:
-                heapq.heappush(pairs, entry)
-                continue
-            lt_i = G[i][1]
-            lt_j = G[j][1]
-            if ring.mono_divides(lt_h, l) and lcm(lt_i, lt_h) != l and lcm(lt_h, lt_j) != l:
-                continue
-            heapq.heappush(pairs, entry)
         G.append((h, lt_h, h_mono))
         index.add(h)
 

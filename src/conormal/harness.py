@@ -5,13 +5,15 @@ code); a config plus the package version determines every output byte.
 Exit codes follow the CM verdict: 0 CM-consistent, 1 NotCM, 2 Inconclusive.
 """
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import __version__
-from .field import PrimeField
+from .field import PrimeField, derive_seed
 from .poly import DEGLEX, DEGREVLEX, PolynomialRing, monomial_compare
 from .groebner import (
     DEFAULT_STEP_BUDGET,
@@ -24,7 +26,7 @@ from .groebner import (
 )
 from .invariants import classify, length
 from .points import general_points, vanishing_ideal
-from .cm import analyze, derive_seed, eight_quadrics_square_gap
+from .cm import analyze, eight_quadrics_square_gap
 from .io import parse_ideal_file
 from . import criteria as crit
 from .constructions import (
@@ -309,10 +311,12 @@ def selftest(config: ExperimentConfig):
     )
 
     ring = PolynomialRing(field, ["x", "y", "z"])
-    monos = [tuple(m) for m in _all_exponents(3, 3)]
+    monos = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
     agree = True
     for kind in (DEGREVLEX, DEGLEX):
-        ordered = sorted(monos, key=lambda e: _cmp_key(e, kind))
+        ordered = sorted(
+            monos, key=functools.cmp_to_key(lambda a, b: monomial_compare(a, b, kind))
+        )
         packed = sorted(monos, key=lambda e: ring.with_order(kind).key(ring.pack(e)))
         agree = agree and ordered == packed
     check("monomial orders agree with the comparison oracle", agree)
@@ -347,29 +351,3 @@ def selftest(config: ExperimentConfig):
 
     body.append(f"selftest: {'ok' if ok else 'FAILED'}")
     return _report_text(config, body), (EXIT_OK if ok else EXIT_NOT_CM)
-
-
-def _all_exponents(nvars, max_degree):
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == nvars - 1:
-            for e in range(remaining + 1):
-                out.append(tuple(prefix + [e]))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    rec([], max_degree)
-    return out
-
-
-class _cmp_key:
-    """Sort key wrapping the tuple-based comparison oracle."""
-
-    def __init__(self, exps, order):
-        self.exps = exps
-        self.order = order
-
-    def __lt__(self, other):
-        return monomial_compare(self.exps, other.exps, self.order) < 0

@@ -13,6 +13,7 @@ low-degree initial form).
 from dataclasses import dataclass
 from math import comb
 
+from .linalg import Echelon, combine, nullspace, rref
 from .poly import Polynomial, PolynomialRing, substitute
 from .groebner import (
     DEFAULT_STEP_BUDGET,
@@ -102,62 +103,6 @@ class InvariantReport:
         return "\n".join(lines)
 
 
-# -- small dense linear algebra over GF(p) -----------------------------------
-
-
-def _rref(rows, ncols, field):
-    """Reduced row echelon form; returns (pivot columns, reduced nonzero rows)."""
-    p = field.p
-    work = [list(r) for r in rows if any(r)]
-    pivots = []
-    reduced = []
-    for col in range(ncols):
-        pr = None
-        for idx, r in enumerate(work):
-            if r[col]:
-                pr = work.pop(idx)
-                break
-        if pr is None:
-            continue
-        ci = field.inv(pr[col])
-        pr = [c * ci % p for c in pr]
-        for rs in (work, reduced):
-            for i, r in enumerate(rs):
-                c = r[col]
-                if c:
-                    rs[i] = [(a - c * b) % p for a, b in zip(r, pr)]
-        work = [r for r in work if any(r)]
-        pivots.append(col)
-        reduced.append(pr)
-    return pivots, reduced
-
-
-def _reduce_vector(vec, pivots, rows, p):
-    v = list(vec)
-    for col, row in zip(pivots, rows):
-        c = v[col]
-        if c:
-            v = [(a - c * b) % p for a, b in zip(v, row)]
-    return v
-
-
-def _nullspace(rows, ncols, field):
-    """Basis of the right kernel of the matrix given by rows."""
-    p = field.p
-    pivots, red = _rref(rows, ncols, field)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for col, row in zip(pivots, red):
-            vec[col] = (-row[free]) % p
-        basis.append(vec)
-    return basis
-
-
 # -- the filtration engine -----------------------------------------------------
 
 
@@ -207,29 +152,20 @@ class _QuotientStructure:
         return columns
 
     def _power_filtration(self):
-        """RREFs of the images of the powers of the maximal ideal."""
-        field = self.ring.field
-        p = field.p
+        """Echelon forms of the images of the powers of the maximal ideal."""
+        p = self.ring.field.p
         spaces = []
         current = [vec for cols in self._columns for vec in cols]
         while True:
-            pivots, rows = _rref(current, self.n, field)
-            if not rows:
+            space = Echelon(p)
+            for vec in current:
+                space.add(vec)
+            if not space.rows:
                 break
-            spaces.append((pivots, rows))
-            nxt = []
-            for row in rows:
-                for cols in self._columns:
-                    out = [0] * self.n
-                    for i, z in enumerate(row):
-                        if z:
-                            col = cols[i]
-                            for t in range(self.n):
-                                if col[t]:
-                                    out[t] = (out[t] + z * col[t]) % p
-                    if any(out):
-                        nxt.append(out)
-            current = nxt
+            spaces.append(space)
+            current = [
+                combine(row, cols, self.n, p) for row in space.rows for cols in self._columns
+            ]
         return spaces  # spaces[d-1] spans the image of the d-th power
 
     @property
@@ -237,15 +173,14 @@ class _QuotientStructure:
         return len(self._filtration)
 
     def hilbert_function(self) -> HilbertFunction:
-        dims = [self.n] + [len(rows) for _, rows in self._filtration] + [0]
+        dims = [self.n] + [len(space.rows) for space in self._filtration] + [0]
         return HilbertFunction(tuple(dims[d] - dims[d + 1] for d in range(len(dims) - 1)))
 
     def filtration_degree(self, vec) -> int:
         """Largest d with the vector inside the image of the d-th power."""
-        p = self.ring.field.p
         d = 0
-        for pivots, rows in self._filtration:
-            if any(_reduce_vector(vec, pivots, rows, p)):
+        for space in self._filtration:
+            if any(space.reduce(vec)[0]):
                 return d
             d += 1
         return d
@@ -256,43 +191,24 @@ class _QuotientStructure:
         for cols in self._columns:
             for t in range(self.n):
                 rows.append([cols[i][t] for i in range(self.n)])
-        return _nullspace(rows, self.n, self.ring.field)
+        return nullspace(rows, self.n, self.ring.field.p)
 
     def socle_elements(self):
         """Socle basis adapted to the power filtration, with degree tags."""
-        field = self.ring.field
-        p = field.p
+        p = self.ring.field.p
         kernel = self.socle_kernel()
+        seen = Echelon(p)
         tagged = []
-        seen_pivots, seen_rows = [], []
-
-        def try_add(vec, degree):
-            rem = _reduce_vector(vec, seen_pivots, seen_rows, p)
-            if not any(rem):
-                return
-            col = next(i for i, c in enumerate(rem) if c)
-            ci = field.inv(rem[col])
-            row = [c * ci % p for c in rem]
-            seen_pivots.append(col)
-            seen_rows.append(row)
-            tagged.append((vec, degree))
-
         for d in range(len(self._filtration), 0, -1):
-            pivots, rows = self._filtration[d - 1]
             # socle vectors inside the d-th power: solve within the kernel span
-            coords = []
-            for kv in kernel:
-                coords.append(_reduce_vector(kv, pivots, rows, p))
-            mat = [[coords[k][t] for k in range(len(kernel))] for t in range(self.n)]
-            for combo in _nullspace(mat, len(kernel), field):
-                vec = [0] * self.n
-                for k, a in enumerate(combo):
-                    if a:
-                        for t in range(self.n):
-                            vec[t] = (vec[t] + a * kernel[k][t]) % p
-                try_add(vec, d)
+            coords = [self._filtration[d - 1].reduce(kv)[0] for kv in kernel]
+            for combo in nullspace(list(zip(*coords)), len(kernel), p):
+                vec = combine(combo, kernel, self.n, p)
+                if seen.add(vec)[1] is not None:
+                    tagged.append((vec, d))
         for kv in kernel:
-            try_add(kv, 0)
+            if seen.add(kv)[1] is not None:
+                tagged.append((kv, 0))
         tagged.sort(key=lambda t: t[1])
         out = []
         for vec, d in tagged:
@@ -402,8 +318,9 @@ def eliminate_linear_forms(ideal: Ideal):
             exps = ring.unpack(m)
             row[exps.index(1)] = c
         rows.append(row)
-    pivots, red = _rref(rows, ring.nvars, field)
-    remaining = [ring.vars[j] for j in range(ring.nvars) if j not in set(pivots)]
+    ech = rref(rows, field.p)
+    pivot_set = set(ech.pivots)
+    remaining = [ring.vars[j] for j in range(ring.nvars) if j not in pivot_set]
     if not remaining:
         raise ValueError(
             "an ideal needs at least one nonzero generator "
@@ -411,12 +328,11 @@ def eliminate_linear_forms(ideal: Ideal):
         )
     new_ring = PolynomialRing(field, remaining, ring.order)
     assignment = {name: new_ring.var(name) for name in remaining}
-    p = field.p
-    for col, row in zip(pivots, red):
+    for col, row in zip(ech.pivots, ech.rows):
         expr = new_ring.zero
         for j in range(ring.nvars):
             if j != col and row[j]:
                 expr = expr - new_ring.var(ring.vars[j]).scale(row[j])
         assignment[ring.vars[col]] = expr
     images = [substitute(g, assignment) for g in rest]
-    return Ideal(new_ring, images), len(pivots)
+    return Ideal(new_ring, images), len(ech.pivots)

@@ -18,6 +18,7 @@ import random
 from .field import PrimeField, stable_seed
 from .poly import DEGREVLEX, MonomialOrder, Polynomial, PolynomialRing
 from .groebner import GroebnerBasis
+from .linalg import Echelon, combine
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,7 @@ def _evaluate(monomial_exps, point, p):
 def _bm_run(ps: PointSet, order: MonomialOrder):
     """Shared core: (ring, reduced basis elements, Hilbert function values)."""
     ring = ps.ring(order)
-    field = ring.field
-    p = field.p
+    p = ring.field.p
     n = ps.n
     guard = ring._guard
     shift = ring._deg_shift
@@ -154,31 +154,23 @@ def _bm_run(ps: PointSet, order: MonomialOrder):
             if not any((mg - lt) & guard == guard for lt in found_lts):
                 candidates.append(m)
         candidates.sort(key=key)  # ascending: smallest first
-        accepted = []  # (pivot index, normalized vector, expression dict)
+        echelon = Echelon(p)
+        exprs = []  # exprs[i]: echelon row i as a combination of the std_here values
         new_gens = []
         std_here = []
         for m in candidates:
             exps = ring.unpack(m)
-            vec = [_evaluate(exps, pt, p) for pt in ps.points]
-            expr = {m: 1}
-            for pc, row, ex in accepted:
-                cf = vec[pc]
-                if cf:
-                    vec = [(a - cf * b) % p for a, b in zip(vec, row)]
-                    for mm, cc in ex.items():
-                        nc = (expr.get(mm, 0) - cf * cc) % p
-                        if nc:
-                            expr[mm] = nc
-                        elif mm in expr:
-                            del expr[mm]
-            pivot = next((i for i, v in enumerate(vec) if v), None)
-            if pivot is None:
+            mults, scale = echelon.add([_evaluate(exps, pt, p) for pt in ps.points])
+            # the values minus the remainder, as a combination of the std_here values
+            coef = combine(mults, exprs, n, p)
+            if scale is None:
+                expr = {mm: -c for mm, c in zip(std_here, coef) if c}
+                expr[m] = 1
                 new_gens.append(ring.poly(expr))
             else:
-                ci = field.inv(vec[pivot])
-                row = [v * ci % p for v in vec]
-                ex = {mm: cc * ci % p for mm, cc in expr.items()}
-                accepted.append((pivot, row, ex))
+                row = [-c * scale % p for c in coef]
+                row[len(std_here)] = scale
+                exprs.append(row)
                 std_here.append(m)
         hf.append(len(std_here))
         for g in new_gens:

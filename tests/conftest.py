@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's optimized paths: order
 comparison straight from the definitions, standard-monomial counts by raw
-divisibility filtering, and vanishing ideals by solving the full evaluation
-system degree by degree.
+divisibility filtering, linear algebra by plain column-by-column
+Gauss-Jordan elimination, and vanishing ideals by solving the full
+evaluation system degree by degree.
 """
 
 import pytest
@@ -81,6 +82,48 @@ def monomial_quotient_standard(gen_exponents, nvars, degree_cap=40):
     raise AssertionError("monomial quotient oracle ran past the degree cap")
 
 
+# -- linear algebra oracle: plain Gauss-Jordan elimination over GF(p) -----------
+
+
+def gauss_jordan(rows, ncols, p):
+    """Reduced row echelon form, one column at a time.
+
+    Returns (pivot columns ascending, reduced nonzero rows).
+    """
+    work = [[c % p for c in r] for r in rows]
+    work = [r for r in work if any(r)]
+    pivots = []
+    reduced = []
+    for col in range(ncols):
+        pr = next((r for r in work if r[col]), None)
+        if pr is None:
+            continue
+        work.remove(pr)
+        inv = pow(pr[col], p - 2, p)
+        pr = [c * inv % p for c in pr]
+        work = [[(a - r[col] * b) % p for a, b in zip(r, pr)] for r in work]
+        work = [r for r in work if any(r)]
+        reduced = [[(a - r[col] * b) % p for a, b in zip(r, pr)] for r in reduced]
+        pivots.append(col)
+        reduced.append(pr)
+    return pivots, reduced
+
+
+def gauss_jordan_nullspace(rows, ncols, p):
+    """Right kernel basis: one vector per free column, read off the RREF."""
+    pivots, reduced = gauss_jordan(rows, ncols, p)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for col, row in zip(pivots, reduced):
+            vec[col] = -row[free] % p
+        basis.append(vec)
+    return basis
+
+
 # -- one-shot vanishing ideal oracle --------------------------------------------
 
 
@@ -90,8 +133,6 @@ def oneshot_vanishing_kernels(ps, max_degree):
     Returns {degree: list of polynomials}, computed by plain Gaussian
     elimination on all monomials at once (no candidate filtering).
     """
-    from conormal.invariants import _nullspace
-
     ring = ps.ring()
     p = ring.field.p
     out = {}
@@ -108,7 +149,7 @@ def oneshot_vanishing_kernels(ps, max_degree):
                         v = v * pow(x, e, p) % p
                 row.append(v)
             rows.append(row)
-        kernel = _nullspace(rows, len(monos), ring.field)
+        kernel = gauss_jordan_nullspace(rows, len(monos), p)
         polys = []
         for vec in kernel:
             polys.append(ring.poly({monos[k]: c for k, c in enumerate(vec) if c}))

@@ -7,29 +7,42 @@ the length of any Artinian reduction of the square is at least that number,
 with equality exactly when some linear form is regular on the quotient.
 A trial form achieving equality therefore certifies CM; consistently larger
 lengths over all trials give a probabilistic NotCM.
+
+Each trial length comes from a degree sweep of graded Macaulay matrices
+(Lazard 1983): substituting the trial form away leaves a polynomial ring S
+in one variable fewer, and in each degree d the square of the image ideal
+spans the variables times its degree d-1 part plus the products of two
+generators of degree d.  One rank per degree gives the Hilbert function,
+and the sweep ends at its first zero.  No Groebner basis of the square is
+computed.
 """
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 from .field import PrimeField, derive_seed
-from .poly import Polynomial, PolynomialRing, random_linear_form
+from .linalg import Echelon
+from .poly import PolynomialRing, random_linear_form, substitute
 from .groebner import (
     BudgetExceededError,
     DEFAULT_STEP_BUDGET,
     GroebnerBasis,
     Ideal,
+    _Budget,
     buchberger,
     ideal_square,
     is_zero_dimensional,
     normal_form,
+    standard_monomials_packed,
 )
 from .invariants import (
     InvariantReport,
     classify,
     eliminate_linear_forms,
     length,
+    linear_substitution,
 )
 from . import criteria as crit
 
@@ -37,7 +50,9 @@ DEFAULT_TRIALS = 5
 
 
 class CriteriaAgreementError(RuntimeError):
-    """A closed-form NotCM criterion contradicted a computed CM certificate."""
+    """A closed-form criterion contradicted a computed CM certificate: a
+    NotCM verdict, or a positive answer (a CM square forces Gorenstein) on a
+    ring that is not Gorenstein."""
 
 
 @dataclass(frozen=True)
@@ -159,6 +174,134 @@ def multiplicity(
     return artinian_reduction(gb, seed, trials, budget)[1]
 
 
+def _monomial_columns(ring: PolynomialRing, d: int):
+    """The degree-d monomials in decreasing order and their column indices.
+
+    With columns in this order the first nonzero entry of a row is its
+    leading monomial, so an `Echelon` pivot is a leading monomial too.
+    """
+    monos = ring.monomials_of_degree(d)
+    return monos, {m: i for i, m in enumerate(monos)}
+
+
+def _product_row(f, g, pos, n, p):
+    """Coordinates of f * g in the columns `pos` of its degree."""
+    vec = [0] * n
+    for _, m1, c1 in f.terms:
+        for _, m2, c2 in g.terms:
+            k = pos[m1 + m2]
+            vec[k] = (vec[k] + c1 * c2) % p
+    return vec
+
+
+def _shifted_row(row, cols, n):
+    """A row of the previous degree multiplied by the variable whose column
+    map is `cols`."""
+    vec = [0] * n
+    for i, v in enumerate(row):
+        if v:
+            vec[cols[i]] = v
+    return vec
+
+
+def _multiples(ring, prev_monos, prev, pos, n):
+    """The rows x_j * r for every variable x_j and every row r of the
+    previous degree, as (leading column, row maker) pairs."""
+    out = []
+    for x in ring.gens():
+        unit = x.terms[0][1]
+        cols = [pos[m + unit] for m in prev_monos]
+        for pivot, row in zip(prev.pivots, prev.rows):
+            out.append((cols[pivot], partial(_shifted_row, row, cols, n)))
+    return out
+
+
+def _span(candidates, n, p, budget: _Budget) -> Echelon:
+    """Echelon of the span of (leading column, row maker) candidates in an
+    n-dimensional degree, stopping once the span is everything.
+
+    One candidate per leading column goes first, in increasing column
+    order: those rows are already in echelon form, so adding them costs
+    only the pivot checks.  The remaining candidates are reduced in full.
+    Each row reduced is charged to the budget.
+    """
+    first = {}
+    rest = []
+    for lead, make in candidates:
+        if lead in first:
+            rest.append(make)
+        else:
+            first[lead] = make
+    ech = Echelon(p)
+    for make in [first[lead] for lead in sorted(first)] + rest:
+        if len(ech.rows) == n:
+            break
+        budget.charge()
+        ech.add(make())
+    return ech
+
+
+def _generating_subset(gb: GroebnerBasis, budget: _Budget):
+    """Basis elements that generate the ideal, degree by degree: an element
+    is dropped when the variables times the ideal's previous degree, plus
+    the elements kept before it, already span it."""
+    ring = gb.ring
+    p = ring.field.p
+    by_degree = {}
+    for g in gb.elements:
+        by_degree.setdefault(g.degree, []).append(g)
+    kept = []
+    prev_monos, prev = [], Echelon(p)
+    for d in range(min(by_degree), max(by_degree) + 1):
+        monos, pos = _monomial_columns(ring, d)
+        n = len(monos)
+        ech = _span(_multiples(ring, prev_monos, prev, pos, n), n, p, budget)
+        for g in by_degree.get(d, ()):
+            budget.charge()
+            vec = [0] * n
+            for _, m, c in g.terms:
+                vec[pos[m]] = c
+            if ech.add(vec)[1] is not None:
+                kept.append(g)
+        prev_monos, prev = monos, ech
+    return kept
+
+
+def _square_length(ring: PolynomialRing, gens, cap: int, budget: _Budget) -> int:
+    """Length of S/J for J the square of the ideal of the homogeneous gens,
+    by one Macaulay matrix per degree.
+
+    J_d is spanned by the variables times J_(d-1) and the products of two
+    generators of degree d; HF(d) = dim S_d - rank J_d.  The sweep stops at
+    the first d > 0 with HF(d) = 0, which is exact because S is generated in
+    degree 1.  Passing degree `cap` is an internal error.
+    """
+    p = ring.field.p
+    products = {}
+    for i, f in enumerate(gens):
+        for g in gens[i:]:
+            products.setdefault(f.degree + g.degree, []).append((f, g))
+    lam = 1
+    prev_monos, prev = [], Echelon(p)
+    for d in range(1, cap + 1):
+        monos, pos = _monomial_columns(ring, d)
+        n = len(monos)
+        candidates = _multiples(ring, prev_monos, prev, pos, n)
+        for f, g in products.get(d, ()):
+            lead = pos[f.terms[0][1] + g.terms[0][1]]
+            candidates.append((lead, partial(_product_row, f, g, pos, n, p)))
+        ech = _span(candidates, n, p, budget)
+        hf = n - len(ech.rows)
+        if hf == 0:
+            return lam
+        lam += hf
+        prev_monos, prev = monos, ech
+    raise RuntimeError(
+        f"internal inconsistency: the square's Hilbert function is nonzero "
+        f"in degree {cap}, where the socle degree of the reduction forces zero"
+    )
+
+
 def is_cm_square(
     gb: GroebnerBasis,
     seed=0,
@@ -168,10 +311,14 @@ def is_cm_square(
 ) -> CmVerdict:
     """Cohen-Macaulayness of R/I^2 for a one-dimensional homogeneous ideal.
 
-    Computes the square from the basis elements and, per trial, the length
-    of the quotient by square plus linear form.  Equality with (c+1)*e
-    certifies CM at once; all trials strictly above give NotCM; budget
-    exhaustion gives Inconclusive.
+    Per trial form l, the length of R/(I^2 + l) comes from a degree sweep
+    in S = R/(l): the images of a generating subset of the basis generate
+    the image of I, and the Hilbert function of S modulo its square is one
+    rank per degree.  A form with R/(I + l) not Artinian is degenerate and
+    skipped (R/(I^2 + l) has the same radical); otherwise the socle degree
+    s of R/(I + l) bounds the sweep, since m^(2s+2) lies in (I + l)^2.
+    Equality with (c+1)*e certifies CM at once; all trials strictly above
+    give NotCM; budget exhaustion gives Inconclusive.
     """
     ring = gb.ring
     if is_zero_dimensional(gb):
@@ -188,17 +335,23 @@ def is_cm_square(
             f"budget exhausted while computing the multiplicity: {exc}",
         )
     e_expected = (c + 1) * e
-    sq = ideal_square(gb.as_ideal())
     lambdas = []
     lam_min = None
     used = 0
     try:
+        gens = _generating_subset(gb, _Budget(budget))
         for ell in _trial_forms(ring, seed, "square", trials):
             used += 1
-            cand = buchberger(Ideal(ring, list(sq.generators) + [ell]), budget=budget)
+            cand = buchberger(Ideal(ring, list(gb.elements) + [ell]), budget=budget)
             if not is_zero_dimensional(cand):
                 continue
-            lam = length(cand)
+            socle_degree = len(standard_monomials_packed(cand)) - 1
+            smaller, assignment = linear_substitution(ring, [ell])
+            images = [substitute(g, assignment) for g in gens]
+            lam = _square_length(
+                smaller, [f for f in images if not f.is_zero()],
+                2 * socle_degree + 2, _Budget(budget),
+            )
             lambdas.append(lam)
             if lam < e_expected:
                 raise RuntimeError(
@@ -246,7 +399,8 @@ def analyze(
 ) -> AnalysisReport:
     """Full report: invariants of the Artinian reduction, quadric count,
     CM verdict for the square, and every applicable closed-form criterion,
-    with a hard cross-check that no NotCM criterion contradicts a CM verdict.
+    with a hard cross-check both ways: no NotCM criterion may meet a CM
+    verdict, and no positive answer may meet one on a non-Gorenstein ring.
     """
     ring = gb.ring
     if is_zero_dimensional(gb):
@@ -300,6 +454,14 @@ def analyze(
         raise CriteriaAgreementError(
             "a closed-form NotCM criterion fired while the computation "
             f"certified CM: {[(n, v.to_text()) for n, v in checks]}"
+        )
+    if cm is not None and cm.status == "CM" and not report.gorenstein and any(
+        v.outcome == crit.POSITIVE for _, v in checks
+    ):
+        raise CriteriaAgreementError(
+            "a closed-form criterion says a CM square forces Gorenstein, while "
+            "the computation certified CM on a non-Gorenstein ring: "
+            f"{[(n, v.to_text()) for n, v in checks]}"
         )
     return AnalysisReport(
         invariants=report,

@@ -7,7 +7,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .field import PrimeField
-from .poly import DEGREVLEX, Polynomial, PolynomialRing
+from .poly import DEGREVLEX, PolynomialRing
 from .groebner import Ideal
 
 

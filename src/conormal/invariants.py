@@ -295,22 +295,14 @@ def quotient_by_socle_element(
     return new_gb
 
 
-def eliminate_linear_forms(ideal: Ideal):
-    """Remove the linear forms of a homogeneous ideal by substitution.
+def linear_substitution(ring: PolynomialRing, linear):
+    """The substitution that sets the given linear forms to zero.
 
-    Gaussian elimination on the degree-1 generators picks pivot variables,
-    each of which is substituted away from every other generator.  Returns
-    the ideal in the smaller ring and the number of eliminated variables.
+    Gaussian elimination on the forms picks pivot variables; each is
+    assigned its expression in the remaining variables, which are kept.
+    Returns the ring of the remaining variables and the assignment, ready
+    for `substitute`.
     """
-    ring = ideal.ring
-    field = ring.field
-    for g in ideal.generators:
-        if not g.is_homogeneous():
-            raise ValueError("eliminate_linear_forms needs a homogeneous ideal")
-    linear = [g for g in ideal.generators if g.degree == 1]
-    rest = [g for g in ideal.generators if g.degree != 1]
-    if not linear:
-        return ideal, 0
     rows = []
     for g in linear:
         row = [0] * ring.nvars
@@ -318,7 +310,7 @@ def eliminate_linear_forms(ideal: Ideal):
             exps = ring.unpack(m)
             row[exps.index(1)] = c
         rows.append(row)
-    ech = rref(rows, field.p)
+    ech = rref(rows, ring.field.p)
     pivot_set = set(ech.pivots)
     remaining = [ring.vars[j] for j in range(ring.nvars) if j not in pivot_set]
     if not remaining:
@@ -326,7 +318,7 @@ def eliminate_linear_forms(ideal: Ideal):
             "an ideal needs at least one nonzero generator "
             "(the linear forms span every variable)"
         )
-    new_ring = PolynomialRing(field, remaining, ring.order)
+    new_ring = PolynomialRing(ring.field, remaining, ring.order)
     assignment = {name: new_ring.var(name) for name in remaining}
     for col, row in zip(ech.pivots, ech.rows):
         expr = new_ring.zero
@@ -334,5 +326,25 @@ def eliminate_linear_forms(ideal: Ideal):
             if j != col and row[j]:
                 expr = expr - new_ring.var(ring.vars[j]).scale(row[j])
         assignment[ring.vars[col]] = expr
+    return new_ring, assignment
+
+
+def eliminate_linear_forms(ideal: Ideal):
+    """Remove the linear forms of a homogeneous ideal by substitution.
+
+    The pivot variables of the degree-1 generators (see
+    `linear_substitution`) are substituted away from every other generator.
+    Returns the ideal in the smaller ring and the number of eliminated
+    variables.
+    """
+    ring = ideal.ring
+    for g in ideal.generators:
+        if not g.is_homogeneous():
+            raise ValueError("eliminate_linear_forms needs a homogeneous ideal")
+    linear = [g for g in ideal.generators if g.degree == 1]
+    rest = [g for g in ideal.generators if g.degree != 1]
+    if not linear:
+        return ideal, 0
+    new_ring, assignment = linear_substitution(ring, linear)
     images = [substitute(g, assignment) for g in rest]
-    return Ideal(new_ring, images), len(ech.pivots)
+    return Ideal(new_ring, images), ring.nvars - new_ring.nvars

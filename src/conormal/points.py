@@ -16,7 +16,7 @@ from math import comb
 import random
 
 from .field import PrimeField, stable_seed
-from .poly import DEGREVLEX, MonomialOrder, Polynomial, PolynomialRing
+from .poly import DEGREVLEX, MonomialOrder, PolynomialRing
 from .groebner import GroebnerBasis
 from .linalg import Echelon, combine
 
@@ -179,11 +179,16 @@ def _bm_run(ps: PointSet, order: MonomialOrder):
         std_prev = std_here
         if len(std_here) == n and not new_gens and hf[d - 1] == n:
             break
+    # each distinct monomial is evaluated at the points once
+    values = {}
     for g in elements:
-        for pt in ps.points:
-            value = 0
-            for _, m, cc in g.terms:
-                value = (value + cc * _evaluate(ring.unpack(m), pt, p)) % p
+        for _, m, _ in g.terms:
+            if m not in values:
+                exps = ring.unpack(m)
+                values[m] = [_evaluate(exps, pt, p) for pt in ps.points]
+    for g in elements:
+        total = combine([cc for _, _, cc in g.terms], [values[m] for _, m, _ in g.terms], n, p)
+        for pt, value in zip(ps.points, total):
             if value:
                 raise RuntimeError(
                     "internal error: a vanishing-ideal element does not vanish "

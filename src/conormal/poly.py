@@ -568,15 +568,25 @@ def substitute(f: Polynomial, assignment: dict) -> Polynomial:
         if name not in assignment:
             raise ValueError(f"variable {name!r} of the polynomial is not assigned")
     ring = f.ring
-    out = target.zero
+    p = target.field.p
+    powers = {}
+    acc = {}
     for _, m, c in f.terms:
         term = target.constant(c)
         for j, name in enumerate(ring.vars):
             e = (m >> (FIELD_BITS * j)) & 0xFF
             if e:
-                term = term * (assignment[name] ** e)
-        out = out + term
-    return out
+                power = powers.get((j, e))
+                if power is None:
+                    power = powers[j, e] = assignment[name] ** e
+                term = term * power
+        for _, mm, cc in term.terms:
+            nc = (acc.get(mm, 0) + cc) % p
+            if nc:
+                acc[mm] = nc
+            elif mm in acc:
+                del acc[mm]
+    return target._from_packed_dict(acc)
 
 
 def random_linear_form(ring: PolynomialRing, seed) -> Polynomial:

@@ -12,7 +12,7 @@ from conormal.constructions import StretchedSpec, stretched_ideal
 from conormal.points import general_points, vanishing_ideal
 from conormal import cm as cm_module
 from conormal.cm import CriteriaAgreementError, analyze
-from conormal.criteria import NOT_CM, CriteriaVerdict
+from conormal.criteria import NOT_CM, POSITIVE, CriteriaVerdict
 
 
 def test_stretched_socle_degrees_split_between_one_and_top():
@@ -153,3 +153,31 @@ def test_agreement_violation_is_a_hard_failure(monkeypatch):
     gb = buchberger(example61_ideal())
     with pytest.raises(CriteriaAgreementError):
         analyze(gb, seed=0)
+
+
+def test_positive_answer_on_a_non_gorenstein_cm_square_is_a_hard_failure(monkeypatch):
+    # the benchmark ring is level, not Gorenstein, and its square is
+    # certified CM; a forged "a CM square forces Gorenstein" answer
+    # contradicts that certificate
+    def forged(c, e):
+        return CriteriaVerdict(POSITIVE, "forced-for-test", {"c": c, "e": e})
+
+    monkeypatch.setattr(cm_module.crit, "low_multiplicity_verdict", forged)
+    from conormal.constructions import example61_ideal
+
+    gb = buchberger(example61_ideal())
+    with pytest.raises(CriteriaAgreementError, match="forces Gorenstein"):
+        analyze(gb, seed=0)
+
+
+def test_positive_answer_on_a_gorenstein_cm_square_is_accepted():
+    # three points on P^1: the ideal is principal, its square is CM and the
+    # reduction k[t]/(t^3) is Gorenstein, so the codim-at-most-2 answers agree
+    from conormal.points import make_point_set
+
+    gb = vanishing_ideal(make_point_set(1, 31991, [(1, 0), (0, 1), (1, 1)]))
+    report = analyze(gb, seed=0, point_count=3)
+    assert report.cm_square.status == "CM" and report.invariants.gorenstein
+    assert report.criteria
+    assert all(v.outcome == POSITIVE for _, v in report.criteria)
+    assert report.agreement

@@ -1,0 +1,144 @@
+"""Differential tests of the square verdict's degree sweep.
+
+The oracle is the route the sweep replaced: a full Buchberger run on
+I^2 + l for every trial form, with the length read off the standard
+monomials.  Both routes must give the same lengths, skip the same forms and
+reach the same verdict.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conormal import Ideal, PolynomialRing, PrimeField, buchberger
+from conormal.cm import (
+    CmVerdict,
+    _generating_subset,
+    _square_length,
+    _trial_forms,
+    is_cm_square,
+)
+from conormal.constructions import example61_ideal
+from conormal.groebner import _Budget, ideal_square, is_zero_dimensional
+from conormal.invariants import length
+from conormal.points import general_points, make_point_set, vanishing_ideal
+
+P = 31991
+
+
+def oracle_verdict(gb, seed, trials, e):
+    """The square verdict with one Buchberger run on I^2 + l per trial."""
+    ring = gb.ring
+    e_expected = ring.nvars * e  # (c + 1) * e
+    sq = ideal_square(gb.as_ideal())
+    lambdas = []
+    used = 0
+    for ell in _trial_forms(ring, seed, "square", trials):
+        used += 1
+        cand = buchberger(Ideal(ring, list(sq.generators) + [ell]))
+        if not is_zero_dimensional(cand):
+            continue
+        lambdas.append(length(cand))
+        if lambdas[-1] == e_expected:
+            return CmVerdict("CM", ell, used, min(lambdas), e_expected, tuple(lambdas))
+    if not lambdas:
+        return CmVerdict(
+            "Inconclusive", None, used, None, e_expected, (),
+            "every trial form was degenerate",
+        )
+    return CmVerdict("NotCM", None, used, min(lambdas), e_expected, tuple(lambdas))
+
+
+def assert_same_verdict(gb, seed, trials, e):
+    got = is_cm_square(gb, seed=seed, trials=trials, e_hint=e)
+    want = oracle_verdict(gb, seed, trials, e)
+    assert (got.status, got.trials, got.lambda_min, got.lambdas, got.detail) == (
+        want.status, want.trials, want.lambda_min, want.lambdas, want.detail
+    )
+    assert str(got.witness) == str(want.witness)
+    return got
+
+
+@pytest.mark.parametrize(
+    "c, n, seed, trials",
+    [
+        (2, 4, 0, 3), (2, 5, 1, 3), (3, 5, 2, 3), (3, 7, 3, 3),
+        (4, 6, 4, 3), (4, 9, 5, 3), (5, 7, 6, 3), (6, 7, 7, 2),
+    ],
+)
+def test_general_points_match_buchberger(c, n, seed, trials):
+    ps, _ = general_points(c, n, P, seed)
+    gb = vanishing_ideal(ps)
+    assert_same_verdict(gb, seed, trials, n)
+
+
+def test_form_through_a_point_is_skipped():
+    # the first trial form vanishes at the last point, so that trial is
+    # degenerate on both routes and only the others give lengths
+    seed = 11
+    ps, _ = general_points(3, 5, P, seed)
+    ring = vanishing_ideal(ps).ring
+    ell = _trial_forms(ring, seed, "square", 1)[0]
+    a = [ell.coefficient(tuple(int(i == j) for i in range(4))) for j in range(4)]
+    # a point on the hyperplane a . x = 0: solve for the first coordinate
+    rest = (1, 2, 3)
+    x0 = -sum(ai * xi for ai, xi in zip(a[1:], rest)) * pow(a[0], -1, P) % P
+    points = list(ps.points) + [(x0,) + rest]
+    gb = vanishing_ideal(make_point_set(3, P, points))
+    verdict = assert_same_verdict(gb, seed, 3, 6)
+    assert len(verdict.lambdas) == verdict.trials - 1
+
+
+def test_single_point_ideals_keep_their_linear_generators():
+    for c in (2, 3, 4):
+        ps = make_point_set(c, P, [tuple(range(1, c + 2))])
+        gb = vanishing_ideal(ps)
+        assert min(g.degree for g in gb.elements) == 1
+        verdict = assert_same_verdict(gb, 3, 2, 1)
+        assert verdict.status == "CM" and verdict.lambda_min == c + 1
+
+
+def test_example61_length_is_sixty():
+    gb = buchberger(example61_ideal())
+    verdict = assert_same_verdict(gb, 0, 5, 10)
+    assert verdict.status == "CM" and verdict.lambda_min == 60
+
+
+def test_budget_exhausted_inside_the_sweep():
+    # one point in P^5: the check of the trial form and the choice of
+    # generators fit in the budget; the 15 products of the sweep do not
+    ps = make_point_set(5, P, [(1, 2, 3, 4, 5, 6)])
+    gb = vanishing_ideal(ps)
+    ell = _trial_forms(gb.ring, 3, "square", 1)[0]
+    budget = 10
+    buchberger(Ideal(gb.ring, list(gb.elements) + [ell]), budget=budget)
+    _generating_subset(gb, _Budget(budget))
+    verdict = is_cm_square(gb, seed=3, budget=budget, e_hint=1)
+    assert verdict.status == "Inconclusive"
+    assert verdict.detail == f"reduction step budget of {budget} exceeded"
+    assert verdict.trials == 1 and verdict.lambdas == ()
+
+
+def test_sweep_of_the_maximal_ideal():
+    ring = PolynomialRing(PrimeField(7), ["x", "y", "z"])
+    # S/m^2 has length 1 + 3
+    assert _square_length(ring, ring.gens(), 2, _Budget(100)) == 4
+
+
+def test_sweep_past_the_cap_is_an_internal_error():
+    ring = PolynomialRing(PrimeField(7), ["x", "y"])
+    with pytest.raises(RuntimeError, match="internal inconsistency"):
+        _square_length(ring, ring.gens(), 1, _Budget(100))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.integers(min_value=2, max_value=4),
+    extra=st.integers(min_value=0, max_value=4),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_random_point_sets_give_the_same_lengths(c, extra, seed):
+    ps, _ = general_points(c, c + 1 + extra, P, seed)
+    gb = vanishing_ideal(ps)
+    got = is_cm_square(gb, seed=seed, trials=2, e_hint=ps.n)
+    want = oracle_verdict(gb, seed, 2, ps.n)
+    assert got.lambdas == want.lambdas

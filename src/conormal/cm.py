@@ -8,13 +8,14 @@ with equality exactly when some linear form is regular on the quotient.
 A trial form achieving equality therefore certifies CM; consistently larger
 lengths over all trials give a probabilistic NotCM.
 
-Each trial length comes from a degree sweep of graded Macaulay matrices
-(Lazard 1983): substituting the trial form away leaves a polynomial ring S
-in one variable fewer, and in each degree d the square of the image ideal
-spans the variables times its degree d-1 part plus the products of two
-generators of degree d.  One rank per degree gives the Hilbert function,
-and the sweep ends at its first zero.  No Groebner basis of the square is
-computed.
+One set of seeded trial forms serves the whole analysis: the reduction runs
+Buchberger once on I + l per form, and the verdict reuses those bases.  Each
+trial length comes from a degree sweep of graded Macaulay matrices (Lazard
+1983): substituting the trial form away leaves a polynomial ring S in one
+variable fewer, and in each degree d the square of the image ideal spans the
+variables times its degree d-1 part plus the products of two generators of
+degree d.  One rank per degree gives the Hilbert function, and the sweep
+ends at its first zero.  No Groebner basis of the square is computed.
 """
 
 import random
@@ -124,9 +125,9 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def _trial_forms(ring, seed, label, trials):
+def _trial_forms(ring, seed, trials):
     return [
-        random_linear_form(ring, derive_seed(seed, label, t)) for t in range(trials)
+        random_linear_form(ring, derive_seed(seed, "square", t)) for t in range(trials)
     ]
 
 
@@ -138,27 +139,26 @@ def artinian_reduction(
 ):
     """Quotient by the best of `trials` random linear forms.
 
-    Returns (basis of I + l, length) for the form with the smallest length;
-    for a one-dimensional Cohen-Macaulay quotient that minimum is the
-    multiplicity, achieved by any regular form.
+    Returns (basis of I + l, length, forms) for the form l with the
+    smallest length; for a one-dimensional Cohen-Macaulay quotient that
+    minimum is the multiplicity, achieved by any regular form.  `forms`
+    lists (l, basis of I + l, or None when R/(I + l) is not Artinian) for
+    every trial form in order; `is_cm_square` reuses it.
     """
     if is_zero_dimensional(gb):
         raise ValueError("the ideal is already zero-dimensional; nothing to reduce")
     ring = gb.ring
-    best = None
-    for ell in _trial_forms(ring, seed, "reduction", trials):
+    forms = []
+    for ell in _trial_forms(ring, seed, trials):
         cand = buchberger(Ideal(ring, list(gb.elements) + [ell]), budget=budget)
-        if not is_zero_dimensional(cand):
-            continue
-        lam = length(cand)
-        if best is None or lam < best[1]:
-            best = (cand, lam)
-    if best is None:
+        forms.append((ell, cand if is_zero_dimensional(cand) else None))
+    found = [(basis, length(basis)) for _, basis in forms if basis is not None]
+    if not found:
         raise RuntimeError(
             f"no Artinian reduction found in {trials} trials; "
             "the ideal may have dimension above 1"
         )
-    return best
+    return min(found, key=lambda bl: bl[1]) + (tuple(forms),)
 
 
 def multiplicity(
@@ -307,18 +307,24 @@ def is_cm_square(
     seed=0,
     trials: int = DEFAULT_TRIALS,
     budget: int = DEFAULT_STEP_BUDGET,
-    e_hint: int = None,
+    reduction=None,
 ) -> CmVerdict:
     """Cohen-Macaulayness of R/I^2 for a one-dimensional homogeneous ideal.
 
-    Per trial form l, the length of R/(I^2 + l) comes from a degree sweep
-    in S = R/(l): the images of a generating subset of the basis generate
-    the image of I, and the Hilbert function of S modulo its square is one
-    rank per degree.  A form with R/(I + l) not Artinian is degenerate and
-    skipped (R/(I^2 + l) has the same radical); otherwise the socle degree
-    s of R/(I + l) bounds the sweep, since m^(2s+2) lies in (I + l)^2.
+    `reduction` is `artinian_reduction(gb, seed, trials, budget)`, computed
+    here when omitted: the multiplicity e and each trial form l with its
+    basis of I + l.  A form with R/(I + l) not Artinian is skipped (R/(I^2
+    + l) has the same radical); otherwise the socle degree s of R/(I + l)
+    caps a degree sweep in S = R/(l), as m^(2s+2) lies in (I + l)^2.  The
+    images of a generating subset of the basis generate the image of I, and
+    the Hilbert function of S modulo its square is one rank per degree.
     Equality with (c+1)*e certifies CM at once; all trials strictly above
     give NotCM; budget exhaustion gives Inconclusive.
+
+    The budget is a fresh cap for each Buchberger run on I + l and for each
+    subset or sweep pass, not a total.  A step is one monomial reduction in
+    Buchberger and one row reduced in a pass, so the budget bounds the
+    verdict mostly through the runs on I + l.
     """
     ring = gb.ring
     if is_zero_dimensional(gb):
@@ -327,25 +333,23 @@ def is_cm_square(
         if not g.is_homogeneous():
             raise ValueError("is_cm_square needs a homogeneous ideal")
     c = ring.nvars - 1  # height of a points ideal
-    try:
-        e = e_hint if e_hint is not None else multiplicity(gb, seed, trials, budget)
-    except BudgetExceededError as exc:
-        return CmVerdict(
-            "Inconclusive", None, 0, None, 0, (),
-            f"budget exhausted while computing the multiplicity: {exc}",
-        )
+    if reduction is None:
+        try:
+            reduction = artinian_reduction(gb, seed, trials, budget)
+        except BudgetExceededError as exc:
+            detail = f"budget exhausted while computing the multiplicity: {exc}"
+            return CmVerdict("Inconclusive", None, 0, None, 0, (), detail)
+    _, e, forms = reduction
     e_expected = (c + 1) * e
     lambdas = []
-    lam_min = None
     used = 0
     try:
         gens = _generating_subset(gb, _Budget(budget))
-        for ell in _trial_forms(ring, seed, "square", trials):
+        for ell, basis in forms:
             used += 1
-            cand = buchberger(Ideal(ring, list(gb.elements) + [ell]), budget=budget)
-            if not is_zero_dimensional(cand):
+            if basis is None:
                 continue
-            socle_degree = len(standard_monomials_packed(cand)) - 1
+            socle_degree = len(standard_monomials_packed(basis)) - 1
             smaller, assignment = linear_substitution(ring, [ell])
             images = [substitute(g, assignment) for g in gens]
             lam = _square_length(
@@ -358,20 +362,14 @@ def is_cm_square(
                     f"internal inconsistency: reduction length {lam} fell below "
                     f"the multiplicity bound {e_expected}"
                 )
-            if lam_min is None or lam < lam_min:
-                lam_min = lam
             if lam == e_expected:
-                return CmVerdict("CM", ell, used, lam_min, e_expected, tuple(lambdas))
+                return CmVerdict("CM", ell, used, lam, e_expected, tuple(lambdas))
     except BudgetExceededError as exc:
         return CmVerdict(
-            "Inconclusive", None, used, lam_min, e_expected, tuple(lambdas), str(exc)
+            "Inconclusive", None, used, min(lambdas, default=None), e_expected,
+            tuple(lambdas), str(exc),
         )
-    if lam_min is None:
-        return CmVerdict(
-            "Inconclusive", None, used, None, e_expected, (),
-            "every trial form was degenerate",
-        )
-    return CmVerdict("NotCM", None, used, lam_min, e_expected, tuple(lambdas))
+    return CmVerdict("NotCM", None, used, min(lambdas), e_expected, tuple(lambdas))
 
 
 def _quadric_generator_count(art_gb: GroebnerBasis, report: InvariantReport):
@@ -414,7 +412,8 @@ def analyze(
         e = report.length
         cm = None
     else:
-        red_gb, e = artinian_reduction(gb, seed, trials, budget)
+        reduction = artinian_reduction(gb, seed, trials, budget)
+        red_gb, e, _ = reduction
         if point_count is not None and e != point_count:
             raise RuntimeError(
                 f"multiplicity {e} disagrees with the point count {point_count}"
@@ -430,7 +429,7 @@ def analyze(
             smaller, _ = eliminate_linear_forms(Ideal(ring, red_gb.elements))
             art_gb = buchberger(smaller, budget=budget)
         report = classify(art_gb, budget)
-        cm = is_cm_square(gb, seed, trials, budget, e_hint=e)
+        cm = is_cm_square(gb, seed, trials, budget, reduction=reduction)
     q = None
     if all(g.is_homogeneous() for g in art_gb.elements):
         q = _quadric_generator_count(art_gb, report)

@@ -400,8 +400,9 @@ class Polynomial:
         """Total degree; -inf for the zero polynomial."""
         if not self.terms:
             return float("-inf")
-        shift = self.ring._deg_shift
-        return max(m >> shift for _, m, _ in self.terms)
+        if self.ring.order.kind != "lex":  # a degree order leads with a top-degree term
+            return self.terms[0][1] >> self.ring._deg_shift
+        return max(m for _, m, _ in self.terms) >> self.ring._deg_shift
 
     def leading_monomial(self) -> int:
         if not self.terms:
@@ -483,6 +484,9 @@ class Polynomial:
         if isinstance(other, int):
             return self.scale(other)
         self._check_ring(other)
+        deg = self.degree + other.degree
+        if deg > MAX_EXPONENT:
+            raise ValueError(f"product of total degree {deg} exceeds the {MAX_EXPONENT} limit")
         p = self.ring.field.p
         acc = {}
         f, g = self.terms, other.terms

@@ -24,14 +24,14 @@ from conormal.points import general_points, make_point_set, random_points, vanis
 def test_reduction_of_coordinate_triangle():
     ps = make_point_set(2, 31991, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     gb = vanishing_ideal(ps)
-    _, lam = artinian_reduction(gb, seed=1)
+    _, lam, _ = artinian_reduction(gb, seed=1)
     assert lam == 3
 
 
 def test_reduction_of_single_point():
     ps = make_point_set(3, 31991, [(1, 0, 0, 0)])
     gb = vanishing_ideal(ps)
-    _, lam = artinian_reduction(gb, seed=1)
+    _, lam, _ = artinian_reduction(gb, seed=1)
     assert lam == 1
 
 
@@ -158,3 +158,33 @@ def test_derive_seed_stability():
 
 def test_eight_quadrics_single_run():
     assert eight_quadrics_square_gap(0)
+
+
+def test_analysis_runs_buchberger_once_per_trial_form(monkeypatch):
+    # the reduction and the square verdict share one basis of I + l per
+    # trial form: five trials, five Buchberger runs on I + l
+    import conormal.cm as cm
+
+    ps, _ = general_points(5, 8, 31991, seed=0)
+    gb = vanishing_ideal(ps)
+    runs = []
+
+    def counting(ideal, *args, **kwargs):
+        if ideal.ring == gb.ring and ideal.generators[:-1] == gb.elements:
+            runs.append(ideal.generators[-1])
+        return buchberger(ideal, *args, **kwargs)
+
+    monkeypatch.setattr(cm, "buchberger", counting)
+    report = analyze(gb, seed=0, trials=5, point_count=8)
+    assert report.cm_square.status == "NotCM" and report.cm_square.trials == 5
+    assert len(runs) == 5 and len(set(runs)) == 5
+
+
+def test_square_verdict_reuses_a_given_reduction():
+    ps, _ = general_points(5, 8, 31991, seed=0)
+    gb = vanishing_ideal(ps)
+    reduction = artinian_reduction(gb, 4, 3, 10**6)
+    assert [basis is not None for _, basis in reduction[2]] == [True] * 3
+    assert is_cm_square(gb, reduction=reduction) == is_cm_square(gb, 4, 3, 10**6)
+    gb61 = buchberger(example61_ideal())
+    assert is_cm_square(gb61, reduction=artinian_reduction(gb61, 0)) == is_cm_square(gb61, 0)

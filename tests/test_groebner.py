@@ -6,6 +6,7 @@ from conormal import (
     BudgetExceededError,
     DEGLEX,
     DEGREVLEX,
+    LEX,
     Ideal,
     PolynomialRing,
     PrimeField,
@@ -20,6 +21,7 @@ from conormal import (
     verify_groebner,
 )
 from conormal.constructions import example61_ideal
+from conormal.groebner import GroebnerBasis
 
 
 def test_ideal_construction_drops_zeros(ring_xy):
@@ -258,3 +260,58 @@ def test_basis_serialization_round_trip(ring_xy):
     assert lines[0] == "order degrevlex"
     parsed = [ring_xy.parse(ln) for ln in lines[1:]]
     assert parsed == list(gb.elements)
+
+
+def test_packed_overflow_in_a_product_is_an_error():
+    # x^140 would set the divisibility guard bit and miss its divisor x^65
+    ring = PolynomialRing(PrimeField(31991), ["x", "y"])
+    x, y = ring.gens()
+    gb = buchberger(Ideal(ring, [x ** 65, y]))
+    with pytest.raises(ValueError, match="exceeds the 120 limit"):
+        contains(gb, (x ** 70) ** 2)
+
+
+@pytest.mark.parametrize("degree, fits", [(119, True), (120, True), (121, False), (128, False)])
+def test_spolynomial_shift_past_the_degree_limit(degree, fits):
+    # x^a (y + z) and y^b (y + z): the one S-pair has lcm x^a y^(b+1) of
+    # degree a + b + 1, and its shifted tails lie in that degree too
+    ring = PolynomialRing(PrimeField(31991), ["x", "y", "z"])
+    x, y, z = ring.gens()
+    a = 60
+    b = degree - 1 - a
+    ideal = Ideal(ring, [x ** a * (y + z), y ** b * (y + z)])
+    if fits:
+        gb = buchberger(ideal)
+        assert len(gb) == 2 and verify_groebner(gb)
+    else:
+        with pytest.raises(ValueError, match=f"total degree {degree} exceeds"):
+            buchberger(ideal)
+
+
+@pytest.mark.parametrize("k, j, fits", [(59, 1, True), (60, 0, True), (60, 1, False), (60, 8, False)])
+def test_lex_reduction_shift_past_the_degree_limit(k, j, fits):
+    # under LEX the tail y^k of x - y^k lies above its leading term, so
+    # reducing x^2 y^j by it climbs to y^(2k + j)
+    ring = PolynomialRing(PrimeField(31991), ["x", "y"], LEX)
+    x, y = ring.gens()
+    gb = buchberger(Ideal(ring, [x - y ** k]))
+    f = x ** 2 * y ** j
+    if fits:
+        assert normal_form(f, gb) == y ** (2 * k + j)
+    else:
+        with pytest.raises(ValueError, match=f"total degree {2 * k + j} exceeds"):
+            normal_form(f, gb)
+
+
+def test_verify_groebner_checks_every_pair_of_a_large_set():
+    # 62 degree-2 monomials in a..k and two cubics in x, y, z whose one
+    # S-pair does not reduce to zero; they sort last, so that pair is the
+    # last of 2016, a pair a stride-2 sample of the pairs would skip
+    ring = PolynomialRing(PrimeField(31991), list("abcdefghijk") + ["x", "y", "z"])
+    x, y, z = ring.gens()[-3:]
+    monos = [f * g for i, f in enumerate(ring.gens()[:11]) for g in ring.gens()[i:11]][:62]
+    f, g = x ** 3 - y, x ** 2 * y - z
+    gb = GroebnerBasis(ring, monos + [f, g])
+    assert len(gb) == 64 and set(gb.elements[-2:]) == {f, g}
+    assert not verify_groebner(gb)
+    assert verify_groebner(GroebnerBasis(ring, monos + [f]))

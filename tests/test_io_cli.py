@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conormal import ParseError
@@ -186,3 +188,23 @@ def test_report_echoes_config():
     assert "trials: 2" in text
     assert "p: 31991" in text
     assert "agreement: true" in text
+
+
+@pytest.mark.parametrize(
+    "argv, code, sha256",
+    [
+        (["verify-example61"], 0,
+         "d868b34e094d2827f5695da67365ab64bea1a24564ec58fdfd38a1af62aa8e13"),
+        (["conjecture", "--c", "5"], 0,
+         "d0124f2e8a4dbf383c0e021d89a2767e7248cd07738c2879a27537b624cdbeed"),
+        (["conjecture", "--c", "5", "--n", "8"], 1,
+         "5d42d7adb6f90be57f54fdd2b87429303372d449de99e81ed806919370d6ec1f"),
+    ],
+)
+def test_report_bytes_are_pinned(argv, code, sha256, monkeypatch, capsys):
+    # whole reports at seed 0 (CM, CM, NotCM): a refactor must leave them
+    # byte-identical; a change that alters them says why and updates the pin
+    monkeypatch.delenv("CONORMAL_STEP_BUDGET", raising=False)
+    assert main(argv + ["--seed", "0"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256

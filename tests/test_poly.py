@@ -217,3 +217,35 @@ def test_ring_validation():
         PolynomialRing(PrimeField(7), ["x y"])
     with pytest.raises(ValueError):
         PolynomialRing(PrimeField(7), ["x"]).pack((200,))
+
+
+@pytest.mark.parametrize("a, b", [(60, 59), (60, 60), (60, 61), (64, 64)])
+def test_product_degree_limit(a, b):
+    ring = PolynomialRing(PrimeField(31991), ["x", "y"])
+    x, y = ring.gens()
+    if a + b <= 120:
+        assert (x ** a * x ** b).monomials() == [(a + b, 0)]
+        assert (x ** a * y ** b).degree == a + b
+    else:
+        for f, g in ((x ** a, x ** b), (x ** a, y ** b), (x ** a + y, x ** b)):
+            with pytest.raises(ValueError, match=f"total degree {a + b} exceeds"):
+                f * g
+
+
+def test_power_past_the_degree_limit_is_an_error():
+    # packed in 8-bit fields x^300 would read as x^44*y
+    ring = PolynomialRing(PrimeField(31991), ["x", "y"])
+    x, _ = ring.gens()
+    assert (x ** 40) ** 3 == x ** 120
+    with pytest.raises(ValueError):
+        x ** 100 * x ** 100 * x ** 100
+    with pytest.raises(ValueError):
+        (x ** 43) ** 3
+
+
+def test_lex_degree_is_the_top_degree_of_any_term():
+    ring = PolynomialRing(PrimeField(31991), ["x", "y"], LEX)
+    x, y = ring.gens()
+    f = x + y ** 5
+    assert f.leading_monomial() == ring.pack((1, 0))
+    assert f.degree == 5

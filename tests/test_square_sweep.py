@@ -32,7 +32,7 @@ def oracle_verdict(gb, seed, trials, e):
     sq = ideal_square(gb.as_ideal())
     lambdas = []
     used = 0
-    for ell in _trial_forms(ring, seed, "square", trials):
+    for ell in _trial_forms(ring, seed, trials):
         used += 1
         cand = buchberger(Ideal(ring, list(sq.generators) + [ell]))
         if not is_zero_dimensional(cand):
@@ -49,7 +49,7 @@ def oracle_verdict(gb, seed, trials, e):
 
 
 def assert_same_verdict(gb, seed, trials, e):
-    got = is_cm_square(gb, seed=seed, trials=trials, e_hint=e)
+    got = is_cm_square(gb, seed=seed, trials=trials)
     want = oracle_verdict(gb, seed, trials, e)
     assert (got.status, got.trials, got.lambda_min, got.lambdas, got.detail) == (
         want.status, want.trials, want.lambda_min, want.lambdas, want.detail
@@ -77,7 +77,7 @@ def test_form_through_a_point_is_skipped():
     seed = 11
     ps, _ = general_points(3, 5, P, seed)
     ring = vanishing_ideal(ps).ring
-    ell = _trial_forms(ring, seed, "square", 1)[0]
+    ell = _trial_forms(ring, seed, 1)[0]
     a = [ell.coefficient(tuple(int(i == j) for i in range(4))) for j in range(4)]
     # a point on the hyperplane a . x = 0: solve for the first coordinate
     rest = (1, 2, 3)
@@ -108,11 +108,11 @@ def test_budget_exhausted_inside_the_sweep():
     # generators fit in the budget; the 15 products of the sweep do not
     ps = make_point_set(5, P, [(1, 2, 3, 4, 5, 6)])
     gb = vanishing_ideal(ps)
-    ell = _trial_forms(gb.ring, 3, "square", 1)[0]
+    ell = _trial_forms(gb.ring, 3, 1)[0]
     budget = 10
     buchberger(Ideal(gb.ring, list(gb.elements) + [ell]), budget=budget)
     _generating_subset(gb, _Budget(budget))
-    verdict = is_cm_square(gb, seed=3, budget=budget, e_hint=1)
+    verdict = is_cm_square(gb, seed=3, budget=budget)
     assert verdict.status == "Inconclusive"
     assert verdict.detail == f"reduction step budget of {budget} exceeded"
     assert verdict.trials == 1 and verdict.lambdas == ()
@@ -139,6 +139,6 @@ def test_sweep_past_the_cap_is_an_internal_error():
 def test_random_point_sets_give_the_same_lengths(c, extra, seed):
     ps, _ = general_points(c, c + 1 + extra, P, seed)
     gb = vanishing_ideal(ps)
-    got = is_cm_square(gb, seed=seed, trials=2, e_hint=ps.n)
+    got = is_cm_square(gb, seed=seed, trials=2)
     want = oracle_verdict(gb, seed, 2, ps.n)
     assert got.lambdas == want.lambdas

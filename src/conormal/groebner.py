@@ -361,6 +361,7 @@ def buchberger(
     lcm = ring.mono_lcm
     shift = ring._deg_shift
     key = ring.key
+    guard = ring._guard
 
     G = []          # (poly, lt, is_monomial)
     index = _LtIndex(ring)
@@ -371,36 +372,37 @@ def buchberger(
         lt_h = h.terms[0][1]
         h_mono = h.is_monomial()
         t = len(G)
-        new = [(i, lcm(entry[1], lt_h), entry[1] + lt_h) for i, entry in enumerate(G)]
+        lcms = [lcm(entry[1], lt_h) for entry in G]
         # criterion F: drop old pairs whose lcm is a proper multiple of lt_h
         pairs[:] = [
             (d, k, i, j, l)
             for d, k, i, j, l in pairs
-            if not (
-                ring.mono_divides(lt_h, l)
-                and lcm(G[i][1], lt_h) != l
-                and lcm(lt_h, G[j][1]) != l
-            )
+            if not (((l | guard) - lt_h) & guard == guard and lcms[i] != l and lcms[j] != l)
         ]
         heapq.heapify(pairs)
-        # drop a new pair if another new pair's lcm properly divides its lcm
-        surviving = []
-        for i, l, s in new:
-            if any(l2 != l and ring.mono_divides(l2, l) for _, l2, _ in new):
-                continue
-            surviving.append((i, l, s))
-        # one representative per lcm class; a class whose S-polynomial is
-        # trivially zero (coprime leading terms, or two monomials) is skipped
+        # new pairs grouped by lcm, members in basis order
         by_lcm = {}
-        for i, l, s in surviving:
-            by_lcm.setdefault(l, []).append((i, s))
-        for l, members in by_lcm.items():
-            if any(l == s for _, s in members):
+        for i, l in enumerate(lcms):
+            by_lcm.setdefault(l, []).append(i)
+        # criterion M: an lcm survives iff no other new lcm properly divides
+        # it.  A proper divisor has lower degree, the top packed field, and
+        # divisibility is transitive, so taking the lcms in increasing order
+        # and testing each against the minimal ones kept so far keeps exactly
+        # the survivors.
+        minimal = []
+        for l in sorted(by_lcm):
+            lg = l | guard
+            if any((lg - m) & guard == guard for m in minimal):
                 continue
-            if h_mono and any(G[i][2] for i, _ in members):
+            minimal.append(l)
+            # one representative per lcm class; a class whose S-polynomial is
+            # trivially zero (coprime leading terms, or two monomials) is skipped
+            members = by_lcm[l]
+            if any(l == G[i][1] + lt_h for i in members):
                 continue
-            i = members[0][0]
-            heapq.heappush(pairs, (l >> shift, key(l), i, t, l))
+            if h_mono and any(G[i][2] for i in members):
+                continue
+            heapq.heappush(pairs, (l >> shift, key(l), members[0], t, l))
         G.append((h, lt_h, h_mono))
         index.add(h)
 

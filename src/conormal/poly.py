@@ -102,18 +102,22 @@ class PolynomialRing:
         self.nvars = v
         self._deg_shift = FIELD_BITS * v
         self._exp_mask = (1 << self._deg_shift) - 1
+        # the top bit of every exponent field; the degree field is left out,
+        # since an lcm's degree can reach 240 and so fill its own top bit
         self._guard = 0
         self._full = 0
-        for j in range(v + 1):  # guard covers exponent fields and the degree field
-            self._guard |= 0x80 << (FIELD_BITS * j)
         for j in range(v):
+            self._guard |= 0x80 << (FIELD_BITS * j)
             self._full |= 0x7F << (FIELD_BITS * j)
+        self._ones = self._guard >> 7  # 0x01 in every exponent field
         self._var_index = {name: i for i, name in enumerate(variables)}
         self._one_mono = 0
 
     # -- ring identity ------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, PolynomialRing)
             and other.field == self.field
@@ -155,17 +159,25 @@ class PolynomialRing:
         return m >> self._deg_shift
 
     def mono_divides(self, a: int, b: int) -> bool:
-        """True iff monomial a divides monomial b."""
+        """True iff monomial a divides monomial b: no exponent field borrows,
+        so every guard bit survives.  Borrows only run upward, so the degree
+        field above cannot disturb the test."""
         g = self._guard
         return ((b | g) - a) & g == g
 
     def mono_lcm(self, a: int, b: int) -> int:
-        out = 0
-        deg = 0
-        for j in range(self.nvars):
-            e = max((a >> (FIELD_BITS * j)) & 0xFF, (b >> (FIELD_BITS * j)) & 0xFF)
-            out |= e << (FIELD_BITS * j)
-            deg += e
+        """Fieldwise maximum, all fields at once: the guard bit of a field
+        survives (a | guard) - b iff a >= b there, and widens to a 0xFF mask
+        that picks a's exponent.  Multiplying by 0x0101...01 sums the fields
+        into the top exponent byte; each input has degree at most 120, so the
+        sum is at most 240 and no byte carries."""
+        mask = self._exp_mask
+        a &= mask
+        b &= mask
+        guard = self._guard
+        pick_a = ((((a | guard) - b) & guard) >> 7) * 0xFF
+        out = b ^ ((a ^ b) & pick_a)
+        deg = ((out * self._ones) >> (self._deg_shift - FIELD_BITS)) & 0xFF
         return out | (deg << self._deg_shift)
 
     def key(self, m: int) -> int:
@@ -448,7 +460,7 @@ class Polynomial:
     # -- arithmetic -----------------------------------------------------------
 
     def _check_ring(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(f"mixed rings: {self.ring} vs {other.ring}")
 
     def __add__(self, other):
@@ -487,9 +499,13 @@ class Polynomial:
         deg = self.degree + other.degree
         if deg > MAX_EXPONENT:
             raise ValueError(f"product of total degree {deg} exceeds the {MAX_EXPONENT} limit")
-        p = self.ring.field.p
-        acc = {}
+        ring = self.ring
         f, g = self.terms, other.terms
+        if len(f) == 1 and len(g) == 1:  # monomial times monomial: nonzero mod a prime
+            m = f[0][1] + g[0][1]
+            return Polynomial(ring, ((ring.key(m), m, f[0][2] * g[0][2] % ring.field.p),))
+        p = ring.field.p
+        acc = {}
         if len(f) < len(g):
             f, g = g, f
         for _, m1, c1 in f:
@@ -500,7 +516,7 @@ class Polynomial:
                     acc[m] = nc
                 elif m in acc:
                     del acc[m]
-        return self.ring._from_packed_dict(acc)
+        return ring._from_packed_dict(acc)
 
     def __rmul__(self, other):
         if isinstance(other, int):

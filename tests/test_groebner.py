@@ -20,7 +20,7 @@ from conormal import (
     standard_monomials,
     verify_groebner,
 )
-from conormal.constructions import example61_ideal
+from conormal.constructions import StretchedSpec, example61_ideal, stretched_ideal
 from conormal.groebner import GroebnerBasis
 
 
@@ -315,3 +315,30 @@ def test_verify_groebner_checks_every_pair_of_a_large_set():
     assert len(gb) == 64 and set(gb.elements[-2:]) == {f, g}
     assert not verify_groebner(gb)
     assert verify_groebner(GroebnerBasis(ring, monos + [f]))
+
+
+def test_pair_criteria_see_divisors_of_lcms_past_degree_127():
+    # lt x^60 of the last generator meets xy and y^70 z: the lcm x^60 y
+    # divides x^60 y^70 z (degree 131), so criterion M must drop that pair
+    # before its S-polynomial passes the degree limit
+    ring = PolynomialRing(PrimeField(31991), ["x", "y", "z", "w"])
+    x, y, z, w = ring.gens()
+    gens = [x * y + w, y ** 70 * z + w, x ** 60 + w ** 2]
+    gb = buchberger(Ideal(ring, gens))
+    assert len(gb) == 118 and max(f.degree for f in gb.elements) == 71
+    assert all(contains(gb, g) for g in gens)
+
+
+@pytest.mark.parametrize(
+    "c, s, r, steps, square_steps",
+    [(4, 3, 1, 13, 179), (5, 2, 0, 20, 385)],
+)
+def test_stretched_step_counts_are_pinned(c, s, r, steps, square_steps):
+    # the smallest budgets that suffice; the Gebauer-Moller criteria decide
+    # which S-pairs get reduced, so pruning other pairs moves these counts
+    ring = PolynomialRing(PrimeField(31991), [f"x{i + 1}" for i in range(c)])
+    ideal = stretched_ideal(StretchedSpec(c, s, r), ring)
+    for target, n in ((ideal, steps), (ideal_square(ideal), square_steps)):
+        buchberger(target, budget=n)
+        with pytest.raises(BudgetExceededError):
+            buchberger(target, budget=n - 1)

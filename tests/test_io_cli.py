@@ -199,10 +199,12 @@ def test_report_echoes_config():
          "d0124f2e8a4dbf383c0e021d89a2767e7248cd07738c2879a27537b624cdbeed"),
         (["conjecture", "--c", "5", "--n", "8"], 1,
          "5d42d7adb6f90be57f54fdd2b87429303372d449de99e81ed806919370d6ec1f"),
+        (["stretched-suite", "--cmax", "4", "--smax", "3"], 0,
+         "f9f3ea24b7d08b7ebdda15df12875464c868b88e165744f34bb4a4b89f11a144"),
     ],
 )
 def test_report_bytes_are_pinned(argv, code, sha256, monkeypatch, capsys):
-    # whole reports at seed 0 (CM, CM, NotCM): a refactor must leave them
+    # whole reports at seed 0 (CM, CM, NotCM, a stretched grid): a refactor must leave them
     # byte-identical; a change that alters them says why and updates the pin
     monkeypatch.delenv("CONORMAL_STEP_BUDGET", raising=False)
     assert main(argv + ["--seed", "0"]) == code

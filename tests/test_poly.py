@@ -2,6 +2,7 @@ import functools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conormal import (
     DEGLEX,
@@ -249,3 +250,95 @@ def test_lex_degree_is_the_top_degree_of_any_term():
     f = x + y ** 5
     assert f.leading_monomial() == ring.pack((1, 0))
     assert f.degree == 5
+
+
+# -- packed primitives against their per-field definitions ---------------------
+
+
+@st.composite
+def _monomial_pair(draw):
+    """A ring of 1 to 14 variables (P^13 in the points workload) under one of
+    the three orders, and two exponent tuples of total degree at most 120."""
+    v = draw(st.integers(min_value=1, max_value=14))
+    order = draw(st.sampled_from([DEGREVLEX, DEGLEX, LEX]))
+
+    def exponents():
+        out = []
+        for _ in range(v):
+            out.append(draw(st.integers(min_value=0, max_value=120 - sum(out))))
+        return tuple(draw(st.permutations(out)))
+
+    return v, order, exponents(), exponents()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_monomial_pair())
+@example((2, DEGREVLEX, (120, 0), (0, 120)))  # the lcm reaches total degree 240
+@example((14, LEX, (120,) + (0,) * 13, (0,) * 13 + (120,)))
+def test_mono_lcm_and_divides_agree_with_the_fields(case):
+    v, order, a, b = case
+    ring = PolynomialRing(PrimeField(31991), [f"x{i}" for i in range(v)], order)
+    pa, pb = ring.pack(a), ring.pack(b)
+    top = tuple(max(x, y) for x, y in zip(a, b))
+    lcm = ring.mono_lcm(pa, pb)
+    assert ring.unpack(lcm) == top and ring.mono_deg(lcm) == sum(top)
+    assert ring.mono_lcm(pb, pa) == lcm
+    if sum(top) <= 120:
+        assert lcm == ring.pack(top)
+    assert ring.mono_divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    assert ring.mono_divides(pb, pa) == all(y <= x for x, y in zip(a, b))
+    assert ring.mono_divides(pa, pa)
+    # also past degree 127, where the lcm's degree field fills its top bit
+    assert ring.mono_divides(pa, lcm) and ring.mono_divides(pb, lcm)
+    assert ring.mono_divides(lcm, pa) == (lcm == pa)
+
+
+# -- products: the monomial fast path and the ring checks ----------------------
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, DEGLEX, LEX])
+def test_monomial_product_matches_the_definition(order):
+    p = 31991
+    ring = PolynomialRing(PrimeField(p), ["x", "y", "z"], order)
+    rng = random.Random(11)
+    for _ in range(200):
+        ea = tuple(rng.randint(0, 20) for _ in range(3))
+        eb = tuple(rng.randint(0, 20) for _ in range(3))
+        ca, cb = rng.randrange(1, p), rng.randrange(1, p)
+        got = ring.monomial(ea, ca) * ring.monomial(eb, cb)
+        want = ring.poly({tuple(x + y for x, y in zip(ea, eb)): ca * cb})
+        assert got == want and got.terms == want.terms
+    # coefficients whose product wraps mod p
+    f = ring.monomial((1, 0, 2), p - 1) * ring.monomial((0, 3, 0), p - 1)
+    assert f.terms == ring.monomial((1, 3, 2), 1).terms
+    g = ring.monomial((0, 0, 1), 2) * ring.monomial((1, 0, 0), (p + 1) // 2)
+    assert g.terms == ring.monomial((1, 0, 1)).terms
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, DEGLEX, LEX])
+def test_monomial_product_past_the_degree_limit(order):
+    ring = PolynomialRing(PrimeField(31991), ["x", "y"], order)
+    x, y = ring.gens()
+    assert (x ** 60 * y ** 60).degree == 120
+    with pytest.raises(ValueError, match="product of total degree 121 exceeds the 120 limit"):
+        x ** 60 * (3 * y ** 61)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, DEGLEX, LEX])
+def test_products_across_ring_objects(order):
+    ring = PolynomialRing(PrimeField(31991), ["x", "y"], order)
+    twin = PolynomialRing(PrimeField(31991), ["x", "y"], order)
+    assert twin is not ring and twin == ring
+    x, y = ring.gens()
+    u, v = twin.gens()
+    assert x * v == ring.monomial((1, 1))
+    assert (x + y) * (u - v) == x ** 2 - y ** 2
+    for other in (
+        PolynomialRing(PrimeField(31991), ["x", "z"], order),
+        PolynomialRing(PrimeField(7), ["x", "y"], order),
+        ring.with_order(LEX if order != LEX else DEGREVLEX),
+    ):
+        with pytest.raises(ValueError, match="mixed rings"):
+            x * other.var("x")
+        with pytest.raises(ValueError, match="mixed rings"):
+            (x + y) * other.var("x")

@@ -9,10 +9,11 @@ A trial form achieving equality therefore certifies CM; consistently larger
 lengths over all trials give a probabilistic NotCM.
 
 One set of seeded trial forms serves the whole analysis: the reduction runs
-Buchberger once on I + l per form, and the verdict reuses those bases.  Each
-trial length comes from a degree sweep of graded Macaulay matrices (Lazard
-1983): substituting the trial form away leaves a polynomial ring S in one
-variable fewer, and in each degree d the square of the image ideal spans the
+Buchberger once on I + l per form, the verdict reuses those bases, and the
+invariants are read off the chosen one as it stands.  Each trial length
+comes from a degree sweep of graded Macaulay matrices (Lazard 1983):
+substituting the trial form away leaves a polynomial ring S in one variable
+fewer, and in each degree d the square of the image ideal spans the
 variables times its degree d-1 part plus the products of two generators of
 degree d.  One rank per degree gives the Hilbert function, and the sweep
 ends at its first zero.  No Groebner basis of the square is computed.
@@ -41,7 +42,6 @@ from .groebner import (
 from .invariants import (
     InvariantReport,
     classify,
-    eliminate_linear_forms,
     length,
     linear_substitution,
 )
@@ -399,37 +399,21 @@ def analyze(
     CM verdict for the square, and every applicable closed-form criterion,
     with a hard cross-check both ways: no NotCM criterion may meet a CM
     verdict, and no positive answer may meet one on a non-Gorenstein ring.
+    The invariants and e come from one Artinian basis, classified as it
+    stands: the input when zero-dimensional (then no verdict), otherwise
+    the chosen basis of I + l from `artinian_reduction`.
     """
     ring = gb.ring
     if is_zero_dimensional(gb):
-        art_gb = gb
-        if all(g.is_homogeneous() for g in gb.elements) and any(
-            g.degree == 1 for g in gb.elements
-        ):
-            smaller, _ = eliminate_linear_forms(gb.as_ideal())
-            art_gb = buchberger(smaller, budget=budget)
-        report = classify(art_gb, budget)
-        e = report.length
-        cm = None
+        art_gb, reduction = gb, None
     else:
         reduction = artinian_reduction(gb, seed, trials, budget)
-        red_gb, e, _ = reduction
-        if point_count is not None and e != point_count:
-            raise RuntimeError(
-                f"multiplicity {e} disagrees with the point count {point_count}"
-            )
-        if len(red_gb.elements) == ring.nvars and all(
-            g.degree == 1 for g in red_gb.elements
-        ):
-            # the reduction is the base field (a single point); model it as
-            # the quotient of a one-variable ring by its variable
-            one_var = PolynomialRing(ring.field, ["t"], ring.order)
-            art_gb = buchberger(Ideal(one_var, [one_var.var("t")]), budget=budget)
-        else:
-            smaller, _ = eliminate_linear_forms(Ideal(ring, red_gb.elements))
-            art_gb = buchberger(smaller, budget=budget)
-        report = classify(art_gb, budget)
-        cm = is_cm_square(gb, seed, trials, budget, reduction=reduction)
+        art_gb = reduction[0]
+    report = classify(art_gb, budget)
+    e = report.length
+    if point_count is not None and e != point_count:
+        raise RuntimeError(f"multiplicity {e} disagrees with the point count {point_count}")
+    cm = None if reduction is None else is_cm_square(gb, seed, trials, budget, reduction=reduction)
     q = None
     if all(g.is_homogeneous() for g in art_gb.elements):
         q = _quadric_generator_count(art_gb, report)

@@ -10,7 +10,6 @@ on which one it went through, so the two stay separate.
 """
 
 import hashlib
-import random
 
 _MAX_MODULUS = 2**31
 
@@ -81,20 +80,11 @@ class PrimeField:
     def __repr__(self):
         return f"GF({self.p})"
 
-    def element(self, value: int) -> int:
-        return value % self.p
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError on 0."""
@@ -102,15 +92,3 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError(f"inverse of 0 in GF({self.p})")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
-
-    def random_element(self, rng: random.Random) -> int:
-        return rng.randrange(self.p)
-
-    def random_nonzero(self, rng: random.Random) -> int:
-        return rng.randrange(1, self.p)

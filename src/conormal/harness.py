@@ -159,11 +159,12 @@ def analyze_command(config: ExperimentConfig, path: str = None):
         if config.c is None or config.n is None:
             raise ValueError("analyze needs a file path or --points c,n")
         ps, _ = general_points(config.c, config.n, config.p, config.seed, max_redraws=10)
-        ideal = vanishing_ideal(ps).as_ideal()
+        gb = vanishing_ideal(ps)
         source = f"{config.n} general points in P^{config.c} over GF({config.p})"
         point_count = config.n
     try:
-        gb = buchberger(ideal, budget=config.budget)
+        if path is not None:
+            gb = buchberger(ideal, budget=config.budget)
         report = analyze(
             gb,
             seed=config.seed,
@@ -185,6 +186,10 @@ def _stretched_cell(config, ring, c, s, r, unit_seeds):
     the square in the comparison ideal, the equality dichotomy at r <= c-3,
     the +2 length gap otherwise, and the length target overshoot for c >= 4."""
     p = ring.field.p
+    # the comparison ideal does not depend on the units
+    comparison = ideal_L(c, s, ring)
+    gb_l = buchberger(comparison, budget=config.budget)
+    lam_l = length(gb_l)
     results = []
     for useed in unit_seeds:
         rng = random.Random(useed)
@@ -196,9 +201,6 @@ def _stretched_cell(config, ring, c, s, r, unit_seeds):
         sq = ideal_square(ideal)
         gb_sq = buchberger(sq, budget=config.budget)
         lam_sq = length(gb_sq)
-        comparison = ideal_L(c, s, ring)
-        gb_l = buchberger(comparison, budget=config.budget)
-        lam_l = length(gb_l)
         contained = all(contains(gb_l, g, config.budget) for g in sq.generators)
         equal = contained and all(
             contains(gb_sq, g, config.budget) for g in comparison.generators

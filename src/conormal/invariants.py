@@ -152,16 +152,22 @@ class _QuotientStructure:
         return columns
 
     def _power_filtration(self):
-        """Echelon forms of the images of the powers of the maximal ideal."""
+        """Echelon forms of the images of the powers of the maximal ideal.
+        The images are nested: one as large as the one before stays so, and
+        then the quotient is not local (ValueError)."""
         p = self.ring.field.p
         spaces = []
         current = [vec for cols in self._columns for vec in cols]
+        dim = self.n
         while True:
             space = Echelon(p)
             for vec in current:
                 space.add(vec)
             if not space.rows:
                 break
+            if len(space.rows) == dim:
+                raise ValueError(f"the quotient is not local: powers of m stop at dimension {dim}")
+            dim = len(space.rows)
             spaces.append(space)
             current = [
                 combine(row, cols, self.n, p) for row in space.rows for cols in self._columns
@@ -241,7 +247,8 @@ def socle(gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET):
 
 
 def classify(gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET) -> InvariantReport:
-    """Full invariant report of an Artinian quotient."""
+    """Full invariant report of an Artinian quotient in any presentation
+    (linear generators need no elimination); ValueError unless it is local."""
     q = _QuotientStructure(gb, budget)
     hf = q.hilbert_function()
     soc = q.socle_elements()

@@ -188,3 +188,33 @@ def test_square_verdict_reuses_a_given_reduction():
     assert is_cm_square(gb, reduction=reduction) == is_cm_square(gb, 4, 3, 10**6)
     gb61 = buchberger(example61_ideal())
     assert is_cm_square(gb61, reduction=artinian_reduction(gb61, 0)) == is_cm_square(gb61, 0)
+
+
+def test_analysis_of_a_points_basis_runs_buchberger_only_for_the_trials(monkeypatch):
+    # the invariants are read off the chosen basis of I + l itself: no
+    # elimination and no further Buchberger run
+    import conormal.cm as cm
+
+    ps, _ = general_points(5, 10, 31991, seed=1)
+    gb = vanishing_ideal(ps)
+    runs = []
+
+    def counting(ideal, *args, **kwargs):
+        runs.append(ideal)
+        return buchberger(ideal, *args, **kwargs)
+
+    monkeypatch.setattr(cm, "buchberger", counting)
+    report = analyze(gb, seed=1, trials=3, point_count=10)
+    assert report.e == 10 and report.invariants.hf.values == (1, 5, 4)
+    assert len(runs) == 3
+
+
+def test_analysis_of_an_artinian_input_runs_no_buchberger(monkeypatch, ring_xyz):
+    import conormal.cm as cm
+
+    x, y, z = ring_xyz.gens()
+    gb = buchberger(Ideal(ring_xyz, [x - y, y ** 2, y * z, z ** 3]))
+    monkeypatch.setattr(cm, "buchberger", None)
+    report = analyze(gb)
+    assert report.invariants.hf.values == (1, 2, 1) and report.e == 4
+    assert report.cm_square is None and report.q == 2

@@ -329,6 +329,17 @@ def test_pair_criteria_see_divisors_of_lcms_past_degree_127():
     assert all(contains(gb, g) for g in gens)
 
 
+def test_verify_groebner_skips_pairs_past_the_degree_limit():
+    # the same 118-element basis: reducing every one of its 6,903 pairs
+    # passes total degree 120, but the coprime and strict chain criteria
+    # leave only pairs that fit
+    ring = PolynomialRing(PrimeField(31991), ["x", "y", "z", "w"])
+    x, y, z, w = ring.gens()
+    gb = buchberger(Ideal(ring, [x * y + w, y ** 70 * z + w, x ** 60 + w ** 2]))
+    assert len(gb) == 118
+    assert verify_groebner(gb)
+
+
 @pytest.mark.parametrize(
     "c, s, r, steps, square_steps",
     [(4, 3, 1, 13, 179), (5, 2, 0, 20, 385)],

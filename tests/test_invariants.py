@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conormal import (
+    DEGLEX,
     DEGREVLEX,
+    LEX,
     Ideal,
     PolynomialRing,
     PrimeField,
@@ -21,7 +24,9 @@ from conormal.invariants import (
     quotient_by_socle_element,
     socle,
 )
-from conormal.constructions import StretchedSpec, stretched_ideal
+from conormal.cm import artinian_reduction
+from conormal.constructions import StretchedSpec, example61_ideal, stretched_ideal
+from conormal.points import general_points, vanishing_ideal
 
 
 def test_hilbert_function_basic(ring_xy):
@@ -200,3 +205,66 @@ def test_eliminate_needs_homogeneous(ring_xy):
     x, y = ring_xy.gens()
     with pytest.raises(ValueError):
         eliminate_linear_forms(Ideal(ring_xy, [x + y ** 2]))
+
+
+def test_classify_rejects_a_quotient_that_is_not_local(ring_xy):
+    # k[x, y]/(x^2 - x, y) is k x k: x is idempotent, so every power of the
+    # maximal ideal has the same nonzero image
+    x, y = ring_xy.gens()
+    gb = buchberger(Ideal(ring_xy, [x ** 2 - x, y]))
+    with pytest.raises(ValueError, match="not local"):
+        classify(gb)
+    with pytest.raises(ValueError, match="not local"):
+        classify(buchberger(Ideal(ring_xy, [x - 1, y])))
+
+
+# -- classify reads any presentation: the eliminated ring as the oracle --------
+
+
+def _quadrics(gb):
+    return sum(1 for g in gb.elements if g.degree == 2)
+
+
+def _assert_presentations_agree(gb):
+    eliminated = buchberger(eliminate_linear_forms(gb.as_ideal())[0])
+    assert classify(gb).to_text() == classify(eliminated).to_text()
+    assert _quadrics(gb) == _quadrics(eliminated)
+
+
+def test_presentations_agree_on_fixed_cases():
+    ring = PolynomialRing(PrimeField(31991), ["x", "y", "z", "w"])
+    x, y, z, w = ring.gens()
+    gbs = [
+        buchberger(Ideal(ring, [x + 2 * y - z, z ** 2, y * w, w ** 3 - y ** 3, y ** 2 * z])),
+        buchberger(Ideal(ring, [x - y, z + w, y ** 2, z * w, w ** 3])),
+        # the chosen I + l bases of example 6.1 and of six points in P^4
+        artinian_reduction(buchberger(example61_ideal()), 0)[0],
+        artinian_reduction(vanishing_ideal(general_points(4, 6, 31991, 2)[0]), 2)[0],
+    ]
+    for gb in gbs:
+        assert any(g.degree == 1 for g in gb.elements)
+        _assert_presentations_agree(gb)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    nvars=st.integers(min_value=2, max_value=4),
+    nlinear=st.integers(min_value=1, max_value=3),
+    order=st.sampled_from([DEGREVLEX, DEGLEX, LEX]),
+    p=st.sampled_from([7, 31991]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_presentations_agree_on_random_artinian_ideals(nvars, nlinear, order, p, seed):
+    # powers of every variable make the quotient Artinian; random linear
+    # forms (fewer than the variables) and forms of degree 2 and 3 shape it
+    rng = random.Random(seed)
+    ring = PolynomialRing(PrimeField(p), [f"x{i}" for i in range(nvars)], order)
+
+    def form(d):
+        return ring.poly({m: rng.randrange(p) for m in ring.monomials_of_degree(d)})
+
+    linear = [form(1) for _ in range(min(nlinear, nvars - 1))]
+    powers = [ring.var(v) ** rng.randrange(2, 5) for v in ring.vars]
+    others = [form(rng.randrange(2, 4)) for _ in range(rng.randrange(3))]
+    gb = buchberger(Ideal(ring, linear + powers + others))
+    _assert_presentations_agree(gb)

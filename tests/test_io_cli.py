@@ -90,6 +90,32 @@ def test_cli_analyze_file(tmp_path, capsys):
     assert "q: 11" in out
 
 
+def test_cli_analyze_the_field_itself(tmp_path, capsys):
+    # the linear forms span every variable: the quotient is the field
+    path = tmp_path / "field.txt"
+    path.write_text("ring p=7 vars=x,y\nx\ny\n")
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "\nhf: 1\n" in out and "\ntau: 1\n" in out and "cm_square: n/a" in out
+
+
+def test_cli_analyze_rejects_a_quotient_that_is_not_local(tmp_path, capsys):
+    path = tmp_path / "two_points.txt"
+    path.write_text("ring p=7 vars=x,y\nx^2 - x\ny\n")
+    assert main(["analyze", str(path)]) == 1
+    assert "not local" in capsys.readouterr().err
+
+
+def test_cli_analyze_points_skips_buchberger_on_the_points_basis(monkeypatch, capsys):
+    # the vanishing ideal is already a reduced basis; only file input goes
+    # through Buchberger in the harness
+    import conormal.harness as harness
+
+    monkeypatch.setattr(harness, "buchberger", None)
+    assert main(["analyze", "--points", "3,5", "--seed", "1"]) in (0, 1)
+    assert "e: 5" in capsys.readouterr().out
+
+
 def test_cli_analyze_needs_input(capsys):
     with pytest.raises(SystemExit):
         main(["analyze"])

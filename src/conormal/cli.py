@@ -105,10 +105,11 @@ def main(argv=None) -> int:
         elif args.command == "analyze":
             path = args.path
             if path is None and args.points is not None:
-                c_str, n_str = args.points.split(",")
-                config = ExperimentConfig(
-                    **{**config.__dict__, "c": int(c_str), "n": int(n_str)}
-                )
+                try:
+                    c, n = (int(v) for v in args.points.split(","))
+                except ValueError:
+                    raise ValueError(f"--points needs c,n, got {args.points!r}") from None
+                config = ExperimentConfig(**{**config.__dict__, "c": c, "n": n})
             elif path is None:
                 raise SystemExit("analyze needs a file path or --points c,n")
             text, code = analyze_command(config, path)
@@ -120,16 +121,16 @@ def main(argv=None) -> int:
             text, code = selftest(config)
         else:  # pragma: no cover
             raise SystemExit(f"unknown command {args.command}")
+        sys.stdout.write(text)
+        if config.output:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_NOT_CM
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CM
-    sys.stdout.write(text)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return code
 
 

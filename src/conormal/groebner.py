@@ -294,21 +294,27 @@ def _spoly_items(ring, f: Polynomial, g: Polynomial):
     return items
 
 
+def _minimal(ring, polys):
+    """(index, kept): the polynomials in ascending leading-term order, each
+    kept iff no leading term kept before it divides its own, and the index
+    of the kept ones."""
+    index = _LtIndex(ring)
+    kept = []
+    for f in sorted(polys, key=lambda f: f.terms[0][0]):
+        if index.find(f.terms[0][1]) is None:
+            index.add(f)
+            kept.append(f)
+    return index, kept
+
+
 def _interreduce(ring, polys, budget):
     """Forward-reduce a generating set; cheap preprocessing, same ideal."""
     monos = []
     others = []
     for f in polys:
         (monos if f.is_monomial() else others).append(f)
-    index = _LtIndex(ring)
-    kept = []
     # minimal monomial generators first: cheap divisibility pruning
-    monos.sort(key=lambda f: f.terms[0][0])
-    for f in monos:
-        if index.find(f.terms[0][1]) is None:
-            g = f.monic()
-            index.add(g)
-            kept.append(g)
+    index, kept = _minimal(ring, [f.monic() for f in monos])
     others.sort(key=lambda f: f.terms[0][0])
     for f in others:
         red = _reduce_terms(ring, f.terms, index, budget)
@@ -321,21 +327,8 @@ def _interreduce(ring, polys, budget):
 
 def _final_reduce(ring, basis, budget):
     """Minimalize leading terms, then tail-reduce to the unique reduced basis."""
-    basis = sorted(basis, key=lambda f: f.terms[0][0])
-    minimal = []
-    lts = []
-    guard = ring._guard
-    for f in basis:
-        lt = f.terms[0][1]
-        ltg = lt | guard
-        if any((ltg - l) & guard == guard for l in lts):
-            continue
-        minimal.append(f)
-        lts.append(lt)
     # a tail term lies below its own leading term, so one index serves all
-    index = _LtIndex(ring)
-    for f in minimal:
-        index.add(f)
+    index, minimal = _minimal(ring, basis)
     reduced = []
     for f in minimal:
         _, lt, c = f.terms[0]
@@ -478,6 +471,21 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     return len(covered) == ring.nvars
 
 
+def _standard_successors(ring, index: _LtIndex, level):
+    """The variable multiples of the given monomials that no leading term in
+    the index divides, as a set."""
+    step = 1 << ring._deg_shift
+    units = [(1 << (8 * j)) + step for j in range(ring.nvars)]
+    find = index.find
+    nxt = set()
+    for m in level:
+        for u in units:
+            mm = m + u
+            if mm not in nxt and find(mm) is None:
+                nxt.add(mm)
+    return nxt
+
+
 def standard_monomials_packed(gb: GroebnerBasis):
     """Packed standard monomials grouped by degree: list of lists, index = degree."""
     if gb._std_cache is not None:
@@ -485,33 +493,12 @@ def standard_monomials_packed(gb: GroebnerBasis):
     if not is_zero_dimensional(gb):
         raise ValueError("standard monomials require a zero-dimensional ideal")
     ring = gb.ring
-    guard = ring._guard
-    lts = gb.leading_monomials()
-    if any((lt & ring._exp_mask) == 0 for lt in lts):
-        gb._std_cache = []
-        return []  # unit ideal: empty quotient
-    by_deg = sorted(lts, key=lambda m: m >> ring._deg_shift)
-
-    def is_standard(m):
-        mg = m | guard
-        for lt in by_deg:
-            if (mg - lt) & guard == guard:
-                return False
-        return True
-
+    index = gb.index()
     levels = []
-    one = 0
-    current = [one]
-    step = 1 << ring._deg_shift
+    current = [] if index.find(0) is not None else [0]  # 1 in the ideal: empty quotient
     while current:
         levels.append(sorted(current, key=ring.key, reverse=True))
-        nxt = set()
-        for m in current:
-            for j in range(ring.nvars):
-                mm = m + (1 << (8 * j)) + step
-                if mm not in nxt and is_standard(mm):
-                    nxt.add(mm)
-        current = nxt
+        current = _standard_successors(ring, index, current)
     gb._std_cache = levels
     return levels
 

@@ -3,9 +3,12 @@ vanishing ideals via degree-by-degree evaluation, and general-position
 certificates.
 
 The vanishing ideal is computed Buchberger-Moller style: in each degree the
-candidate monomials (those outside the leading-term ideal found so far) are
-evaluated at the points; Gaussian elimination splits them into standard
-monomials and new reduced basis elements.  The loop runs until a degree
+candidate monomials are evaluated at the points; Gaussian elimination splits
+them into standard monomials and new reduced basis elements.  The
+candidates are the variable multiples of the previous degree's standard
+monomials that no leading term found so far divides: the standard-monomial
+walk of `groebner.standard_monomials_packed`, run against a leading-term
+index that grows with each new element.  The loop runs until a degree
 confirms the Hilbert function at n with no new generators, one degree past
 the stabilization required of saturated point ideals, which also covers
 special configurations whose initial ideal acquires late generators.
@@ -17,7 +20,7 @@ import random
 
 from .field import PrimeField, stable_seed
 from .poly import DEGREVLEX, MonomialOrder, PolynomialRing
-from .groebner import GroebnerBasis
+from .groebner import GroebnerBasis, _LtIndex, _standard_successors
 from .linalg import Echelon, combine
 
 
@@ -125,11 +128,9 @@ def _bm_run(ps: PointSet, order: MonomialOrder):
     ring = ps.ring(order)
     p = ring.field.p
     n = ps.n
-    guard = ring._guard
-    shift = ring._deg_shift
     key = ring.key
 
-    found_lts = []
+    index = _LtIndex(ring)  # leading terms of the elements found so far
     elements = []
     hf = [1]
     std_prev = [0]  # packed monomials, degree 0
@@ -143,17 +144,8 @@ def _bm_run(ps: PointSet, order: MonomialOrder):
                 f"vanishing ideal loop passed degree {degree_cap}; "
                 "this contradicts the regularity bound for point ideals"
             )
-        step = 1 << shift
-        cand = set()
-        for m in std_prev:
-            for j in range(ring.nvars):
-                cand.add(m + (1 << (8 * j)) + step)
-        candidates = []
-        for m in cand:
-            mg = m | guard
-            if not any((mg - lt) & guard == guard for lt in found_lts):
-                candidates.append(m)
-        candidates.sort(key=key)  # ascending: smallest first
+        # ascending: smallest first
+        candidates = sorted(_standard_successors(ring, index, std_prev), key=key)
         echelon = Echelon(p)
         exprs = []  # exprs[i]: echelon row i as a combination of the std_here values
         new_gens = []
@@ -174,7 +166,7 @@ def _bm_run(ps: PointSet, order: MonomialOrder):
                 std_here.append(m)
         hf.append(len(std_here))
         for g in new_gens:
-            found_lts.append(g.terms[0][1])
+            index.add(g)
             elements.append(g)
         std_prev = std_here
         if len(std_here) == n and not new_gens and hf[d - 1] == n:

@@ -304,9 +304,13 @@ class PolynomialRing:
         if pos >= len(tokens):
             raise ParseError("empty polynomial", line, 1)
         while True:
+            term_col = tokens[pos][1]
             coeff, exps, pos = _parse_term(self, tokens, pos, text, line)
             c = sign * coeff % p
-            m = self.pack(exps)
+            try:
+                m = self.pack(exps)
+            except ValueError as exc:
+                raise ParseError(str(exc), line, term_col) from None
             nc = (acc.get(m, 0) + c) % p
             if nc:
                 acc[m] = nc

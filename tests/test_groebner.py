@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conormal import (
     BudgetExceededError,
@@ -22,6 +23,8 @@ from conormal import (
 )
 from conormal.constructions import StretchedSpec, example61_ideal, stretched_ideal
 from conormal.groebner import GroebnerBasis
+
+from conftest import monomial_quotient_standard
 
 
 def test_ideal_construction_drops_zeros(ring_xy):
@@ -186,6 +189,42 @@ def test_standard_monomial_count_is_order_independent():
         n1 = len(standard_monomials(buchberger(ideal, DEGREVLEX)))
         n2 = len(standard_monomials(buchberger(ideal, DEGLEX)))
         assert n1 == n2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    nvars=st.integers(min_value=2, max_value=4),
+    order=st.sampled_from([DEGREVLEX, DEGLEX, LEX]),
+    kind=st.sampled_from(["monomial", "polynomial", "unit"]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_standard_monomials_match_the_monomial_oracle(nvars, order, kind, seed):
+    # powers of every variable make the ideal zero-dimensional; the extra
+    # generators are monomials, inhomogeneous polynomials, or a pair whose
+    # difference is a unit
+    rng = random.Random(seed)
+    ring = PolynomialRing(PrimeField(7), [f"x{i}" for i in range(nvars)], order)
+
+    def exps():
+        return tuple(rng.randrange(3) for _ in range(nvars))
+
+    gens = [ring.var(name) ** rng.randrange(1, 5) for name in ring.vars]
+    for _ in range(rng.randrange(1, 4)):
+        if kind == "monomial":
+            gens.append(ring.monomial(exps()))
+        else:
+            f = ring.poly({exps(): rng.randrange(1, 7) for _ in range(3)})
+            if not f.is_zero():
+                gens.append(f)
+    if kind == "unit":
+        g = ring.monomial(exps())
+        gens += [g + 1, g]
+    gb = buchberger(Ideal(ring, gens))
+    assert verify_groebner(gb)
+    lts = [ring.unpack(m) for m in gb.leading_monomials()]
+    assert sorted(standard_monomials(gb)) == sorted(monomial_quotient_standard(lts, nvars))
+    if kind == "unit":
+        assert standard_monomials(gb) == []
 
 
 def test_budget_exceeded_is_distinguishable():

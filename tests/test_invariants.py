@@ -17,6 +17,7 @@ from conormal import (
 from conormal.invariants import (
     HilbertFunction,
     SocleLawError,
+    _QuotientStructure,
     classify,
     eliminate_linear_forms,
     hilbert_function,
@@ -216,6 +217,20 @@ def test_classify_rejects_a_quotient_that_is_not_local(ring_xy):
         classify(gb)
     with pytest.raises(ValueError, match="not local"):
         classify(buchberger(Ideal(ring_xy, [x - 1, y])))
+
+
+def test_multiplication_skips_variables_that_lead_homogeneous_linear_elements():
+    # x = -y - z in the quotient, so its matrix adds nothing; x - 1 is not
+    # homogeneous, and x must keep its column for the locality check
+    ring = PolynomialRing(PrimeField(7), ["x", "y", "z"])
+    x, y, z = ring.gens()
+    gb = buchberger(Ideal(ring, [x + y + z, x ** 2, y ** 2]))
+    q = _QuotientStructure(gb)
+    assert len(q._columns) == 2
+    assert classify(gb).hf.values == (1, 2, 1)
+    gb = buchberger(Ideal(ring, [x - 1, y, z]))
+    with pytest.raises(ValueError, match="not local"):
+        _QuotientStructure(gb)
 
 
 # -- classify reads any presentation: the eliminated ring as the oracle --------

@@ -46,6 +46,16 @@ def test_parse_body_errors_carry_line_numbers():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "body, line, column",
+    [("x + y^200", 2, 5), ("x\n3 - x^70*y^70", 3, 5), ("x^60*y*x^61", 2, 1)],
+)
+def test_parse_out_of_range_exponents_carry_their_position(body, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_ideal_text("ring p=7 vars=x,y\n" + body)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_parse_ideal_file(tmp_path):
     path = tmp_path / "ideal.txt"
     path.write_text("ring p=7 vars=x,y\nx^2 + y\nx*y\n")
@@ -119,6 +129,25 @@ def test_cli_analyze_points_skips_buchberger_on_the_points_basis(monkeypatch, ca
 def test_cli_analyze_needs_input(capsys):
     with pytest.raises(SystemExit):
         main(["analyze"])
+
+
+def test_cli_missing_ideal_file_is_an_error(tmp_path, capsys):
+    assert main(["analyze", str(tmp_path / "missing.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.txt" in err
+
+
+def test_cli_unwritable_output_is_an_error(tmp_path, capsys):
+    out_path = tmp_path / "no" / "such" / "report.txt"
+    argv = ["criteria-table", "--cmax", "3", "--smax", "3", "--output", str(out_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("points", ["5", "3,x", "1,2,3"])
+def test_cli_points_needs_c_and_n(points, capsys):
+    assert main(["analyze", "--points", points]) == 1
+    assert "--points needs c,n" in capsys.readouterr().err
 
 
 def test_cli_parse_error_exit(tmp_path, capsys):

@@ -221,9 +221,10 @@ def _span(candidates, n, p, budget: _Budget) -> Echelon:
     n-dimensional degree, stopping once the span is everything.
 
     One candidate per leading column goes first, in increasing column
-    order: those rows are already in echelon form, so adding them costs
-    only the pivot checks.  The remaining candidates are reduced in full.
-    Each row reduced is charged to the budget.
+    order: those rows are already in echelon form, so each takes the
+    echelon's fast path and needs no reduction.  The remaining candidates
+    are reduced in full.  Each row is charged to the budget by
+    `_Budget.charge_row`.
     """
     first = {}
     rest = []
@@ -234,10 +235,10 @@ def _span(candidates, n, p, budget: _Budget) -> Echelon:
             first[lead] = make
     ech = Echelon(p)
     for make in [first[lead] for lead in sorted(first)] + rest:
-        if len(ech.rows) == n:
+        if len(ech.pivots) == n:
             break
-        budget.charge()
-        ech.add(make())
+        mults, _ = ech.add(make())
+        budget.charge_row(mults)
     return ech
 
 
@@ -257,11 +258,12 @@ def _generating_subset(gb: GroebnerBasis, budget: _Budget):
         n = len(monos)
         ech = _span(_multiples(ring, prev_monos, prev, pos, n), n, p, budget)
         for g in by_degree.get(d, ()):
-            budget.charge()
             vec = [0] * n
             for _, m, c in g.terms:
                 vec[pos[m]] = c
-            if ech.add(vec)[1] is not None:
+            mults, scale = ech.add(vec)
+            budget.charge_row(mults)
+            if scale is not None:
                 kept.append(g)
         prev_monos, prev = monos, ech
     return kept
@@ -291,7 +293,7 @@ def _square_length(ring: PolynomialRing, gens, cap: int, budget: _Budget) -> int
             lead = pos[f.terms[0][1] + g.terms[0][1]]
             candidates.append((lead, partial(_product_row, f, g, pos, n, p)))
         ech = _span(candidates, n, p, budget)
-        hf = n - len(ech.rows)
+        hf = n - len(ech.pivots)
         if hf == 0:
             return lam
         lam += hf
@@ -323,8 +325,8 @@ def is_cm_square(
 
     The budget is a fresh cap for each Buchberger run on I + l and for each
     subset or sweep pass, not a total.  A step is one monomial reduction in
-    Buchberger and one row reduced in a pass, so the budget bounds the
-    verdict mostly through the runs on I + l.
+    Buchberger; in a pass a row costs one step plus one per echelon row
+    subtracted from it, so the budget bounds the sweep by its work.
     """
     ring = gb.ring
     if is_zero_dimensional(gb):

@@ -29,10 +29,15 @@ class _Budget:
         self.remaining = steps
         self.limit = steps
 
-    def charge(self):
-        self.remaining -= 1
+    def charge(self, steps=1):
+        self.remaining -= steps
         if self.remaining < 0:
             raise BudgetExceededError(self.limit)
+
+    def charge_row(self, mults):
+        """A matrix row reduced with these echelon multipliers: one step
+        plus one per echelon row subtracted from it."""
+        self.charge(1 + len(mults) - mults.count(0))
 
 
 class Ideal:

@@ -121,8 +121,10 @@ def conjecture_experiment(config: ExperimentConfig):
         )
     n = config.n if config.n is not None else crit.conjectured_counterexample_points(c)
     try:
-        ps, redraws = general_points(c, n, config.p, config.seed, max_redraws=10)
-        gb = vanishing_ideal(ps)
+        ps, redraws = general_points(
+            c, n, config.p, config.seed, max_redraws=10, budget=config.budget
+        )
+        gb = vanishing_ideal(ps, budget=config.budget)
         report = analyze(
             gb,
             seed=config.seed,
@@ -158,13 +160,16 @@ def analyze_command(config: ExperimentConfig, path: str = None):
     else:
         if config.c is None or config.n is None:
             raise ValueError("analyze needs a file path or --points c,n")
-        ps, _ = general_points(config.c, config.n, config.p, config.seed, max_redraws=10)
-        gb = vanishing_ideal(ps)
         source = f"{config.n} general points in P^{config.c} over GF({config.p})"
         point_count = config.n
     try:
         if path is not None:
             gb = buchberger(ideal, budget=config.budget)
+        else:
+            ps, _ = general_points(
+                config.c, config.n, config.p, config.seed, max_redraws=10, budget=config.budget
+            )
+            gb = vanishing_ideal(ps, budget=config.budget)
         report = analyze(
             gb,
             seed=config.seed,

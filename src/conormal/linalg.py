@@ -1,6 +1,17 @@
-"""Dense linear algebra over GF(p) on lists of canonical int entries: the
-one Gaussian elimination of the package, used by the invariants module and
-the Buchberger-Moller vanishing ideal."""
+"""Dense linear algebra over GF(p): the one Gaussian elimination of the
+package, used by the square verdict's degree sweep, the invariants module
+and the Buchberger-Moller vanishing ideal.
+
+Vectors go in and come out as lists of canonical ints in [0, p).  Inside
+`Echelon` each row is also one Python int with a fixed-width lane per
+column, column j in bits [j*W, (j+1)*W), so that a row update is one
+big-integer multiply-add run in C and the reduction mod p is delayed until
+the row is read back (delayed reduction after Dumas, Giorgi and Pernet,
+"FFLAS and FFPACK", 2008; several field elements per machine integer after
+Dumas, Fousse and Salvy, 2011).
+"""
+
+import struct
 
 
 class Echelon:
@@ -9,25 +20,80 @@ class Echelon:
     Each row is monic at its pivot (its first nonzero entry) and zero at the
     pivots of the rows before it.  The pivot set is the set of leading
     positions of the row space, so it and every `reduce` remainder depend
-    only on the span, not on the order the rows were added in.
+    only on the span, not on the order the rows were added in.  `rows` holds
+    the rows as lists; all vectors must have the length of the first one.
+
+    Lanes.  A vector x is reduced by x += (p - c) * row for each pivot, c
+    its entry there read as ((x >> col*W) & mask) % p, and only at the end
+    is every lane taken mod p.  A stored row is canonical, so a lane starts
+    below p and gains at most (p-1)^2 per row applied; with at most n rows
+    it stays at most p - 1 + n(p-1)^2.  The lane width W is the smallest
+    multiple of 64 bits above that bound, fixed by p and the column count n
+    of the first vector: 64 at p = 31991 for any n below 2^34, 128 at
+    p = 2^31 - 1 from n = 4 on.  A narrower lane would carry into its
+    neighbour and give a wrong rank without any error.
+
+    Fast path.  When the lowest set bit of a vector lies beyond the lane of
+    the largest pivot, every multiplier is zero and the vector is its own
+    remainder: no row is applied and nothing is unpacked.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.pivots = []
         self.rows = []
+        self._packed = []  # the rows as lane-packed ints
+        self._shifts = []  # bit offset of each pivot's lane
+        self._below = 0  # mask of the lanes up to the largest pivot
+        self._n = None
+
+    def _fix_width(self, n):
+        """W: the smallest multiple of 64 bits above p - 1 + n(p-1)^2."""
+        p = self.p
+        self._n = n
+        self._width = 64 * -(-(p - 1 + n * (p - 1) ** 2).bit_length() // 64)
+        self._mask = (1 << self._width) - 1
+        # an entry fills the low 64-bit word of its lane, zero bytes the rest
+        self._format = "<" + f"Q{self._width // 8 - 8}x" * n
+
+    def _pack(self, vec):
+        return int.from_bytes(struct.pack(self._format, *vec), "little")
+
+    def _unpack(self, x):
+        p, size = self.p, self._width // 8
+        data = x.to_bytes(size * self._n, "little")
+        if size == 8:
+            return [v % p for v in struct.unpack(self._format, data)]
+        return [int.from_bytes(data[i:i + size], "little") % p for i in range(0, len(data), size)]
+
+    def _reduce(self, vec):
+        """(vec minus the multiples of the rows as a packed int whose lanes
+        are not yet taken mod p, multipliers)."""
+        if len(vec) != self._n:
+            if self._n is not None:
+                raise ValueError(f"vector of length {len(vec)} in an echelon of {self._n} columns")
+            self._fix_width(len(vec))
+        if not any(vec):
+            return 0, [0] * len(self.pivots)
+        if max(vec) >= self.p:
+            raise ValueError(f"entries must be canonical in [0, {self.p})")
+        x = self._pack(vec)
+        if not x & self._below:
+            return x, [0] * len(self.pivots)
+        p, mask = self.p, self._mask
+        mults = []
+        for shift, row in zip(self._shifts, self._packed):
+            c = (x >> shift & mask) % p
+            mults.append(c)
+            if c:
+                x += (p - c) * row
+        return x, mults
 
     def reduce(self, vec):
         """(remainder, multipliers): the remainder is zero at every pivot and
         equals vec minus the sum of multipliers[i] * rows[i]."""
-        p = self.p
-        mults = []
-        for col, row in zip(self.pivots, self.rows):
-            c = vec[col]
-            mults.append(c)
-            if c:
-                vec = [(a - c * b) % p for a, b in zip(vec, row)]
-        return vec, mults
+        x, mults = self._reduce(vec)
+        return (self._unpack(x) if any(mults) else vec), mults
 
     def add(self, vec):
         """Reduce vec and append the remainder, made monic, as a new row.
@@ -36,15 +102,32 @@ class Echelon:
         new row equal to scale * remainder; scale is None, and no row is
         added, when the remainder is zero.
         """
-        p = self.p
-        rem, mults = self.reduce(vec)
-        col = next((i for i, c in enumerate(rem) if c), None)
-        if col is None:
+        x, mults = self._reduce(vec)
+        exact = not any(mults)  # then x packs vec itself, lanes canonical
+        rem = vec if exact else self._unpack(x)
+        lead = next(filter(None, rem), 0)
+        if not lead:
             return mults, None
-        scale = pow(rem[col], -1, p)
+        p = self.p
+        col = rem.index(lead)
+        scale = pow(lead, -1, p)
+        if scale == 1:
+            row = list(rem)
+            packed = x if exact else self._pack(row)
+        else:
+            row = [c * scale % p for c in rem]
+            packed = self._pack(row)
+        shift = col * self._width
         self.pivots.append(col)
-        self.rows.append([c * scale % p for c in rem])
+        self.rows.append(row)
+        self._packed.append(packed)
+        self._shifts.append(shift)
+        self._below |= (1 << shift + self._width) - 1
         return mults, scale
+
+    def _reverse(self):
+        for items in (self.pivots, self.rows, self._packed, self._shifts):
+            items.reverse()
 
 
 def combine(coeffs, vectors, n: int, p: int) -> list:
@@ -63,13 +146,11 @@ def rref(rows, p: int) -> Echelon:
     for row in rows:
         ech.add(row)
     # last pivot first: a row is already zero left of its pivot, so clearing
-    # it at the larger pivots before it gives the reduced form
+    # it at the larger pivots before it gives the reduced form, still monic
     out = Echelon(p)
-    for col, row in sorted(zip(ech.pivots, ech.rows), reverse=True):
-        out.pivots.append(col)
-        out.rows.append(out.reduce(row)[0])
-    out.pivots.reverse()
-    out.rows.reverse()
+    for _, row in sorted(zip(ech.pivots, ech.rows), reverse=True):
+        out.add(row)
+    out._reverse()
     return out
 
 

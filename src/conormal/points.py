@@ -11,7 +11,12 @@ walk of `groebner.standard_monomials_packed`, run against a leading-term
 index that grows with each new element.  The loop runs until a degree
 confirms the Hilbert function at n with no new generators, one degree past
 the stabilization required of saturated point ideals, which also covers
-special configurations whose initial ideal acquires late generators.
+special configurations whose initial ideal acquires late generators.  So it
+reaches at least degree d0 + 1, d0 the first degree with C(c + d0, d0) >= n,
+and a point count that puts d0 + 1 past the monomial degree limit is refused
+before any evaluation; a configuration that climbs past the limit anyway,
+such as many points on a line, raises when it gets there.  Each pass runs
+under a step budget like Buchberger's.
 """
 
 from dataclasses import dataclass
@@ -19,8 +24,8 @@ from math import comb
 import random
 
 from .field import PrimeField, stable_seed
-from .poly import DEGREVLEX, MonomialOrder, PolynomialRing
-from .groebner import GroebnerBasis, _LtIndex, _standard_successors
+from .poly import DEGREVLEX, MAX_EXPONENT, MonomialOrder, PolynomialRing
+from .groebner import DEFAULT_STEP_BUDGET, GroebnerBasis, _Budget, _LtIndex, _standard_successors
 from .linalg import Echelon, combine
 
 
@@ -123,8 +128,32 @@ def _evaluate(monomial_exps, point, p):
     return v
 
 
-def _bm_run(ps: PointSet, order: MonomialOrder):
-    """Shared core: (ring, reduced basis elements, Hilbert function values)."""
+def _past_the_degree_limit(c: int, n: int) -> ValueError:
+    return ValueError(
+        f"the vanishing ideal of {n} points in P^{c} needs monomials "
+        f"past total degree {MAX_EXPONENT}"
+    )
+
+
+def _check_degree_range(c: int, n: int):
+    """The degree loop of `_bm_run` ends no earlier than degree d0 + 1, d0
+    the first degree with C(c + d0, d0) >= n; its monomials must be
+    representable."""
+    d0 = 0
+    while d0 < MAX_EXPONENT and comb(c + d0, d0) < n:
+        d0 += 1
+    if d0 + 1 > MAX_EXPONENT:
+        raise _past_the_degree_limit(c, n)
+
+
+def _bm_run(ps: PointSet, order: MonomialOrder, budget: int):
+    """Shared core: (ring, reduced basis elements, Hilbert function values).
+
+    Each candidate row is charged to a fresh step budget by
+    `_Budget.charge_row`.
+    """
+    _check_degree_range(ps.c, ps.n)
+    steps = _Budget(budget)
     ring = ps.ring(order)
     p = ring.field.p
     n = ps.n
@@ -146,24 +175,24 @@ def _bm_run(ps: PointSet, order: MonomialOrder):
             )
         # ascending: smallest first
         candidates = sorted(_standard_successors(ring, index, std_prev), key=key)
+        # a row is the values at the points followed by its combination of
+        # the candidates, the largest candidate first: the echelon keeps the
+        # combinations, and when the values reduce to zero the first nonzero
+        # entry is the candidate's own 1, so the row is a new basis element
         echelon = Echelon(p)
-        exprs = []  # exprs[i]: echelon row i as a combination of the std_here values
         new_gens = []
         std_here = []
-        for m in candidates:
+        for k, m in enumerate(candidates):
             exps = ring.unpack(m)
-            mults, scale = echelon.add([_evaluate(exps, pt, p) for pt in ps.points])
-            # the values minus the remainder, as a combination of the std_here values
-            coef = combine(mults, exprs, n, p)
-            if scale is None:
-                expr = {mm: -c for mm, c in zip(std_here, coef) if c}
-                expr[m] = 1
-                new_gens.append(ring.poly(expr))
-            else:
-                row = [-c * scale % p for c in coef]
-                row[len(std_here)] = scale
-                exprs.append(row)
+            vec = [_evaluate(exps, pt, p) for pt in ps.points] + [0] * len(candidates)
+            vec[-1 - k] = 1
+            mults, _ = echelon.add(vec)
+            steps.charge_row(mults)
+            if echelon.pivots[-1] < n:
                 std_here.append(m)
+            else:
+                combo = zip(reversed(candidates), echelon.rows[-1][n:])
+                new_gens.append(ring.poly({mm: c for mm, c in combo if c}))
         hf.append(len(std_here))
         for g in new_gens:
             index.add(g)
@@ -171,6 +200,8 @@ def _bm_run(ps: PointSet, order: MonomialOrder):
         std_prev = std_here
         if len(std_here) == n and not new_gens and hf[d - 1] == n:
             break
+        if d > MAX_EXPONENT:
+            raise _past_the_degree_limit(ps.c, n)
     # each distinct monomial is evaluated at the points once
     values = {}
     for g in elements:
@@ -189,29 +220,36 @@ def _bm_run(ps: PointSet, order: MonomialOrder):
     return ring, elements, tuple(hf)
 
 
-def vanishing_ideal(ps: PointSet, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
+def vanishing_ideal(
+    ps: PointSet, order: MonomialOrder = DEGREVLEX, budget: int = DEFAULT_STEP_BUDGET
+) -> GroebnerBasis:
     """Reduced Groebner basis of the homogeneous ideal of the points; every
     element is re-verified to vanish at every point."""
-    ring, elements, _ = _bm_run(ps, order)
+    ring, elements, _ = _bm_run(ps, order, budget)
     return GroebnerBasis(ring, elements)
 
 
-def general_position_check(ps: PointSet, order: MonomialOrder = DEGREVLEX) -> GeneralPositionCertificate:
+def general_position_check(
+    ps: PointSet, order: MonomialOrder = DEGREVLEX, budget: int = DEFAULT_STEP_BUDGET
+) -> GeneralPositionCertificate:
     """Certify that the configuration achieves the generic Hilbert function."""
-    _, _, hf = _bm_run(ps, order)
+    _, _, hf = _bm_run(ps, order, budget)
     expected = tuple(min(comb(ps.c + i, i), ps.n) for i in range(len(hf)))
     return GeneralPositionCertificate(expected, hf, hf == expected)
 
 
-def general_points(c: int, n: int, p: int, seed, max_redraws: int = 10):
+def general_points(
+    c: int, n: int, p: int, seed, max_redraws: int = 10, budget: int = DEFAULT_STEP_BUDGET
+):
     """Random points re-drawn until the general-position certificate holds.
 
     Returns (point set, number of redraws).  Each redraw derives a fresh
     sub-seed deterministically from the previous one.
     """
+    _check_degree_range(c, n)  # before drawing the points
     for attempt in range(max_redraws + 1):
         ps = random_points(c, n, p, (seed, attempt) if attempt else seed)
-        if general_position_check(ps).achieved:
+        if general_position_check(ps, budget=budget).achieved:
             return ps, attempt
     raise RuntimeError(
         f"no general configuration of {n} points in P^{c} over GF({p}) "

@@ -109,6 +109,38 @@ def gauss_jordan(rows, ncols, p):
     return pivots, reduced
 
 
+class PlainEchelon:
+    """The incremental echelon on plain lists, one full-row update per
+    pivot with every entry reduced mod p at once: the reference for the
+    multipliers and scales of the library's lane-packed `Echelon`."""
+
+    def __init__(self, p):
+        self.p = p
+        self.pivots = []
+        self.rows = []
+
+    def reduce(self, vec):
+        p = self.p
+        mults = []
+        for col, row in zip(self.pivots, self.rows):
+            c = vec[col]
+            mults.append(c)
+            if c:
+                vec = [(a - c * b) % p for a, b in zip(vec, row)]
+        return vec, mults
+
+    def add(self, vec):
+        p = self.p
+        rem, mults = self.reduce(vec)
+        col = next((i for i, c in enumerate(rem) if c), None)
+        if col is None:
+            return mults, None
+        scale = pow(rem[col], p - 2, p)
+        self.pivots.append(col)
+        self.rows.append([c * scale % p for c in rem])
+        return mults, scale
+
+
 def gauss_jordan_nullspace(rows, ncols, p):
     """Right kernel basis: one vector per free column, read off the RREF."""
     pivots, reduced = gauss_jordan(rows, ncols, p)

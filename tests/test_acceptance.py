@@ -133,7 +133,7 @@ def test_criterion_5_negative_control_c7():
 
 
 @pytest.mark.skipif(not LONG_RUNS, reason="gated long run (CONORMAL_LONG_TESTS=1)")
-@pytest.mark.parametrize("c", [7, 8, 9])
+@pytest.mark.parametrize("c", [7, 8, 9, 10])
 def test_optional_conjecture_high_codimension(c):
     n = conjectured_counterexample_points(c)
     ps, _ = general_points(c, n, 31991, seed=1, max_redraws=10)

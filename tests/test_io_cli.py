@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 
@@ -223,6 +224,21 @@ def test_cli_conjecture_tiny_budget_is_inconclusive(capsys):
     assert "inconclusive" in out
 
 
+def test_cli_points_past_the_degree_limit_fail_at_once(capsys):
+    started = time.monotonic()
+    assert main(["analyze", "--points", "2,100000", "--budget", "100"]) == 1
+    assert "past total degree 120" in capsys.readouterr().err
+    assert time.monotonic() - started < 5
+
+
+def test_cli_points_can_exhaust_the_budget_in_the_vanishing_ideal(capsys):
+    # 500 points in P^2 need an echelon of 500 columns per degree
+    started = time.monotonic()
+    assert main(["analyze", "--points", "2,500", "--budget", "1000"]) == 2
+    assert "inconclusive: reduction step budget of 1000 exceeded" in capsys.readouterr().out
+    assert time.monotonic() - started < 10
+
+
 def test_verify_example61_single_trial():
     # the certifying linear form is found on the first trial
     from conormal.harness import verify_example61
@@ -256,6 +272,8 @@ def test_report_echoes_config():
          "5d42d7adb6f90be57f54fdd2b87429303372d449de99e81ed806919370d6ec1f"),
         (["stretched-suite", "--cmax", "4", "--smax", "3"], 0,
          "f9f3ea24b7d08b7ebdda15df12875464c868b88e165744f34bb4a4b89f11a144"),
+        (["conjecture", "--c", "5", "--p", "2147483647"], 0,
+         "bb29334d83fe2df9f63b5240ed25d84ec1f6aed3b300ae307db2052015977bff"),
     ],
 )
 def test_report_bytes_are_pinned(argv, code, sha256, monkeypatch, capsys):

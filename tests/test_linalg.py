@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conormal.linalg import Echelon, combine, nullspace, rref
-from conftest import gauss_jordan, gauss_jordan_nullspace
+from conftest import PlainEchelon, gauss_jordan, gauss_jordan_nullspace
 
-PRIMES = (7, 31991)
+# 2^31 - 1, the largest supported prime, needs lanes wider than 64 bits
+PRIMES = (3, 7, 31991, 2147483647)
 SHAPES = ((1, 1), (3, 8), (8, 3), (6, 6), (10, 4), (4, 10), (0, 5))
 
 
@@ -100,3 +102,74 @@ def test_combine_small_cases(p):
     assert combine([], [], 3, p) == [0, 0, 0]
     assert combine([0, 0], [[1, 2], [3, 4]], 2, p) == [0, 0]
     assert combine([1, p - 1], [[1, 2], [3, 4]], 2, p) == [p - 2, p - 2]
+
+
+def test_lanes_hold_every_pivot_applied_at_the_largest_prime():
+    # stored rows e_i + (p-1)(e_(i+1) + ... + e_(n-1)); each input row adds
+    # all earlier stored rows, so every reduction applies every pivot with
+    # multiplier 1, that is x += (p-1) * row on entries p-1, and the last
+    # lanes gather (n-1)(p-1)^2, far past 64 bits
+    p, n = 2147483647, 64
+    stored = [[0] * i + [1] + [p - 1] * (n - i - 1) for i in range(n)]
+    ech = Echelon(p)
+    for i in range(n):
+        vec = [sum(col) % p for col in zip(*stored[:i + 1])]
+        assert ech.add(vec) == ([1] * i, 1)
+    assert ech.pivots == list(range(n)) and ech.rows == stored
+    assert (ech.pivots, rref(stored, p).rows) == gauss_jordan(stored, n, p)
+    # entry i of this vector is 1 once the rows before i are applied
+    rem, mults = ech.reduce([(1 - i) % p for i in range(n)])
+    assert mults == [1] * n and rem == [0] * n
+
+
+def entry_matrix(rng, nrows, ncols, p, rank):
+    """Rows whose entries are mostly 0, 1, p-1 or p-2, random otherwise;
+    with a rank, every row is a combination of that many such rows."""
+    def entry():
+        return rng.choice((0, 0, 1, p - 1, p - 1, p - 2, rng.randrange(p)))
+
+    if rank is None:
+        return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    basis = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        cs = [entry() for _ in basis]
+        rows.append([sum(c * b[j] for c, b in zip(cs, basis)) % p for j in range(ncols)])
+    return rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    ncols=st.integers(min_value=1, max_value=70),
+    nrows=st.integers(min_value=0, max_value=30),
+    rank=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_echelon_matches_the_oracles_in_any_row_order(p, ncols, nrows, rank, seed):
+    rng = random.Random(seed)
+    rows = entry_matrix(rng, nrows, ncols, p, rank)
+    rng.shuffle(rows)
+    ech, plain = Echelon(p), PlainEchelon(p)
+    for row in rows:
+        assert ech.add(row) == plain.add(row)
+        assert (ech.pivots, ech.rows) == (plain.pivots, plain.rows)
+    pivots, reduced = gauss_jordan(rows, ncols, p)
+    assert sorted(ech.pivots) == pivots
+    for vec in entry_matrix(rng, 3, ncols, p, None) + rows[:2]:
+        rem, mults = ech.reduce(vec)
+        assert (rem, mults) == plain.reduce(vec)
+        # the one vector of vec + span that is zero at every pivot
+        unique = list(vec)
+        for col, row in zip(pivots, reduced):
+            unique = [(a - vec[col] * b) % p for a, b in zip(unique, row)]
+        assert rem == unique
+
+
+def test_vectors_must_be_canonical_and_of_one_length():
+    ech = Echelon(7)
+    ech.add([1, 2, 3])
+    with pytest.raises(ValueError, match="canonical"):
+        ech.reduce([0, 7, 0])
+    with pytest.raises(ValueError, match="length 2"):
+        ech.add([1, 2])

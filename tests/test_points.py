@@ -3,9 +3,12 @@ import random
 import pytest
 
 from conormal import DEGREVLEX, DEGLEX, buchberger, Ideal, random_linear_form, verify_groebner
+from conormal import points
+from conormal.groebner import BudgetExceededError
 from conormal.invariants import length
 from conormal.points import (
     GeneralPositionCertificate,
+    _check_degree_range,
     PointSet,
     general_points,
     general_position_check,
@@ -147,3 +150,48 @@ def test_point_file_errors():
         parse_point_file("Q 1 7 1\n1 0")
     with pytest.raises(ValueError):
         parse_point_file("P 1 7 2\n1 0")
+
+
+def test_vanishing_ideal_is_charged_to_the_step_budget():
+    # 6 general points in P^3: 115 steps, one per candidate row plus one per
+    # echelon row subtracted from it
+    ps, _ = general_points(3, 6, 31991, 0)
+    assert [str(g) for g in vanishing_ideal(ps, budget=115).elements] == [
+        str(g) for g in vanishing_ideal(ps).elements
+    ]
+    with pytest.raises(BudgetExceededError):
+        vanishing_ideal(ps, budget=114)
+    with pytest.raises(BudgetExceededError):
+        general_position_check(ps, budget=114)
+    with pytest.raises(BudgetExceededError):
+        general_points(3, 6, 31991, 0, budget=114)
+
+
+def test_point_counts_past_the_degree_limit_fail_before_any_evaluation(monkeypatch):
+    # the degree loop runs to at least d0 + 1, d0 the first degree with
+    # C(c + d0, d0) >= n: 120 for 120 points on P^1 or C(121, 2) = 7260
+    # points in P^2, and one point more takes it past the limit
+    _check_degree_range(1, 120)
+    _check_degree_range(2, 7260)
+
+    def evaluate(*args):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(points, "_evaluate", evaluate)
+    for c, n in ((1, 121), (2, 7261), (2, 100_000)):
+        with pytest.raises(ValueError, match="past total degree 120"):
+            general_points(c, n, 31991, 0)
+    with pytest.raises(ValueError, match="past total degree 120"):
+        vanishing_ideal(random_points(1, 121, 31991, 0))
+
+
+def test_points_on_a_line_climb_past_the_degree_limit(monkeypatch):
+    # n points on a line in P^2 need an element of degree n, far above the
+    # degree d0 + 1 that the count alone asks for; with the limit lowered to
+    # 10, ten such points still fit and eleven raise instead of packing
+    # monomials past it
+    monkeypatch.setattr(points, "MAX_EXPONENT", 10)
+    gb = vanishing_ideal(make_point_set(2, 31991, [(1, i, 0) for i in range(10)]))
+    assert [g.degree for g in gb.elements] == [1, 10]
+    with pytest.raises(ValueError, match="past total degree 10"):
+        vanishing_ideal(make_point_set(2, 31991, [(1, i, 0) for i in range(11)]))

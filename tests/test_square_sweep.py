@@ -13,12 +13,13 @@ from conormal import Ideal, PolynomialRing, PrimeField, buchberger
 from conormal.cm import (
     CmVerdict,
     _generating_subset,
+    artinian_reduction,
     _square_length,
     _trial_forms,
     is_cm_square,
 )
 from conormal.constructions import example61_ideal
-from conormal.groebner import _Budget, ideal_square, is_zero_dimensional
+from conormal.groebner import BudgetExceededError, _Budget, ideal_square, is_zero_dimensional
 from conormal.invariants import length
 from conormal.points import general_points, make_point_set, vanishing_ideal
 
@@ -116,6 +117,25 @@ def test_budget_exhausted_inside_the_sweep():
     assert verdict.status == "Inconclusive"
     assert verdict.detail == f"reduction step budget of {budget} exceeded"
     assert verdict.trials == 1 and verdict.lambdas == ()
+
+
+def test_passes_are_charged_by_their_row_updates():
+    # 6 general points in P^3: a row costs one step plus one per echelon row
+    # subtracted from it, so the choice of generators costs 59 steps and
+    # each sweep pass 143; at one step per row no pass took more than 31,
+    # and a budget of 100 let every pass through to NotCM
+    ps, _ = general_points(3, 6, P, 0)
+    gb = vanishing_ideal(ps)
+    _generating_subset(gb, _Budget(59))
+    with pytest.raises(BudgetExceededError):
+        _generating_subset(gb, _Budget(58))
+    reduction = artinian_reduction(gb, 0)
+    for budget in (100, 142):
+        verdict = is_cm_square(gb, seed=0, budget=budget, reduction=reduction)
+        assert verdict.status == "Inconclusive"
+        assert verdict.detail == f"reduction step budget of {budget} exceeded"
+        assert verdict.trials == 1 and verdict.lambdas == ()
+    assert is_cm_square(gb, seed=0, budget=143, reduction=reduction).status == "NotCM"
 
 
 def test_sweep_of_the_maximal_ideal():

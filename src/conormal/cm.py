@@ -8,25 +8,36 @@ with equality exactly when some linear form is regular on the quotient.
 A trial form achieving equality therefore certifies CM; consistently larger
 lengths over all trials give a probabilistic NotCM.
 
-One set of seeded trial forms serves the whole analysis: the reduction runs
-Buchberger once on I + l per form, the verdict reuses those bases, and the
-invariants are read off the chosen one as it stands.  Each trial length
-comes from a degree sweep of graded Macaulay matrices (Lazard 1983):
-substituting the trial form away leaves a polynomial ring S in one variable
-fewer, and in each degree d the square of the image ideal spans the
-variables times its degree d-1 part plus the products of two generators of
-degree d.  One rank per degree gives the Hilbert function, and the sweep
-ends at its first zero.  No Groebner basis of the square is computed.
+One set of seeded trial forms serves the whole analysis.  The reduction
+decides for each form whether R/(I + l) is Artinian and, if so, its socle
+degree s; the verdict needs only those, and the invariants are read off one
+Artinian basis, the first with the smallest length, as it stands.  Given a
+basis alone, the reduction runs Buchberger once on I + l per form.  Given
+the points whose ideal it is, it runs no Buchberger: l is regular iff it
+vanishes at none of the n points (Abbott, Bigatti, Kreuzer and Robbiano,
+"Computing ideals of points", 2000), and then HF(R/(I + l)) is the first
+difference of HF(R/I), which the Buchberger-Moller pass already has; so
+e = n, s is the last degree where that difference is positive, and the
+chosen basis of I + l comes from reduced Macaulay matrices.
+
+Each trial length comes from a degree sweep of graded Macaulay matrices
+(Lazard 1983): substituting the trial form away leaves a polynomial ring S
+in one variable fewer, and in each degree d the square of the image ideal
+spans the variables times its degree d-1 part plus the products of two
+generators of degree d.  One rank per degree gives the Hilbert function,
+and the sweep ends at its first zero.  No Groebner basis of the square is
+computed.
 """
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from functools import partial
 from math import comb
 
 from .field import PrimeField, derive_seed
-from .linalg import Echelon
-from .poly import PolynomialRing, random_linear_form, substitute
+from .linalg import Echelon, rref
+from .poly import PolynomialRing, random_linear_form, substitute_all
 from .groebner import (
     BudgetExceededError,
     DEFAULT_STEP_BUDGET,
@@ -45,6 +56,7 @@ from .invariants import (
     length,
     linear_substitution,
 )
+from .points import PointSet, bm_result
 from . import criteria as crit
 
 DEFAULT_TRIALS = 5
@@ -136,29 +148,131 @@ def artinian_reduction(
     seed,
     trials: int = DEFAULT_TRIALS,
     budget: int = DEFAULT_STEP_BUDGET,
+    points: PointSet = None,
 ):
     """Quotient by the best of `trials` random linear forms.
 
-    Returns (basis of I + l, length, forms) for the form l with the
+    Returns (basis of I + l, length, forms) for the first form l with the
     smallest length; for a one-dimensional Cohen-Macaulay quotient that
     minimum is the multiplicity, achieved by any regular form.  `forms`
-    lists (l, basis of I + l, or None when R/(I + l) is not Artinian) for
-    every trial form in order; `is_cm_square` reuses it.
+    lists (l, socle degree of R/(I + l), or None when R/(I + l) is not
+    Artinian) for every trial form in order; `is_cm_square` reuses it.
+
+    Without `points` each form costs one Buchberger run on I + l.  With
+    `points`, whose vanishing ideal `gb` must be (ValueError otherwise),
+    the forms are decided by evaluation and only the chosen basis is built,
+    by `_macaulay_basis`.
     """
     if is_zero_dimensional(gb):
         raise ValueError("the ideal is already zero-dimensional; nothing to reduce")
     ring = gb.ring
     forms = []
-    for ell in _trial_forms(ring, seed, trials):
-        cand = buchberger(Ideal(ring, list(gb.elements) + [ell]), budget=budget)
-        forms.append((ell, cand if is_zero_dimensional(cand) else None))
-    found = [(basis, length(basis)) for _, basis in forms if basis is not None]
-    if not found:
+    chosen = None  # (basis, length)
+    if points is not None:
+        # every regular form has the Hilbert function delta: length n, the
+        # same socle degree, and the first of them is the chosen one
+        delta = _points_hf_difference(gb, points, budget)
+        for ell in _trial_forms(ring, seed, trials):
+            forms.append((ell, None if _vanishes_at_a_point(ell, points) else len(delta) - 1))
+        regular = [ell for ell, socle_degree in forms if socle_degree is not None]
+        if regular:
+            chosen = (_macaulay_basis(gb, regular[0], delta, budget), points.n)
+    else:
+        found = []
+        for ell in _trial_forms(ring, seed, trials):
+            cand = buchberger(Ideal(ring, list(gb.elements) + [ell]), budget=budget)
+            if is_zero_dimensional(cand):
+                found.append((cand, length(cand)))
+                forms.append((ell, len(standard_monomials_packed(cand)) - 1))
+            else:
+                forms.append((ell, None))
+        if found:
+            chosen = min(found, key=lambda bl: bl[1])
+    if chosen is None:
         raise RuntimeError(
             f"no Artinian reduction found in {trials} trials; "
             "the ideal may have dimension above 1"
         )
-    return min(found, key=lambda bl: bl[1]) + (tuple(forms),)
+    return chosen + (tuple(forms),)
+
+
+def _points_hf_difference(gb: GroebnerBasis, ps: PointSet, budget: int) -> tuple:
+    """The first difference of HF(R/I), I the vanishing ideal of the points,
+    without its trailing zeros; ValueError unless `gb` is that ideal's
+    basis in its ring."""
+    result = bm_result(ps, gb.ring.order, budget)
+    if result.elements != gb.elements:
+        raise ValueError("the basis is not the vanishing ideal of the given points")
+    hf = result.hf
+    delta = [hf[0]] + [hf[d] - hf[d - 1] for d in range(1, len(hf))]
+    while delta[-1] == 0:
+        delta.pop()
+    return tuple(delta)
+
+
+def _vanishes_at_a_point(ell, ps: PointSet) -> bool:
+    ring = ell.ring
+    coeffs = [0] * ring.nvars
+    for _, m, c in ell.terms:
+        coeffs[ring.unpack(m).index(1)] = c
+    return any(
+        sum(a * x for a, x in zip(coeffs, pt)) % ps.p == 0 for pt in ps.points
+    )
+
+
+def _poly_row(f, pos, n):
+    """Coordinates of a homogeneous polynomial in the columns `pos` of its
+    degree."""
+    vec = [0] * n
+    for _, m, c in f.terms:
+        vec[pos[m]] = c
+    return vec
+
+
+def _macaulay_basis(gb: GroebnerBasis, ell, delta, budget: int) -> GroebnerBasis:
+    """Reduced Groebner basis of J = I + l for a form l regular on R/I,
+    read off reduced Macaulay matrices (Lazard 1983).
+
+    `delta` is HF(R/J) = ΔHF(R/I), so J_d = R_d from d = s + 1 on, s =
+    len(delta) - 1, and every leading monomial of J has degree at most
+    s + 1.  For d = 1..s+1, J_d is spanned by the variables times J_(d-1)
+    and the elements of degree d of the basis and l.  With columns in
+    decreasing monomial order a row of its reduced echelon form is a
+    leading monomial plus standard monomials, and it is an element of the
+    reduced basis iff its pivot is not a variable times a pivot of degree
+    d - 1.  Each row of a span is charged to one fresh step budget; a rank
+    that disagrees with `delta` is an internal error.
+    """
+    ring = gb.ring
+    p = ring.field.p
+    steps = _Budget(budget)
+    top = len(delta)
+    gens = {}
+    for g in list(gb.elements) + [ell]:
+        gens.setdefault(g.degree, []).append(g)
+    elements = []
+    prev_monos, prev = [], Echelon(p)
+    for d in range(1, top + 1):
+        monos, pos = _monomial_columns(ring, d)
+        n = len(monos)
+        candidates = _multiples(ring, prev_monos, prev, pos, n)
+        lifted = {lead for lead, _ in candidates}
+        for g in gens.get(d, ()):
+            candidates.append((pos[g.terms[0][1]], partial(_poly_row, g, pos, n)))
+        ech = rref(_span(candidates, n, p, steps).rows, p)
+        expected = delta[d] if d < top else 0
+        if n - len(ech.pivots) != expected:
+            raise RuntimeError(
+                f"internal inconsistency: R/(I + l) has dimension {n - len(ech.pivots)} "
+                f"in degree {d}, where the points' Hilbert function gives {expected}"
+            )
+        for col, row in zip(ech.pivots, ech.rows):
+            if col not in lifted:
+                elements.append(
+                    ring._from_packed_dict({monos[i]: c for i, c in enumerate(row) if c})
+                )
+        prev_monos, prev = monos, ech
+    return GroebnerBasis(ring, elements)
 
 
 def multiplicity(
@@ -258,10 +372,7 @@ def _generating_subset(gb: GroebnerBasis, budget: _Budget):
         n = len(monos)
         ech = _span(_multiples(ring, prev_monos, prev, pos, n), n, p, budget)
         for g in by_degree.get(d, ()):
-            vec = [0] * n
-            for _, m, c in g.terms:
-                vec[pos[m]] = c
-            mults, scale = ech.add(vec)
+            mults, scale = ech.add(_poly_row(g, pos, n))
             budget.charge_row(mults)
             if scale is not None:
                 kept.append(g)
@@ -314,17 +425,19 @@ def is_cm_square(
     """Cohen-Macaulayness of R/I^2 for a one-dimensional homogeneous ideal.
 
     `reduction` is `artinian_reduction(gb, seed, trials, budget)`, computed
-    here when omitted: the multiplicity e and each trial form l with its
-    basis of I + l.  A form with R/(I + l) not Artinian is skipped (R/(I^2
-    + l) has the same radical); otherwise the socle degree s of R/(I + l)
-    caps a degree sweep in S = R/(l), as m^(2s+2) lies in (I + l)^2.  The
-    images of a generating subset of the basis generate the image of I, and
-    the Hilbert function of S modulo its square is one rank per degree.
+    here when omitted: the multiplicity e and each trial form l with s, the
+    socle degree of R/(I + l), or None.  A form with s None (R/(I + l) not
+    Artinian) is skipped, since R/(I^2 + l) has the same radical; otherwise
+    s caps a degree sweep in S = R/(l), as m^(2s+2) lies in (I + l)^2.
+    s = 0 for a single point, so it is tested against None.  The images of
+    a generating subset of the basis generate the image of I, and the
+    Hilbert function of S modulo its square is one rank per degree.
     Equality with (c+1)*e certifies CM at once; all trials strictly above
     give NotCM; budget exhaustion gives Inconclusive.
 
-    The budget is a fresh cap for each Buchberger run on I + l and for each
-    subset or sweep pass, not a total.  A step is one monomial reduction in
+    The budget is a fresh cap for each Buchberger run on I + l (or, for a
+    reduction of points, for its one Macaulay basis) and for each subset or
+    sweep pass, not a total.  A step is one monomial reduction in
     Buchberger; in a pass a row costs one step plus one per echelon row
     subtracted from it, so the budget bounds the sweep by its work.
     """
@@ -347,13 +460,12 @@ def is_cm_square(
     used = 0
     try:
         gens = _generating_subset(gb, _Budget(budget))
-        for ell, basis in forms:
+        for ell, socle_degree in forms:
             used += 1
-            if basis is None:
+            if socle_degree is None:
                 continue
-            socle_degree = len(standard_monomials_packed(basis)) - 1
             smaller, assignment = linear_substitution(ring, [ell])
-            images = [substitute(g, assignment) for g in gens]
+            images = substitute_all(gens, assignment)
             lam = _square_length(
                 smaller, [f for f in images if not f.is_zero()],
                 2 * socle_degree + 2, _Budget(budget),
@@ -394,7 +506,7 @@ def analyze(
     trials: int = DEFAULT_TRIALS,
     budget: int = DEFAULT_STEP_BUDGET,
     source: str = "",
-    point_count: int = None,
+    points: PointSet = None,
     version: str = "",
 ) -> AnalysisReport:
     """Full report: invariants of the Artinian reduction, quadric count,
@@ -404,17 +516,31 @@ def analyze(
     The invariants and e come from one Artinian basis, classified as it
     stands: the input when zero-dimensional (then no verdict), otherwise
     the chosen basis of I + l from `artinian_reduction`.
+
+    `points`, when given, are the points whose vanishing ideal `gb` is
+    (ValueError otherwise): the reduction then runs no Buchberger, and the
+    Hilbert function of the invariants must be the first difference of the
+    points' one (so e = n), or RuntimeError.
     """
     ring = gb.ring
+    delta = None
+    if points is not None:
+        # one Buchberger-Moller pass, or the one the points keep, serves
+        # the reduction and the check below
+        points = dataclasses.replace(points, bm=bm_result(points, ring.order, budget))
+        delta = _points_hf_difference(gb, points, budget)
     if is_zero_dimensional(gb):
         art_gb, reduction = gb, None
     else:
-        reduction = artinian_reduction(gb, seed, trials, budget)
+        reduction = artinian_reduction(gb, seed, trials, budget, points=points)
         art_gb = reduction[0]
     report = classify(art_gb, budget)
     e = report.length
-    if point_count is not None and e != point_count:
-        raise RuntimeError(f"multiplicity {e} disagrees with the point count {point_count}")
+    if delta is not None and report.hf.values != delta:
+        raise RuntimeError(
+            f"Hilbert function {report.hf} of the reduction disagrees with "
+            f"{delta}, the first difference of that of the {points.n} points"
+        )
     cm = None if reduction is None else is_cm_square(gb, seed, trials, budget, reduction=reduction)
     q = None
     if all(g.is_homogeneous() for g in art_gb.elements):

@@ -478,16 +478,17 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
 
 def _standard_successors(ring, index: _LtIndex, level):
     """The variable multiples of the given monomials that no leading term in
-    the index divides, as a set."""
+    the index divides, as a dict from each to the (monomial, variable index)
+    it was first reached from."""
     step = 1 << ring._deg_shift
     units = [(1 << (8 * j)) + step for j in range(ring.nvars)]
     find = index.find
-    nxt = set()
+    nxt = {}
     for m in level:
-        for u in units:
+        for j, u in enumerate(units):
             mm = m + u
             if mm not in nxt and find(mm) is None:
-                nxt.add(mm)
+                nxt[mm] = (m, j)
     return nxt
 
 

@@ -131,7 +131,7 @@ def conjecture_experiment(config: ExperimentConfig):
             trials=config.trials,
             budget=config.budget,
             source=f"{n} general points in P^{c} over GF({config.p})",
-            point_count=n,
+            points=ps,
             version=__version__,
         )
     except BudgetExceededError as exc:
@@ -156,12 +156,11 @@ def analyze_command(config: ExperimentConfig, path: str = None):
     if path is not None:
         ideal = parse_ideal_file(path)
         source = str(path)
-        point_count = None
     else:
         if config.c is None or config.n is None:
             raise ValueError("analyze needs a file path or --points c,n")
         source = f"{config.n} general points in P^{config.c} over GF({config.p})"
-        point_count = config.n
+    ps = None
     try:
         if path is not None:
             gb = buchberger(ideal, budget=config.budget)
@@ -176,7 +175,7 @@ def analyze_command(config: ExperimentConfig, path: str = None):
             trials=config.trials,
             budget=config.budget,
             source=source,
-            point_count=point_count,
+            points=ps,
             version=__version__,
         )
     except BudgetExceededError as exc:

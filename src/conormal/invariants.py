@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .linalg import Echelon, combine, nullspace, rref
-from .poly import Polynomial, PolynomialRing, substitute
+from .poly import Polynomial, PolynomialRing, substitute_all
 from .groebner import (
     DEFAULT_STEP_BUDGET,
     GroebnerBasis,
@@ -317,7 +317,7 @@ def linear_substitution(ring: PolynomialRing, linear):
     Gaussian elimination on the forms picks pivot variables; each is
     assigned its expression in the remaining variables, which are kept.
     Returns the ring of the remaining variables and the assignment, ready
-    for `substitute`.
+    for `substitute_all`.
     """
     rows = []
     for g in linear:
@@ -362,5 +362,5 @@ def eliminate_linear_forms(ideal: Ideal):
     if not linear:
         return ideal, 0
     new_ring, assignment = linear_substitution(ring, linear)
-    images = [substitute(g, assignment) for g in rest]
+    images = substitute_all(rest, assignment)
     return Ideal(new_ring, images), ring.nvars - new_ring.nvars

@@ -8,10 +8,43 @@ column, column j in bits [j*W, (j+1)*W), so that a row update is one
 big-integer multiply-add run in C and the reduction mod p is delayed until
 the row is read back (delayed reduction after Dumas, Giorgi and Pernet,
 "FFLAS and FFPACK", 2008; several field elements per machine integer after
-Dumas, Fousse and Salvy, 2011).
+Dumas, Fousse and Salvy, 2011).  `Lanes` is that format; the closing check
+of the vanishing ideal of points sums packed value vectors with it too.
 """
 
 import struct
+
+
+class Lanes:
+    """Vectors of n entries over GF(p), each packed into one Python int with
+    a lane of W bits per entry, entry j in bits [j*W, (j+1)*W).
+
+    W is the smallest multiple of 64 bits above `bound`, the largest value
+    a lane may reach before it is read back; so a sum of packed vectors
+    times scalars is one big-integer expression, taken mod p lane by lane
+    only when unpacked.  A lane past the bound would carry into its
+    neighbour and give a wrong value without any error.
+    """
+
+    def __init__(self, p: int, n: int, bound: int):
+        self.p = p
+        self.n = n
+        self.width = 64 * -(-bound.bit_length() // 64)
+        self.mask = (1 << self.width) - 1
+        # an entry fills the low 64-bit word of its lane, zero bytes the rest
+        self._format = "<" + f"Q{self.width // 8 - 8}x" * n
+
+    def pack(self, vec) -> int:
+        """The int of a vector of canonical entries."""
+        return int.from_bytes(struct.pack(self._format, *vec), "little")
+
+    def unpack(self, x) -> list:
+        """The vector of a packed int, each lane taken mod p."""
+        p, size = self.p, self.width // 8
+        data = x.to_bytes(size * self.n, "little")
+        if size == 8:
+            return [v % p for v in struct.unpack(self._format, data)]
+        return [int.from_bytes(data[i:i + size], "little") % p for i in range(0, len(data), size)]
 
 
 class Echelon:
@@ -51,20 +84,11 @@ class Echelon:
         """W: the smallest multiple of 64 bits above p - 1 + n(p-1)^2."""
         p = self.p
         self._n = n
-        self._width = 64 * -(-(p - 1 + n * (p - 1) ** 2).bit_length() // 64)
-        self._mask = (1 << self._width) - 1
-        # an entry fills the low 64-bit word of its lane, zero bytes the rest
-        self._format = "<" + f"Q{self._width // 8 - 8}x" * n
-
-    def _pack(self, vec):
-        return int.from_bytes(struct.pack(self._format, *vec), "little")
-
-    def _unpack(self, x):
-        p, size = self.p, self._width // 8
-        data = x.to_bytes(size * self._n, "little")
-        if size == 8:
-            return [v % p for v in struct.unpack(self._format, data)]
-        return [int.from_bytes(data[i:i + size], "little") % p for i in range(0, len(data), size)]
+        lanes = Lanes(p, n, p - 1 + n * (p - 1) ** 2)
+        self._width = lanes.width
+        self._mask = lanes.mask
+        self._pack = lanes.pack
+        self._unpack = lanes.unpack
 
     def _reduce(self, vec):
         """(vec minus the multiples of the rows as a packed int whose lanes

@@ -16,28 +16,59 @@ reaches at least degree d0 + 1, d0 the first degree with C(c + d0, d0) >= n,
 and a point count that puts d0 + 1 past the monomial degree limit is refused
 before any evaluation; a configuration that climbs past the limit anyway,
 such as many points on a line, raises when it gets there.  Each pass runs
-under a step budget like Buchberger's.
+under a step budget like Buchberger's.  A candidate is a variable times a
+standard monomial of the previous degree, so its values at the points are
+that monomial's values times one coordinate, point by point; the closing
+check that every element vanishes evaluates each term from scratch.
+
+`general_points` keeps the result of its pass (the basis, the Hilbert
+function of the coordinate ring and the steps it took) on the point set it
+returns, so `vanishing_ideal` and the points path of `cm.analyze` read it
+instead of running the pass again.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from math import comb
 import random
+from typing import NamedTuple
 
 from .field import PrimeField, stable_seed
 from .poly import DEGREVLEX, MAX_EXPONENT, MonomialOrder, PolynomialRing
-from .groebner import DEFAULT_STEP_BUDGET, GroebnerBasis, _Budget, _LtIndex, _standard_successors
-from .linalg import Echelon, combine
+from .groebner import (
+    DEFAULT_STEP_BUDGET,
+    BudgetExceededError,
+    GroebnerBasis,
+    _Budget,
+    _LtIndex,
+    _standard_successors,
+)
+from .linalg import Echelon, Lanes
+
+
+class BmResult(NamedTuple):
+    """One Buchberger-Moller pass: the reduced basis of the vanishing ideal
+    in `ring`, in `GroebnerBasis` order, the Hilbert function of the
+    coordinate ring by degree up to the degree the pass confirmed it at, and
+    the steps the pass took."""
+
+    ring: PolynomialRing
+    elements: tuple
+    hf: tuple
+    steps: int
 
 
 @dataclass(frozen=True)
 class PointSet:
     """n distinct points in P^c over GF(p), stored with first nonzero
-    coordinate normalized to 1."""
+    coordinate normalized to 1.  `bm` is the `BmResult` kept by
+    `general_points`, None otherwise; it takes no part in equality."""
 
     c: int
     p: int
     points: tuple
     seed: object = None
+    bm: BmResult = dataclasses.field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -146,8 +177,8 @@ def _check_degree_range(c: int, n: int):
         raise _past_the_degree_limit(c, n)
 
 
-def _bm_run(ps: PointSet, order: MonomialOrder, budget: int):
-    """Shared core: (ring, reduced basis elements, Hilbert function values).
+def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
+    """One Buchberger-Moller pass.
 
     Each candidate row is charged to a fresh step budget by
     `_Budget.charge_row`.
@@ -158,11 +189,12 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int):
     p = ring.field.p
     n = ps.n
     key = ring.key
+    coords = [[pt[j] for pt in ps.points] for j in range(ps.c + 1)]
 
     index = _LtIndex(ring)  # leading terms of the elements found so far
     elements = []
     hf = [1]
-    std_prev = [0]  # packed monomials, degree 0
+    values = {0: [1] * n}  # standard monomials of the previous degree: values
 
     degree_cap = n + ps.c + 5
     d = 0
@@ -173,23 +205,25 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int):
                 f"vanishing ideal loop passed degree {degree_cap}; "
                 "this contradicts the regularity bound for point ideals"
             )
+        successors = _standard_successors(ring, index, values)
         # ascending: smallest first
-        candidates = sorted(_standard_successors(ring, index, std_prev), key=key)
+        candidates = sorted(successors, key=key)
         # a row is the values at the points followed by its combination of
         # the candidates, the largest candidate first: the echelon keeps the
         # combinations, and when the values reduce to zero the first nonzero
         # entry is the candidate's own 1, so the row is a new basis element
         echelon = Echelon(p)
         new_gens = []
-        std_here = []
+        std_here = {}
         for k, m in enumerate(candidates):
-            exps = ring.unpack(m)
-            vec = [_evaluate(exps, pt, p) for pt in ps.points] + [0] * len(candidates)
+            parent, j = successors[m]
+            vals = [a * b % p for a, b in zip(values[parent], coords[j])]
+            vec = vals + [0] * len(candidates)
             vec[-1 - k] = 1
             mults, _ = echelon.add(vec)
             steps.charge_row(mults)
             if echelon.pivots[-1] < n:
-                std_here.append(m)
+                std_here[m] = vals
             else:
                 combo = zip(reversed(candidates), echelon.rows[-1][n:])
                 new_gens.append(ring.poly({mm: c for mm, c in combo if c}))
@@ -197,27 +231,52 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int):
         for g in new_gens:
             index.add(g)
             elements.append(g)
-        std_prev = std_here
+        values = std_here
         if len(std_here) == n and not new_gens and hf[d - 1] == n:
             break
         if d > MAX_EXPONENT:
             raise _past_the_degree_limit(ps.c, n)
-    # each distinct monomial is evaluated at the points once
-    values = {}
+    _check_vanishing(ring, elements, ps)
+    basis = GroebnerBasis(ring, elements)
+    return BmResult(ring, basis.elements, tuple(hf), steps.limit - steps.remaining)
+
+
+def _check_vanishing(ring, elements, ps: PointSet):
+    """Every element vanishes at every point, evaluated from scratch: each
+    distinct monomial once with `_evaluate`, its values packed into lanes,
+    and each element one packed sum of its terms."""
+    p, n = ring.field.p, ps.n
+    longest = max((len(g.terms) for g in elements), default=1)
+    lanes = Lanes(p, n, longest * (p - 1) ** 2)
+    packed = {}
     for g in elements:
         for _, m, _ in g.terms:
-            if m not in values:
+            if m not in packed:
                 exps = ring.unpack(m)
-                values[m] = [_evaluate(exps, pt, p) for pt in ps.points]
+                packed[m] = lanes.pack([_evaluate(exps, pt, p) for pt in ps.points])
     for g in elements:
-        total = combine([cc for _, _, cc in g.terms], [values[m] for _, m, _ in g.terms], n, p)
+        total = lanes.unpack(sum(c * packed[m] for _, m, c in g.terms))
         for pt, value in zip(ps.points, total):
             if value:
                 raise RuntimeError(
                     "internal error: a vanishing-ideal element does not vanish "
                     f"at {pt}"
                 )
-    return ring, elements, tuple(hf)
+
+
+def bm_result(
+    ps: PointSet, order: MonomialOrder = DEGREVLEX, budget: int = DEFAULT_STEP_BUDGET
+) -> BmResult:
+    """The Buchberger-Moller result of the points under `order`: the one kept
+    on the point set when it has the order, otherwise a fresh pass.  A kept
+    result answers to the budget as the pass would have: one that took more
+    steps than `budget` raises `BudgetExceededError`."""
+    kept = ps.bm
+    if kept is None or kept.ring.order != order:
+        return _bm_run(ps, order, budget)
+    if kept.steps > budget:
+        raise BudgetExceededError(budget)
+    return kept
 
 
 def vanishing_ideal(
@@ -225,17 +284,20 @@ def vanishing_ideal(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the homogeneous ideal of the points; every
     element is re-verified to vanish at every point."""
-    ring, elements, _ = _bm_run(ps, order, budget)
-    return GroebnerBasis(ring, elements)
+    result = bm_result(ps, order, budget)
+    return GroebnerBasis(result.ring, result.elements)
+
+
+def _certificate(ps: PointSet, hf) -> GeneralPositionCertificate:
+    expected = tuple(min(comb(ps.c + i, i), ps.n) for i in range(len(hf)))
+    return GeneralPositionCertificate(expected, hf, hf == expected)
 
 
 def general_position_check(
     ps: PointSet, order: MonomialOrder = DEGREVLEX, budget: int = DEFAULT_STEP_BUDGET
 ) -> GeneralPositionCertificate:
     """Certify that the configuration achieves the generic Hilbert function."""
-    _, _, hf = _bm_run(ps, order, budget)
-    expected = tuple(min(comb(ps.c + i, i), ps.n) for i in range(len(hf)))
-    return GeneralPositionCertificate(expected, hf, hf == expected)
+    return _certificate(ps, bm_result(ps, order, budget).hf)
 
 
 def general_points(
@@ -243,14 +305,16 @@ def general_points(
 ):
     """Random points re-drawn until the general-position certificate holds.
 
-    Returns (point set, number of redraws).  Each redraw derives a fresh
-    sub-seed deterministically from the previous one.
+    Returns (point set, number of redraws); the point set keeps the
+    degrevlex Buchberger-Moller result its certificate came from.  Each
+    redraw derives a fresh sub-seed deterministically from the previous one.
     """
     _check_degree_range(c, n)  # before drawing the points
     for attempt in range(max_redraws + 1):
         ps = random_points(c, n, p, (seed, attempt) if attempt else seed)
-        if general_position_check(ps, budget=budget).achieved:
-            return ps, attempt
+        result = _bm_run(ps, DEGREVLEX, budget)
+        if _certificate(ps, result.hf).achieved:
+            return dataclasses.replace(ps, bm=result), attempt
     raise RuntimeError(
         f"no general configuration of {n} points in P^{c} over GF({p}) "
         f"after {max_redraws} redraws (seed {seed})"

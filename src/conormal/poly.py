@@ -580,6 +580,18 @@ def substitute(f: Polynomial, assignment: dict) -> Polynomial:
     Every variable occurring in f must be assigned; all assigned values
     must live in one common target ring.
     """
+    return substitute_all([f], assignment)[0]
+
+
+def substitute_all(polys, assignment: dict) -> list:
+    """Images of polynomials of one ring under the ring map sending each
+    variable to a polynomial, as in `substitute`.
+
+    The map is linear in the coefficients, so one table of monomial images
+    serves every polynomial: a monomial's image is formed once, as the image
+    of the monomial one variable lower times that variable's value, and
+    each polynomial's image is the combination of its monomials' images.
+    """
     if not assignment:
         raise ValueError("empty assignment")
     target = None
@@ -588,29 +600,40 @@ def substitute(f: Polynomial, assignment: dict) -> Polynomial:
             target = value.ring
         elif value.ring != target:
             raise ValueError("assignment values live in different rings")
-    for name in f.variables_used():
-        if name not in assignment:
-            raise ValueError(f"variable {name!r} of the polynomial is not assigned")
-    ring = f.ring
+    polys = list(polys)
+    if not polys:
+        return []
+    ring = polys[0].ring
+    for f in polys:
+        f._check_ring(polys[0])
+        for name in f.variables_used():
+            if name not in assignment:
+                raise ValueError(f"variable {name!r} of the polynomial is not assigned")
     p = target.field.p
-    powers = {}
-    acc = {}
-    for _, m, c in f.terms:
-        term = target.constant(c)
-        for j, name in enumerate(ring.vars):
-            e = (m >> (FIELD_BITS * j)) & 0xFF
-            if e:
-                power = powers.get((j, e))
-                if power is None:
-                    power = powers[j, e] = assignment[name] ** e
-                term = term * power
-        for _, mm, cc in term.terms:
-            nc = (acc.get(mm, 0) + cc) % p
-            if nc:
-                acc[mm] = nc
-            elif mm in acc:
-                del acc[mm]
-    return target._from_packed_dict(acc)
+    values = [assignment.get(name) for name in ring.vars]
+    step = 1 << ring._deg_shift
+    images = {ring._one_mono: target.one}
+
+    def image(m):
+        img = images.get(m)
+        if img is None:
+            j = next(j for j in range(ring.nvars) if (m >> (FIELD_BITS * j)) & 0xFF)
+            img = images[m] = image(m - (1 << (FIELD_BITS * j)) - step) * values[j]
+        return img
+
+    out = []
+    for f in polys:
+        acc = {}
+        for _, m, c in f.terms:
+            for _, mm, cc in image(m).terms:
+                acc[mm] = acc.get(mm, 0) + c * cc
+        reduced = {}
+        for mm, c in acc.items():
+            c %= p
+            if c:
+                reduced[mm] = c
+        out.append(target._from_packed_dict(reduced))
+    return out
 
 
 def random_linear_form(ring: PolynomialRing, seed) -> Polynomial:

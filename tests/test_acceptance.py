@@ -92,7 +92,7 @@ def test_criterion_4_conjecture_counterexamples(c, n):
         ps, redraws = general_points(c, n, 31991, seed=seed, max_redraws=10)
         assert redraws <= 10
         gb = vanishing_ideal(ps)
-        report = analyze(gb, seed=seed, point_count=n,
+        report = analyze(gb, seed=seed, points=ps,
                          source=f"{n} points in P^{c}")
         elapsed = time.monotonic() - started
         assert report.cm_square.status == "CM", (c, seed)
@@ -106,7 +106,7 @@ def test_criterion_5_negative_control_c5():
     started = time.monotonic()
     ps, _ = general_points(5, 9, 31991, seed=3, max_redraws=10)
     gb = vanishing_ideal(ps)
-    report = analyze(gb, seed=3, point_count=9, source="9 points in P^5")
+    report = analyze(gb, seed=3, points=ps, source="9 points in P^5")
     elapsed = time.monotonic() - started
     assert report.cm_square.status == "NotCM"
     assert report.q == 12
@@ -138,7 +138,7 @@ def test_optional_conjecture_high_codimension(c):
     n = conjectured_counterexample_points(c)
     ps, _ = general_points(c, n, 31991, seed=1, max_redraws=10)
     gb = vanishing_ideal(ps)
-    report = analyze(gb, seed=1, point_count=n, source=f"{n} points in P^{c}",
+    report = analyze(gb, seed=1, points=ps, source=f"{n} points in P^{c}",
                      budget=500_000_000)
     assert report.cm_square.status == "CM"
     assert not report.invariants.gorenstein

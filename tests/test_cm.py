@@ -111,7 +111,7 @@ def test_verdict_invariants():
 def test_analyze_single_point():
     ps = make_point_set(4, 31991, [(1, 2, 3, 4, 5)])
     gb = vanishing_ideal(ps)
-    report = analyze(gb, seed=1, point_count=1, source="one point")
+    report = analyze(gb, seed=1, points=ps, source="one point")
     assert report.invariants.hf.values == (1,)
     assert report.invariants.gorenstein
     assert report.cm_square.status == "CM"
@@ -145,10 +145,20 @@ def test_analyze_artinian_input(ring_xy):
 
 
 def test_analyze_checks_the_point_count():
+    # the points must be those whose vanishing ideal the basis is: one point
+    # more, or a basis that is not a points ideal at all, is refused
     ps, _ = general_points(2, 4, 31991, seed=2)
     gb = vanishing_ideal(ps)
-    with pytest.raises(RuntimeError):
-        analyze(gb, seed=2, point_count=5)
+    more = make_point_set(2, 31991, list(ps.points) + [(1, 2, 3)])
+    with pytest.raises(ValueError, match="not the vanishing ideal"):
+        analyze(gb, seed=2, points=more)
+    with pytest.raises(ValueError, match="not the vanishing ideal"):
+        analyze(vanishing_ideal(more), seed=2, points=ps)
+    x0, x1, x2 = gb.ring.gens()
+    artinian = buchberger(Ideal(gb.ring, [x0, x1 ** 2, x2 ** 2]))
+    with pytest.raises(ValueError, match="not the vanishing ideal"):
+        analyze(artinian, points=ps)
+    assert analyze(gb, seed=2, points=ps).e == 4
 
 
 def test_derive_seed_stability():
@@ -175,9 +185,30 @@ def test_analysis_runs_buchberger_once_per_trial_form(monkeypatch):
         return buchberger(ideal, *args, **kwargs)
 
     monkeypatch.setattr(cm, "buchberger", counting)
-    report = analyze(gb, seed=0, trials=5, point_count=8)
+    report = analyze(gb, seed=0, trials=5)
     assert report.cm_square.status == "NotCM" and report.cm_square.trials == 5
     assert len(runs) == 5 and len(set(runs)) == 5
+
+
+def test_points_analysis_runs_no_buchberger_on_i_plus_l(monkeypatch):
+    # the points twin of the test above: the five forms are decided by
+    # evaluation and the chosen basis comes from Macaulay matrices
+    import conormal.cm as cm
+
+    ps, _ = general_points(5, 8, 31991, seed=0)
+    gb = vanishing_ideal(ps)
+    runs = []
+
+    def counting(ideal, *args, **kwargs):
+        runs.append(ideal)
+        return buchberger(ideal, *args, **kwargs)
+
+    monkeypatch.setattr(cm, "buchberger", counting)
+    report = analyze(gb, seed=0, trials=5, points=ps)
+    assert report.cm_square.status == "NotCM" and report.cm_square.trials == 5
+    assert runs == []
+    assert report.to_text() == analyze(gb, seed=0, trials=5).to_text()
+    assert len(runs) == 5
 
 
 def test_square_verdict_reuses_a_given_reduction():
@@ -204,9 +235,36 @@ def test_analysis_of_a_points_basis_runs_buchberger_only_for_the_trials(monkeypa
         return buchberger(ideal, *args, **kwargs)
 
     monkeypatch.setattr(cm, "buchberger", counting)
-    report = analyze(gb, seed=1, trials=3, point_count=10)
+    report = analyze(gb, seed=1, trials=3)
     assert report.e == 10 and report.invariants.hf.values == (1, 5, 4)
     assert len(runs) == 3
+
+
+def test_analysis_of_points_runs_no_buchberger_at_all(monkeypatch):
+    # the points twin of the test above: the invariants come from the
+    # Macaulay basis of I + l, and the analysis runs no Buchberger
+    import conormal.cm as cm
+
+    ps, _ = general_points(5, 10, 31991, seed=1)
+    gb = vanishing_ideal(ps)
+    monkeypatch.setattr(cm, "buchberger", None)
+    report = analyze(gb, seed=1, trials=3, points=ps)
+    assert report.e == 10 and report.invariants.hf.values == (1, 5, 4)
+    assert report.cm_square.status == "CM"
+
+
+def test_points_reduction_of_a_degenerate_set_of_forms_raises(monkeypatch):
+    # every trial form through a point of the coordinate triangle: no
+    # Artinian reduction, by evaluation as by Buchberger
+    import conormal.cm as cm
+
+    ps = make_point_set(2, 31991, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    gb = vanishing_ideal(ps)
+    x0, x1, _ = gb.ring.gens()
+    monkeypatch.setattr(cm, "_trial_forms", lambda ring, seed, trials: [x0, x1])
+    for points in (ps, None):
+        with pytest.raises(RuntimeError, match="no Artinian reduction"):
+            artinian_reduction(gb, 0, 2, points=points)
 
 
 def test_analysis_of_an_artinian_input_runs_no_buchberger(monkeypatch, ring_xyz):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conormal.linalg import Echelon, combine, nullspace, rref
+from conormal.linalg import Echelon, Lanes, combine, nullspace, rref
 from conftest import PlainEchelon, gauss_jordan, gauss_jordan_nullspace
 
 # 2^31 - 1, the largest supported prime, needs lanes wider than 64 bits
@@ -102,6 +102,25 @@ def test_combine_small_cases(p):
     assert combine([], [], 3, p) == [0, 0, 0]
     assert combine([0, 0], [[1, 2], [3, 4]], 2, p) == [0, 0]
     assert combine([1, p - 1], [[1, 2], [3, 4]], 2, p) == [p - 2, p - 2]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_sums_match_combine(p):
+    # the widest sum a lane is sized for: `terms` vectors of entries p - 1
+    # times coefficients p - 1, next to random vectors; unpacked mod p it is
+    # the list-based combination
+    rng = random.Random(p)
+    n, terms = 9, 40
+    lanes = Lanes(p, n, terms * (p - 1) ** 2)
+    cases = [
+        ([p - 1] * terms, [[p - 1] * n] * terms),
+        ([rng.randrange(p) for _ in range(terms)],
+         [[rng.randrange(p) for _ in range(n)] for _ in range(terms)]),
+    ]
+    for coeffs, vectors in cases:
+        assert lanes.unpack(lanes.pack(vectors[1])) == vectors[1]
+        total = sum(a * lanes.pack(v) for a, v in zip(coeffs, vectors))
+        assert lanes.unpack(total) == combine(coeffs, vectors, n, p)
 
 
 def test_lanes_hold_every_pivot_applied_at_the_largest_prime():

@@ -136,6 +136,56 @@ def test_all_points_of_p1_over_gf3():
     assert list(gb.elements) == [expected]
 
 
+def counting_bm_runs(monkeypatch):
+    """Patch the Buchberger-Moller pass to record the order of each run."""
+    runs = []
+    real = points._bm_run
+
+    def counting(ps, order, budget):
+        runs.append(order)
+        return real(ps, order, budget)
+
+    monkeypatch.setattr(points, "_bm_run", counting)
+    return runs
+
+
+def test_general_points_keep_their_pass_for_the_vanishing_ideal(monkeypatch):
+    runs = counting_bm_runs(monkeypatch)
+    ps, redraws = general_points(3, 6, 31991, 0)
+    assert len(runs) == redraws + 1
+    gb = vanishing_ideal(ps)
+    assert general_position_check(ps).achieved
+    assert len(runs) == redraws + 1
+    # the kept pass takes no part in equality; a point set without it, or
+    # another order, runs the pass again
+    plain = make_point_set(3, 31991, ps.points, ps.seed)
+    assert plain == ps and hash(plain) == hash(ps) and plain.bm is None
+    assert vanishing_ideal(plain).elements == gb.elements
+    assert len(runs) == redraws + 2
+    assert verify_groebner(vanishing_ideal(ps, DEGLEX))
+    assert runs[-1] == DEGLEX and len(runs) == redraws + 3
+
+
+def test_a_conjecture_run_makes_one_buchberger_moller_pass(monkeypatch):
+    from conormal.harness import ExperimentConfig, conjecture_experiment
+
+    runs = counting_bm_runs(monkeypatch)
+    text, code = conjecture_experiment(ExperimentConfig("conjecture", c=5, seed=0))
+    assert code == 0 and "redraws: 0" in text
+    assert len(runs) == 1
+
+
+def test_an_analysis_of_points_without_a_kept_pass_runs_one(monkeypatch):
+    # the reduction and the check of its Hilbert function share the pass
+    from conormal.cm import analyze
+
+    ps = make_point_set(2, 31991, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    gb = vanishing_ideal(ps)
+    runs = counting_bm_runs(monkeypatch)
+    assert analyze(gb, seed=0, points=ps).e == 4
+    assert len(runs) == 1
+
+
 def test_point_file_round_trip():
     ps, _ = general_points(2, 5, 31991, seed=9)
     text = ps.to_text()

@@ -15,6 +15,7 @@ from conormal import (
     random_linear_form,
     substitute,
 )
+from conormal.poly import substitute_all
 from conftest import exponents_up_to, oracle_compare
 
 
@@ -181,6 +182,51 @@ def test_substitute_unassigned_variable(ring_xy):
     x, y = ring_xy.gens()
     with pytest.raises(ValueError):
         substitute(x * y, {"x": x})
+
+
+def _substitute_term_by_term(f, assignment, target):
+    """The image of f with each term expanded on its own."""
+    out = target.zero
+    for exps, (_, _, c) in zip(f.monomials(), f.terms):
+        term = target.constant(c)
+        for name, e in zip(f.ring.vars, exps):
+            if e:
+                term = term * assignment[name] ** e
+        out = out + term
+    return out
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=10 ** 6), p=st.sampled_from([7, 31991]))
+def test_substitute_all_shares_one_table_with_the_same_images(seed, p):
+    # a linear substitution, as the square verdict makes one per trial form,
+    # and a nonlinear one; each image must be the canonical polynomial of
+    # the term-by-term expansion
+    rng = random.Random(seed)
+    ring = PolynomialRing(PrimeField(p), ["a", "b", "c", "d"])
+    target = PolynomialRing(PrimeField(p), ["b", "c", "d"])
+    b, c, d = target.gens()
+    linear = {"a": 3 * b - c + 5 * d, "b": b, "c": c, "d": d}
+    nonlinear = {"a": b * c + 1, "b": b - d, "c": c * c, "d": d}
+    polys = []
+    for _ in range(4):
+        polys.append(ring.poly({
+            tuple(rng.randrange(3) for _ in range(4)): rng.randrange(p) for _ in range(6)
+        }))
+    for assignment in (linear, nonlinear):
+        images = substitute_all(polys, assignment)
+        assert images == [_substitute_term_by_term(f, assignment, target) for f in polys]
+        assert images == [substitute(f, assignment) for f in polys]
+
+
+def test_substitute_all_checks_its_input(ring_xy):
+    x, y = ring_xy.gens()
+    other = PolynomialRing(PrimeField(31991), ["x", "y"])
+    assert substitute_all([], {"x": x}) == []
+    with pytest.raises(ValueError, match="not assigned"):
+        substitute_all([x, x * y], {"x": x})
+    with pytest.raises(ValueError, match="mixed rings"):
+        substitute_all([x, other.var("x")], {"x": x, "y": y})
 
 
 def test_random_linear_form_determinism():

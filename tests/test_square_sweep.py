@@ -1,10 +1,19 @@
-"""Differential tests of the square verdict's degree sweep.
+"""Differential tests of the square verdict's degree sweep and of the
+points path of the reduction.
 
-The oracle is the route the sweep replaced: a full Buchberger run on
+The oracle of the sweep is the route it replaced: a full Buchberger run on
 I^2 + l for every trial form, with the length read off the standard
 monomials.  Both routes must give the same lengths, skip the same forms and
 reach the same verdict.
+
+The oracle of the points path (forms decided by evaluation, the basis of
+I + l from Macaulay matrices) is the route without the points: Buchberger
+on I + l for every trial form.  Both must find the same degenerate forms,
+the same socle degrees and the same reduced basis, and the whole analysis
+must print the same report.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,15 +22,24 @@ from conormal import Ideal, PolynomialRing, PrimeField, buchberger
 from conormal.cm import (
     CmVerdict,
     _generating_subset,
+    _macaulay_basis,
+    _points_hf_difference,
+    analyze,
     artinian_reduction,
     _square_length,
     _trial_forms,
     is_cm_square,
 )
 from conormal.constructions import example61_ideal
-from conormal.groebner import BudgetExceededError, _Budget, ideal_square, is_zero_dimensional
+from conormal.groebner import (
+    BudgetExceededError,
+    _Budget,
+    ideal_square,
+    is_zero_dimensional,
+    standard_monomials_packed,
+)
 from conormal.invariants import length
-from conormal.points import general_points, make_point_set, vanishing_ideal
+from conormal.points import general_points, make_point_set, random_points, vanishing_ideal
 
 P = 31991
 
@@ -72,10 +90,8 @@ def test_general_points_match_buchberger(c, n, seed, trials):
     assert_same_verdict(gb, seed, trials, n)
 
 
-def test_form_through_a_point_is_skipped():
-    # the first trial form vanishes at the last point, so that trial is
-    # degenerate on both routes and only the others give lengths
-    seed = 11
+def points_with_a_point_on_the_first_form(seed):
+    """Five general points in P^3 and a sixth on the first trial form."""
     ps, _ = general_points(3, 5, P, seed)
     ring = vanishing_ideal(ps).ring
     ell = _trial_forms(ring, seed, 1)[0]
@@ -83,10 +99,91 @@ def test_form_through_a_point_is_skipped():
     # a point on the hyperplane a . x = 0: solve for the first coordinate
     rest = (1, 2, 3)
     x0 = -sum(ai * xi for ai, xi in zip(a[1:], rest)) * pow(a[0], -1, P) % P
-    points = list(ps.points) + [(x0,) + rest]
-    gb = vanishing_ideal(make_point_set(3, P, points))
+    return make_point_set(3, P, list(ps.points) + [(x0,) + rest])
+
+
+def test_form_through_a_point_is_skipped():
+    # the first trial form vanishes at the last point, so that trial is
+    # degenerate on both routes and only the others give lengths
+    seed = 11
+    gb = vanishing_ideal(points_with_a_point_on_the_first_form(seed))
     verdict = assert_same_verdict(gb, seed, 3, 6)
     assert len(verdict.lambdas) == verdict.trials - 1
+
+
+def assert_points_path_matches_buchberger(ps, seed, trials):
+    """For each trial form: degeneracy by evaluation against Buchberger's
+    "not Artinian", s from the points' Hilbert function against the top
+    standard degree, the Macaulay basis against the reduced basis of
+    I + l; then the reductions and the whole reports."""
+    gb = vanishing_ideal(ps)
+    ring = gb.ring
+    delta = _points_hf_difference(gb, ps, 10 ** 7)
+    by_points = artinian_reduction(gb, seed, trials, points=ps)
+    for ell, s in by_points[2]:
+        oracle = buchberger(Ideal(ring, list(gb.elements) + [ell]))
+        assert (s is None) == (not is_zero_dimensional(oracle)), ps.points
+        if s is not None:
+            assert s == len(standard_monomials_packed(oracle)) - 1
+            assert _macaulay_basis(gb, ell, delta, 10 ** 7).elements == oracle.elements
+    by_buchberger = artinian_reduction(gb, seed, trials)
+    assert by_points[1:] == by_buchberger[1:] and by_points[1] == ps.n
+    assert by_points[0].elements == by_buchberger[0].elements
+    assert (
+        analyze(gb, seed, trials, points=ps).to_text() == analyze(gb, seed, trials).to_text()
+    )
+    return by_points
+
+
+@pytest.mark.parametrize(
+    "c, n, seed", [(2, 4, 0), (3, 7, 3), (4, 9, 5), (5, 10, 1), (5, 12, 2), (6, 12, 0)],
+)
+def test_points_path_matches_buchberger_on_general_points(c, n, seed):
+    ps, _ = general_points(c, n, P, seed)
+    assert_points_path_matches_buchberger(ps, seed, 3)
+
+
+def test_points_path_matches_buchberger_with_a_form_through_a_point():
+    forms = assert_points_path_matches_buchberger(
+        points_with_a_point_on_the_first_form(11), 11, 3
+    )[2]
+    assert [s is None for _, s in forms] == [True, False, False]
+
+
+def test_points_path_matches_buchberger_on_a_single_point():
+    # s = 0: the reduction is the field itself, and the form is still regular
+    for c in (2, 3, 5):
+        ps = make_point_set(c, P, [tuple(range(1, c + 2))])
+        forms = assert_points_path_matches_buchberger(ps, 3, 2)[2]
+        assert [s for _, s in forms] == [0, 0]
+
+
+def special_points(c, kind, n, extra, seed):
+    """n points on a line ("line") or on a conic ("conic") in P^c, or n
+    random ones ("random"), plus `extra` random points."""
+    if kind == "random":
+        return random_points(c, n + extra, P, seed)
+    ts = random.Random(seed).sample(range(1, P), n)
+    if kind == "line":
+        pts = [(1, t) + (0,) * (c - 1) for t in ts]
+    else:
+        pts = [(1, t, t * t % P) + (0,) * (c - 2) for t in ts]
+    if extra:
+        pts += random_points(c, extra, P, seed).points
+    return make_point_set(c, P, pts)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.integers(min_value=2, max_value=5),
+    kind=st.sampled_from(["random", "line", "conic"]),
+    n=st.integers(min_value=2, max_value=6),
+    extra=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_points_path_matches_buchberger_on_special_point_sets(c, kind, n, extra, seed):
+    ps = special_points(c, kind, n, extra, seed)
+    assert_points_path_matches_buchberger(ps, seed, 2)
 
 
 def test_single_point_ideals_keep_their_linear_generators():

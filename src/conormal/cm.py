@@ -26,7 +26,9 @@ in one variable fewer, and in each degree d the square of the image ideal
 spans the variables times its degree d-1 part plus the products of two
 generators of degree d.  One rank per degree gives the Hilbert function,
 and the sweep ends at its first zero.  No Groebner basis of the square is
-computed.
+computed.  The same degree loop, `_sweep`, also picks the generating
+subset of the basis, builds the basis of I + l on the points path and
+ranks the square of eight quadrics in degree 4.
 """
 
 import dataclasses
@@ -36,7 +38,7 @@ from functools import partial
 from math import comb
 
 from .field import PrimeField, derive_seed
-from .linalg import Echelon, rref
+from .linalg import Echelon
 from .poly import PolynomialRing, random_linear_form, substitute_all
 from .groebner import (
     BudgetExceededError,
@@ -45,9 +47,7 @@ from .groebner import (
     Ideal,
     _Budget,
     buchberger,
-    ideal_square,
     is_zero_dimensional,
-    normal_form,
     standard_monomials_packed,
 )
 from .invariants import (
@@ -229,75 +229,6 @@ def _poly_row(f, pos, n):
     return vec
 
 
-def _macaulay_basis(gb: GroebnerBasis, ell, delta, budget: int) -> GroebnerBasis:
-    """Reduced Groebner basis of J = I + l for a form l regular on R/I,
-    read off reduced Macaulay matrices (Lazard 1983).
-
-    `delta` is HF(R/J) = ΔHF(R/I), so J_d = R_d from d = s + 1 on, s =
-    len(delta) - 1, and every leading monomial of J has degree at most
-    s + 1.  For d = 1..s+1, J_d is spanned by the variables times J_(d-1)
-    and the elements of degree d of the basis and l.  With columns in
-    decreasing monomial order a row of its reduced echelon form is a
-    leading monomial plus standard monomials, and it is an element of the
-    reduced basis iff its pivot is not a variable times a pivot of degree
-    d - 1.  Each row of a span is charged to one fresh step budget; a rank
-    that disagrees with `delta` is an internal error.
-    """
-    ring = gb.ring
-    p = ring.field.p
-    steps = _Budget(budget)
-    top = len(delta)
-    gens = {}
-    for g in list(gb.elements) + [ell]:
-        gens.setdefault(g.degree, []).append(g)
-    elements = []
-    prev_monos, prev = [], Echelon(p)
-    for d in range(1, top + 1):
-        monos, pos = _monomial_columns(ring, d)
-        n = len(monos)
-        candidates = _multiples(ring, prev_monos, prev, pos, n)
-        lifted = {lead for lead, _ in candidates}
-        for g in gens.get(d, ()):
-            candidates.append((pos[g.terms[0][1]], partial(_poly_row, g, pos, n)))
-        ech = rref(_span(candidates, n, p, steps).rows, p)
-        expected = delta[d] if d < top else 0
-        if n - len(ech.pivots) != expected:
-            raise RuntimeError(
-                f"internal inconsistency: R/(I + l) has dimension {n - len(ech.pivots)} "
-                f"in degree {d}, where the points' Hilbert function gives {expected}"
-            )
-        for col, row in zip(ech.pivots, ech.rows):
-            if col not in lifted:
-                elements.append(
-                    ring._from_packed_dict({monos[i]: c for i, c in enumerate(row) if c})
-                )
-        prev_monos, prev = monos, ech
-    return GroebnerBasis(ring, elements)
-
-
-def multiplicity(
-    gb: GroebnerBasis,
-    seed=0,
-    trials: int = DEFAULT_TRIALS,
-    budget: int = DEFAULT_STEP_BUDGET,
-) -> int:
-    """Multiplicity of a quotient of dimension at most 1: the length itself
-    when Artinian, otherwise the smallest reduction length over the trials."""
-    if is_zero_dimensional(gb):
-        return length(gb)
-    return artinian_reduction(gb, seed, trials, budget)[1]
-
-
-def _monomial_columns(ring: PolynomialRing, d: int):
-    """The degree-d monomials in decreasing order and their column indices.
-
-    With columns in this order the first nonzero entry of a row is its
-    leading monomial, so an `Echelon` pivot is a leading monomial too.
-    """
-    monos = ring.monomials_of_degree(d)
-    return monos, {m: i for i, m in enumerate(monos)}
-
-
 def _product_row(f, g, pos, n, p):
     """Coordinates of f * g in the columns `pos` of its degree."""
     vec = [0] * n
@@ -318,65 +249,142 @@ def _shifted_row(row, cols, n):
     return vec
 
 
-def _multiples(ring, prev_monos, prev, pos, n):
-    """The rows x_j * r for every variable x_j and every row r of the
-    previous degree, as (leading column, row maker) pairs."""
-    out = []
-    for x in ring.gens():
-        unit = x.terms[0][1]
-        cols = [pos[m + unit] for m in prev_monos]
-        for pivot, row in zip(prev.pivots, prev.rows):
-            out.append((cols[pivot], partial(_shifted_row, row, cols, n)))
-    return out
+def _sweep(ring: PolynomialRing, top: int, budget: _Budget, extra=None, reduced=False):
+    """The graded Macaulay matrices of a homogeneous ideal J (Lazard 1983):
+    yields (d, pos, echelon of J_d, lifted) for d = 1..top.
 
+    `pos` maps the degree-d monomials, in decreasing order, to their
+    columns; so the first nonzero entry of a row is its leading monomial,
+    and an `Echelon` pivot is a leading monomial too.  J_d is spanned by
+    the variables times J_(d-1) and the rows `extra(d, pos, n)` returns as
+    (leading column, row maker) pairs, n = len(pos); `lifted` holds the
+    leading columns of the multiples.  Rows the caller adds to the yielded
+    echelon before asking for the next degree belong to J_d.  With
+    `reduced` the echelon is in reduced form.
 
-def _span(candidates, n, p, budget: _Budget) -> Echelon:
-    """Echelon of the span of (leading column, row maker) candidates in an
-    n-dimensional degree, stopping once the span is everything.
-
-    One candidate per leading column goes first, in increasing column
-    order: those rows are already in echelon form, so each takes the
-    echelon's fast path and needs no reduction.  The remaining candidates
-    are reduced in full.  Each row is charged to the budget by
+    One row per leading column goes first, in increasing column order:
+    those rows are already in echelon form, so each takes the echelon's
+    fast path and needs no reduction.  The other rows are reduced in full,
+    until J_d is all of degree d.  Each row is charged to the budget by
     `_Budget.charge_row`.
     """
-    first = {}
-    rest = []
-    for lead, make in candidates:
-        if lead in first:
-            rest.append(make)
-        else:
-            first[lead] = make
-    ech = Echelon(p)
-    for make in [first[lead] for lead in sorted(first)] + rest:
-        if len(ech.pivots) == n:
-            break
-        mults, _ = ech.add(make())
-        budget.charge_row(mults)
-    return ech
+    p = ring.field.p
+    units = [x.terms[0][1] for x in ring.gens()]
+    prev_monos, prev = [], Echelon(p)
+    for d in range(1, top + 1):
+        monos = ring.monomials_of_degree(d)
+        n = len(monos)
+        pos = {m: i for i, m in enumerate(monos)}
+        candidates = []
+        for unit in units:
+            cols = [pos[m + unit] for m in prev_monos]
+            for pivot, row in zip(prev.pivots, prev.rows):
+                candidates.append((cols[pivot], partial(_shifted_row, row, cols, n)))
+        lifted = {lead for lead, _ in candidates}
+        if extra is not None:
+            candidates += extra(d, pos, n)
+        first, rest = {}, []
+        for lead, make in candidates:
+            if lead in first:
+                rest.append(make)
+            else:
+                first[lead] = make
+        ech = Echelon(p)
+        for make in [first[lead] for lead in sorted(first)] + rest:
+            if len(ech.pivots) == n:
+                break
+            mults, _ = ech.add(make())
+            budget.charge_row(mults)
+        if reduced:
+            ech = ech.reduced()
+        yield d, pos, ech, lifted
+        prev_monos, prev = monos, ech
+
+
+def _products(gens, p: int):
+    """The `extra` of a sweep of the square of the ideal of the homogeneous
+    gens: the products of two of them, each in its degree."""
+    by_degree = {}
+    for i, f in enumerate(gens):
+        for g in gens[i:]:
+            by_degree.setdefault(f.degree + g.degree, []).append((f, g))
+
+    def extra(d, pos, n):
+        return [
+            (pos[f.terms[0][1] + g.terms[0][1]], partial(_product_row, f, g, pos, n, p))
+            for f, g in by_degree.get(d, ())
+        ]
+
+    return extra
+
+
+def _macaulay_basis(gb: GroebnerBasis, ell, delta, budget: int) -> GroebnerBasis:
+    """Reduced Groebner basis of J = I + l for a form l regular on R/I,
+    read off the reduced Macaulay matrices of `_sweep`.
+
+    `delta` is HF(R/J) = ΔHF(R/I), so J_d = R_d from d = s + 1 on, s =
+    len(delta) - 1, and every leading monomial of J has degree at most
+    s + 1.  For d = 1..s+1, J_d is spanned by the variables times J_(d-1)
+    and the elements of degree d of the basis and l.  A row of the reduced
+    echelon form is a leading monomial plus standard monomials, and it is
+    an element of the reduced basis iff its pivot is not a variable times
+    a pivot of degree d - 1.  The sweep is charged to one fresh step
+    budget; a rank that disagrees with `delta` is an internal error.
+    """
+    ring = gb.ring
+    gens = {}
+    for g in list(gb.elements) + [ell]:
+        gens.setdefault(g.degree, []).append(g)
+
+    def extra(d, pos, n):
+        return [(pos[g.terms[0][1]], partial(_poly_row, g, pos, n)) for g in gens.get(d, ())]
+
+    top = len(delta)
+    elements = []
+    for d, pos, ech, lifted in _sweep(ring, top, _Budget(budget), extra, reduced=True):
+        expected = delta[d] if d < top else 0
+        hf = len(pos) - len(ech.pivots)
+        if hf != expected:
+            raise RuntimeError(
+                f"internal inconsistency: R/(I + l) has dimension {hf} "
+                f"in degree {d}, where the points' Hilbert function gives {expected}"
+            )
+        monos = list(pos)
+        for col, row in zip(ech.pivots, ech.rows):
+            if col not in lifted:
+                elements.append(
+                    ring._from_packed_dict({monos[i]: c for i, c in enumerate(row) if c})
+                )
+    return GroebnerBasis(ring, elements)
+
+
+def multiplicity(
+    gb: GroebnerBasis,
+    seed=0,
+    trials: int = DEFAULT_TRIALS,
+    budget: int = DEFAULT_STEP_BUDGET,
+) -> int:
+    """Multiplicity of a quotient of dimension at most 1: the length itself
+    when Artinian, otherwise the smallest reduction length over the trials."""
+    if is_zero_dimensional(gb):
+        return length(gb)
+    return artinian_reduction(gb, seed, trials, budget)[1]
 
 
 def _generating_subset(gb: GroebnerBasis, budget: _Budget):
     """Basis elements that generate the ideal, degree by degree: an element
     is dropped when the variables times the ideal's previous degree, plus
     the elements kept before it, already span it."""
-    ring = gb.ring
-    p = ring.field.p
     by_degree = {}
     for g in gb.elements:
         by_degree.setdefault(g.degree, []).append(g)
     kept = []
-    prev_monos, prev = [], Echelon(p)
-    for d in range(min(by_degree), max(by_degree) + 1):
-        monos, pos = _monomial_columns(ring, d)
-        n = len(monos)
-        ech = _span(_multiples(ring, prev_monos, prev, pos, n), n, p, budget)
+    for d, pos, ech, _ in _sweep(gb.ring, max(by_degree), budget):
         for g in by_degree.get(d, ()):
-            mults, scale = ech.add(_poly_row(g, pos, n))
+            mults, scale = ech.add(_poly_row(g, pos, len(pos)))
             budget.charge_row(mults)
             if scale is not None:
                 kept.append(g)
-        prev_monos, prev = monos, ech
     return kept
 
 
@@ -389,26 +397,12 @@ def _square_length(ring: PolynomialRing, gens, cap: int, budget: _Budget) -> int
     the first d > 0 with HF(d) = 0, which is exact because S is generated in
     degree 1.  Passing degree `cap` is an internal error.
     """
-    p = ring.field.p
-    products = {}
-    for i, f in enumerate(gens):
-        for g in gens[i:]:
-            products.setdefault(f.degree + g.degree, []).append((f, g))
     lam = 1
-    prev_monos, prev = [], Echelon(p)
-    for d in range(1, cap + 1):
-        monos, pos = _monomial_columns(ring, d)
-        n = len(monos)
-        candidates = _multiples(ring, prev_monos, prev, pos, n)
-        for f, g in products.get(d, ()):
-            lead = pos[f.terms[0][1] + g.terms[0][1]]
-            candidates.append((lead, partial(_product_row, f, g, pos, n, p)))
-        ech = _span(candidates, n, p, budget)
-        hf = n - len(ech.pivots)
+    for _, pos, ech, _ in _sweep(ring, cap, budget, _products(gens, ring.field.p)):
+        hf = len(pos) - len(ech.pivots)
         if hf == 0:
             return lam
         lam += hf
-        prev_monos, prev = monos, ech
     raise RuntimeError(
         f"internal inconsistency: the square's Hilbert function is nonzero "
         f"in degree {cap}, where the socle degree of the reduction forces zero"
@@ -590,23 +584,20 @@ def analyze(
     )
 
 
-def eight_quadrics_square_gap(
-    seed, p: int = 31991, count: int = 8, nvars: int = 4,
-    budget: int = DEFAULT_STEP_BUDGET,
-) -> bool:
-    """True iff the square of `count` seeded random quadrics in `nvars`
-    variables misses some degree-4 monomial (the square never fills degree 4)."""
-    ring = PolynomialRing(PrimeField(p), [f"x{i + 1}" for i in range(nvars)])
+def eight_quadrics_square_gap(seed, p: int = 31991) -> bool:
+    """True iff the square of 8 seeded random quadrics in 4 variables misses
+    some degree-4 monomial (the square never fills degree 4).  The square is
+    generated in degree 4, so that is a sweep whose rank there is below
+    dim S_4 = 35."""
+    ring = PolynomialRing(PrimeField(p), [f"x{i + 1}" for i in range(4)])
     rng = random.Random(derive_seed(seed, "quadrics"))
     quadrics = []
     monos = ring.monomials_of_degree(2)
-    while len(quadrics) < count:
+    while len(quadrics) < 8:
         f = ring.poly({m: rng.randrange(p) for m in monos})
         if not f.is_zero():
             quadrics.append(f)
-    sq = ideal_square(Ideal(ring, quadrics))
-    gb = buchberger(sq, budget=budget)
-    return any(
-        not normal_form(ring.monomial(m), gb, budget).is_zero()
-        for m in ring.monomials_of_degree(4)
+    *_, (_, pos, ech, _) = _sweep(
+        ring, 4, _Budget(DEFAULT_STEP_BUDGET), _products(quadrics, p)
     )
+    return len(ech.pivots) < len(pos)

@@ -149,9 +149,19 @@ class Echelon:
         self._below |= (1 << shift + self._width) - 1
         return mults, scale
 
-    def _reverse(self):
-        for items in (self.pivots, self.rows, self._packed, self._shifts):
+    def reduced(self):
+        """The reduced echelon form of the span, a new `Echelon`: pivots
+        ascending, each row zero at every pivot but its own.  It depends
+        only on the span, not on the order the rows were added in."""
+        # last pivot first: a row is already zero left of its pivot, so
+        # clearing it at the larger pivots before it gives the reduced form,
+        # still monic
+        out = Echelon(self.p)
+        for _, row in sorted(zip(self.pivots, self.rows), reverse=True):
+            out.add(row)
+        for items in (out.pivots, out.rows, out._packed, out._shifts):
             items.reverse()
+        return out
 
 
 def combine(coeffs, vectors, n: int, p: int) -> list:
@@ -169,13 +179,7 @@ def rref(rows, p: int) -> Echelon:
     ech = Echelon(p)
     for row in rows:
         ech.add(row)
-    # last pivot first: a row is already zero left of its pivot, so clearing
-    # it at the larger pivots before it gives the reduced form, still monic
-    out = Echelon(p)
-    for _, row in sorted(zip(ech.pivots, ech.rows), reverse=True):
-        out.add(row)
-    out._reverse()
-    return out
+    return ech.reduced()
 
 
 def nullspace(rows, ncols: int, p: int) -> list:

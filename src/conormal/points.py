@@ -19,7 +19,8 @@ such as many points on a line, raises when it gets there.  Each pass runs
 under a step budget like Buchberger's.  A candidate is a variable times a
 standard monomial of the previous degree, so its values at the points are
 that monomial's values times one coordinate, point by point; the closing
-check that every element vanishes evaluates each term from scratch.
+check that every element vanishes evaluates each term from scratch, from a
+table of coordinate powers.
 
 `general_points` keeps the result of its pass (the basis, the Hilbert
 function of the coordinate ring and the steps it took) on the point set it
@@ -151,12 +152,27 @@ def random_points(c: int, n: int, p: int, seed) -> PointSet:
     return PointSet(c, p, tuple(pts), seed)
 
 
-def _evaluate(monomial_exps, point, p):
-    v = 1
-    for e, x in zip(monomial_exps, point):
-        if e:
-            v = v * pow(x, e, p) % p
-    return v
+def _monomial_values(exponents, ps: PointSet) -> list:
+    """The value vector at the points of each monomial, given by its
+    exponents: products of entries of a table of coordinate powers, built
+    by multiplication up to the largest exponent, with no `pow`."""
+    p, n = ps.p, ps.n
+    top = max((max(exps) for exps in exponents), default=0)
+    powers = []  # powers[j][k]: coordinate j to the k at every point
+    for j in range(ps.c + 1):
+        coord = [pt[j] for pt in ps.points]
+        table = [[1] * n, coord]
+        while len(table) <= top:
+            table.append([a * b % p for a, b in zip(table[-1], coord)])
+        powers.append(table)
+    out = []
+    for exps in exponents:
+        vals = [1] * n
+        for j, e in enumerate(exps):
+            if e:
+                vals = [a * b % p for a, b in zip(vals, powers[j][e])]
+        out.append(vals)
+    return out
 
 
 def _past_the_degree_limit(c: int, n: int) -> ValueError:
@@ -243,17 +259,14 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
 
 def _check_vanishing(ring, elements, ps: PointSet):
     """Every element vanishes at every point, evaluated from scratch: each
-    distinct monomial once with `_evaluate`, its values packed into lanes,
-    and each element one packed sum of its terms."""
+    distinct monomial once by `_monomial_values`, its values packed into
+    lanes, and each element one packed sum of its terms."""
     p, n = ring.field.p, ps.n
     longest = max((len(g.terms) for g in elements), default=1)
     lanes = Lanes(p, n, longest * (p - 1) ** 2)
-    packed = {}
-    for g in elements:
-        for _, m, _ in g.terms:
-            if m not in packed:
-                exps = ring.unpack(m)
-                packed[m] = lanes.pack([_evaluate(exps, pt, p) for pt in ps.points])
+    monos = list(dict.fromkeys(m for g in elements for _, m, _ in g.terms))
+    values = _monomial_values([ring.unpack(m) for m in monos], ps)
+    packed = {m: lanes.pack(vals) for m, vals in zip(monos, values)}
     for g in elements:
         total = lanes.unpack(sum(c * packed[m] for _, m, c in g.terms))
         for pt, value in zip(ps.points, total):

@@ -43,6 +43,26 @@ def test_rref_matches_gauss_jordan():
         assert (ech.pivots, ech.rows) == gauss_jordan(rows, ncols, p)
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_reduced_matches_gauss_jordan_and_ignores_row_order(p):
+    rng = random.Random(p)
+    for nrows, ncols in SHAPES:
+        for rank in (None, 0, 1, min(nrows, ncols) // 2):
+            rows = random_matrix(rng, nrows, ncols, p, rank)
+            first, second = Echelon(p), Echelon(p)
+            for row in rows:
+                first.add(row)
+            for row in reversed(rows):
+                second.add(row)
+            want = gauss_jordan(rows, ncols, p)
+            for ech in (first, second):
+                red = ech.reduced()
+                assert (red.pivots, red.rows) == want
+                # the reduced echelon reduces like the one it came from
+                vec = [rng.randrange(p) for _ in range(ncols)]
+                assert red.reduce(vec)[0] == ech.reduce(vec)[0]
+
+
 def test_nullspace_matches_gauss_jordan_and_kills_the_rows():
     for p, ncols, rows, _ in matrices(2):
         kernel = nullspace(rows, ncols, p)

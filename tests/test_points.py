@@ -217,6 +217,21 @@ def test_vanishing_ideal_is_charged_to_the_step_budget():
         general_points(3, 6, 31991, 0, budget=114)
 
 
+def value_by_pow(exps, point, p):
+    v = 1
+    for e, x in zip(exps, point):
+        v = v * pow(x, e, p) % p
+    return v
+
+
+def test_monomial_values_match_one_pow_per_coordinate():
+    rng = random.Random(5)
+    ps = random_points(4, 9, 31991, 5)
+    exponents = [(0,) * 5] + [tuple(rng.randrange(7) for _ in range(5)) for _ in range(30)]
+    want = [[value_by_pow(exps, pt, 31991) for pt in ps.points] for exps in exponents]
+    assert points._monomial_values(exponents, ps) == want
+
+
 def test_point_counts_past_the_degree_limit_fail_before_any_evaluation(monkeypatch):
     # the degree loop runs to at least d0 + 1, d0 the first degree with
     # C(c + d0, d0) >= n: 120 for 120 points on P^1 or C(121, 2) = 7260
@@ -227,7 +242,10 @@ def test_point_counts_past_the_degree_limit_fail_before_any_evaluation(monkeypat
     def evaluate(*args):
         raise AssertionError("a point was evaluated")
 
-    monkeypatch.setattr(points, "_evaluate", evaluate)
+    # the degree loop starts each degree with the standard-monomial walk,
+    # and the closing check evaluates by `_monomial_values`
+    monkeypatch.setattr(points, "_standard_successors", evaluate)
+    monkeypatch.setattr(points, "_monomial_values", evaluate)
     for c, n in ((1, 121), (2, 7261), (2, 100_000)):
         with pytest.raises(ValueError, match="past total degree 120"):
             general_points(c, n, 31991, 0)

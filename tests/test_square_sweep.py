@@ -11,6 +11,10 @@ I + l from Macaulay matrices) is the route without the points: Buchberger
 on I + l for every trial form.  Both must find the same degenerate forms,
 the same socle degrees and the same reduced basis, and the whole analysis
 must print the same report.
+
+The oracle of the eight-quadrics check (the rank of the square in degree
+4) is the route it replaced: a Groebner basis of the square and the normal
+form of every degree-4 monomial.
 """
 
 import random
@@ -24,18 +28,25 @@ from conormal.cm import (
     _generating_subset,
     _macaulay_basis,
     _points_hf_difference,
+    _products,
+    _sweep,
     analyze,
     artinian_reduction,
     _square_length,
     _trial_forms,
+    _vanishes_at_a_point,
+    eight_quadrics_square_gap,
     is_cm_square,
 )
 from conormal.constructions import example61_ideal
+from conormal.field import derive_seed
 from conormal.groebner import (
+    DEFAULT_STEP_BUDGET,
     BudgetExceededError,
     _Budget,
     ideal_square,
     is_zero_dimensional,
+    normal_form,
     standard_monomials_packed,
 )
 from conormal.invariants import length
@@ -233,6 +244,70 @@ def test_passes_are_charged_by_their_row_updates():
         assert verdict.detail == f"reduction step budget of {budget} exceeded"
         assert verdict.trials == 1 and verdict.lambdas == ()
     assert is_cm_square(gb, seed=0, budget=143, reduction=reduction).status == "NotCM"
+
+
+def test_macaulay_basis_is_charged_by_its_row_updates():
+    # 6 general points in P^3 and the first trial form, which is regular:
+    # the basis of I + l takes 55 steps, one per row plus one per echelon
+    # row subtracted from it; the back-substitution is not charged
+    ps, _ = general_points(3, 6, P, 0)
+    gb = vanishing_ideal(ps)
+    delta = _points_hf_difference(gb, ps, 10 ** 7)
+    ell = _trial_forms(gb.ring, 0, 1)[0]
+    assert not _vanishes_at_a_point(ell, ps)
+    want = buchberger(Ideal(gb.ring, list(gb.elements) + [ell])).elements
+    assert _macaulay_basis(gb, ell, delta, 55).elements == want
+    with pytest.raises(BudgetExceededError):
+        _macaulay_basis(gb, ell, delta, 54)
+
+
+def oracle_square_gap(ring, quadrics):
+    """Some degree-4 monomial is not in the square of the quadrics: its
+    normal form modulo a Groebner basis of the square is nonzero."""
+    gb = buchberger(ideal_square(Ideal(ring, quadrics)))
+    return any(
+        not normal_form(ring.monomial(m), gb).is_zero() for m in ring.monomials_of_degree(4)
+    )
+
+
+def sweep_square_gap(ring, quadrics):
+    """The rank of the square in degree 4 is below dim S_4."""
+    *_, (d, pos, ech, _) = _sweep(
+        ring, 4, _Budget(DEFAULT_STEP_BUDGET), _products(quadrics, ring.field.p)
+    )
+    assert d == 4
+    return len(ech.pivots) < len(pos)
+
+
+def seeded_quadrics(seed, p):
+    """The eight quadrics `eight_quadrics_square_gap` draws for a seed."""
+    ring = PolynomialRing(PrimeField(p), ["x1", "x2", "x3", "x4"])
+    rng = random.Random(derive_seed(seed, "quadrics"))
+    quadrics = []
+    while len(quadrics) < 8:
+        f = ring.poly({m: rng.randrange(p) for m in ring.monomials_of_degree(2)})
+        if not f.is_zero():
+            quadrics.append(f)
+    return ring, quadrics
+
+
+@pytest.mark.parametrize("p", [7, P])
+def test_eight_quadrics_check_matches_the_normal_forms(p):
+    for seed in range(10):
+        ring, quadrics = seeded_quadrics(seed, p)
+        want = oracle_square_gap(ring, quadrics)
+        assert sweep_square_gap(ring, quadrics) == want
+        assert eight_quadrics_square_gap(seed, p) == want
+
+
+def test_squares_of_the_quadric_monomials_fill_degree_four():
+    # the ten quadric monomials generate m^2, whose square m^4 is all of
+    # S_4: the sweep reaches rank 35 and no normal form survives
+    ring = PolynomialRing(PrimeField(7), ["x1", "x2", "x3", "x4"])
+    quadrics = [ring.monomial(m) for m in ring.monomials_of_degree(2)]
+    assert len(quadrics) == 10
+    assert not oracle_square_gap(ring, quadrics)
+    assert not sweep_square_gap(ring, quadrics)
 
 
 def test_sweep_of_the_maximal_ideal():

@@ -30,7 +30,6 @@ from .groebner import (
     contains,
     ideal_product,
     ideal_square,
-    ideal_sum,
     is_zero_dimensional,
     normal_form,
     standard_monomials,

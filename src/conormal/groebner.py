@@ -86,12 +86,6 @@ def _dedup(polys):
     return out
 
 
-def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    if a.ring != b.ring:
-        raise ValueError("ideal sum across different rings")
-    return Ideal(a.ring, _dedup(list(a.generators) + list(b.generators)))
-
-
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     if a.ring != b.ring:
         raise ValueError("ideal product across different rings")
@@ -99,7 +93,13 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
 
 
 def ideal_square(a: Ideal) -> Ideal:
-    gens = a.generators
+    """The ideal of all products of two generators.  A monomial generator that
+    another monomial generator divides is dropped first: it lies in the ideal
+    the rest generate, so that ideal and its square are unchanged.  The rest
+    keep their input order."""
+    _, minimal = _minimal(a.ring, [g for g in a.generators if g.is_monomial()])
+    keep = {id(g) for g in minimal}
+    gens = [g for g in a.generators if id(g) in keep or not g.is_monomial()]
     prods = []
     for i in range(len(gens)):
         gi = gens[i]
@@ -348,13 +348,20 @@ def buchberger(
     order: MonomialOrder = None,
     budget: int = DEFAULT_STEP_BUDGET,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal under the given (or ring's) order."""
+    """Reduced Groebner basis of the ideal under the given (or ring's) order.
+
+    When every generator is a monomial, the minimal monic ones are the
+    reduced basis, and no S-pair is formed."""
     ring = ideal.ring if order is None else ideal.ring.with_order(order)
     gens = [ring_convert(g, ring) for g in ideal.generators]
     counter = _Budget(budget)
     basis = _interreduce(ring, gens, counter)
     if not basis:
         raise ValueError("ideal reduced to zero generators")
+    # tested on the input: interreduction can turn a binomial into a monomial
+    # that divides a monomial kept before it
+    if all(g.is_monomial() for g in gens):
+        return GroebnerBasis(ring, basis)
 
     lcm = ring.mono_lcm
     shift = ring._deg_shift

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conormal import (
     BudgetExceededError,
+    DEFAULT_STEP_BUDGET,
     DEGLEX,
     DEGREVLEX,
     LEX,
@@ -15,13 +16,12 @@ from conormal import (
     contains,
     ideal_product,
     ideal_square,
-    ideal_sum,
     is_zero_dimensional,
     normal_form,
     standard_monomials,
     verify_groebner,
 )
-from conormal.constructions import StretchedSpec, example61_ideal, stretched_ideal
+from conormal.constructions import StretchedSpec, example61_ideal, ideal_L, stretched_ideal
 from conormal.groebner import GroebnerBasis
 
 from conftest import monomial_quotient_standard
@@ -130,12 +130,6 @@ def test_square_equals_product(ring_xyz):
 def test_benchmark_square_has_120_generators():
     sq = ideal_square(example61_ideal())
     assert len(sq.generators) == 120  # C(15, 2) + 15, all distinct
-
-
-def test_ideal_sum(ring_xy):
-    x, y = ring_xy.gens()
-    s = ideal_sum(Ideal(ring_xy, [x]), Ideal(ring_xy, [y, x]))
-    assert len(s.generators) == 2  # duplicate x removed
 
 
 def test_zero_dimensionality(ring_xy):
@@ -381,14 +375,89 @@ def test_verify_groebner_skips_pairs_past_the_degree_limit():
 
 @pytest.mark.parametrize(
     "c, s, r, steps, square_steps",
-    [(4, 3, 1, 13, 179), (5, 2, 0, 20, 385)],
+    [(4, 3, 1, 13, 51), (5, 2, 0, 20, 145)],
 )
 def test_stretched_step_counts_are_pinned(c, s, r, steps, square_steps):
     # the smallest budgets that suffice; the Gebauer-Moller criteria decide
-    # which S-pairs get reduced, so pruning other pairs moves these counts
+    # which S-pairs get reduced, so pruning other pairs moves these counts,
+    # and so does squaring a smaller generating set
     ring = PolynomialRing(PrimeField(31991), [f"x{i + 1}" for i in range(c)])
     ideal = stretched_ideal(StretchedSpec(c, s, r), ring)
     for target, n in ((ideal, steps), (ideal_square(ideal), square_steps)):
         buchberger(target, budget=n)
         with pytest.raises(BudgetExceededError):
             buchberger(target, budget=n - 1)
+
+
+@pytest.mark.parametrize("c, s, r, gens, square_gens", [(4, 3, 1, 44, 73), (5, 2, 0, 49, 180)])
+def test_square_of_a_stretched_cell_drops_divisible_monomials(c, s, r, gens, square_gens):
+    # the truncation m^(s+1) is mostly divisible by the quadric monomials;
+    # squaring every generator would give 356 and 566 products
+    ring = PolynomialRing(PrimeField(31991), [f"x{i + 1}" for i in range(c)])
+    ideal = stretched_ideal(StretchedSpec(c, s, r), ring)
+    assert len(ideal.generators) == gens
+    sq = ideal_square(ideal)
+    assert len(sq.generators) == square_gens
+    assert buchberger(sq).elements == buchberger(ideal_product(ideal, ideal)).elements
+
+
+def test_ideal_square_keeps_the_order_of_what_remains(ring_xy):
+    x, y = ring_xy.gens()
+    sq = ideal_square(Ideal(ring_xy, [x * y, x, y ** 2 + x, x ** 2]))
+    assert sq.generators == (x ** 2, x * (y ** 2 + x), (y ** 2 + x) ** 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    nvars=st.integers(min_value=2, max_value=3),
+    order=st.sampled_from([DEGREVLEX, DEGLEX, LEX]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_pruned_square_matches_the_full_product(nvars, order, seed):
+    # monomials, some of them multiples of others, plus binomials; the
+    # product of every pair of generators is the route with no pruning
+    rng = random.Random(seed)
+    ring = PolynomialRing(PrimeField(31991), [f"x{i}" for i in range(nvars)], order)
+
+    def exps():
+        return tuple(rng.randrange(3) for _ in range(nvars))
+
+    monos = [ring.monomial(exps()) for _ in range(rng.randrange(1, 4))]
+    monos += [m * ring.monomial(exps()) * rng.randrange(1, 5) for m in monos if rng.random() < 0.7]
+    binomials = [
+        ring.poly({exps(): rng.randrange(1, 31991), exps(): rng.randrange(1, 31991)})
+        for _ in range(rng.randrange(3))
+    ]
+    gens = monos + binomials
+    rng.shuffle(gens)
+    ideal = Ideal(ring, gens)
+    gb_sq = buchberger(ideal_square(ideal))
+    assert verify_groebner(gb_sq)
+    assert gb_sq.elements == buchberger(ideal_product(ideal, ideal)).elements
+
+
+def test_monomial_input_whose_interreduction_is_not_minimal():
+    # interreduction keeps x^2 and y^3, then reduces x^2 + y to y, which
+    # divides y^3: a set of monomials that is not the reduced basis
+    ring = PolynomialRing(PrimeField(31991), ["x", "y"], DEGREVLEX)
+    x, y = ring.gens()
+    gb = buchberger(Ideal(ring, [y ** 3, x ** 2, x ** 2 + y]))
+    assert [str(g) for g in gb.elements] == ["y", "x^2"]
+    assert verify_groebner(gb)
+
+
+def test_monomial_ideal_basis_is_its_minimal_monic_generators():
+    ring = PolynomialRing(PrimeField(31991), [f"x{i + 1}" for i in range(5)])
+    # ideal_L's generators, made non-monic, plus multiples of some of them
+    gens = [3 * g for g in ideal_L(5, 4, ring).generators]
+    gens += [ring.gens()[0] * g for g in gens[::7]]
+    lts = [g.terms[0][1] for g in gens]
+    minimal = {
+        a for a in lts if not any(b != a and ring.mono_divides(b, a) for b in lts)
+    }
+    assert len(minimal) < len(gens)
+    for budget in (DEFAULT_STEP_BUDGET, 0):
+        gb = buchberger(Ideal(ring, gens), budget=budget)
+        assert set(gb.leading_monomials()) == minimal
+        assert all(g.is_monomial() and g.terms[0][2] == 1 for g in gb.elements)
+        assert verify_groebner(gb)

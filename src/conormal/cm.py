@@ -24,11 +24,16 @@ Each trial length comes from a degree sweep of graded Macaulay matrices
 (Lazard 1983): substituting the trial form away leaves a polynomial ring S
 in one variable fewer, and in each degree d the square of the image ideal
 spans the variables times its degree d-1 part plus the products of two
-generators of degree d.  One rank per degree gives the Hilbert function,
-and the sweep ends at its first zero.  No Groebner basis of the square is
-computed.  The same degree loop, `_sweep`, also picks the generating
-subset of the basis, builds the basis of I + l on the points path and
-ranks the square of eight quadrics in degree 4.
+generators of degree d.  The generators are first put in reduced echelon
+form degree by degree, as F4 does before it multiplies (Faugere 1999):
+the products then span the same space, but a reduced generator is its
+leading monomial plus standard monomials, so its products have few terms.
+One rank per degree gives the Hilbert function, and the sweep ends at its
+first zero.  No Groebner basis of the square is computed.  The same
+degree loop, `_sweep`, also picks the generating subset of the basis,
+builds the basis of I + l on the points path and ranks the square of
+eight quadrics in degree 4; its column tables are built once per ring
+shape.
 """
 
 import dataclasses
@@ -230,10 +235,11 @@ def _poly_row(f, pos, n):
 
 
 def _product_row(f, g, pos, n, p):
-    """Coordinates of f * g in the columns `pos` of its degree."""
+    """Coordinates of f * g in the columns `pos` of its degree, for f and g
+    given as (packed monomial, coefficient) lists."""
     vec = [0] * n
-    for _, m1, c1 in f.terms:
-        for _, m2, c2 in g.terms:
+    for m1, c1 in f:
+        for m2, c2 in g:
             k = pos[m1 + m2]
             vec[k] = (vec[k] + c1 * c2) % p
     return vec
@@ -249,6 +255,30 @@ def _shifted_row(row, cols, n):
     return vec
 
 
+_TABLES = {}  # (nvars, order kind, d) -> the tables of `_degree_table`
+
+
+def _degree_table(ring: PolynomialRing, d: int):
+    """(monomials of degree d in decreasing order, their column map `pos`,
+    one column map per variable), built once per ring shape and degree.
+
+    The map of variable x lists pos[x*m] for the monomials m of degree
+    d - 1 in their order.  Packed monomials and their order depend only on
+    the number of variables and the kind of order, so the trial rings of
+    one analysis, all of one shape, share the tables, and so does every
+    later analysis in the process; callers must not change `pos`.
+    """
+    key = (ring.nvars, ring.order.kind, d)
+    table = _TABLES.get(key)
+    if table is None:
+        monos = tuple(ring.monomials_of_degree(d))
+        pos = {m: i for i, m in enumerate(monos)}
+        prev = ring.monomials_of_degree(d - 1)
+        shifts = tuple(tuple(pos[m + x.terms[0][1]] for m in prev) for x in ring.gens())
+        table = _TABLES[key] = (monos, pos, shifts)
+    return table
+
+
 def _sweep(ring: PolynomialRing, top: int, budget: _Budget, extra=None, reduced=False):
     """The graded Macaulay matrices of a homogeneous ideal J (Lazard 1983):
     yields (d, pos, echelon of J_d, lifted) for d = 1..top.
@@ -260,7 +290,8 @@ def _sweep(ring: PolynomialRing, top: int, budget: _Budget, extra=None, reduced=
     (leading column, row maker) pairs, n = len(pos); `lifted` holds the
     leading columns of the multiples.  Rows the caller adds to the yielded
     echelon before asking for the next degree belong to J_d.  With
-    `reduced` the echelon is in reduced form.
+    `reduced` the echelon is in reduced form.  The column tables come from
+    `_degree_table`, shared by every sweep over rings of one shape.
 
     One row per leading column goes first, in increasing column order:
     those rows are already in echelon form, so each takes the echelon's
@@ -269,15 +300,12 @@ def _sweep(ring: PolynomialRing, top: int, budget: _Budget, extra=None, reduced=
     `_Budget.charge_row`.
     """
     p = ring.field.p
-    units = [x.terms[0][1] for x in ring.gens()]
-    prev_monos, prev = [], Echelon(p)
+    prev = Echelon(p)
     for d in range(1, top + 1):
-        monos = ring.monomials_of_degree(d)
-        n = len(monos)
-        pos = {m: i for i, m in enumerate(monos)}
+        _, pos, shifts = _degree_table(ring, d)
+        n = len(pos)
         candidates = []
-        for unit in units:
-            cols = [pos[m + unit] for m in prev_monos]
+        for cols in shifts:
             for pivot, row in zip(prev.pivots, prev.rows):
                 candidates.append((cols[pivot], partial(_shifted_row, row, cols, n)))
         lifted = {lead for lead, _ in candidates}
@@ -298,20 +326,57 @@ def _sweep(ring: PolynomialRing, top: int, budget: _Budget, extra=None, reduced=
         if reduced:
             ech = ech.reduced()
         yield d, pos, ech, lifted
-        prev_monos, prev = monos, ech
+        prev = ech
 
 
-def _products(gens, p: int):
-    """The `extra` of a sweep of the square of the ideal of the homogeneous
-    gens: the products of two of them, each in its degree."""
+def _echelon_generators(ring: PolynomialRing, gens, budget: _Budget):
+    """The reduced echelon basis of the span of the homogeneous gens in each
+    degree, as (degree, [(packed monomial, coefficient), ...]) pairs in
+    increasing degree, each term list in decreasing order.
+
+    A basis element of degree a is its leading monomial, with coefficient
+    1, plus monomials of degree a that lead no other element: at most
+    1 + dim S_a - rank terms.  Dependent gens are dropped.  Each row is
+    charged to the budget by `_Budget.charge_row`; the back-substitution
+    is not charged.
+    """
+    p = ring.field.p
     by_degree = {}
-    for i, f in enumerate(gens):
-        for g in gens[i:]:
-            by_degree.setdefault(f.degree + g.degree, []).append((f, g))
+    for g in gens:
+        by_degree.setdefault(g.degree, []).append(g)
+    basis = []
+    for a in sorted(by_degree):
+        monos, pos, _ = _degree_table(ring, a)
+        ech = Echelon(p)
+        for g in by_degree[a]:
+            mults, _ = ech.add(_poly_row(g, pos, len(pos)))
+            budget.charge_row(mults)
+        for row in ech.reduced().rows:
+            basis.append((a, [(monos[i], c) for i, c in enumerate(row) if c]))
+    return basis
+
+
+def _products(ring: PolynomialRing, gens, budget: _Budget):
+    """The `extra` of a sweep of the square of the ideal of the homogeneous
+    gens: the products of two elements of `_echelon_generators`, each in
+    its degree.
+
+    The products of two bases of the same spans span the same space in
+    each degree, so the sweep's ranks and pivots are those of the products
+    of the gens themselves.  A reduced element has few terms (a quadric in
+    5 variables of an ideal with 13 independent quadrics has 3, against
+    up to 15), and a product row costs one column lookup per pair of terms.
+    """
+    p = ring.field.p
+    basis = _echelon_generators(ring, gens, budget)
+    by_degree = {}
+    for i, (a, f) in enumerate(basis):
+        for b, g in basis[i:]:
+            by_degree.setdefault(a + b, []).append((f, g))
 
     def extra(d, pos, n):
         return [
-            (pos[f.terms[0][1] + g.terms[0][1]], partial(_product_row, f, g, pos, n, p))
+            (pos[f[0][0] + g[0][0]], partial(_product_row, f, g, pos, n, p))
             for f, g in by_degree.get(d, ())
         ]
 
@@ -398,7 +463,7 @@ def _square_length(ring: PolynomialRing, gens, cap: int, budget: _Budget) -> int
     degree 1.  Passing degree `cap` is an internal error.
     """
     lam = 1
-    for _, pos, ech, _ in _sweep(ring, cap, budget, _products(gens, ring.field.p)):
+    for _, pos, ech, _ in _sweep(ring, cap, budget, _products(ring, gens, budget)):
         hf = len(pos) - len(ech.pivots)
         if hf == 0:
             return lam
@@ -432,8 +497,10 @@ def is_cm_square(
     The budget is a fresh cap for each Buchberger run on I + l (or, for a
     reduction of points, for its one Macaulay basis) and for each subset or
     sweep pass, not a total.  A step is one monomial reduction in
-    Buchberger; in a pass a row costs one step plus one per echelon row
-    subtracted from it, so the budget bounds the sweep by its work.
+    Buchberger; in a pass a row, of the sweep or of the reduced echelon
+    form of the images (`_echelon_generators`), costs one step plus one per
+    echelon row subtracted from it, so the budget bounds the sweep by its
+    work.
     """
     ring = gb.ring
     if is_zero_dimensional(gb):
@@ -597,7 +664,6 @@ def eight_quadrics_square_gap(seed, p: int = 31991) -> bool:
         f = ring.poly({m: rng.randrange(p) for m in monos})
         if not f.is_zero():
             quadrics.append(f)
-    *_, (_, pos, ech, _) = _sweep(
-        ring, 4, _Budget(DEFAULT_STEP_BUDGET), _products(quadrics, p)
-    )
+    budget = _Budget(DEFAULT_STEP_BUDGET)
+    *_, (_, pos, ech, _) = _sweep(ring, 4, budget, _products(ring, quadrics, budget))
     return len(ech.pivots) < len(pos)

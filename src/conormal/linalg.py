@@ -35,8 +35,13 @@ class Lanes:
         self._format = "<" + f"Q{self.width // 8 - 8}x" * n
 
     def pack(self, vec) -> int:
-        """The int of a vector of canonical entries."""
-        return int.from_bytes(struct.pack(self._format, *vec), "little")
+        """The int of a vector of n canonical entries.  ValueError when it
+        does not pack: a negative entry, one past 64 bits or a wrong count;
+        the check costs nothing on a vector that packs."""
+        try:
+            return int.from_bytes(struct.pack(self._format, *vec), "little")
+        except struct.error as exc:
+            raise ValueError(f"entries must be canonical in [0, {self.p})") from exc
 
     def unpack(self, x) -> list:
         """The vector of a packed int, each lane taken mod p."""

@@ -210,5 +210,8 @@ def test_vectors_must_be_canonical_and_of_one_length():
     ech.add([1, 2, 3])
     with pytest.raises(ValueError, match="canonical"):
         ech.reduce([0, 7, 0])
+    with pytest.raises(ValueError, match="canonical"):
+        ech.add([0, -1, 2])
+    assert ech.pivots == [0]
     with pytest.raises(ValueError, match="length 2"):
         ech.add([1, 2])

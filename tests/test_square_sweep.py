@@ -15,19 +15,27 @@ must print the same report.
 The oracle of the eight-quadrics check (the rank of the square in degree
 4) is the route it replaced: a Groebner basis of the square and the normal
 form of every degree-4 monomial.
+
+The oracle of the sweep's sparse generators (the reduced echelon basis of
+the images in each degree) is the square multiplied out from the images as
+they stand: the same pivots in every degree, the same length.
 """
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conormal import Ideal, PolynomialRing, PrimeField, buchberger
 from conormal.cm import (
+    DEFAULT_TRIALS,
     CmVerdict,
+    _echelon_generators,
     _generating_subset,
     _macaulay_basis,
     _points_hf_difference,
+    _product_row,
     _products,
     _sweep,
     analyze,
@@ -49,8 +57,10 @@ from conormal.groebner import (
     normal_form,
     standard_monomials_packed,
 )
-from conormal.invariants import length
+from conormal.invariants import length, linear_substitution
+from conormal.linalg import Echelon
 from conormal.points import general_points, make_point_set, random_points, vanishing_ideal
+from conormal.poly import substitute_all
 
 P = 31991
 
@@ -230,20 +240,21 @@ def test_budget_exhausted_inside_the_sweep():
 def test_passes_are_charged_by_their_row_updates():
     # 6 general points in P^3: a row costs one step plus one per echelon row
     # subtracted from it, so the choice of generators costs 59 steps and
-    # each sweep pass 143; at one step per row no pass took more than 31,
-    # and a budget of 100 let every pass through to NotCM
+    # the first sweep pass 91, 10 of them for the reduced echelon form of
+    # its four quadric images; a budget of 81 would let that pass through
+    # if the echelon form were not charged
     ps, _ = general_points(3, 6, P, 0)
     gb = vanishing_ideal(ps)
     _generating_subset(gb, _Budget(59))
     with pytest.raises(BudgetExceededError):
         _generating_subset(gb, _Budget(58))
     reduction = artinian_reduction(gb, 0)
-    for budget in (100, 142):
+    for budget in (81, 90):
         verdict = is_cm_square(gb, seed=0, budget=budget, reduction=reduction)
         assert verdict.status == "Inconclusive"
         assert verdict.detail == f"reduction step budget of {budget} exceeded"
         assert verdict.trials == 1 and verdict.lambdas == ()
-    assert is_cm_square(gb, seed=0, budget=143, reduction=reduction).status == "NotCM"
+    assert is_cm_square(gb, seed=0, budget=91, reduction=reduction).status == "NotCM"
 
 
 def test_macaulay_basis_is_charged_by_its_row_updates():
@@ -272,9 +283,8 @@ def oracle_square_gap(ring, quadrics):
 
 def sweep_square_gap(ring, quadrics):
     """The rank of the square in degree 4 is below dim S_4."""
-    *_, (d, pos, ech, _) = _sweep(
-        ring, 4, _Budget(DEFAULT_STEP_BUDGET), _products(quadrics, ring.field.p)
-    )
+    budget = _Budget(DEFAULT_STEP_BUDGET)
+    *_, (d, pos, ech, _) = _sweep(ring, 4, budget, _products(ring, quadrics, budget))
     assert d == 4
     return len(ech.pivots) < len(pos)
 
@@ -334,3 +344,105 @@ def test_random_point_sets_give_the_same_lengths(c, extra, seed):
     got = is_cm_square(gb, seed=seed, trials=2)
     want = oracle_verdict(gb, seed, 2, ps.n)
     assert got.lambdas == want.lambdas
+
+
+def raw_square_sweep(ring, gens, cap):
+    """(length of S/J, pivots of J_d for each degree the sweep reached) for J
+    the square of the ideal of the gens, every product of two gens formed
+    as they stand."""
+    p = ring.field.p
+    terms = [[(m, c) for _, m, c in f.terms] for f in gens]
+    by_degree = {}
+    for i, f in enumerate(gens):
+        for j in range(i, len(gens)):
+            by_degree.setdefault(f.degree + gens[j].degree, []).append((terms[i], terms[j]))
+
+    def extra(d, pos, n):
+        return [
+            (pos[f[0][0] + g[0][0]], partial(_product_row, f, g, pos, n, p))
+            for f, g in by_degree.get(d, ())
+        ]
+
+    lam, pivots = 1, []
+    for _, pos, ech, _ in _sweep(ring, cap, _Budget(10 ** 7), extra):
+        pivots.append(sorted(ech.pivots))
+        hf = len(pos) - len(ech.pivots)
+        if hf == 0:
+            return lam, pivots
+        lam += hf
+    raise AssertionError("the raw sweep passed its cap")
+
+
+def assert_echelon_shape(ring, gens, basis):
+    """Each degree of the basis spans the gens of that degree; an element of
+    degree a is monic at its leading monomial and has at most
+    1 + dim S_a - rank terms, none of them after the first leading another
+    element."""
+    leads = {f[0][0] for _, f in basis}
+    assert len(leads) == len(basis)
+    for a in {g.degree for g in gens}:
+        of_degree = [f for b, f in basis if b == a]
+        span = Echelon(ring.field.p)
+        monos = ring.monomials_of_degree(a)
+        col = {m: i for i, m in enumerate(monos)}
+        for g in gens:
+            if g.degree == a:
+                span.add([g.coefficient(ring.unpack(m)) for m in monos])
+        rank = len(span.pivots)
+        assert len(of_degree) == rank
+        for f in of_degree:
+            assert f[0][1] == 1
+            assert len(f) <= 1 + len(monos) - rank
+            assert all(ring.mono_deg(m) == a for m, _ in f)
+            assert not any(m in leads for m, _ in f[1:])
+            # f lies in the span: adding it leaves the rank unchanged
+            vec = [0] * len(monos)
+            for m, c in f:
+                vec[col[m]] = c
+            assert span.reduce(vec)[0] == [0] * len(monos)
+    assert {a for a, _ in basis} == {g.degree for g in gens}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.integers(min_value=2, max_value=6),
+    extra=st.integers(min_value=0, max_value=4),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_echelon_generators_leave_the_square_unchanged(c, extra, seed):
+    # for every trial form: the square of the images, multiplied out as they
+    # stand, has the same pivots in every degree and the same length as the
+    # square of their reduced echelon basis, whether `_square_length` gets
+    # the images or that basis
+    ps, _ = general_points(c, c + 1 + extra, P, seed)
+    gb = vanishing_ideal(ps)
+    gens = _generating_subset(gb, _Budget(10 ** 7))
+    for ell, s in artinian_reduction(gb, seed, DEFAULT_TRIALS, points=ps)[2]:
+        if s is None:
+            continue
+        smaller, assignment = linear_substitution(gb.ring, [ell])
+        images = [f for f in substitute_all(gens, assignment) if not f.is_zero()]
+        basis = _echelon_generators(smaller, images, _Budget(10 ** 7))
+        assert_echelon_shape(smaller, images, basis)
+        reduced = [smaller._from_packed_dict(dict(f)) for _, f in basis]
+        cap = 2 * s + 2
+        lam, pivots = raw_square_sweep(smaller, images, cap)
+        assert raw_square_sweep(smaller, reduced, cap) == (lam, pivots)
+        assert _square_length(smaller, images, cap, _Budget(10 ** 7)) == lam
+        assert _square_length(smaller, reduced, cap, _Budget(10 ** 7)) == lam
+        budget = _Budget(10 ** 7)
+        swept = _sweep(smaller, len(pivots), budget, _products(smaller, images, budget))
+        assert [sorted(ech.pivots) for _, _, ech, _ in swept] == pivots
+        assert lam >= (c + 1) * ps.n
+
+
+def test_echelon_generators_drop_dependent_gens_and_are_charged():
+    # x + y, x - y and 2x span the linear forms of GF(7)[x, y]: the basis is
+    # x and y, and the three rows cost 1, 2 and 3 steps
+    ring = PolynomialRing(PrimeField(7), ["x", "y"])
+    x, y = ring.gens()
+    gens = [x + y, x - y, x * 2]
+    basis = _echelon_generators(ring, gens, _Budget(6))
+    assert [f for _, f in basis] == [[(x.terms[0][1], 1)], [(y.terms[0][1], 1)]]
+    with pytest.raises(BudgetExceededError):
+        _echelon_generators(ring, gens, _Budget(5))

@@ -19,7 +19,6 @@ from .poly import (
     PolynomialRing,
     monomial_compare,
     random_linear_form,
-    substitute,
 )
 from .groebner import (
     BudgetExceededError,
@@ -32,6 +31,5 @@ from .groebner import (
     ideal_square,
     is_zero_dimensional,
     normal_form,
-    standard_monomials,
     verify_groebner,
 )

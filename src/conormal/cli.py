@@ -104,6 +104,8 @@ def main(argv=None) -> int:
             text, code = conjecture_experiment(config)
         elif args.command == "analyze":
             path = args.path
+            if path is not None and args.points is not None:
+                raise ValueError("analyze takes a file path or --points c,n, not both")
             if path is None and args.points is not None:
                 try:
                     c, n = (int(v) for v in args.points.split(","))

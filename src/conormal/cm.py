@@ -1,5 +1,6 @@
-"""Artinian reductions by random linear forms, multiplicity extraction, and
-the Cohen-Macaulayness verdict for the square of a points ideal.
+"""Artinian reductions by random linear forms, whose smallest length is the
+multiplicity, and the Cohen-Macaulayness verdict for the square of a points
+ideal.
 
 The verdict logic: for a one-dimensional generically-complete-intersection
 ideal, the multiplicity of the square is (c+1) times that of the ideal, and
@@ -55,12 +56,7 @@ from .groebner import (
     is_zero_dimensional,
     standard_monomials_packed,
 )
-from .invariants import (
-    InvariantReport,
-    classify,
-    length,
-    linear_substitution,
-)
+from .invariants import InvariantReport, classify, linear_substitution
 from .points import PointSet, bm_result
 from . import criteria as crit
 
@@ -163,11 +159,14 @@ def artinian_reduction(
     lists (l, socle degree of R/(I + l), or None when R/(I + l) is not
     Artinian) for every trial form in order; `is_cm_square` reuses it.
 
-    Without `points` each form costs one Buchberger run on I + l.  With
+    Without `points` each form costs one Buchberger run on I + l, and one
+    walk of its standard monomials gives both the length and s.  With
     `points`, whose vanishing ideal `gb` must be (ValueError otherwise),
     the forms are decided by evaluation and only the chosen basis is built,
-    by `_macaulay_basis`.
+    by `_macaulay_basis`.  ValueError unless `trials` is at least 1.
     """
+    if trials < 1:
+        raise ValueError(f"an Artinian reduction needs at least 1 trial, got {trials}")
     if is_zero_dimensional(gb):
         raise ValueError("the ideal is already zero-dimensional; nothing to reduce")
     ring = gb.ring
@@ -187,8 +186,9 @@ def artinian_reduction(
         for ell in _trial_forms(ring, seed, trials):
             cand = buchberger(Ideal(ring, list(gb.elements) + [ell]), budget=budget)
             if is_zero_dimensional(cand):
-                found.append((cand, length(cand)))
-                forms.append((ell, len(standard_monomials_packed(cand)) - 1))
+                levels = standard_monomials_packed(cand)
+                found.append((cand, sum(len(level) for level in levels)))
+                forms.append((ell, len(levels) - 1))
             else:
                 forms.append((ell, None))
         if found:
@@ -421,19 +421,6 @@ def _macaulay_basis(gb: GroebnerBasis, ell, delta, budget: int) -> GroebnerBasis
                     ring._from_packed_dict({monos[i]: c for i, c in enumerate(row) if c})
                 )
     return GroebnerBasis(ring, elements)
-
-
-def multiplicity(
-    gb: GroebnerBasis,
-    seed=0,
-    trials: int = DEFAULT_TRIALS,
-    budget: int = DEFAULT_STEP_BUDGET,
-) -> int:
-    """Multiplicity of a quotient of dimension at most 1: the length itself
-    when Artinian, otherwise the smallest reduction length over the trials."""
-    if is_zero_dimensional(gb):
-        return length(gb)
-    return artinian_reduction(gb, seed, trials, budget)[1]
 
 
 def _generating_subset(gb: GroebnerBasis, budget: _Budget):

@@ -1,6 +1,6 @@
 """Ideal builders: stretched Artinian ideals in their normal form,
-the monomial comparison ideal L, power truncations, polarization, and the
-frozen 10-points-in-P5 benchmark ideal over GF(31991).
+the monomial comparison ideal L, power truncations, and the frozen
+10-points-in-P5 benchmark ideal over GF(31991).
 """
 
 import hashlib
@@ -109,41 +109,6 @@ def ideal_L(c: int, s: int, ring: PolynomialRing) -> Ideal:
             gens.append(g)
     gens.append(x[c - 1] ** (2 * s))
     return Ideal(ring, gens)
-
-
-def polarize(ideal: Ideal):
-    """Polarization of a monomial ideal: each generator x_i^a contributes the
-    product of a distinct copies of x_i.  Returns the squarefree ideal in the
-    extended ring and the depolarization assignment (new variable -> old)."""
-    ring = ideal.ring
-    for g in ideal.generators:
-        if not g.is_monomial():
-            raise ValueError(f"non-monomial generator: {g}")
-    exps = [ring.unpack(g.terms[0][1]) for g in ideal.generators]
-    copies = [0] * ring.nvars
-    for e in exps:
-        for j, ej in enumerate(e):
-            copies[j] = max(copies[j], ej)
-    new_names = []
-    for j, name in enumerate(ring.vars):
-        for k in range(max(copies[j], 0)):
-            new_names.append(f"{name}_{k}")
-    if not new_names:
-        raise ValueError("polarization of a constant ideal")
-    new_ring = PolynomialRing(ring.field, new_names, ring.order)
-    name_index = {name: i for i, name in enumerate(new_names)}
-    new_gens = []
-    for e in exps:
-        mono = [0] * new_ring.nvars
-        for j, ej in enumerate(e):
-            for k in range(ej):
-                mono[name_index[f"{ring.vars[j]}_{k}"]] = 1
-        new_gens.append(new_ring.monomial(tuple(mono)))
-    assignment = {}
-    for j, name in enumerate(ring.vars):
-        for k in range(copies[j]):
-            assignment[f"{name}_{k}"] = ring.var(name)
-    return Ideal(new_ring, new_gens), assignment
 
 
 # The 15 generators of the benchmark ideal of 10 general points in P^5 over

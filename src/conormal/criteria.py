@@ -55,31 +55,6 @@ def monomial_count_plus(c: int, i: int) -> int:
     return monomial_count(c + 1, i)
 
 
-@dataclass(frozen=True)
-class CountingTable:
-    """n_i and N_i side by side for one codimension."""
-
-    c: int
-    rows: tuple  # (i, n_i, N_i)
-
-    @classmethod
-    def build(cls, c: int, max_degree: int) -> "CountingTable":
-        rows = tuple(
-            (i, monomial_count(c, i), monomial_count_plus(c, i))
-            for i in range(max_degree + 1)
-        )
-        return cls(c, rows)
-
-    def partial_sum_law_holds(self) -> bool:
-        """sum_{i<s} n_i == N_{s-1} for every s in range."""
-        total = 0
-        for i, n_i, big_n_i in self.rows:
-            total += n_i
-            if total != big_n_i:
-                return False
-        return True
-
-
 def short_margin(c: int, s: int) -> Fraction:
     """Exact value of prod_{j<c} (2s+j)/(j+2) - prod_{j<c} (s+j+1)/(j+1).
 
@@ -180,16 +155,6 @@ def min_codim_forcing_not_cm(t: int) -> int:
     while (2 * c - 1) ** 2 <= radicand:
         c += 1
     return c
-
-
-def stretched_square_bound(c: int, s: int):
-    """(lower bound for the length of the quotient by the comparison ideal,
-    Cohen-Macaulay target (c+1)(c+s), bound exceeds target)."""
-    _check_range("c", c, 3)
-    _check_range("s", s, 2)
-    bound = 1 + c + comb(c + 1, 2) + comb(c + 2, 3) + c * (s - 2) + (s - 2)
-    target = (c + 1) * (c + s)
-    return bound, target, bound > target
 
 
 def conjectured_counterexample_points(c: int) -> int:

@@ -514,13 +514,3 @@ def standard_monomials_packed(gb: GroebnerBasis):
         current = _standard_successors(ring, index, current)
     gb._std_cache = levels
     return levels
-
-
-def standard_monomials(gb: GroebnerBasis):
-    """All monomials outside the leading-term ideal, as exponent tuples in
-    increasing degree; their count is the length of the quotient."""
-    ring = gb.ring
-    out = []
-    for level in standard_monomials_packed(gb):
-        out.extend(ring.unpack(m) for m in level)
-    return out

@@ -21,16 +21,9 @@ from .groebner import (
     Ideal,
     _Budget,
     _reduce_terms,
-    buchberger,
     is_zero_dimensional,
-    normal_form,
     standard_monomials_packed,
 )
-
-
-class SocleLawError(RuntimeError):
-    """Internal consistency failure: a socle quotient changed the Hilbert
-    function somewhere other than the socle element's degree."""
 
 
 @dataclass(frozen=True)
@@ -125,13 +118,6 @@ class _QuotientStructure:
         self._columns = self._multiplication_columns()
         self._filtration = self._power_filtration()
 
-    def nf_vector(self, f: Polynomial) -> list:
-        red = _reduce_terms(self.ring, f.terms, self.gb.index(), self._budget)
-        vec = [0] * self.n
-        for m, c in red.items():
-            vec[self.pos[m]] = c
-        return vec
-
     def _multiplication_columns(self):
         """Multiplication matrices, one per variable, as lists of columns.
         A variable that leads a homogeneous linear basis element is left
@@ -191,15 +177,6 @@ class _QuotientStructure:
         dims = [self.n] + [len(space.rows) for space in self._filtration] + [0]
         return HilbertFunction(tuple(dims[d] - dims[d + 1] for d in range(len(dims) - 1)))
 
-    def filtration_degree(self, vec) -> int:
-        """Largest d with the vector inside the image of the d-th power."""
-        d = 0
-        for space in self._filtration:
-            if any(space.reduce(vec)[0]):
-                return d
-            d += 1
-        return d
-
     def socle_kernel(self):
         """Kernel of multiplication by every variable, as coordinate vectors."""
         rows = []
@@ -249,12 +226,6 @@ def length(gb: GroebnerBasis) -> int:
     return sum(len(level) for level in standard_monomials_packed(gb))
 
 
-def socle(gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET):
-    """Basis of the socle (annihilator of the maximal ideal), each element
-    tagged with its filtration degree."""
-    return _QuotientStructure(gb, budget).socle_elements()
-
-
 def classify(gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET) -> InvariantReport:
     """Full invariant report of an Artinian quotient in any presentation
     (linear generators need no elimination); ValueError unless it is local."""
@@ -280,35 +251,6 @@ def classify(gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET) -> InvariantR
         socle_degrees=degrees,
         socle=tuple(soc),
     )
-
-
-def quotient_by_socle_element(
-    gb: GroebnerBasis, f: Polynomial, budget: int = DEFAULT_STEP_BUDGET
-) -> GroebnerBasis:
-    """Basis of (ideal + f) for a socle element f; the Hilbert function must
-    drop by exactly one at the element's degree, and this law is re-checked."""
-    ring = gb.ring
-    nf = normal_form(f, gb, budget)
-    if nf.is_zero():
-        raise ValueError("the element already lies in the ideal")
-    for name in ring.vars:
-        if not normal_form(ring.var(name) * nf, gb, budget).is_zero():
-            raise ValueError("the element is not in the socle")
-    q = _QuotientStructure(gb, budget)
-    j = q.filtration_degree(q.nf_vector(nf))
-    old_hf = q.hilbert_function()
-    new_gb = buchberger(Ideal(ring, list(gb.elements) + [f]), budget=budget)
-    new_hf = _QuotientStructure(new_gb, budget).hilbert_function()
-    expected = list(old_hf.values)
-    expected[j] -= 1
-    while expected and expected[-1] == 0:
-        expected.pop()
-    if tuple(expected) != new_hf.values:
-        raise SocleLawError(
-            f"quotient by a degree-{j} socle element moved the Hilbert function "
-            f"from {old_hf} to {new_hf}"
-        )
-    return new_gb
 
 
 def linear_substitution(ring: PolynomialRing, linear):

@@ -44,10 +44,3 @@ def parse_ideal_text(text: str) -> Ideal:
 def parse_ideal_file(path) -> Ideal:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_ideal_text(fh.read())
-
-
-def format_ideal(ideal: Ideal) -> str:
-    ring = ideal.ring
-    lines = [f"ring p={ring.field.p} vars={','.join(ring.vars)}"]
-    lines.extend(ring.format_poly(g) for g in ideal.generators)
-    return "\n".join(lines)

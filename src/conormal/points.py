@@ -1,6 +1,6 @@
 """Point configurations in projective space over GF(p): random generation,
-vanishing ideals via degree-by-degree evaluation, and general-position
-certificates.
+with redraws until the points are in general position, and vanishing ideals
+via degree-by-degree evaluation.
 
 The vanishing ideal is computed Buchberger-Moller style: in each degree the
 candidate monomials are evaluated at the points; Gaussian elimination splits
@@ -78,21 +78,6 @@ class PointSet:
     def ring(self, order: MonomialOrder = DEGREVLEX) -> PolynomialRing:
         names = [f"x{i}" for i in range(self.c + 1)]
         return PolynomialRing(PrimeField(self.p), names, order)
-
-    def to_text(self) -> str:
-        lines = [f"P {self.c} {self.p} {self.n}"]
-        lines.extend(" ".join(str(v) for v in pt) for pt in self.points)
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class GeneralPositionCertificate:
-    """Comparison of the coordinate-ring Hilbert function against the generic
-    one, min(C(c+i, i), n), through the computed degree range."""
-
-    expected_hf: tuple
-    computed_hf: tuple
-    achieved: bool
 
 
 def normalize_point(coords, field: PrimeField):
@@ -301,52 +286,30 @@ def vanishing_ideal(
     return GroebnerBasis(result.ring, result.elements)
 
 
-def _certificate(ps: PointSet, hf) -> GeneralPositionCertificate:
-    expected = tuple(min(comb(ps.c + i, i), ps.n) for i in range(len(hf)))
-    return GeneralPositionCertificate(expected, hf, hf == expected)
-
-
-def general_position_check(
-    ps: PointSet, order: MonomialOrder = DEGREVLEX, budget: int = DEFAULT_STEP_BUDGET
-) -> GeneralPositionCertificate:
-    """Certify that the configuration achieves the generic Hilbert function."""
-    return _certificate(ps, bm_result(ps, order, budget).hf)
+def _in_general_position(ps: PointSet, hf) -> bool:
+    """Whether the coordinate-ring Hilbert function `hf` is the generic one,
+    min(C(c+i, i), n), through its degree range."""
+    return hf == tuple(min(comb(ps.c + i, i), ps.n) for i in range(len(hf)))
 
 
 def general_points(
     c: int, n: int, p: int, seed, max_redraws: int = 10, budget: int = DEFAULT_STEP_BUDGET
 ):
-    """Random points re-drawn until the general-position certificate holds.
+    """Random points re-drawn until their coordinate ring has the generic
+    Hilbert function.
 
     Returns (point set, number of redraws); the point set keeps the
-    degrevlex Buchberger-Moller result its certificate came from.  Each
-    redraw derives a fresh sub-seed deterministically from the previous one.
+    degrevlex Buchberger-Moller result that Hilbert function came from.
+    Each redraw derives a fresh sub-seed deterministically from the
+    previous one.
     """
     _check_degree_range(c, n)  # before drawing the points
     for attempt in range(max_redraws + 1):
         ps = random_points(c, n, p, (seed, attempt) if attempt else seed)
         result = _bm_run(ps, DEGREVLEX, budget)
-        if _certificate(ps, result.hf).achieved:
+        if _in_general_position(ps, result.hf):
             return dataclasses.replace(ps, bm=result), attempt
     raise RuntimeError(
         f"no general configuration of {n} points in P^{c} over GF({p}) "
         f"after {max_redraws} redraws (seed {seed})"
     )
-
-
-def parse_point_file(text: str) -> PointSet:
-    """Parse the `P <c> <p> <n>` header plus one point per line."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty point file")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "P":
-        raise ValueError(f"malformed point header: {lines[0]!r}")
-    c, p, n = int(header[1]), int(header[2]), int(header[3])
-    if len(lines) - 1 != n:
-        raise ValueError(f"expected {n} points, found {len(lines) - 1}")
-    pts = []
-    for ln in lines[1:]:
-        coords = [int(tok) for tok in ln.split()]
-        pts.append(coords)
-    return make_point_set(c, p, pts)

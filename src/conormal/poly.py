@@ -574,18 +574,12 @@ class Polynomial:
         return self.ring.format_poly(self)
 
 
-def substitute(f: Polynomial, assignment: dict) -> Polynomial:
-    """Image of f under the ring map sending each variable to a polynomial.
-
-    Every variable occurring in f must be assigned; all assigned values
-    must live in one common target ring.
-    """
-    return substitute_all([f], assignment)[0]
-
-
 def substitute_all(polys, assignment: dict) -> list:
     """Images of polynomials of one ring under the ring map sending each
-    variable to a polynomial, as in `substitute`.
+    variable to a polynomial.
+
+    Every variable occurring in the polynomials must be assigned; all
+    assigned values must live in one common target ring.
 
     The map is linear in the coefficients, so one table of monomial images
     serves every polynomial: a monomial's image is formed once, as the image

@@ -15,9 +15,9 @@ from conormal.cm import (
     derive_seed,
     eight_quadrics_square_gap,
     is_cm_square,
-    multiplicity,
 )
 from conormal.constructions import example61_ideal
+from conormal.invariants import length
 from conormal.points import general_points, make_point_set, random_points, vanishing_ideal
 
 
@@ -42,16 +42,23 @@ def test_reduction_rejects_artinian_input(ring_xy):
         artinian_reduction(gb, seed=0)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_reduction_needs_a_trial(trials):
+    gb = vanishing_ideal(random_points(3, 7, 31991, seed=4))
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        artinian_reduction(gb, seed=4, trials=trials)
+
+
 def test_multiplicity_is_the_point_count():
     ps = random_points(3, 7, 31991, seed=4)
     gb = vanishing_ideal(ps)
-    assert multiplicity(gb, seed=4) == 7
+    assert artinian_reduction(gb, seed=4)[1] == 7
 
 
 def test_multiplicity_of_artinian_quotient(ring_xy):
     x, y = ring_xy.gens()
     gb = buchberger(Ideal(ring_xy, [x ** 2, x * y, y ** 2]))
-    assert multiplicity(gb) == 3
+    assert length(gb) == 3
 
 
 def test_single_point_square_is_cm():

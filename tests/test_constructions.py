@@ -1,13 +1,11 @@
 import pytest
 
 from conormal import (
-    Ideal,
     PolynomialRing,
     PrimeField,
     buchberger,
     contains,
     ideal_square,
-    substitute,
 )
 from conormal.invariants import classify, length
 from conormal.constructions import (
@@ -15,7 +13,6 @@ from conormal.constructions import (
     StretchedSpec,
     example61_ideal,
     ideal_L,
-    polarize,
     stretched_ideal,
     truncation,
 )
@@ -109,42 +106,6 @@ def test_truncation():
     assert len(truncation(_ring(6), 3)) == 56
     with pytest.raises(ValueError):
         truncation(ring2, 0)
-
-
-def test_polarize_single_power():
-    ring = PolynomialRing(PrimeField(7), ["x"])
-    x = ring.var("x")
-    pol, assignment = polarize(Ideal(ring, [x ** 2]))
-    assert [str(g) for g in pol.generators] == ["x_0*x_1"]
-    assert set(assignment) == {"x_0", "x_1"}
-    back = substitute(pol.generators[0], assignment)
-    assert back == x ** 2
-
-
-def test_polarize_two_generators():
-    ring = PolynomialRing(PrimeField(7), ["x", "y"])
-    x, y = ring.gens()
-    pol, assignment = polarize(Ideal(ring, [x ** 2, x * y]))
-    assert sorted(str(g) for g in pol.generators) == ["x_0*x_1", "x_0*y_0"]
-
-
-def test_polarize_round_trip_and_squarefree():
-    ring = PolynomialRing(PrimeField(7), ["x", "y"])
-    x, y = ring.gens()
-    ideal = Ideal(ring, [x ** 3, x * y ** 2])
-    pol, assignment = polarize(ideal)
-    for g in pol.generators:
-        exps = pol.ring.unpack(g.terms[0][1])
-        assert all(e <= 1 for e in exps)  # squarefree
-    back = [substitute(g, assignment) for g in pol.generators]
-    assert back == [g.monic() for g in ideal.generators]
-
-
-def test_polarize_rejects_non_monomial():
-    ring = PolynomialRing(PrimeField(7), ["x", "y"])
-    x, y = ring.gens()
-    with pytest.raises(ValueError):
-        polarize(Ideal(ring, [x + y]))
 
 
 def test_benchmark_ideal_shape():

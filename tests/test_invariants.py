@@ -16,14 +16,11 @@ from conormal import (
 )
 from conormal.invariants import (
     HilbertFunction,
-    SocleLawError,
     _QuotientStructure,
     classify,
     eliminate_linear_forms,
     hilbert_function,
     length,
-    quotient_by_socle_element,
-    socle,
 )
 from conormal.cm import artinian_reduction
 from conormal.constructions import StretchedSpec, example61_ideal, stretched_ideal
@@ -61,7 +58,7 @@ def test_length_of_squared_maximal_ideal():
 def test_socle_of_square_of_maximal_ideal(ring_xy):
     x, y = ring_xy.gens()
     gb = buchberger(Ideal(ring_xy, [x ** 2, x * y, y ** 2]))
-    elements = socle(gb)
+    elements = classify(gb).socle
     assert len(elements) == 2
     assert sorted(e.degree for e in elements) == [1, 1]
     assert sorted(str(e.poly) for e in elements) == ["x", "y"]
@@ -71,7 +68,7 @@ def test_socle_of_power_of_one_variable():
     ring = PolynomialRing(PrimeField(7), ["x"])
     x = ring.var("x")
     gb = buchberger(Ideal(ring, [x ** 4]))
-    elements = socle(gb)
+    elements = classify(gb).socle
     assert len(elements) == 1
     assert elements[0].degree == 3
     assert str(elements[0].poly) == "x^3"
@@ -147,30 +144,6 @@ def test_gorenstein_stretched_socle_is_level():
     assert report.tau == 1 and report.gorenstein
     assert report.socle_degrees == (3,)
     assert report.level
-
-
-def test_quotient_by_socle_element_degree_one(ring_xy):
-    x, y = ring_xy.gens()
-    gb = buchberger(Ideal(ring_xy, [x ** 2, x * y, y ** 3]))
-    assert hilbert_function(gb).values == (1, 2, 1)
-    smaller = quotient_by_socle_element(gb, x)
-    assert hilbert_function(smaller).values == (1, 1, 1)
-
-
-def test_quotient_by_socle_element_top_degree(ring_xy):
-    x, y = ring_xy.gens()
-    gb = buchberger(Ideal(ring_xy, [x ** 2, x * y, y ** 3]))
-    smaller = quotient_by_socle_element(gb, y ** 2)
-    assert hilbert_function(smaller).values == (1, 2)
-
-
-def test_quotient_by_socle_element_errors(ring_xy):
-    x, y = ring_xy.gens()
-    gb = buchberger(Ideal(ring_xy, [x ** 2, x * y, y ** 3]))
-    with pytest.raises(ValueError):
-        quotient_by_socle_element(gb, x ** 2)  # already inside
-    with pytest.raises(ValueError):
-        quotient_by_socle_element(gb, y)  # not a socle element
 
 
 def test_eliminate_linear_forms(ring_xyz):

@@ -3,21 +3,29 @@ import time
 
 import pytest
 
-from conormal import ParseError
-from conormal.io import format_ideal, parse_ideal_file, parse_ideal_text
+from conormal import ParseError, constructions
+from conormal.io import parse_ideal_file, parse_ideal_text
 from conormal.constructions import example61_ideal
 from conormal.cli import main
 from conormal.harness import ExperimentConfig, conjecture_experiment, criteria_table
 
 
+# the frozen benchmark text under an ideal-file header
+EXAMPLE61_FILE = (
+    f"ring p={constructions.EXAMPLE61_PRIME} vars={','.join(constructions.EXAMPLE61_VARS)}\n"
+    f"{constructions._EXAMPLE61_TEXT}\n"
+)
+
+
 def test_parse_benchmark_file_round_trip():
     ideal = example61_ideal()
-    text = format_ideal(ideal)
-    parsed = parse_ideal_text(text)
+    parsed = parse_ideal_text(EXAMPLE61_FILE)
     assert parsed.ring == ideal.ring
     assert parsed.generators == ideal.generators
-    # idempotence after the first normalization pass
-    assert format_ideal(parse_ideal_text(format_ideal(parsed))) == format_ideal(parsed)
+    # printing the parsed generators and parsing them again changes nothing
+    header = EXAMPLE61_FILE.splitlines()[0]
+    printed = "\n".join([header] + [parsed.ring.format_poly(g) for g in parsed.generators])
+    assert parse_ideal_text(printed).generators == parsed.generators
 
 
 def test_parse_header_errors():
@@ -94,7 +102,7 @@ def test_cli_analyze_points(capsys):
 
 def test_cli_analyze_file(tmp_path, capsys):
     path = tmp_path / "bench.txt"
-    path.write_text(format_ideal(example61_ideal()) + "\n")
+    path.write_text(EXAMPLE61_FILE)
     assert main(["analyze", str(path)]) == 0
     out = capsys.readouterr().out
     assert "cm_square: CM" in out
@@ -132,6 +140,15 @@ def test_cli_analyze_needs_input(capsys):
         main(["analyze"])
 
 
+def test_cli_analyze_takes_a_file_or_points_not_both(tmp_path, capsys):
+    path = tmp_path / "bench.txt"
+    path.write_text(EXAMPLE61_FILE)
+    assert main(["analyze", str(path), "--points", "4,9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: analyze takes a file path or --points c,n, not both\n"
+
+
 def test_cli_missing_ideal_file_is_an_error(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.txt")]) == 1
     err = capsys.readouterr().err
@@ -161,6 +178,14 @@ def test_cli_parse_error_exit(tmp_path, capsys):
 def test_cli_conjecture_long_gate(capsys):
     assert main(["conjecture", "--c", "7"]) == 1
     assert "allow-long" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_cli_conjecture_needs_a_trial(trials, capsys):
+    assert main(["conjecture", "--c", "5", "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: an Artinian reduction needs at least 1 trial, got {trials}\n"
 
 
 def test_cli_conjecture_c5(capsys):

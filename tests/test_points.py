@@ -7,13 +7,11 @@ from conormal import points
 from conormal.groebner import BudgetExceededError
 from conormal.invariants import length
 from conormal.points import (
-    GeneralPositionCertificate,
     _check_degree_range,
-    PointSet,
+    _in_general_position,
+    bm_result,
     general_points,
-    general_position_check,
     make_point_set,
-    parse_point_file,
     projective_point_count,
     random_points,
     vanishing_ideal,
@@ -39,10 +37,10 @@ def test_ten_general_points_in_p5():
     gb = vanishing_ideal(ps)
     degrees = sorted(int(g.degree) for g in gb.elements)
     assert degrees == [2] * 11 + [3] * 4
-    cert = general_position_check(ps)
-    assert cert.achieved
-    assert cert.computed_hf[:3] == (1, 6, 10)
-    assert all(v == 10 for v in cert.computed_hf[2:])
+    hf = bm_result(ps).hf
+    assert _in_general_position(ps, hf)
+    assert hf[:3] == (1, 6, 10)
+    assert all(v == 10 for v in hf[2:])
     assert verify_groebner(gb)
 
 
@@ -70,15 +68,15 @@ def test_random_points_determinism_and_counting():
 
 def test_single_point_always_general():
     ps = random_points(3, 1, 7, seed=2)
-    assert general_position_check(ps).achieved
+    assert _in_general_position(ps, bm_result(ps).hf)
 
 
 def test_collinear_points_fail_the_certificate():
     # three points on the line x2 = 0 in P^2
     ps = make_point_set(2, 31991, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
-    cert = general_position_check(ps)
-    assert not cert.achieved
-    assert cert.computed_hf[1] == 2 < 3 == cert.expected_hf[1]
+    hf = bm_result(ps).hf
+    assert not _in_general_position(ps, hf)
+    assert hf[1] == 2 < 3  # the generic value C(2 + 1, 1)
 
 
 def test_coordinate_ring_hf_monotone_and_stabilizes():
@@ -87,7 +85,7 @@ def test_coordinate_ring_hf_monotone_and_stabilizes():
         c = rng.randrange(1, 4)
         n = rng.randrange(1, 9)
         ps = random_points(c, n, 31991, seed=rng.randrange(10**6))
-        hf = general_position_check(ps).computed_hf
+        hf = bm_result(ps).hf
         assert all(hf[i] <= hf[i + 1] for i in range(len(hf) - 1))
         assert hf[-1] == n
         assert hf[0] == 1
@@ -154,7 +152,7 @@ def test_general_points_keep_their_pass_for_the_vanishing_ideal(monkeypatch):
     ps, redraws = general_points(3, 6, 31991, 0)
     assert len(runs) == redraws + 1
     gb = vanishing_ideal(ps)
-    assert general_position_check(ps).achieved
+    assert _in_general_position(ps, bm_result(ps).hf)
     assert len(runs) == redraws + 1
     # the kept pass takes no part in equality; a point set without it, or
     # another order, runs the pass again
@@ -186,22 +184,6 @@ def test_an_analysis_of_points_without_a_kept_pass_runs_one(monkeypatch):
     assert len(runs) == 1
 
 
-def test_point_file_round_trip():
-    ps, _ = general_points(2, 5, 31991, seed=9)
-    text = ps.to_text()
-    again = parse_point_file(text)
-    assert again.points == ps.points and again.c == ps.c and again.p == ps.p
-
-
-def test_point_file_errors():
-    with pytest.raises(ValueError):
-        parse_point_file("")
-    with pytest.raises(ValueError):
-        parse_point_file("Q 1 7 1\n1 0")
-    with pytest.raises(ValueError):
-        parse_point_file("P 1 7 2\n1 0")
-
-
 def test_vanishing_ideal_is_charged_to_the_step_budget():
     # 6 general points in P^3: 115 steps, one per candidate row plus one per
     # echelon row subtracted from it
@@ -212,7 +194,7 @@ def test_vanishing_ideal_is_charged_to_the_step_budget():
     with pytest.raises(BudgetExceededError):
         vanishing_ideal(ps, budget=114)
     with pytest.raises(BudgetExceededError):
-        general_position_check(ps, budget=114)
+        bm_result(ps, budget=114)
     with pytest.raises(BudgetExceededError):
         general_points(3, 6, 31991, 0, budget=114)
 

@@ -2,28 +2,21 @@
 criteria-table, stretched-suite, selftest.
 
 Exit codes encode the verdict: 0 CM-consistent / all checks pass,
-1 NotCM / a check failed, 2 Inconclusive (budget exhausted).
-The reduction-step budget can be set with --budget or the
-CONORMAL_STEP_BUDGET environment variable.
+1 NotCM / a check failed / an input error, 2 Inconclusive (the step
+budget ran out, in any verb).  The reduction-step budget can be set with
+--budget or the CONORMAL_STEP_BUDGET environment variable; it must be at
+least 0.  `main` parses the arguments into one ExperimentConfig and hands
+it to `harness.run`.
 """
 
 import argparse
 import os
 import sys
 
+from .cm import DEFAULT_TRIALS
 from .groebner import DEFAULT_STEP_BUDGET
 from .poly import ParseError
-from .harness import (
-    DEFAULT_PRIME,
-    EXIT_NOT_CM,
-    ExperimentConfig,
-    analyze_command,
-    conjecture_experiment,
-    criteria_table,
-    selftest,
-    stretched_suite,
-    verify_example61,
-)
+from .harness import DEFAULT_PRIME, EXIT_NOT_CM, ExperimentConfig, run
 
 
 def _env_budget():
@@ -38,7 +31,7 @@ def _env_budget():
 
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    sub.add_argument("--trials", type=int, default=5, help="random linear forms per verdict (default 5)")
+    sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help=f"random linear forms per verdict (default {DEFAULT_TRIALS})")
     sub.add_argument("--budget", type=int, default=None, help="reduction step budget")
     sub.add_argument("--p", type=int, default=DEFAULT_PRIME, help=f"field characteristic (default {DEFAULT_PRIME})")
     sub.add_argument("--output", help="also write the report to this path")
@@ -83,49 +76,35 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    budget = args.budget if args.budget is not None else _env_budget()
-    config = ExperimentConfig(
-        command=args.command,
-        c=getattr(args, "c", None),
-        n=getattr(args, "n", None),
-        p=args.p,
-        seed=args.seed,
-        trials=args.trials,
-        budget=budget,
-        cmax=getattr(args, "cmax", 5),
-        smax=getattr(args, "smax", 4),
-        allow_long=getattr(args, "allow_long", False),
-        output=args.output,
-    )
+    path, points = getattr(args, "path", None), getattr(args, "points", None)
+    if args.command == "analyze" and path is None and points is None:
+        raise SystemExit("analyze needs a file path or --points c,n")
     try:
-        if args.command == "verify-example61":
-            text, code = verify_example61(config)
-        elif args.command == "conjecture":
-            text, code = conjecture_experiment(config)
-        elif args.command == "analyze":
-            path = args.path
-            if path is not None and args.points is not None:
-                raise ValueError("analyze takes a file path or --points c,n, not both")
-            if path is None and args.points is not None:
-                try:
-                    c, n = (int(v) for v in args.points.split(","))
-                except ValueError:
-                    raise ValueError(f"--points needs c,n, got {args.points!r}") from None
-                config = ExperimentConfig(**{**config.__dict__, "c": c, "n": n})
-            elif path is None:
-                raise SystemExit("analyze needs a file path or --points c,n")
-            text, code = analyze_command(config, path)
-        elif args.command == "criteria-table":
-            text, code = criteria_table(config)
-        elif args.command == "stretched-suite":
-            text, code = stretched_suite(config)
-        elif args.command == "selftest":
-            text, code = selftest(config)
-        else:  # pragma: no cover
-            raise SystemExit(f"unknown command {args.command}")
+        budget = args.budget if args.budget is not None else _env_budget()
+        if budget < 0:
+            raise ValueError(f"the step budget must be at least 0, got {budget}")
+        c, n = getattr(args, "c", None), getattr(args, "n", None)
+        if points is not None:
+            try:
+                c, n = (int(v) for v in points.split(","))
+            except ValueError:
+                raise ValueError(f"--points needs c,n, got {points!r}") from None
+        config = ExperimentConfig(
+            command=args.command,
+            c=c,
+            n=n,
+            p=args.p,
+            seed=args.seed,
+            trials=args.trials,
+            budget=budget,
+            cmax=getattr(args, "cmax", 5),
+            smax=getattr(args, "smax", 4),
+            allow_long=getattr(args, "allow_long", False),
+        )
+        text, code = run(config, path)
         sys.stdout.write(text)
-        if config.output:
-            with open(config.output, "w", encoding="utf-8") as fh:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

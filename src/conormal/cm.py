@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import comb
 
+from . import __version__
 from .field import PrimeField, derive_seed
 from .linalg import Echelon
 from .poly import PolynomialRing, random_linear_form, substitute_all
@@ -107,7 +108,7 @@ class AnalysisReport:
     trials: int
     budget: int
     source: str
-    version: str = ""
+    version: str
 
     def to_text(self) -> str:
         lines = [
@@ -163,7 +164,10 @@ def artinian_reduction(
     walk of its standard monomials gives both the length and s.  With
     `points`, whose vanishing ideal `gb` must be (ValueError otherwise),
     the forms are decided by evaluation and only the chosen basis is built,
-    by `_macaulay_basis`.  ValueError unless `trials` is at least 1.
+    by `_macaulay_basis`.  ValueError unless `trials` is at least 1;
+    RuntimeError when no form gives an Artinian quotient: with `points`
+    every form vanished at a point, without them the ideal may have
+    dimension above 1.
     """
     if trials < 1:
         raise ValueError(f"an Artinian reduction needs at least 1 trial, got {trials}")
@@ -171,7 +175,6 @@ def artinian_reduction(
         raise ValueError("the ideal is already zero-dimensional; nothing to reduce")
     ring = gb.ring
     forms = []
-    chosen = None  # (basis, length)
     if points is not None:
         # every regular form has the Hilbert function delta: length n, the
         # same socle degree, and the first of them is the chosen one
@@ -179,8 +182,13 @@ def artinian_reduction(
         for ell in _trial_forms(ring, seed, trials):
             forms.append((ell, None if _vanishes_at_a_point(ell, points) else len(delta) - 1))
         regular = [ell for ell, socle_degree in forms if socle_degree is not None]
-        if regular:
-            chosen = (_macaulay_basis(gb, regular[0], delta, budget), points.n)
+        if not regular:
+            raise RuntimeError(
+                f"no Artinian reduction found in {trials} trials: each trial form "
+                f"vanishes at one of the {points.n} points over GF({points.p}); "
+                "more trials or a larger p may find a regular one"
+            )
+        chosen = (_macaulay_basis(gb, regular[0], delta, budget), points.n)
     else:
         found = []
         for ell in _trial_forms(ring, seed, trials):
@@ -191,13 +199,12 @@ def artinian_reduction(
                 forms.append((ell, len(levels) - 1))
             else:
                 forms.append((ell, None))
-        if found:
-            chosen = min(found, key=lambda bl: bl[1])
-    if chosen is None:
-        raise RuntimeError(
-            f"no Artinian reduction found in {trials} trials; "
-            "the ideal may have dimension above 1"
-        )
+        if not found:
+            raise RuntimeError(
+                f"no Artinian reduction found in {trials} trials; "
+                "the ideal may have dimension above 1"
+            )
+        chosen = min(found, key=lambda bl: bl[1])
     return chosen + (tuple(forms),)
 
 
@@ -462,32 +469,23 @@ def _square_length(ring: PolynomialRing, gens, cap: int, budget: _Budget) -> int
 
 
 def is_cm_square(
-    gb: GroebnerBasis,
-    seed=0,
-    trials: int = DEFAULT_TRIALS,
-    budget: int = DEFAULT_STEP_BUDGET,
-    reduction=None,
+    gb: GroebnerBasis, reduction, budget: int = DEFAULT_STEP_BUDGET
 ) -> CmVerdict:
-    """Cohen-Macaulayness of R/I^2 for a one-dimensional homogeneous ideal.
+    """Cohen-Macaulayness of R/I^2 for a one-dimensional homogeneous ideal,
+    from `reduction = artinian_reduction(gb, ...)`: the multiplicity e and,
+    for each trial form l, s, the socle degree of R/(I + l), or None when
+    R/(I + l) is not Artinian.  Such a form is skipped, since R/(I^2 + l)
+    has the same radical; otherwise s caps a degree sweep in S = R/(l), as
+    m^(2s+2) lies in (I + l)^2 (s = 0 for a single point, so it is tested
+    against None).  The images of a generating subset of the basis generate
+    the image of I, and the Hilbert function of S modulo its square is one
+    rank per degree.  Equality with (c+1)*e certifies CM at once; all trials
+    strictly above give NotCM; budget exhaustion gives Inconclusive.
 
-    `reduction` is `artinian_reduction(gb, seed, trials, budget)`, computed
-    here when omitted: the multiplicity e and each trial form l with s, the
-    socle degree of R/(I + l), or None.  A form with s None (R/(I + l) not
-    Artinian) is skipped, since R/(I^2 + l) has the same radical; otherwise
-    s caps a degree sweep in S = R/(l), as m^(2s+2) lies in (I + l)^2.
-    s = 0 for a single point, so it is tested against None.  The images of
-    a generating subset of the basis generate the image of I, and the
-    Hilbert function of S modulo its square is one rank per degree.
-    Equality with (c+1)*e certifies CM at once; all trials strictly above
-    give NotCM; budget exhaustion gives Inconclusive.
-
-    The budget is a fresh cap for each Buchberger run on I + l (or, for a
-    reduction of points, for its one Macaulay basis) and for each subset or
-    sweep pass, not a total.  A step is one monomial reduction in
-    Buchberger; in a pass a row, of the sweep or of the reduced echelon
-    form of the images (`_echelon_generators`), costs one step plus one per
-    echelon row subtracted from it, so the budget bounds the sweep by its
-    work.
+    The budget is a fresh cap for the subset pass and for each sweep pass,
+    not a total: a row, of the sweep or of the reduced echelon form of the
+    images (`_echelon_generators`), costs one step plus one per echelon row
+    subtracted from it.
     """
     ring = gb.ring
     if is_zero_dimensional(gb):
@@ -496,12 +494,6 @@ def is_cm_square(
         if not g.is_homogeneous():
             raise ValueError("is_cm_square needs a homogeneous ideal")
     c = ring.nvars - 1  # height of a points ideal
-    if reduction is None:
-        try:
-            reduction = artinian_reduction(gb, seed, trials, budget)
-        except BudgetExceededError as exc:
-            detail = f"budget exhausted while computing the multiplicity: {exc}"
-            return CmVerdict("Inconclusive", None, 0, None, 0, (), detail)
     _, e, forms = reduction
     e_expected = (c + 1) * e
     lambdas = []
@@ -555,7 +547,6 @@ def analyze(
     budget: int = DEFAULT_STEP_BUDGET,
     source: str = "",
     points: PointSet = None,
-    version: str = "",
 ) -> AnalysisReport:
     """Full report: invariants of the Artinian reduction, quadric count,
     CM verdict for the square, and every applicable closed-form criterion,
@@ -589,7 +580,7 @@ def analyze(
             f"Hilbert function {report.hf} of the reduction disagrees with "
             f"{delta}, the first difference of that of the {points.n} points"
         )
-    cm = None if reduction is None else is_cm_square(gb, seed, trials, budget, reduction=reduction)
+    cm = None if reduction is None else is_cm_square(gb, reduction, budget)
     q = None
     if all(g.is_homogeneous() for g in art_gb.elements):
         q = _quadric_generator_count(art_gb, report)
@@ -634,7 +625,7 @@ def analyze(
         trials=trials,
         budget=budget,
         source=source,
-        version=version,
+        version=__version__,
     )
 
 

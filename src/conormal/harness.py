@@ -3,6 +3,10 @@
 Every experiment takes an ExperimentConfig and returns (report text, exit
 code); a config plus the package version determines every output byte.
 Exit codes follow the CM verdict: 0 CM-consistent, 1 NotCM, 2 Inconclusive.
+`run` dispatches a verb by name and turns an exhausted step budget, in any
+verb, into an Inconclusive report: the config echo and the reason.  The
+analysing verbs share one route, `_analysis`: a basis (Buchberger on an
+ideal, or the vanishing ideal of general points), then `cm.analyze`.
 """
 
 import functools
@@ -26,7 +30,7 @@ from .groebner import (
 )
 from .invariants import classify, length
 from .points import general_points, vanishing_ideal
-from .cm import analyze, eight_quadrics_square_gap
+from .cm import DEFAULT_TRIALS, analyze, eight_quadrics_square_gap
 from .io import parse_ideal_file
 from . import criteria as crit
 from .constructions import (
@@ -52,12 +56,11 @@ class ExperimentConfig:
     n: int = None
     p: int = DEFAULT_PRIME
     seed: int = 0
-    trials: int = 5
+    trials: int = DEFAULT_TRIALS
     budget: int = DEFAULT_STEP_BUDGET
     cmax: int = 5
     smax: int = 4
     allow_long: bool = False
-    output: str = None
 
     def echo_lines(self):
         lines = [f"command: {self.command}", f"version: {__version__}"]
@@ -72,21 +75,34 @@ def _report_text(config: ExperimentConfig, body_lines) -> str:
     return "\n".join(config.echo_lines() + list(body_lines)) + "\n"
 
 
+def _analysis(config: ExperimentConfig, ideal=None, source="", n=None):
+    """`analyze` of the Buchberger basis of `ideal`, named by `source`, or
+    else of the vanishing ideal of n certified-general points in P^config.c,
+    with the points; returns (report, redraws of the points)."""
+    ps, redraws = None, 0
+    if ideal is not None:
+        gb = buchberger(ideal, budget=config.budget)
+    else:
+        ps, redraws = general_points(
+            config.c, n, config.p, config.seed, max_redraws=10, budget=config.budget
+        )
+        gb = vanishing_ideal(ps, budget=config.budget)
+        source = f"{n} general points in P^{config.c} over GF({config.p})"
+    report = analyze(
+        gb, seed=config.seed, trials=config.trials, budget=config.budget,
+        source=source, points=ps,
+    )
+    return report, redraws
+
+
 def verify_example61(config: ExperimentConfig):
     """Build the frozen benchmark ideal and assert its five published facts."""
     if config.p != EXAMPLE61_PRIME:
         raise ValueError(
             f"the benchmark ideal is defined over GF({EXAMPLE61_PRIME}); --p cannot change it"
         )
-    ideal = example61_ideal()
-    gb = buchberger(ideal, budget=config.budget)
-    report = analyze(
-        gb,
-        seed=config.seed,
-        trials=config.trials,
-        budget=config.budget,
-        source="builtin benchmark: 10 general points in P^5",
-        version=__version__,
+    report, _ = _analysis(
+        config, example61_ideal(), "builtin benchmark: 10 general points in P^5"
     )
     inv = report.invariants
     cm = report.cm_square
@@ -120,23 +136,7 @@ def conjecture_experiment(config: ExperimentConfig):
             f"c={c} is a long run; pass --allow-long (and consider a larger budget)"
         )
     n = config.n if config.n is not None else crit.conjectured_counterexample_points(c)
-    try:
-        ps, redraws = general_points(
-            c, n, config.p, config.seed, max_redraws=10, budget=config.budget
-        )
-        gb = vanishing_ideal(ps, budget=config.budget)
-        report = analyze(
-            gb,
-            seed=config.seed,
-            trials=config.trials,
-            budget=config.budget,
-            source=f"{n} general points in P^{c} over GF({config.p})",
-            points=ps,
-            version=__version__,
-        )
-    except BudgetExceededError as exc:
-        body = [f"inconclusive: {exc}"]
-        return _report_text(config, body), EXIT_INCONCLUSIVE
+    report, redraws = _analysis(config, n=n)
     counterexample = (
         report.cm_square is not None
         and report.cm_square.status == "CM"
@@ -152,34 +152,16 @@ def conjecture_experiment(config: ExperimentConfig):
 
 
 def analyze_command(config: ExperimentConfig, path: str = None):
-    """Analyze an ideal file, or a certified-general random point set."""
+    """Analyze an ideal file, or n certified-general points in P^c given
+    as config.c and config.n."""
+    if path is not None and (config.c is not None or config.n is not None):
+        raise ValueError("analyze takes a file path or --points c,n, not both")
     if path is not None:
-        ideal = parse_ideal_file(path)
-        source = str(path)
+        report, _ = _analysis(config, parse_ideal_file(path), str(path))
+    elif config.c is None or config.n is None:
+        raise ValueError("analyze needs a file path or --points c,n")
     else:
-        if config.c is None or config.n is None:
-            raise ValueError("analyze needs a file path or --points c,n")
-        source = f"{config.n} general points in P^{config.c} over GF({config.p})"
-    ps = None
-    try:
-        if path is not None:
-            gb = buchberger(ideal, budget=config.budget)
-        else:
-            ps, _ = general_points(
-                config.c, config.n, config.p, config.seed, max_redraws=10, budget=config.budget
-            )
-            gb = vanishing_ideal(ps, budget=config.budget)
-        report = analyze(
-            gb,
-            seed=config.seed,
-            trials=config.trials,
-            budget=config.budget,
-            source=source,
-            points=ps,
-            version=__version__,
-        )
-    except BudgetExceededError as exc:
-        return _report_text(config, [f"inconclusive: {exc}"]), EXIT_INCONCLUSIVE
+        report, _ = _analysis(config, n=config.n)
     code = EXIT_OK if report.cm_square is None else report.cm_square.exit_code
     return _report_text(config, [report.to_text()]), code
 
@@ -357,3 +339,27 @@ def selftest(config: ExperimentConfig):
 
     body.append(f"selftest: {'ok' if ok else 'FAILED'}")
     return _report_text(config, body), (EXIT_OK if ok else EXIT_NOT_CM)
+
+
+# The verbs by name.  `run` calls what is bound to the verb function's name
+# when it runs, so that a wrapper bound there (a tracer, a test's stub) is
+# the one called.
+_VERBS = {
+    "verify-example61": verify_example61,
+    "conjecture": conjecture_experiment,
+    "analyze": analyze_command,
+    "criteria-table": criteria_table,
+    "stretched-suite": stretched_suite,
+    "selftest": selftest,
+}
+
+
+def run(config: ExperimentConfig, path: str = None):
+    """Run the verb `config.command` (`path` is the file of `analyze`) and
+    return (report text, exit code).  An exhausted step budget, anywhere in
+    any verb, gives the config echo and `inconclusive: <reason>`, exit 2."""
+    verb = globals()[_VERBS[config.command].__name__]
+    try:
+        return verb(config) if path is None else verb(config, path)
+    except BudgetExceededError as exc:
+        return _report_text(config, [f"inconclusive: {exc}"]), EXIT_INCONCLUSIVE

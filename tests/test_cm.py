@@ -67,7 +67,7 @@ def test_single_point_square_is_cm():
     for c in (2, 3, 4):
         ps = make_point_set(c, 31991, [tuple([1] + [0] * c)])
         gb = vanishing_ideal(ps)
-        verdict = is_cm_square(gb, seed=5)
+        verdict = is_cm_square(gb, artinian_reduction(gb, 5))
         assert verdict.status == "CM"
         assert verdict.lambda_min == c + 1 == verdict.e_expected
         assert all(lam == c + 1 for lam in verdict.lambdas)
@@ -75,7 +75,7 @@ def test_single_point_square_is_cm():
 
 def test_benchmark_square_is_cm():
     gb = buchberger(example61_ideal())
-    verdict = is_cm_square(gb, seed=0)
+    verdict = is_cm_square(gb, artinian_reduction(gb, 0))
     assert verdict.status == "CM"
     assert verdict.lambda_min == 60 == verdict.e_expected
     assert verdict.witness is not None
@@ -84,7 +84,7 @@ def test_benchmark_square_is_cm():
 def test_nine_points_in_p5_not_cm():
     ps, _ = general_points(5, 9, 31991, seed=3)
     gb = vanishing_ideal(ps)
-    verdict = is_cm_square(gb, seed=3, trials=3)
+    verdict = is_cm_square(gb, artinian_reduction(gb, 3, 3))
     assert verdict.status == "NotCM"
     assert verdict.lambda_min > verdict.e_expected == 54
     assert len(verdict.lambdas) == 3
@@ -92,15 +92,15 @@ def test_nine_points_in_p5_not_cm():
 
 def test_budget_exhaustion_is_inconclusive():
     gb = buchberger(example61_ideal())
-    verdict = is_cm_square(gb, seed=0, budget=100)
+    verdict = is_cm_square(gb, artinian_reduction(gb, 0), budget=100)
     assert verdict.status == "Inconclusive"
     assert verdict.detail
 
 
 def test_verdict_determinism():
     gb = buchberger(example61_ideal())
-    v1 = is_cm_square(gb, seed=42)
-    v2 = is_cm_square(gb, seed=42)
+    v1 = is_cm_square(gb, artinian_reduction(gb, 42))
+    v2 = is_cm_square(gb, artinian_reduction(gb, 42))
     assert (v1.status, v1.lambda_min, v1.lambdas, str(v1.witness)) == (
         v2.status, v2.lambda_min, v2.lambdas, str(v2.witness)
     )
@@ -223,9 +223,15 @@ def test_square_verdict_reuses_a_given_reduction():
     gb = vanishing_ideal(ps)
     reduction = artinian_reduction(gb, 4, 3, 10**6)
     assert [basis is not None for _, basis in reduction[2]] == [True] * 3
-    assert is_cm_square(gb, reduction=reduction) == is_cm_square(gb, 4, 3, 10**6)
+    # the verdict runs over the forms it is given, and no others
+    basis, e, forms = reduction
+    verdict = is_cm_square(gb, reduction)
+    assert verdict.status == "NotCM" and verdict.e_expected == 6 * e and verdict.trials == 3
+    assert is_cm_square(gb, (basis, e, forms[:1])).trials == 1
     gb61 = buchberger(example61_ideal())
-    assert is_cm_square(gb61, reduction=artinian_reduction(gb61, 0)) == is_cm_square(gb61, 0)
+    reduction61 = artinian_reduction(gb61, 0)
+    verdict61 = is_cm_square(gb61, reduction61)
+    assert verdict61.witness == reduction61[2][verdict61.trials - 1][0]
 
 
 def test_analysis_of_a_points_basis_runs_buchberger_only_for_the_trials(monkeypatch):
@@ -272,6 +278,23 @@ def test_points_reduction_of_a_degenerate_set_of_forms_raises(monkeypatch):
     for points in (ps, None):
         with pytest.raises(RuntimeError, match="no Artinian reduction"):
             artinian_reduction(gb, 0, 2, points=points)
+
+
+def test_points_reduction_over_a_small_field_blames_the_forms_not_the_dimension():
+    # over GF(3) a form misses all of 10 points with probability (2/3)^10:
+    # every trial form vanishes at one of them, although the ideal of the
+    # points is one-dimensional; the Buchberger route cannot tell the two
+    # apart and keeps its guess
+    ps, _ = general_points(5, 10, 3, seed=0)
+    gb = vanishing_ideal(ps)
+    with pytest.raises(RuntimeError) as err:
+        artinian_reduction(gb, 0, points=ps)
+    assert str(err.value) == (
+        "no Artinian reduction found in 5 trials: each trial form vanishes at "
+        "one of the 10 points over GF(3); more trials or a larger p may find a regular one"
+    )
+    with pytest.raises(RuntimeError, match="dimension above 1"):
+        artinian_reduction(gb, 0)
 
 
 def test_analysis_of_an_artinian_input_runs_no_buchberger(monkeypatch, ring_xyz):

@@ -308,3 +308,57 @@ def test_report_bytes_are_pinned(argv, code, sha256, monkeypatch, capsys):
     assert main(argv + ["--seed", "0"]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["verify-example61"], 100),
+        (["stretched-suite"], 50),
+        (["analyze", "EXAMPLE61"], 100),
+        (["conjecture", "--c", "5", "--seed", "1"], 60),
+        (["conjecture", "--c", "5"], 0),
+        (["analyze", "--points", "2,500"], 1000),
+    ],
+)
+def test_an_exhausted_budget_exits_2_in_every_verb(argv, budget, tmp_path, monkeypatch, capsys):
+    # wherever the budget runs out, the report is the config echo and the
+    # reason, and the exit code is 2 (Inconclusive)
+    monkeypatch.delenv("CONORMAL_STEP_BUDGET", raising=False)
+    path = tmp_path / "bench.txt"
+    path.write_text(EXAMPLE61_FILE)
+    argv = [str(path) if a == "EXAMPLE61" else a for a in argv]
+    assert main(argv + ["--budget", str(budget)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == f"command: {argv[0]}" and f"budget: {budget}" in lines
+    assert lines[-1] == f"inconclusive: reduction step budget of {budget} exceeded"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [(["conjecture", "--c", "5", "--budget", "-1"], None), (["selftest"], "-1")],
+)
+def test_cli_rejects_a_negative_budget(argv, env, monkeypatch, capsys):
+    # from the flag or from the environment: an input error, not an
+    # Inconclusive verdict
+    if env is None:
+        monkeypatch.delenv("CONORMAL_STEP_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("CONORMAL_STEP_BUDGET", env)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the step budget must be at least 0, got -1\n"
+
+
+def test_run_calls_the_verb_bound_to_its_name(monkeypatch):
+    # a wrapper bound to a verb's name in the harness (as the benchmark's
+    # tracer binds one) is what `run` calls
+    import conormal.harness as harness
+
+    calls = []
+    monkeypatch.setattr(harness, "conjecture_experiment", lambda config: calls.append(config) or ("", 0))
+    config = ExperimentConfig(command="conjecture", c=5)
+    assert harness.run(config) == ("", 0) and calls == [config]

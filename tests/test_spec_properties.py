@@ -68,14 +68,14 @@ def test_square_multiplicity_law_on_a_non_cm_example():
     # Hilbert function of the square of the 9-points ideal stabilizes at
     # 54 = 6*9, strictly below every Artinian reduction length (>= 56)
     from conormal import ideal_square
-    from conormal.cm import is_cm_square
+    from conormal.cm import artinian_reduction, is_cm_square
     from conftest import count_standard_of_degree
 
     ps, _ = general_points(5, 9, 31991, seed=3)
     gb = vanishing_ideal(ps)
     sq_gb = buchberger(ideal_square(gb.as_ideal()))
     assert [count_standard_of_degree(sq_gb, d) for d in (8, 10, 12)] == [54, 54, 54]
-    verdict = is_cm_square(gb, seed=3, trials=3)
+    verdict = is_cm_square(gb, artinian_reduction(gb, 3, 3))
     assert verdict.status == "NotCM" and verdict.lambda_min >= 56
 
 

@@ -89,7 +89,7 @@ def oracle_verdict(gb, seed, trials, e):
 
 
 def assert_same_verdict(gb, seed, trials, e):
-    got = is_cm_square(gb, seed=seed, trials=trials)
+    got = is_cm_square(gb, artinian_reduction(gb, seed, trials))
     want = oracle_verdict(gb, seed, trials, e)
     assert (got.status, got.trials, got.lambda_min, got.lambdas, got.detail) == (
         want.status, want.trials, want.lambda_min, want.lambdas, want.detail
@@ -231,7 +231,7 @@ def test_budget_exhausted_inside_the_sweep():
     budget = 10
     buchberger(Ideal(gb.ring, list(gb.elements) + [ell]), budget=budget)
     _generating_subset(gb, _Budget(budget))
-    verdict = is_cm_square(gb, seed=3, budget=budget)
+    verdict = is_cm_square(gb, artinian_reduction(gb, 3, budget=budget), budget)
     assert verdict.status == "Inconclusive"
     assert verdict.detail == f"reduction step budget of {budget} exceeded"
     assert verdict.trials == 1 and verdict.lambdas == ()
@@ -250,11 +250,11 @@ def test_passes_are_charged_by_their_row_updates():
         _generating_subset(gb, _Budget(58))
     reduction = artinian_reduction(gb, 0)
     for budget in (81, 90):
-        verdict = is_cm_square(gb, seed=0, budget=budget, reduction=reduction)
+        verdict = is_cm_square(gb, reduction, budget)
         assert verdict.status == "Inconclusive"
         assert verdict.detail == f"reduction step budget of {budget} exceeded"
         assert verdict.trials == 1 and verdict.lambdas == ()
-    assert is_cm_square(gb, seed=0, budget=91, reduction=reduction).status == "NotCM"
+    assert is_cm_square(gb, reduction, 91).status == "NotCM"
 
 
 def test_macaulay_basis_is_charged_by_its_row_updates():
@@ -341,7 +341,7 @@ def test_sweep_past_the_cap_is_an_internal_error():
 def test_random_point_sets_give_the_same_lengths(c, extra, seed):
     ps, _ = general_points(c, c + 1 + extra, P, seed)
     gb = vanishing_ideal(ps)
-    got = is_cm_square(gb, seed=seed, trials=2)
+    got = is_cm_square(gb, artinian_reduction(gb, seed, 2))
     want = oracle_verdict(gb, seed, 2, ps.n)
     assert got.lambdas == want.lambdas
 

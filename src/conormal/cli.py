@@ -26,7 +26,7 @@ def _env_budget():
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"CONORMAL_STEP_BUDGET={raw!r} is not an integer")
+        raise ValueError(f"CONORMAL_STEP_BUDGET={raw!r} is not an integer") from None
 
 
 def _add_common(sub):
@@ -77,9 +77,9 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     path, points = getattr(args, "path", None), getattr(args, "points", None)
-    if args.command == "analyze" and path is None and points is None:
-        raise SystemExit("analyze needs a file path or --points c,n")
     try:
+        if args.command == "analyze" and path is None and points is None:
+            raise ValueError("analyze needs a file path or --points c,n")
         budget = args.budget if args.budget is not None else _env_budget()
         if budget < 0:
             raise ValueError(f"the step budget must be at least 0, got {budget}")

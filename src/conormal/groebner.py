@@ -124,34 +124,37 @@ def _tail_rise(f: Polynomial):
 
 
 class _LtIndex:
-    """Reducers ordered by leading-term degree for divisor lookup."""
+    """Monic reducers for divisor lookup, keyed by their distinct leading
+    terms, which are kept in ascending packed order."""
 
-    __slots__ = ("ring", "entries", "guard", "shift")
+    __slots__ = ("lts", "reducers", "guard")
 
     def __init__(self, ring):
-        self.ring = ring
-        # (lt degree, lt packed, tail [(mono, coeff)...], tail rise above the lt
-        # degree or 0), monic
-        self.entries = []
+        self.lts = []
+        # lt packed -> (lt, tail [(mono, coeff)...], tail rise above the lt
+        # degree or 0)
+        self.reducers = {}
         self.guard = ring._guard
-        self.shift = ring._deg_shift
 
     def add(self, f: Polynomial):
         lt = f.terms[0][1]
+        if lt in self.reducers:
+            raise ValueError("a reducer with this leading term is already indexed")
         tail = tuple((m, c) for _, m, c in f.terms[1:])
-        rise = max(_tail_rise(f), 0)
-        insort(self.entries, (lt >> self.shift, lt, tail, rise))
+        self.reducers[lt] = (lt, tail, max(_tail_rise(f), 0))
+        insort(self.lts, lt)
 
     def find(self, m: int):
-        """(lt, tail, rise) of the first reducer whose leading term divides m."""
+        """(lt, tail, rise) of the first reducer, in ascending packed order,
+        whose leading term divides m.  A divisor of m is no larger than m in
+        every field, the degree included, so the scan stops past m."""
         g = self.guard
         mg = m | g
-        mdeg = m >> self.shift
-        for deg, lt, tail, rise in self.entries:
-            if deg > mdeg:
+        for lt in self.lts:
+            if lt > m:
                 return None
             if (mg - lt) & g == g:
-                return lt, tail, rise
+                return self.reducers[lt]
         return None
 
 
@@ -411,7 +414,16 @@ def buchberger(
         G.append((h, lt_h, h_mono))
         index.add(h)
 
-    for h in basis:
+    # the leading run of monomials enters with no pair work: a pair of two
+    # monomials has a zero S-polynomial, so update would push none.  The run
+    # can be the whole basis: interreduction can leave only monomials.
+    k = 0
+    while k < len(basis) and basis[k].is_monomial():
+        h = basis[k]
+        G.append((h, h.terms[0][1], True))
+        index.add(h)
+        k += 1
+    for h in basis[k:]:
         update(h)
 
     while pairs:
@@ -491,11 +503,14 @@ def _standard_successors(ring, index: _LtIndex, level):
     units = [(1 << (8 * j)) + step for j in range(ring.nvars)]
     find = index.find
     nxt = {}
+    seen = set()  # each distinct candidate is looked up once
     for m in level:
         for j, u in enumerate(units):
             mm = m + u
-            if mm not in nxt and find(mm) is None:
-                nxt[mm] = (m, j)
+            if mm not in seen:
+                seen.add(mm)
+                if find(mm) is None:
+                    nxt[mm] = (m, j)
     return nxt
 
 

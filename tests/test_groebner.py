@@ -21,7 +21,12 @@ from conormal import (
     verify_groebner,
 )
 from conormal.constructions import StretchedSpec, example61_ideal, ideal_L, stretched_ideal
-from conormal.groebner import GroebnerBasis, standard_monomials_packed
+from conormal.groebner import (
+    GroebnerBasis,
+    _LtIndex,
+    _standard_successors,
+    standard_monomials_packed,
+)
 from conormal.invariants import length
 
 from conftest import monomial_quotient_standard
@@ -466,3 +471,100 @@ def test_monomial_ideal_basis_is_its_minimal_monic_generators():
         assert set(gb.leading_monomials()) == minimal
         assert all(g.is_monomial() and g.terms[0][2] == 1 for g in gb.elements)
         assert verify_groebner(gb)
+
+
+def _random_exponents(rng, nvars, top=120):
+    """A random exponent vector of total degree at most `top`."""
+    d = rng.randrange(top + 1)
+    cuts = sorted(rng.randrange(d + 1) for _ in range(nvars - 1))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    nvars=st.integers(min_value=1, max_value=4),
+    order=st.sampled_from([DEGREVLEX, DEGLEX, LEX]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_lt_index_find_is_the_first_divisor_in_ascending_packed_order(nvars, order, seed):
+    rng = random.Random(seed)
+    ring = PolynomialRing(PrimeField(31991), [f"x{i}" for i in range(nvars)], order)
+    index = _LtIndex(ring)
+    reducers = {}
+    for _ in range(rng.randrange(1, 12)):
+        terms = {_random_exponents(rng, nvars): rng.randrange(1, 31991) for _ in range(rng.randrange(1, 4))}
+        f = ring.poly(terms).monic()
+        if f.is_zero() or f.terms[0][1] == 0 or f.terms[0][1] in reducers:
+            continue
+        index.add(f)
+        tail = tuple((m, c) for _, m, c in f.terms[1:])
+        rise = 0
+        if tail:
+            rise = max(0, max(ring.mono_deg(m) for m, _ in tail) - ring.mono_deg(f.terms[0][1]))
+        reducers[f.terms[0][1]] = (f.terms[0][1], tail, rise)
+    if not reducers:
+        return
+    lowest = min(ring.mono_deg(lt) for lt in reducers)
+    below = ring.pack(_random_exponents(rng, nvars, lowest - 1)) if lowest else None
+    queries = [0, below] + [ring.pack(_random_exponents(rng, nvars)) for _ in range(30)]
+    # multiples of the leading terms, so that most queries have a divisor
+    for lt in reducers:
+        e = [a + b for a, b in zip(ring.unpack(lt), _random_exponents(rng, nvars, 10))]
+        if sum(e) <= 120:
+            queries.append(ring.pack(e))
+    for m in queries:
+        if m is None:
+            continue
+        expected = next((reducers[lt] for lt in sorted(reducers) if ring.mono_divides(lt, m)), None)
+        assert index.find(m) == expected
+    if below is not None:
+        assert index.find(below) is None
+    assert index.find(0) is None
+
+
+def test_lt_index_rejects_a_second_reducer_with_the_same_leading_term(ring_xy):
+    x, y = ring_xy.gens()
+    index = _LtIndex(ring_xy)
+    index.add(x ** 2 + y)
+    with pytest.raises(ValueError):
+        index.add(x ** 2 + 2 * y)
+
+
+def test_pair_work_of_a_stretched_square_is_pinned(monkeypatch):
+    # the leading run of monomials of the interreduced basis enters with no
+    # lcm formed; 4,475 lcms when each of its elements ran the pair update
+    ring = PolynomialRing(PrimeField(31991), [f"x{i + 1}" for i in range(5)])
+    square = ideal_square(stretched_ideal(StretchedSpec(5, 2, 0), ring))
+    calls = []
+    mono_lcm = PolynomialRing.mono_lcm
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return mono_lcm(self, a, b)
+
+    monkeypatch.setattr(PolynomialRing, "mono_lcm", counted)
+    gb = buchberger(square)
+    assert len(calls) == 2060
+    assert len(gb) == 70
+
+
+def test_standard_successors_look_up_each_distinct_candidate_once(monkeypatch):
+    ring = PolynomialRing(PrimeField(31991), [f"x{i + 1}" for i in range(4)])
+    gb = buchberger(stretched_ideal(StretchedSpec(4, 3, 1), ring))
+    index = gb.index()
+    level = standard_monomials_packed(gb)[1]
+    queried = []
+    find = _LtIndex.find
+
+    def counted(self, m):
+        queried.append(m)
+        return find(self, m)
+
+    monkeypatch.setattr(_LtIndex, "find", counted)
+    successors = _standard_successors(ring, index, level)
+    candidates = {
+        ring.pack([a + (i == j) for i, a in enumerate(ring.unpack(m))]) for m in level for j in range(4)
+    }
+    assert len(level) > 1 and len(candidates) < 4 * len(level)
+    assert sorted(queried) == sorted(candidates)
+    assert set(successors) == {m for m in candidates if find(index, m) is None}

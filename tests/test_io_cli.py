@@ -136,8 +136,10 @@ def test_cli_analyze_points_skips_buchberger_on_the_points_basis(monkeypatch, ca
 
 
 def test_cli_analyze_needs_input(capsys):
-    with pytest.raises(SystemExit):
-        main(["analyze"])
+    assert main(["analyze"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: analyze needs a file path or --points c,n\n"
 
 
 def test_cli_analyze_takes_a_file_or_points_not_both(tmp_path, capsys):
@@ -213,9 +215,12 @@ def test_cli_env_budget(monkeypatch, capsys):
     monkeypatch.setenv("CONORMAL_STEP_BUDGET", "250")
     code = main(["verify-example61"])
     assert code in (1, 2)  # cannot finish inside 250 steps
+    capsys.readouterr()
     monkeypatch.setenv("CONORMAL_STEP_BUDGET", "bogus")
-    with pytest.raises(SystemExit):
-        main(["selftest"])
+    assert main(["selftest"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: CONORMAL_STEP_BUDGET='bogus' is not an integer\n"
 
 
 def test_reports_are_reproducible():

@@ -31,7 +31,7 @@ def _env_budget():
 
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help=f"random linear forms per verdict (default {DEFAULT_TRIALS})")
+    sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help=f"most random linear forms drawn to find a parameter (default {DEFAULT_TRIALS})")
     sub.add_argument("--budget", type=int, default=None, help="reduction step budget")
     sub.add_argument("--p", type=int, default=DEFAULT_PRIME, help=f"field characteristic (default {DEFAULT_PRIME})")
     sub.add_argument("--output", help="also write the report to this path")

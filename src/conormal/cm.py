@@ -1,29 +1,30 @@
-"""Artinian reductions by random linear forms, whose smallest length is the
-multiplicity, and the Cohen-Macaulayness verdict for the square of a points
-ideal.
+"""Artinian reductions by a seeded parameter form, and the
+Cohen-Macaulayness verdict for the square of a points ideal.
 
-The verdict logic: for a one-dimensional generically-complete-intersection
-ideal, the multiplicity of the square is (c+1) times that of the ideal, and
-the length of any Artinian reduction of the square is at least that number,
-with equality exactly when some linear form is regular on the quotient.
-A trial form achieving equality therefore certifies CM; consistently larger
-lengths over all trials give a probabilistic NotCM.
+The verdict logic: let I be a one-dimensional ideal with R/I Cohen-Macaulay
+and I generically a complete intersection of height c (a points ideal is
+both), M = R/I^2, and l a linear form with R/(I + l) Artinian.  Summing the
+graded sequence 0 -> (0 :_M l)(-1) -> M(-1) -> M -> M/lM -> 0 over all
+degrees gives length(R/(I^2 + l)) = (c+1)e + length(0 :_M l), e the
+multiplicity of R/I, and 0 :_M l is nonzero exactly when M is not CM.  So
+the first such form decides: a length equal to (c+1)e certifies CM, a
+larger one certifies NotCM.
 
-One set of seeded trial forms serves the whole analysis.  The reduction
-decides for each form whether R/(I + l) is Artinian and, if so, its socle
-degree s; the verdict needs only those, and the invariants are read off one
-Artinian basis, the first with the smallest length, as it stands.  Given a
-basis alone, the reduction runs Buchberger once on I + l per form.  Given
-the points whose ideal it is, it runs no Buchberger: l is regular iff it
-vanishes at none of the n points (Abbott, Bigatti, Kreuzer and Robbiano,
-"Computing ideals of points", 2000), and then HF(R/(I + l)) is the first
-difference of HF(R/I), which the Buchberger-Moller pass already has; so
-e = n, s is the last degree where that difference is positive, and the
-chosen basis of I + l comes from reduced Macaulay matrices.
+One seeded form serves the whole analysis.  The reduction draws forms until
+one gives an Artinian quotient R/(I + l), and keeps its basis, its length e
+and its socle degree s; the verdict needs only l, e and s, and the
+invariants are read off that basis as it stands.  Given a basis alone, a
+draw costs one Buchberger run on I + l.  Given the points whose ideal it
+is, the reduction runs no Buchberger: l is a parameter iff it vanishes at
+none of the n points (Abbott, Bigatti, Kreuzer and Robbiano, "Computing
+ideals of points", 2000), and then HF(R/(I + l)) is the first difference of
+HF(R/I), which the Buchberger-Moller pass already has; so e = n, s is the
+last degree where that difference is positive, and the basis of I + l
+comes from reduced Macaulay matrices.
 
-Each trial length comes from a degree sweep of graded Macaulay matrices
-(Lazard 1983): substituting the trial form away leaves a polynomial ring S
-in one variable fewer, and in each degree d the square of the image ideal
+The length of R/(I^2 + l) comes from a degree sweep of graded Macaulay
+matrices (Lazard 1983): substituting the form away leaves a polynomial ring
+S in one variable fewer, and in each degree d the square of the image ideal
 spans the variables times its degree d-1 part plus the products of two
 generators of degree d.  The generators are first put in reduced echelon
 form degree by degree, as F4 does before it multiplies (Faugere 1999):
@@ -74,10 +75,9 @@ class CriteriaAgreementError(RuntimeError):
 class CmVerdict:
     status: str  # CM | NotCM | Inconclusive
     witness: object  # the certifying linear form when CM
-    trials: int
-    lambda_min: object  # smallest observed reduction length, None if no trial finished
+    trials: int  # forms drawn to find the parameter form
+    lambda_min: object  # length of R/(I^2 + l), None if its sweep did not finish
     e_expected: int
-    lambdas: tuple = ()
     detail: str = ""
 
     def __post_init__(self):
@@ -88,7 +88,7 @@ class CmVerdict:
         if self.status == "NotCM" and not (
             self.lambda_min is not None and self.lambda_min > self.e_expected
         ):
-            raise ValueError("NotCM verdict needs every trial above the target")
+            raise ValueError("NotCM verdict needs a length above the target")
 
     @property
     def exit_code(self) -> int:
@@ -140,9 +140,20 @@ class AnalysisReport:
 
 
 def _trial_forms(ring, seed, trials):
-    return [
+    return (
         random_linear_form(ring, derive_seed(seed, "square", t)) for t in range(trials)
-    ]
+    )
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """R/(I + l) for the parameter form l that `artinian_reduction` drew."""
+
+    basis: GroebnerBasis  # reduced basis of I + l
+    length: int  # of R/(I + l), which is e(R/I) when R/I is CM
+    form: object  # l
+    socle_degree: int  # the top degree s of R/(I + l)
+    drawn: int  # forms drawn, l the last of them
 
 
 def artinian_reduction(
@@ -151,61 +162,50 @@ def artinian_reduction(
     trials: int = DEFAULT_TRIALS,
     budget: int = DEFAULT_STEP_BUDGET,
     points: PointSet = None,
-):
-    """Quotient by the best of `trials` random linear forms.
+) -> Reduction:
+    """Quotient by the first seeded linear form l, of at most `trials`
+    drawn, for which R/(I + l) is Artinian.  For a one-dimensional
+    Cohen-Macaulay quotient its length is the multiplicity, whichever such
+    form is drawn.
 
-    Returns (basis of I + l, length, forms) for the first form l with the
-    smallest length; for a one-dimensional Cohen-Macaulay quotient that
-    minimum is the multiplicity, achieved by any regular form.  `forms`
-    lists (l, socle degree of R/(I + l), or None when R/(I + l) is not
-    Artinian) for every trial form in order; `is_cm_square` reuses it.
-
-    Without `points` each form costs one Buchberger run on I + l, and one
-    walk of its standard monomials gives both the length and s.  With
-    `points`, whose vanishing ideal `gb` must be (ValueError otherwise),
-    the forms are decided by evaluation and only the chosen basis is built,
-    by `_macaulay_basis`.  ValueError unless `trials` is at least 1;
-    RuntimeError when no form gives an Artinian quotient: with `points`
-    every form vanished at a point, without them the ideal may have
-    dimension above 1.
+    Without `points` each draw costs one Buchberger run on I + l, and one
+    walk of the standard monomials of the first zero-dimensional one gives
+    both the length and s.  With `points`, whose vanishing ideal `gb` must
+    be (ValueError otherwise), a draw is a parameter iff it vanishes at
+    none of the points, and only its basis is built, by `_macaulay_basis`.
+    ValueError unless `trials` is at least 1; RuntimeError when no draw
+    gives an Artinian quotient: with `points` every form vanished at a
+    point, without them the ideal may have dimension above 1.
     """
     if trials < 1:
         raise ValueError(f"an Artinian reduction needs at least 1 trial, got {trials}")
     if is_zero_dimensional(gb):
         raise ValueError("the ideal is already zero-dimensional; nothing to reduce")
     ring = gb.ring
-    forms = []
+    forms = enumerate(_trial_forms(ring, seed, trials), 1)
+    tried = f"{trials} form{'s' * (trials != 1)} drawn"
     if points is not None:
-        # every regular form has the Hilbert function delta: length n, the
-        # same socle degree, and the first of them is the chosen one
         delta = _points_hf_difference(gb, points, budget)
-        for ell in _trial_forms(ring, seed, trials):
-            forms.append((ell, None if _vanishes_at_a_point(ell, points) else len(delta) - 1))
-        regular = [ell for ell, socle_degree in forms if socle_degree is not None]
-        if not regular:
-            raise RuntimeError(
-                f"no Artinian reduction found in {trials} trials: each trial form "
-                f"vanishes at one of the {points.n} points over GF({points.p}); "
-                "more trials or a larger p may find a regular one"
+        for drawn, ell in forms:
+            if not _vanishes_at_a_point(ell, points):
+                basis = _macaulay_basis(gb, ell, delta, budget)
+                return Reduction(basis, points.n, ell, len(delta) - 1, drawn)
+        raise RuntimeError(
+            f"no Artinian reduction in {tried}: each form vanishes at "
+            f"one of the {points.n} points over GF({points.p}); a larger "
+            "--trials or p may draw one that misses them all"
+        )
+    for drawn, ell in forms:
+        cand = buchberger(Ideal(ring, list(gb.elements) + [ell]), budget=budget)
+        if is_zero_dimensional(cand):
+            levels = standard_monomials_packed(cand)
+            return Reduction(
+                cand, sum(len(level) for level in levels), ell, len(levels) - 1, drawn
             )
-        chosen = (_macaulay_basis(gb, regular[0], delta, budget), points.n)
-    else:
-        found = []
-        for ell in _trial_forms(ring, seed, trials):
-            cand = buchberger(Ideal(ring, list(gb.elements) + [ell]), budget=budget)
-            if is_zero_dimensional(cand):
-                levels = standard_monomials_packed(cand)
-                found.append((cand, sum(len(level) for level in levels)))
-                forms.append((ell, len(levels) - 1))
-            else:
-                forms.append((ell, None))
-        if not found:
-            raise RuntimeError(
-                f"no Artinian reduction found in {trials} trials; "
-                "the ideal may have dimension above 1"
-            )
-        chosen = min(found, key=lambda bl: bl[1])
-    return chosen + (tuple(forms),)
+    raise RuntimeError(
+        f"no Artinian reduction in {tried}; "
+        "the ideal may have dimension above 1"
+    )
 
 
 def _points_hf_difference(gb: GroebnerBasis, ps: PointSet, budget: int) -> tuple:
@@ -271,9 +271,9 @@ def _degree_table(ring: PolynomialRing, d: int):
 
     The map of variable x lists pos[x*m] for the monomials m of degree
     d - 1 in their order.  Packed monomials and their order depend only on
-    the number of variables and the kind of order, so the trial rings of
-    one analysis, all of one shape, share the tables, and so does every
-    later analysis in the process; callers must not change `pos`.
+    the number of variables and the kind of order, so every analysis in
+    the process shares the tables of its ring shape; callers must not
+    change `pos`.
     """
     key = (ring.nvars, ring.order.kind, d)
     table = _TABLES.get(key)
@@ -469,22 +469,20 @@ def _square_length(ring: PolynomialRing, gens, cap: int, budget: _Budget) -> int
 
 
 def is_cm_square(
-    gb: GroebnerBasis, reduction, budget: int = DEFAULT_STEP_BUDGET
+    gb: GroebnerBasis, reduction: Reduction, budget: int = DEFAULT_STEP_BUDGET
 ) -> CmVerdict:
     """Cohen-Macaulayness of R/I^2 for a one-dimensional homogeneous ideal,
-    from `reduction = artinian_reduction(gb, ...)`: the multiplicity e and,
-    for each trial form l, s, the socle degree of R/(I + l), or None when
-    R/(I + l) is not Artinian.  Such a form is skipped, since R/(I^2 + l)
-    has the same radical; otherwise s caps a degree sweep in S = R/(l), as
-    m^(2s+2) lies in (I + l)^2 (s = 0 for a single point, so it is tested
-    against None).  The images of a generating subset of the basis generate
-    the image of I, and the Hilbert function of S modulo its square is one
-    rank per degree.  Equality with (c+1)*e certifies CM at once; all trials
-    strictly above give NotCM; budget exhaustion gives Inconclusive.
+    from `reduction = artinian_reduction(gb, ...)`: its form l, the
+    multiplicity e and s, the socle degree of R/(I + l).  s caps a degree
+    sweep in S = R/(l), as m^(2s+2) lies in (I + l)^2.  The images of a
+    generating subset of the basis generate the image of I, and the Hilbert
+    function of S modulo its square is one rank per degree.  Under the
+    hypotheses of the module docstring, a length equal to (c+1)*e certifies
+    CM and a larger one NotCM; budget exhaustion gives Inconclusive.
 
-    The budget is a fresh cap for the subset pass and for each sweep pass,
-    not a total: a row, of the sweep or of the reduced echelon form of the
-    images (`_echelon_generators`), costs one step plus one per echelon row
+    The budget is a fresh cap for the subset pass and for the sweep, not a
+    total: a row, of the sweep or of the reduced echelon form of the images
+    (`_echelon_generators`), costs one step plus one per echelon row
     subtracted from it.
     """
     ring = gb.ring
@@ -494,36 +492,26 @@ def is_cm_square(
         if not g.is_homogeneous():
             raise ValueError("is_cm_square needs a homogeneous ideal")
     c = ring.nvars - 1  # height of a points ideal
-    _, e, forms = reduction
-    e_expected = (c + 1) * e
-    lambdas = []
-    used = 0
+    ell, drawn = reduction.form, reduction.drawn
+    e_expected = (c + 1) * reduction.length
     try:
         gens = _generating_subset(gb, _Budget(budget))
-        for ell, socle_degree in forms:
-            used += 1
-            if socle_degree is None:
-                continue
-            smaller, assignment = linear_substitution(ring, [ell])
-            images = substitute_all(gens, assignment)
-            lam = _square_length(
-                smaller, [f for f in images if not f.is_zero()],
-                2 * socle_degree + 2, _Budget(budget),
-            )
-            lambdas.append(lam)
-            if lam < e_expected:
-                raise RuntimeError(
-                    f"internal inconsistency: reduction length {lam} fell below "
-                    f"the multiplicity bound {e_expected}"
-                )
-            if lam == e_expected:
-                return CmVerdict("CM", ell, used, lam, e_expected, tuple(lambdas))
-    except BudgetExceededError as exc:
-        return CmVerdict(
-            "Inconclusive", None, used, min(lambdas, default=None), e_expected,
-            tuple(lambdas), str(exc),
+        smaller, assignment = linear_substitution(ring, [ell])
+        images = substitute_all(gens, assignment)
+        lam = _square_length(
+            smaller, [f for f in images if not f.is_zero()],
+            2 * reduction.socle_degree + 2, _Budget(budget),
         )
-    return CmVerdict("NotCM", None, used, min(lambdas), e_expected, tuple(lambdas))
+    except BudgetExceededError as exc:
+        return CmVerdict("Inconclusive", None, drawn, None, e_expected, str(exc))
+    if lam < e_expected:
+        raise RuntimeError(
+            f"internal inconsistency: reduction length {lam} fell below "
+            f"the multiplicity bound {e_expected}"
+        )
+    if lam == e_expected:
+        return CmVerdict("CM", ell, drawn, lam, e_expected)
+    return CmVerdict("NotCM", None, drawn, lam, e_expected)
 
 
 def _quadric_generator_count(art_gb: GroebnerBasis, report: InvariantReport):
@@ -554,7 +542,7 @@ def analyze(
     verdict, and no positive answer may meet one on a non-Gorenstein ring.
     The invariants and e come from one Artinian basis, classified as it
     stands: the input when zero-dimensional (then no verdict), otherwise
-    the chosen basis of I + l from `artinian_reduction`.
+    the basis of I + l from `artinian_reduction`.
 
     `points`, when given, are the points whose vanishing ideal `gb` is
     (ValueError otherwise): the reduction then runs no Buchberger, and the
@@ -572,7 +560,7 @@ def analyze(
         art_gb, reduction = gb, None
     else:
         reduction = artinian_reduction(gb, seed, trials, budget, points=points)
-        art_gb = reduction[0]
+        art_gb = reduction.basis
     report = classify(art_gb, budget)
     e = report.length
     if delta is not None and report.hf.values != delta:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from conormal import (
@@ -24,15 +26,13 @@ from conormal.points import general_points, make_point_set, random_points, vanis
 def test_reduction_of_coordinate_triangle():
     ps = make_point_set(2, 31991, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     gb = vanishing_ideal(ps)
-    _, lam, _ = artinian_reduction(gb, seed=1)
-    assert lam == 3
+    assert artinian_reduction(gb, seed=1).length == 3
 
 
 def test_reduction_of_single_point():
     ps = make_point_set(3, 31991, [(1, 0, 0, 0)])
     gb = vanishing_ideal(ps)
-    _, lam, _ = artinian_reduction(gb, seed=1)
-    assert lam == 1
+    assert artinian_reduction(gb, seed=1).length == 1
 
 
 def test_reduction_rejects_artinian_input(ring_xy):
@@ -52,7 +52,7 @@ def test_reduction_needs_a_trial(trials):
 def test_multiplicity_is_the_point_count():
     ps = random_points(3, 7, 31991, seed=4)
     gb = vanishing_ideal(ps)
-    assert artinian_reduction(gb, seed=4)[1] == 7
+    assert artinian_reduction(gb, seed=4).length == 7
 
 
 def test_multiplicity_of_artinian_quotient(ring_xy):
@@ -62,15 +62,14 @@ def test_multiplicity_of_artinian_quotient(ring_xy):
 
 
 def test_single_point_square_is_cm():
-    # one point: a complete intersection of linear forms; every trial must
-    # give length exactly c + 1
+    # one point: a complete intersection of linear forms; the first form
+    # that misses it gives length exactly c + 1
     for c in (2, 3, 4):
         ps = make_point_set(c, 31991, [tuple([1] + [0] * c)])
         gb = vanishing_ideal(ps)
         verdict = is_cm_square(gb, artinian_reduction(gb, 5))
-        assert verdict.status == "CM"
+        assert verdict.status == "CM" and verdict.trials == 1
         assert verdict.lambda_min == c + 1 == verdict.e_expected
-        assert all(lam == c + 1 for lam in verdict.lambdas)
 
 
 def test_benchmark_square_is_cm():
@@ -87,7 +86,8 @@ def test_nine_points_in_p5_not_cm():
     verdict = is_cm_square(gb, artinian_reduction(gb, 3, 3))
     assert verdict.status == "NotCM"
     assert verdict.lambda_min > verdict.e_expected == 54
-    assert len(verdict.lambdas) == 3
+    # the first form decides NotCM too: the other two are never drawn
+    assert verdict.trials == 1
 
 
 def test_budget_exhaustion_is_inconclusive():
@@ -101,8 +101,8 @@ def test_verdict_determinism():
     gb = buchberger(example61_ideal())
     v1 = is_cm_square(gb, artinian_reduction(gb, 42))
     v2 = is_cm_square(gb, artinian_reduction(gb, 42))
-    assert (v1.status, v1.lambda_min, v1.lambdas, str(v1.witness)) == (
-        v2.status, v2.lambda_min, v2.lambdas, str(v2.witness)
+    assert (v1.status, v1.trials, v1.lambda_min, str(v1.witness)) == (
+        v2.status, v2.trials, v2.lambda_min, str(v2.witness)
     )
 
 
@@ -177,9 +177,10 @@ def test_eight_quadrics_single_run():
     assert eight_quadrics_square_gap(0)
 
 
-def test_analysis_runs_buchberger_once_per_trial_form(monkeypatch):
-    # the reduction and the square verdict share one basis of I + l per
-    # trial form: five trials, five Buchberger runs on I + l
+def test_analysis_runs_buchberger_on_i_plus_l_once(monkeypatch):
+    # the first form is a parameter, and it alone decides the NotCM verdict:
+    # five trials allowed, one Buchberger run on I + l, shared by the
+    # reduction and the square verdict
     import conormal.cm as cm
 
     ps, _ = general_points(5, 8, 31991, seed=0)
@@ -193,13 +194,13 @@ def test_analysis_runs_buchberger_once_per_trial_form(monkeypatch):
 
     monkeypatch.setattr(cm, "buchberger", counting)
     report = analyze(gb, seed=0, trials=5)
-    assert report.cm_square.status == "NotCM" and report.cm_square.trials == 5
-    assert len(runs) == 5 and len(set(runs)) == 5
+    assert report.cm_square.status == "NotCM" and report.cm_square.trials == 1
+    assert len(runs) == 1
 
 
 def test_points_analysis_runs_no_buchberger_on_i_plus_l(monkeypatch):
-    # the points twin of the test above: the five forms are decided by
-    # evaluation and the chosen basis comes from Macaulay matrices
+    # the points twin of the test above: the first form misses every point
+    # and its basis comes from Macaulay matrices
     import conormal.cm as cm
 
     ps, _ = general_points(5, 8, 31991, seed=0)
@@ -212,26 +213,26 @@ def test_points_analysis_runs_no_buchberger_on_i_plus_l(monkeypatch):
 
     monkeypatch.setattr(cm, "buchberger", counting)
     report = analyze(gb, seed=0, trials=5, points=ps)
-    assert report.cm_square.status == "NotCM" and report.cm_square.trials == 5
+    assert report.cm_square.status == "NotCM" and report.cm_square.trials == 1
     assert runs == []
     assert report.to_text() == analyze(gb, seed=0, trials=5).to_text()
-    assert len(runs) == 5
+    assert len(runs) == 1
 
 
 def test_square_verdict_reuses_a_given_reduction():
     ps, _ = general_points(5, 8, 31991, seed=0)
     gb = vanishing_ideal(ps)
     reduction = artinian_reduction(gb, 4, 3, 10**6)
-    assert [basis is not None for _, basis in reduction[2]] == [True] * 3
-    # the verdict runs over the forms it is given, and no others
-    basis, e, forms = reduction
+    assert reduction.drawn == 1
+    # the verdict sweeps the form it is given and reports its draws
     verdict = is_cm_square(gb, reduction)
-    assert verdict.status == "NotCM" and verdict.e_expected == 6 * e and verdict.trials == 3
-    assert is_cm_square(gb, (basis, e, forms[:1])).trials == 1
+    assert verdict.status == "NotCM" and verdict.e_expected == 6 * reduction.length
+    assert verdict.trials == 1
+    assert is_cm_square(gb, dataclasses.replace(reduction, drawn=3)).trials == 3
     gb61 = buchberger(example61_ideal())
     reduction61 = artinian_reduction(gb61, 0)
     verdict61 = is_cm_square(gb61, reduction61)
-    assert verdict61.witness == reduction61[2][verdict61.trials - 1][0]
+    assert verdict61.witness == reduction61.form
 
 
 def test_analysis_of_a_points_basis_runs_buchberger_only_for_the_trials(monkeypatch):
@@ -250,7 +251,7 @@ def test_analysis_of_a_points_basis_runs_buchberger_only_for_the_trials(monkeypa
     monkeypatch.setattr(cm, "buchberger", counting)
     report = analyze(gb, seed=1, trials=3)
     assert report.e == 10 and report.invariants.hf.values == (1, 5, 4)
-    assert len(runs) == 3
+    assert len(runs) == 1
 
 
 def test_analysis_of_points_runs_no_buchberger_at_all(monkeypatch):
@@ -290,11 +291,13 @@ def test_points_reduction_over_a_small_field_blames_the_forms_not_the_dimension(
     with pytest.raises(RuntimeError) as err:
         artinian_reduction(gb, 0, points=ps)
     assert str(err.value) == (
-        "no Artinian reduction found in 5 trials: each trial form vanishes at "
-        "one of the 10 points over GF(3); more trials or a larger p may find a regular one"
+        "no Artinian reduction in 5 forms drawn: each form vanishes at one of "
+        "the 10 points over GF(3); a larger --trials or p may draw one that misses them all"
     )
     with pytest.raises(RuntimeError, match="dimension above 1"):
         artinian_reduction(gb, 0)
+    with pytest.raises(RuntimeError, match="in 1 form drawn: each form vanishes"):
+        artinian_reduction(gb, 0, 1, points=ps)
 
 
 def test_analysis_of_an_artinian_input_runs_no_buchberger(monkeypatch, ring_xyz):

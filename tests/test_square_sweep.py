@@ -2,9 +2,10 @@
 points path of the reduction.
 
 The oracle of the sweep is the route it replaced: a full Buchberger run on
-I^2 + l for every trial form, with the length read off the standard
-monomials.  Both routes must give the same lengths, skip the same forms and
-reach the same verdict.
+I + l and on I^2 + l for every trial form, with the lengths read off the
+standard monomials.  Every form with R/(I + l) Artinian must give the same
+lengths, and so the same verdict, which is what lets the first such form
+decide; the sweep of that one form must agree with them.
 
 The oracle of the points path (forms decided by evaluation, the basis of
 I + l from Macaulay matrices) is the route without the points: Buchberger
@@ -21,6 +22,7 @@ the images in each degree) is the square multiplied out from the images as
 they stand: the same pivots in every degree, the same length.
 """
 
+import dataclasses
 import random
 from functools import partial
 
@@ -65,37 +67,52 @@ from conormal.poly import substitute_all
 P = 31991
 
 
-def oracle_verdict(gb, seed, trials, e):
-    """The square verdict with one Buchberger run on I^2 + l per trial."""
+def oracle_verdict(gb, seed, trials):
+    """The square verdict with one Buchberger run on I + l and one on
+    I^2 + l for every trial form: (the verdict of the first form with
+    R/(I + l) Artinian, or None if no form has one; the pairs (length of
+    R/(I + l), length of R/(I^2 + l)) of all such forms)."""
     ring = gb.ring
-    e_expected = ring.nvars * e  # (c + 1) * e
     sq = ideal_square(gb.as_ideal())
-    lambdas = []
-    used = 0
-    for ell in _trial_forms(ring, seed, trials):
-        used += 1
-        cand = buchberger(Ideal(ring, list(sq.generators) + [ell]))
-        if not is_zero_dimensional(cand):
+    first, lengths = None, []
+    for drawn, ell in enumerate(_trial_forms(ring, seed, trials), 1):
+        reduced = buchberger(Ideal(ring, list(gb.elements) + [ell]))
+        if not is_zero_dimensional(reduced):
             continue
-        lambdas.append(length(cand))
-        if lambdas[-1] == e_expected:
-            return CmVerdict("CM", ell, used, min(lambdas), e_expected, tuple(lambdas))
-    if not lambdas:
-        return CmVerdict(
-            "Inconclusive", None, used, None, e_expected, (),
-            "every trial form was degenerate",
-        )
-    return CmVerdict("NotCM", None, used, min(lambdas), e_expected, tuple(lambdas))
+        square = buchberger(Ideal(ring, list(sq.generators) + [ell]))
+        lengths.append((length(reduced), length(square)))
+        if first is None:
+            first = ell, drawn
+    if first is None:
+        return None, lengths
+    (e, lam), (ell, drawn) = lengths[0], first
+    e_expected = ring.nvars * e  # (c + 1) * e
+    if lam == e_expected:
+        return CmVerdict("CM", ell, drawn, lam, e_expected), lengths
+    return CmVerdict("NotCM", None, drawn, lam, e_expected), lengths
 
 
-def assert_same_verdict(gb, seed, trials, e):
+def assert_same_verdict(gb, seed, trials):
+    """Every trial form with R/(I + l) Artinian gives the same two lengths,
+    and the one-form verdict is the oracle's."""
     got = is_cm_square(gb, artinian_reduction(gb, seed, trials))
-    want = oracle_verdict(gb, seed, trials, e)
-    assert (got.status, got.trials, got.lambda_min, got.lambdas, got.detail) == (
-        want.status, want.trials, want.lambda_min, want.lambdas, want.detail
+    want, lengths = oracle_verdict(gb, seed, trials)
+    assert len(set(lengths)) == 1, lengths
+    assert (got.status, got.trials, got.lambda_min, got.e_expected, got.detail) == (
+        want.status, want.trials, want.lambda_min, want.e_expected, want.detail
     )
     assert str(got.witness) == str(want.witness)
     return got
+
+
+def conjectured_grid():
+    """c = 3..5 around the conjectured count 1 + c + ceil(c(c-1)/6), on both
+    sides of the CM threshold, at seeds 0 and 1, with the default trials."""
+    for c in (3, 4, 5):
+        count = 1 + c + -(-c * (c - 1) // 6)
+        for n in (count - 1, count, count + 1):
+            for seed in (0, 1):
+                yield c, n, seed, DEFAULT_TRIALS
 
 
 @pytest.mark.parametrize(
@@ -103,19 +120,43 @@ def assert_same_verdict(gb, seed, trials, e):
     [
         (2, 4, 0, 3), (2, 5, 1, 3), (3, 5, 2, 3), (3, 7, 3, 3),
         (4, 6, 4, 3), (4, 9, 5, 3), (5, 7, 6, 3), (6, 7, 7, 2),
+        *conjectured_grid(),
     ],
 )
 def test_general_points_match_buchberger(c, n, seed, trials):
+    # every form that misses the points gives one length of R/(I^2 + l), so
+    # the first decides, on the file path and on the points path alike
     ps, _ = general_points(c, n, P, seed)
     gb = vanishing_ideal(ps)
-    assert_same_verdict(gb, seed, trials, n)
+    got = assert_same_verdict(gb, seed, trials)
+    assert got.e_expected == (c + 1) * n
+    assert is_cm_square(gb, artinian_reduction(gb, seed, trials, points=ps)) == got
+
+
+@pytest.mark.parametrize(
+    "variables, gens",
+    [
+        # (x) meet (x^2, y): R/I is not CM
+        (["x", "y"], ["x^2", "x*y"]),
+        # (x, y)^2, a fat point: not a generic complete intersection
+        (["x", "y", "z"], ["x^2", "x*y", "y^2"]),
+    ],
+)
+def test_inputs_outside_the_hypotheses_do_not_depend_on_the_form(variables, gens):
+    # these inputs break the paper's hypotheses, so their verdicts are not
+    # certified; but no other form could have changed them: every form
+    # gives the same e and the same length of R/(I^2 + l)
+    ring = PolynomialRing(PrimeField(P), variables)
+    gb = buchberger(Ideal(ring, [ring.parse(g) for g in gens]))
+    for seed in range(3):
+        assert_same_verdict(gb, seed, DEFAULT_TRIALS)
 
 
 def points_with_a_point_on_the_first_form(seed):
     """Five general points in P^3 and a sixth on the first trial form."""
     ps, _ = general_points(3, 5, P, seed)
     ring = vanishing_ideal(ps).ring
-    ell = _trial_forms(ring, seed, 1)[0]
+    ell = next(_trial_forms(ring, seed, 1))
     a = [ell.coefficient(tuple(int(i == j) for i in range(4))) for j in range(4)]
     # a point on the hyperplane a . x = 0: solve for the first coordinate
     rest = (1, 2, 3)
@@ -125,11 +166,10 @@ def points_with_a_point_on_the_first_form(seed):
 
 def test_form_through_a_point_is_skipped():
     # the first trial form vanishes at the last point, so that trial is
-    # degenerate on both routes and only the others give lengths
+    # degenerate on both routes and the second form decides
     seed = 11
     gb = vanishing_ideal(points_with_a_point_on_the_first_form(seed))
-    verdict = assert_same_verdict(gb, seed, 3, 6)
-    assert len(verdict.lambdas) == verdict.trials - 1
+    assert assert_same_verdict(gb, seed, 3).trials == 2
 
 
 def assert_points_path_matches_buchberger(ps, seed, trials):
@@ -140,16 +180,19 @@ def assert_points_path_matches_buchberger(ps, seed, trials):
     gb = vanishing_ideal(ps)
     ring = gb.ring
     delta = _points_hf_difference(gb, ps, 10 ** 7)
-    by_points = artinian_reduction(gb, seed, trials, points=ps)
-    for ell, s in by_points[2]:
+    for ell in _trial_forms(ring, seed, trials):
         oracle = buchberger(Ideal(ring, list(gb.elements) + [ell]))
-        assert (s is None) == (not is_zero_dimensional(oracle)), ps.points
-        if s is not None:
-            assert s == len(standard_monomials_packed(oracle)) - 1
+        assert _vanishes_at_a_point(ell, ps) == (not is_zero_dimensional(oracle)), ps.points
+        if is_zero_dimensional(oracle):
+            assert len(delta) == len(standard_monomials_packed(oracle))
             assert _macaulay_basis(gb, ell, delta, 10 ** 7).elements == oracle.elements
+    by_points = artinian_reduction(gb, seed, trials, points=ps)
     by_buchberger = artinian_reduction(gb, seed, trials)
-    assert by_points[1:] == by_buchberger[1:] and by_points[1] == ps.n
-    assert by_points[0].elements == by_buchberger[0].elements
+    assert by_points.basis.elements == by_buchberger.basis.elements
+    assert dataclasses.replace(by_points, basis=None) == dataclasses.replace(
+        by_buchberger, basis=None
+    )
+    assert by_points.length == ps.n and by_points.socle_degree == len(delta) - 1
     assert (
         analyze(gb, seed, trials, points=ps).to_text() == analyze(gb, seed, trials).to_text()
     )
@@ -165,18 +208,18 @@ def test_points_path_matches_buchberger_on_general_points(c, n, seed):
 
 
 def test_points_path_matches_buchberger_with_a_form_through_a_point():
-    forms = assert_points_path_matches_buchberger(
+    reduction = assert_points_path_matches_buchberger(
         points_with_a_point_on_the_first_form(11), 11, 3
-    )[2]
-    assert [s is None for _, s in forms] == [True, False, False]
+    )
+    assert reduction.drawn == 2
 
 
 def test_points_path_matches_buchberger_on_a_single_point():
     # s = 0: the reduction is the field itself, and the form is still regular
     for c in (2, 3, 5):
         ps = make_point_set(c, P, [tuple(range(1, c + 2))])
-        forms = assert_points_path_matches_buchberger(ps, 3, 2)[2]
-        assert [s for _, s in forms] == [0, 0]
+        reduction = assert_points_path_matches_buchberger(ps, 3, 2)
+        assert (reduction.socle_degree, reduction.drawn) == (0, 1)
 
 
 def special_points(c, kind, n, extra, seed):
@@ -212,13 +255,13 @@ def test_single_point_ideals_keep_their_linear_generators():
         ps = make_point_set(c, P, [tuple(range(1, c + 2))])
         gb = vanishing_ideal(ps)
         assert min(g.degree for g in gb.elements) == 1
-        verdict = assert_same_verdict(gb, 3, 2, 1)
+        verdict = assert_same_verdict(gb, 3, 2)
         assert verdict.status == "CM" and verdict.lambda_min == c + 1
 
 
 def test_example61_length_is_sixty():
     gb = buchberger(example61_ideal())
-    verdict = assert_same_verdict(gb, 0, 5, 10)
+    verdict = assert_same_verdict(gb, 0, 5)
     assert verdict.status == "CM" and verdict.lambda_min == 60
 
 
@@ -227,14 +270,14 @@ def test_budget_exhausted_inside_the_sweep():
     # generators fit in the budget; the 15 products of the sweep do not
     ps = make_point_set(5, P, [(1, 2, 3, 4, 5, 6)])
     gb = vanishing_ideal(ps)
-    ell = _trial_forms(gb.ring, 3, 1)[0]
+    ell = next(_trial_forms(gb.ring, 3, 1))
     budget = 10
     buchberger(Ideal(gb.ring, list(gb.elements) + [ell]), budget=budget)
     _generating_subset(gb, _Budget(budget))
     verdict = is_cm_square(gb, artinian_reduction(gb, 3, budget=budget), budget)
     assert verdict.status == "Inconclusive"
     assert verdict.detail == f"reduction step budget of {budget} exceeded"
-    assert verdict.trials == 1 and verdict.lambdas == ()
+    assert verdict.trials == 1 and verdict.lambda_min is None
 
 
 def test_passes_are_charged_by_their_row_updates():
@@ -242,18 +285,19 @@ def test_passes_are_charged_by_their_row_updates():
     # subtracted from it, so the choice of generators costs 59 steps and
     # the first sweep pass 91, 10 of them for the reduced echelon form of
     # its four quadric images; a budget of 81 would let that pass through
-    # if the echelon form were not charged
+    # if the echelon form were not charged; a verdict that runs out in the
+    # choice of generators still reports the form drawn
     ps, _ = general_points(3, 6, P, 0)
     gb = vanishing_ideal(ps)
     _generating_subset(gb, _Budget(59))
     with pytest.raises(BudgetExceededError):
         _generating_subset(gb, _Budget(58))
     reduction = artinian_reduction(gb, 0)
-    for budget in (81, 90):
+    for budget in (58, 81, 90):
         verdict = is_cm_square(gb, reduction, budget)
         assert verdict.status == "Inconclusive"
         assert verdict.detail == f"reduction step budget of {budget} exceeded"
-        assert verdict.trials == 1 and verdict.lambdas == ()
+        assert verdict.trials == 1 and verdict.lambda_min is None
     assert is_cm_square(gb, reduction, 91).status == "NotCM"
 
 
@@ -264,7 +308,7 @@ def test_macaulay_basis_is_charged_by_its_row_updates():
     ps, _ = general_points(3, 6, P, 0)
     gb = vanishing_ideal(ps)
     delta = _points_hf_difference(gb, ps, 10 ** 7)
-    ell = _trial_forms(gb.ring, 0, 1)[0]
+    ell = next(_trial_forms(gb.ring, 0, 1))
     assert not _vanishes_at_a_point(ell, ps)
     want = buchberger(Ideal(gb.ring, list(gb.elements) + [ell])).elements
     assert _macaulay_basis(gb, ell, delta, 55).elements == want
@@ -341,9 +385,7 @@ def test_sweep_past_the_cap_is_an_internal_error():
 def test_random_point_sets_give_the_same_lengths(c, extra, seed):
     ps, _ = general_points(c, c + 1 + extra, P, seed)
     gb = vanishing_ideal(ps)
-    got = is_cm_square(gb, artinian_reduction(gb, seed, 2))
-    want = oracle_verdict(gb, seed, 2, ps.n)
-    assert got.lambdas == want.lambdas
+    assert assert_same_verdict(gb, seed, 2).e_expected == (c + 1) * ps.n
 
 
 def raw_square_sweep(ring, gens, cap):
@@ -410,15 +452,16 @@ def assert_echelon_shape(ring, gens, basis):
     seed=st.integers(min_value=0, max_value=10_000),
 )
 def test_echelon_generators_leave_the_square_unchanged(c, extra, seed):
-    # for every trial form: the square of the images, multiplied out as they
-    # stand, has the same pivots in every degree and the same length as the
-    # square of their reduced echelon basis, whether `_square_length` gets
-    # the images or that basis
+    # for every trial form that misses the points: the square of the images,
+    # multiplied out as they stand, has the same pivots in every degree and
+    # the same length as the square of their reduced echelon basis, whether
+    # `_square_length` gets the images or that basis
     ps, _ = general_points(c, c + 1 + extra, P, seed)
     gb = vanishing_ideal(ps)
     gens = _generating_subset(gb, _Budget(10 ** 7))
-    for ell, s in artinian_reduction(gb, seed, DEFAULT_TRIALS, points=ps)[2]:
-        if s is None:
+    s = len(_points_hf_difference(gb, ps, 10 ** 7)) - 1
+    for ell in _trial_forms(gb.ring, seed, DEFAULT_TRIALS):
+        if _vanishes_at_a_point(ell, ps):
             continue
         smaller, assignment = linear_substitution(gb.ring, [ell])
         images = [f for f in substitute_all(gens, assignment) if not f.is_zero()]

@@ -31,11 +31,18 @@ form degree by degree, as F4 does before it multiplies (Faugere 1999):
 the products then span the same space, but a reduced generator is its
 leading monomial plus standard monomials, so its products have few terms.
 One rank per degree gives the Hilbert function, and the sweep ends at its
-first zero.  No Groebner basis of the square is computed.  The same
-degree loop, `_sweep`, also picks the generating subset of the basis,
-builds the basis of I + l on the points path and ranks the square of
+first zero.  No Groebner basis of the square is computed.  The image ideal
+is generated by the images of the reduction's own basis of I + l, so the
+verdict sweeps nothing but the square.  The same degree loop, `_sweep`,
+also builds the basis of I + l on the points path and ranks the square of
 eight quadrics in degree 4; its column tables are built once per ring
 shape.
+
+Some NotCM verdicts need no sweep at all.  When I lies in m^2, the image
+of I^2 lies in the fourth power of the maximal ideal of S, so the length
+of R/(I^2 + l) is at least dim S_(<=3) = C(c+3, 3); when that exceeds
+(c+1)e, which with t = e - c is `criteria.min_codim_forcing_not_cm(t) <= c`,
+the count alone proves NotCM, under the same hypotheses as the sweep.
 """
 
 import dataclasses
@@ -73,10 +80,17 @@ class CriteriaAgreementError(RuntimeError):
 
 @dataclass(frozen=True)
 class CmVerdict:
+    """The square's verdict.  `lambda_min` is the length of R/(I^2 + l)
+    from the sweep, or on a counting verdict (a `detail` that starts with
+    "counting:") the proven lower bound C(c+3, 3) on it; None when the
+    sweep did not finish.  `detail` states the count of a NotCM by
+    counting, or the exhausted budget of an Inconclusive; it is empty
+    otherwise."""
+
     status: str  # CM | NotCM | Inconclusive
     witness: object  # the certifying linear form when CM
     trials: int  # forms drawn to find the parameter form
-    lambda_min: object  # length of R/(I^2 + l), None if its sweep did not finish
+    lambda_min: object  # length of R/(I^2 + l) or its counting bound, or None
     e_expected: int
     detail: str = ""
 
@@ -430,23 +444,6 @@ def _macaulay_basis(gb: GroebnerBasis, ell, delta, budget: int) -> GroebnerBasis
     return GroebnerBasis(ring, elements)
 
 
-def _generating_subset(gb: GroebnerBasis, budget: _Budget):
-    """Basis elements that generate the ideal, degree by degree: an element
-    is dropped when the variables times the ideal's previous degree, plus
-    the elements kept before it, already span it."""
-    by_degree = {}
-    for g in gb.elements:
-        by_degree.setdefault(g.degree, []).append(g)
-    kept = []
-    for d, pos, ech, _ in _sweep(gb.ring, max(by_degree), budget):
-        for g in by_degree.get(d, ()):
-            mults, scale = ech.add(_poly_row(g, pos, len(pos)))
-            budget.charge_row(mults)
-            if scale is not None:
-                kept.append(g)
-    return kept
-
-
 def _square_length(ring: PolynomialRing, gens, cap: int, budget: _Budget) -> int:
     """Length of S/J for J the square of the ideal of the homogeneous gens,
     by one Macaulay matrix per degree.
@@ -468,22 +465,42 @@ def _square_length(ring: PolynomialRing, gens, cap: int, budget: _Budget) -> int
     )
 
 
+def _counting_bound(gb: GroebnerBasis, c: int, e: int):
+    """C(c+3, 3) when that count alone proves NotCM, else None.
+
+    With I in m^2 (no basis element below degree 2) the image of I^2 in S
+    lies in the fourth power of its maximal ideal, so the length of
+    R/(I^2 + l) is at least dim S_(<=3) = C(c+3, 3).  That exceeds (c+1)e
+    iff 6t < c^2 - c + 6, t = e - c, which is c >= min_codim_forcing_not_cm(t)
+    for t >= 1; I in m^2 forces e >= c + 1, so t >= 1, and a t past the
+    criteria's grid is left to the sweep.
+    """
+    t = e - c
+    if min(g.degree for g in gb.elements) < 2 or t > crit.MAX_GRID:
+        return None
+    if c < crit.min_codim_forcing_not_cm(t):
+        return None
+    return comb(c + 3, 3)
+
+
 def is_cm_square(
     gb: GroebnerBasis, reduction: Reduction, budget: int = DEFAULT_STEP_BUDGET
 ) -> CmVerdict:
     """Cohen-Macaulayness of R/I^2 for a one-dimensional homogeneous ideal,
-    from `reduction = artinian_reduction(gb, ...)`: its form l, the
-    multiplicity e and s, the socle degree of R/(I + l).  s caps a degree
-    sweep in S = R/(l), as m^(2s+2) lies in (I + l)^2.  The images of a
-    generating subset of the basis generate the image of I, and the Hilbert
-    function of S modulo its square is one rank per degree.  Under the
-    hypotheses of the module docstring, a length equal to (c+1)*e certifies
-    CM and a larger one NotCM; budget exhaustion gives Inconclusive.
+    from `reduction = artinian_reduction(gb, ...)`: its form l, its basis
+    of I + l, the multiplicity e and s, the socle degree of R/(I + l).
+    Under the hypotheses of the module docstring, a length of R/(I^2 + l)
+    equal to (c+1)*e certifies CM and a larger one NotCM.
 
-    The budget is a fresh cap for the subset pass and for the sweep, not a
-    total: a row, of the sweep or of the reduced echelon form of the images
-    (`_echelon_generators`), costs one step plus one per echelon row
-    subtracted from it.
+    The count comes first: when `_counting_bound` proves NotCM, the verdict
+    carries that bound as `lambda_min`, says so in `detail`, and sweeps
+    nothing.  Otherwise s caps a degree sweep in S = R/(l), as m^(2s+2)
+    lies in (I + l)^2: the images of the basis of I + l generate the image
+    of I, and the Hilbert function of S modulo its square is one rank per
+    degree.  The budget is one fresh cap for the sweep: a row, of the sweep
+    or of the reduced echelon form of the images (`_echelon_generators`),
+    costs one step plus one per echelon row subtracted from it, and
+    exhausting it gives Inconclusive.
     """
     ring = gb.ring
     if is_zero_dimensional(gb):
@@ -494,10 +511,13 @@ def is_cm_square(
     c = ring.nvars - 1  # height of a points ideal
     ell, drawn = reduction.form, reduction.drawn
     e_expected = (c + 1) * reduction.length
+    bound = _counting_bound(gb, c, reduction.length)
+    if bound is not None:
+        detail = f"counting: (c+1)e = {e_expected} < {bound} = C({c + 3},3)"
+        return CmVerdict("NotCM", None, drawn, bound, e_expected, detail)
+    smaller, assignment = linear_substitution(ring, [ell])
+    images = substitute_all(reduction.basis.elements, assignment)
     try:
-        gens = _generating_subset(gb, _Budget(budget))
-        smaller, assignment = linear_substitution(ring, [ell])
-        images = substitute_all(gens, assignment)
         lam = _square_length(
             smaller, [f for f in images if not f.is_zero()],
             2 * reduction.socle_degree + 2, _Budget(budget),

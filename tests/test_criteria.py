@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from conormal.criteria import (
+    MAX_GRID,
     NOT_CM,
     POSITIVE,
     UNDECIDED,
@@ -141,6 +142,15 @@ def test_min_codim_bound():
     assert min_codim_forcing_not_cm(1) == 2
     assert min_codim_forcing_not_cm(2) == 4
     assert min_codim_forcing_not_cm(5) == 6
+
+
+def test_min_codim_bound_is_the_count_of_the_cubes():
+    # the square verdict proves NotCM by counting exactly when
+    # (c+1)e < C(c+3, 3), e = c + t; the criterion must say the same on the
+    # whole grid
+    for t in range(1, MAX_GRID + 1):
+        for c in range(1, MAX_GRID + 1):
+            assert (c >= min_codim_forcing_not_cm(t)) == ((c + 1) * (c + t) < comb(c + 3, 3))
 
 
 def test_curve_verdicts():

@@ -299,7 +299,7 @@ def test_report_echoes_config():
         (["conjecture", "--c", "5"], 0,
          "d0124f2e8a4dbf383c0e021d89a2767e7248cd07738c2879a27537b624cdbeed"),
         (["conjecture", "--c", "5", "--n", "8"], 1,
-         "c00c48680bceb3debe9b0d7495b0752d5f829bae4672a704b9ee7c30e53e3464"),
+         "ec8bdbbf5d3ed7e8a34e1db6c83562da02c1f272cfc32b177b8d8916f90894ab"),
         (["stretched-suite", "--cmax", "4", "--smax", "3"], 0,
          "f9f3ea24b7d08b7ebdda15df12875464c868b88e165744f34bb4a4b89f11a144"),
         (["conjecture", "--c", "5", "--p", "2147483647"], 0,

@@ -18,8 +18,7 @@ PACKAGE = ROOT / "src" / "conormal"
 
 # Definitions kept without a caller, each for the reason given.
 ALLOWED = {
-    "min_codim_forcing_not_cm": "the counting certificate for NotCM (ROADMAP item 1) calls it",
-    "curve_degree_verdict": "the monomial-curve verb (ROADMAP item 4) calls it",
+    "curve_degree_verdict": "the monomial-curve verb (ROADMAP item 7) calls it",
     "ideal_product": "the unpruned route that the tests compare ideal_square against",
     "short_margin_monotonic": "acceptance criterion 2 checks the margin law with it",
 }

@@ -20,11 +20,16 @@ form of every degree-4 monomial.
 The oracle of the sweep's sparse generators (the reduced echelon basis of
 the images in each degree) is the square multiplied out from the images as
 they stand: the same pivots in every degree, the same length.
+
+The count that proves NotCM with no sweep (C(c+3, 3) > (c+1)e for I in
+m^2) is checked against the sweep's own length on both sides of its
+boundary.
 """
 
 import dataclasses
 import random
 from functools import partial
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +39,6 @@ from conormal.cm import (
     DEFAULT_TRIALS,
     CmVerdict,
     _echelon_generators,
-    _generating_subset,
     _macaulay_basis,
     _points_hf_difference,
     _product_row,
@@ -67,11 +71,23 @@ from conormal.poly import substitute_all
 P = 31991
 
 
+def counting_detail(gb, e):
+    """The detail of a NotCM proven by counting, or "": I in m^2 and
+    (c+1)e < C(c+3, 3), in the integers, with no criterion."""
+    c = gb.ring.nvars - 1
+    bound = comb(c + 3, 3)
+    if min(g.degree for g in gb.elements) < 2 or (c + 1) * e >= bound:
+        return ""
+    return f"counting: (c+1)e = {(c + 1) * e} < {bound} = C({c + 3},3)"
+
+
 def oracle_verdict(gb, seed, trials):
     """The square verdict with one Buchberger run on I + l and one on
     I^2 + l for every trial form: (the verdict of the first form with
     R/(I + l) Artinian, or None if no form has one; the pairs (length of
-    R/(I + l), length of R/(I^2 + l)) of all such forms)."""
+    R/(I + l), length of R/(I^2 + l)) of all such forms).  Where the count
+    proves NotCM the verdict carries its detail, and its length is still
+    the computed one."""
     ring = gb.ring
     sq = ideal_square(gb.as_ideal())
     first, lengths = None, []
@@ -89,7 +105,8 @@ def oracle_verdict(gb, seed, trials):
     e_expected = ring.nvars * e  # (c + 1) * e
     if lam == e_expected:
         return CmVerdict("CM", ell, drawn, lam, e_expected), lengths
-    return CmVerdict("NotCM", None, drawn, lam, e_expected), lengths
+    detail = counting_detail(gb, e)
+    return CmVerdict("NotCM", None, drawn, lam, e_expected, detail), lengths
 
 
 def assert_same_verdict(gb, seed, trials):
@@ -149,7 +166,14 @@ def test_inputs_outside_the_hypotheses_do_not_depend_on_the_form(variables, gens
     ring = PolynomialRing(PrimeField(P), variables)
     gb = buchberger(Ideal(ring, [ring.parse(g) for g in gens]))
     for seed in range(3):
-        assert_same_verdict(gb, seed, DEFAULT_TRIALS)
+        verdict = assert_same_verdict(gb, seed, DEFAULT_TRIALS)
+        if len(variables) == 3:
+            # (x, y)^2 lies in m^2 with e = 3 and c = 2: the count proves
+            # the same NotCM as the sweep, 10 > 9
+            assert (verdict.status, verdict.lambda_min) == ("NotCM", 10)
+            assert verdict.detail == "counting: (c+1)e = 9 < 10 = C(5,3)"
+        else:
+            assert verdict.detail == ""
 
 
 def points_with_a_point_on_the_first_form(seed):
@@ -265,40 +289,118 @@ def test_example61_length_is_sixty():
     assert verdict.status == "CM" and verdict.lambda_min == 60
 
 
+def images_of_the_reduction(gb, reduction):
+    """The nonzero images in S = R/(l) of the reduction's basis of I + l,
+    the generators the square verdict sweeps; and S."""
+    smaller, assignment = linear_substitution(gb.ring, [reduction.form])
+    images = substitute_all(reduction.basis.elements, assignment)
+    return smaller, [f for f in images if not f.is_zero()]
+
+
 def test_budget_exhausted_inside_the_sweep():
-    # one point in P^5: the check of the trial form and the choice of
-    # generators fit in the budget; the 15 products of the sweep do not
+    # one point in P^5: the check of the trial form (10 steps) and the
+    # reduced echelon form of the six images (11 steps) fit in the budget;
+    # the 15 products of the sweep do not
     ps = make_point_set(5, P, [(1, 2, 3, 4, 5, 6)])
     gb = vanishing_ideal(ps)
     ell = next(_trial_forms(gb.ring, 3, 1))
-    budget = 10
+    budget = 11
     buchberger(Ideal(gb.ring, list(gb.elements) + [ell]), budget=budget)
-    _generating_subset(gb, _Budget(budget))
-    verdict = is_cm_square(gb, artinian_reduction(gb, 3, budget=budget), budget)
+    reduction = artinian_reduction(gb, 3, budget=budget)
+    smaller, images = images_of_the_reduction(gb, reduction)
+    assert len(images) == 6
+    _echelon_generators(smaller, images, _Budget(budget))
+    verdict = is_cm_square(gb, reduction, budget)
     assert verdict.status == "Inconclusive"
     assert verdict.detail == f"reduction step budget of {budget} exceeded"
     assert verdict.trials == 1 and verdict.lambda_min is None
 
 
+def boundary_cases():
+    """c = 2..6 and n one below, at and one above the largest n with
+    (c+1)n < C(c+3, 3), at two seeds."""
+    for c in range(2, 7):
+        top = (comb(c + 3, 3) - 1) // (c + 1)
+        for n in (top - 1, top, top + 1):
+            for seed in (0, 1):
+                yield c, n, seed
+
+
+@pytest.mark.parametrize("c, n, seed", list(boundary_cases()))
+def test_counting_proves_not_cm_exactly_where_the_count_does(c, n, seed):
+    # both ways: where n > c puts I in m^2 and (c+1)n < C(c+3, 3), the
+    # verdict is NotCM by counting, with the bound as its length, and the
+    # sweep's own length is at least that bound; elsewhere the verdict is
+    # the sweep's, with no detail
+    ps, _ = general_points(c, n, P, seed)
+    gb = vanishing_ideal(ps)
+    reduction = artinian_reduction(gb, seed, points=ps)
+    verdict = is_cm_square(gb, reduction)
+    smaller, images = images_of_the_reduction(gb, reduction)
+    lam = _square_length(smaller, images, 2 * reduction.socle_degree + 2, _Budget(10 ** 7))
+    bound, target = comb(c + 3, 3), (c + 1) * n
+    assert verdict.e_expected == target
+    if n > c and target < bound:
+        assert (verdict.status, verdict.lambda_min) == ("NotCM", bound)
+        assert verdict.detail == f"counting: (c+1)e = {target} < {bound} = C({c + 3},3)"
+        assert lam >= bound > target
+    else:
+        assert verdict.detail == ""
+        assert verdict.lambda_min == lam
+
+
+def test_a_multiplicity_past_the_criteria_grid_is_swept():
+    # 67 points in P^2: t = e - c = 65 lies past the grid the criteria
+    # accept, and c = 2 is far below the codimension the count needs, so
+    # the verdict is the sweep's
+    ps, _ = general_points(2, 67, P, 0)
+    gb = vanishing_ideal(ps)
+    verdict = is_cm_square(gb, artinian_reduction(gb, 0, points=ps))
+    assert verdict.detail == "" and verdict.lambda_min > verdict.e_expected == 201
+
+
+def test_a_counting_verdict_runs_no_sweep(monkeypatch):
+    import conormal.cm as cm
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the square verdict ran a sweep")
+
+    reductions = {}
+    for n in (8, 10):
+        ps, _ = general_points(5, n, P, 0)
+        gb = vanishing_ideal(ps)
+        reductions[n] = gb, artinian_reduction(gb, 0, points=ps)
+    monkeypatch.setattr(cm, "_sweep", no_sweep)
+    # 8 points in P^5: 6 * 8 < 56 = C(8, 3)
+    verdict = is_cm_square(*reductions[8])
+    assert (verdict.status, verdict.lambda_min) == ("NotCM", 56)
+    # 10 points: 60 >= 56, so the verdict needs its sweep
+    with pytest.raises(AssertionError, match="ran a sweep"):
+        is_cm_square(*reductions[10])
+
+
 def test_passes_are_charged_by_their_row_updates():
     # 6 general points in P^3: a row costs one step plus one per echelon row
-    # subtracted from it, so the choice of generators costs 59 steps and
-    # the first sweep pass 91, 10 of them for the reduced echelon form of
-    # its four quadric images; a budget of 81 would let that pass through
-    # if the echelon form were not charged; a verdict that runs out in the
-    # choice of generators still reports the form drawn
+    # subtracted from it, so the sweep costs 66 steps, 6 of them for the
+    # reduced echelon form of its six images (four quadrics and two cubics
+    # of the reduced basis of I + l, already in that form, one step each);
+    # a budget of 60 would let it through if the echelon form were not
+    # charged; a verdict that runs out in the echelon form still reports
+    # the form drawn
     ps, _ = general_points(3, 6, P, 0)
     gb = vanishing_ideal(ps)
-    _generating_subset(gb, _Budget(59))
-    with pytest.raises(BudgetExceededError):
-        _generating_subset(gb, _Budget(58))
     reduction = artinian_reduction(gb, 0)
-    for budget in (58, 81, 90):
+    smaller, images = images_of_the_reduction(gb, reduction)
+    assert sorted(f.degree for f in images) == [2, 2, 2, 2, 3, 3]
+    _echelon_generators(smaller, images, _Budget(6))
+    with pytest.raises(BudgetExceededError):
+        _echelon_generators(smaller, images, _Budget(5))
+    for budget in (5, 60, 65):
         verdict = is_cm_square(gb, reduction, budget)
         assert verdict.status == "Inconclusive"
         assert verdict.detail == f"reduction step budget of {budget} exceeded"
         assert verdict.trials == 1 and verdict.lambda_min is None
-    assert is_cm_square(gb, reduction, 91).status == "NotCM"
+    assert is_cm_square(gb, reduction, 66).status == "NotCM"
 
 
 def test_macaulay_basis_is_charged_by_its_row_updates():
@@ -452,17 +554,19 @@ def assert_echelon_shape(ring, gens, basis):
     seed=st.integers(min_value=0, max_value=10_000),
 )
 def test_echelon_generators_leave_the_square_unchanged(c, extra, seed):
-    # for every trial form that misses the points: the square of the images,
-    # multiplied out as they stand, has the same pivots in every degree and
-    # the same length as the square of their reduced echelon basis, whether
-    # `_square_length` gets the images or that basis
+    # for every trial form that misses the points: the square of the images
+    # of the basis of I + l, multiplied out as they stand, has the same
+    # pivots in every degree and the same length as the square of their
+    # reduced echelon basis, whether `_square_length` gets the images or
+    # that basis
     ps, _ = general_points(c, c + 1 + extra, P, seed)
     gb = vanishing_ideal(ps)
-    gens = _generating_subset(gb, _Budget(10 ** 7))
-    s = len(_points_hf_difference(gb, ps, 10 ** 7)) - 1
+    delta = _points_hf_difference(gb, ps, 10 ** 7)
+    s = len(delta) - 1
     for ell in _trial_forms(gb.ring, seed, DEFAULT_TRIALS):
         if _vanishes_at_a_point(ell, ps):
             continue
+        gens = _macaulay_basis(gb, ell, delta, 10 ** 7).elements
         smaller, assignment = linear_substitution(gb.ring, [ell])
         images = [f for f in substitute_all(gens, assignment) if not f.is_zero()]
         basis = _echelon_generators(smaller, images, _Budget(10 ** 7))

@@ -304,12 +304,24 @@ def test_report_echoes_config():
          "f9f3ea24b7d08b7ebdda15df12875464c868b88e165744f34bb4a4b89f11a144"),
         (["conjecture", "--c", "5", "--p", "2147483647"], 0,
          "bb29334d83fe2df9f63b5240ed25d84ec1f6aed3b300ae307db2052015977bff"),
+        (["conjecture", "--c", "5", "--n", "11"], 1,
+         "c6054d7e4b182f167ac071e66bd2e39187f73f3f93279283a20b983f6fc0d60b"),
+        (["analyze", "--points", "4,9"], 1,
+         "a33b8fbae31c320af78aa0007bb55d67f5be5682c7308e4115937e31baeb78e1"),
+        (["analyze", "triple.txt"], 0,
+         "64325bd366ad1f9d65f34bf3f8854cb7f3967ce6226c43c6d90d5628ae89a8aa"),
     ],
 )
-def test_report_bytes_are_pinned(argv, code, sha256, monkeypatch, capsys):
-    # whole reports at seed 0 (CM, CM, NotCM, a stretched grid): a refactor must leave them
-    # byte-identical; a change that alters them says why and updates the pin
+def test_report_bytes_are_pinned(argv, code, sha256, tmp_path, monkeypatch, capsys):
+    # whole reports at seed 0: CM, CM, NotCM by counting, a stretched grid,
+    # CM over a larger prime, NotCM by the sweep (n = 11, where counting
+    # proves nothing), points NotCM, and a file whose reduction keeps a
+    # linear element; a refactor must leave them byte-identical, and a
+    # change that alters them says why and updates the pin
     monkeypatch.delenv("CONORMAL_STEP_BUDGET", raising=False)
+    monkeypatch.chdir(tmp_path)
+    # the two points (0:1:0) and (0:0:1) of P^2: I = (x, yz)
+    (tmp_path / "triple.txt").write_text("ring p=31991 vars=x,y,z\nx\ny*z\n")
     assert main(argv + ["--seed", "0"]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

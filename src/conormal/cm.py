@@ -10,33 +10,32 @@ multiplicity of R/I, and 0 :_M l is nonzero exactly when M is not CM.  So
 the first such form decides: a length equal to (c+1)e certifies CM, a
 larger one certifies NotCM.
 
-One seeded form serves the whole analysis.  The reduction draws forms until
-one gives an Artinian quotient R/(I + l), and keeps its basis, its length e
-and its socle degree s; the verdict needs only l, e and s, and the
-invariants are read off that basis as it stands.  Given a basis alone, a
-draw costs one Buchberger run on I + l.  Given the points whose ideal it
-is, the reduction runs no Buchberger: l is a parameter iff it vanishes at
-none of the n points (Abbott, Bigatti, Kreuzer and Robbiano, "Computing
-ideals of points", 2000), and then HF(R/(I + l)) is the first difference of
-HF(R/I), which the Buchberger-Moller pass already has; so e = n, s is the
-last degree where that difference is positive, and the basis of I + l
-comes from reduced Macaulay matrices.
+Everything after l is drawn lives in S = R/(l): substituting the form
+away leaves a polynomial ring in one variable fewer, R/(I + l) is S/IS, and
+R/(I^2 + l) is S/(IS)^2.  One seeded form serves the whole analysis.  The
+reduction draws forms until one gives an Artinian S/IS, and keeps the
+reduced basis of IS in S and the Hilbert function of S/IS, whose sum is e
+and whose top degree is s; the verdict needs only l, that basis and s, and
+the invariants are read off that basis as it stands.  Given a basis alone,
+a draw costs one substitution and one Buchberger run in S.  Given the
+points whose ideal it is, the reduction runs no Buchberger: l is a
+parameter iff it vanishes at none of the n points (Abbott, Bigatti, Kreuzer
+and Robbiano, "Computing ideals of points", 2000), and then HF(S/IS) is the
+first difference of HF(R/I), which the Buchberger-Moller pass already has;
+so e = n, s is the last degree where that difference is positive, and the
+basis of IS comes from reduced Macaulay matrices.
 
-The length of R/(I^2 + l) comes from a degree sweep of graded Macaulay
-matrices (Lazard 1983): substituting the form away leaves a polynomial ring
-S in one variable fewer, and in each degree d the square of the image ideal
-spans the variables times its degree d-1 part plus the products of two
-generators of degree d.  The generators are first put in reduced echelon
-form degree by degree, as F4 does before it multiplies (Faugere 1999):
-the products then span the same space, but a reduced generator is its
-leading monomial plus standard monomials, so its products have few terms.
-One rank per degree gives the Hilbert function, and the sweep ends at its
-first zero.  No Groebner basis of the square is computed.  The image ideal
-is generated by the images of the reduction's own basis of I + l, so the
-verdict sweeps nothing but the square.  The same degree loop, `_sweep`,
-also builds the basis of I + l on the points path and ranks the square of
-eight quadrics in degree 4; its column tables are built once per ring
-shape.
+The length of S/(IS)^2 comes from a degree sweep of graded Macaulay
+matrices (Lazard 1983): in each degree d the square spans the variables
+times its degree d-1 part plus the products of two generators of degree d.
+The generators are the reduction's reduced basis, so each is its leading
+monomial plus standard monomials, one per leading monomial in each degree,
+as F4 makes them before it multiplies (Faugere 1999), and their products
+have few terms.  One rank per degree gives the Hilbert function, and the
+sweep ends at its first zero.  No Groebner basis of the square is
+computed.  The same degree loop, `_sweep`, also builds the basis of IS on
+the points path and ranks the square of eight quadrics in degree 4; its
+column tables are built once per ring shape.
 
 Some NotCM verdicts need no sweep at all.  When I lies in m^2, the image
 of I^2 lies in the fourth power of the maximal ideal of S, so the length
@@ -45,7 +44,6 @@ of R/(I^2 + l) is at least dim S_(<=3) = C(c+3, 3); when that exceeds
 the count alone proves NotCM, under the same hypotheses as the sweep.
 """
 
-import dataclasses
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -161,13 +159,23 @@ def _trial_forms(ring, seed, trials):
 
 @dataclass(frozen=True)
 class Reduction:
-    """R/(I + l) for the parameter form l that `artinian_reduction` drew."""
+    """R/(I + l) = S/IS, S = R/(l), for the parameter form l that
+    `artinian_reduction` drew."""
 
-    basis: GroebnerBasis  # reduced basis of I + l
-    length: int  # of R/(I + l), which is e(R/I) when R/I is CM
-    form: object  # l
-    socle_degree: int  # the top degree s of R/(I + l)
+    basis: GroebnerBasis  # reduced basis of IS, in S
+    form: object  # l, in R: the printed witness
+    hf: tuple  # Hilbert function of S/IS
     drawn: int  # forms drawn, l the last of them
+
+    @property
+    def length(self) -> int:
+        """Of S/IS, which is e(R/I) when R/I is CM."""
+        return sum(self.hf)
+
+    @property
+    def socle_degree(self) -> int:
+        """The top degree s of S/IS."""
+        return len(self.hf) - 1
 
 
 def artinian_reduction(
@@ -177,45 +185,48 @@ def artinian_reduction(
     budget: int = DEFAULT_STEP_BUDGET,
     points: PointSet = None,
 ) -> Reduction:
-    """Quotient by the first seeded linear form l, of at most `trials`
-    drawn, for which R/(I + l) is Artinian.  For a one-dimensional
+    """S/IS, S = R/(l), for the first seeded linear form l, of at most
+    `trials` drawn, for which it is Artinian.  For a one-dimensional
     Cohen-Macaulay quotient its length is the multiplicity, whichever such
     form is drawn.
 
-    Without `points` each draw costs one Buchberger run on I + l, and one
-    walk of the standard monomials of the first zero-dimensional one gives
-    both the length and s.  With `points`, whose vanishing ideal `gb` must
-    be (ValueError otherwise), a draw is a parameter iff it vanishes at
-    none of the points, and only its basis is built, by `_macaulay_basis`.
-    ValueError unless `trials` is at least 1; RuntimeError when no draw
-    gives an Artinian quotient: with `points` every form vanished at a
-    point, without them the ideal may have dimension above 1.
+    Each form drawn is substituted away from the basis once, and the
+    images generate IS.  Without `points` a draw costs one Buchberger run
+    on the images, and one walk of the standard monomials of the first
+    zero-dimensional basis gives the Hilbert function; a draw whose images
+    are all zero (I inside (l)) is no parameter.  With `points`, whose
+    vanishing ideal `gb` must be (ValueError otherwise, checked first), a
+    draw is a parameter iff it vanishes at none of the points, and only
+    its basis is built, by `_macaulay_basis`.  ValueError unless `trials`
+    is at least 1; RuntimeError when no draw gives an Artinian quotient:
+    with `points` every form vanished at a point, without them the ideal
+    may have dimension above 1.
     """
     if trials < 1:
         raise ValueError(f"an Artinian reduction needs at least 1 trial, got {trials}")
+    delta = None if points is None else _points_hf_difference(gb, points, budget)
     if is_zero_dimensional(gb):
         raise ValueError("the ideal is already zero-dimensional; nothing to reduce")
-    ring = gb.ring
-    forms = enumerate(_trial_forms(ring, seed, trials), 1)
+    for drawn, ell in enumerate(_trial_forms(gb.ring, seed, trials), 1):
+        if points is not None and _vanishes_at_a_point(ell, points):
+            continue
+        smaller, assignment = linear_substitution(gb.ring, [ell])
+        images = [f for f in substitute_all(gb.elements, assignment) if not f.is_zero()]
+        if points is not None:
+            return Reduction(_macaulay_basis(smaller, images, delta, budget), ell, delta, drawn)
+        if not images:
+            continue
+        cand = buchberger(Ideal(smaller, images), budget=budget)
+        if is_zero_dimensional(cand):
+            hf = tuple(len(level) for level in standard_monomials_packed(cand))
+            return Reduction(cand, ell, hf, drawn)
     tried = f"{trials} form{'s' * (trials != 1)} drawn"
     if points is not None:
-        delta = _points_hf_difference(gb, points, budget)
-        for drawn, ell in forms:
-            if not _vanishes_at_a_point(ell, points):
-                basis = _macaulay_basis(gb, ell, delta, budget)
-                return Reduction(basis, points.n, ell, len(delta) - 1, drawn)
         raise RuntimeError(
             f"no Artinian reduction in {tried}: each form vanishes at "
             f"one of the {points.n} points over GF({points.p}); a larger "
             "--trials or p may draw one that misses them all"
         )
-    for drawn, ell in forms:
-        cand = buchberger(Ideal(ring, list(gb.elements) + [ell]), budget=budget)
-        if is_zero_dimensional(cand):
-            levels = standard_monomials_packed(cand)
-            return Reduction(
-                cand, sum(len(level) for level in levels), ell, len(levels) - 1, drawn
-            )
     raise RuntimeError(
         f"no Artinian reduction in {tried}; "
         "the ideal may have dimension above 1"
@@ -350,49 +361,20 @@ def _sweep(ring: PolynomialRing, top: int, budget: _Budget, extra=None, reduced=
         prev = ech
 
 
-def _echelon_generators(ring: PolynomialRing, gens, budget: _Budget):
-    """The reduced echelon basis of the span of the homogeneous gens in each
-    degree, as (degree, [(packed monomial, coefficient), ...]) pairs in
-    increasing degree, each term list in decreasing order.
-
-    A basis element of degree a is its leading monomial, with coefficient
-    1, plus monomials of degree a that lead no other element: at most
-    1 + dim S_a - rank terms.  Dependent gens are dropped.  Each row is
-    charged to the budget by `_Budget.charge_row`; the back-substitution
-    is not charged.
-    """
-    p = ring.field.p
-    by_degree = {}
-    for g in gens:
-        by_degree.setdefault(g.degree, []).append(g)
-    basis = []
-    for a in sorted(by_degree):
-        monos, pos, _ = _degree_table(ring, a)
-        ech = Echelon(p)
-        for g in by_degree[a]:
-            mults, _ = ech.add(_poly_row(g, pos, len(pos)))
-            budget.charge_row(mults)
-        for row in ech.reduced().rows:
-            basis.append((a, [(monos[i], c) for i, c in enumerate(row) if c]))
-    return basis
-
-
-def _products(ring: PolynomialRing, gens, budget: _Budget):
+def _products(ring: PolynomialRing, gens):
     """The `extra` of a sweep of the square of the ideal of the homogeneous
-    gens: the products of two elements of `_echelon_generators`, each in
-    its degree.
+    gens: the products of two of them, each in its degree.
 
-    The products of two bases of the same spans span the same space in
-    each degree, so the sweep's ranks and pivots are those of the products
-    of the gens themselves.  A reduced element has few terms (a quadric in
-    5 variables of an ideal with 13 independent quadrics has 3, against
-    up to 15), and a product row costs one column lookup per pair of terms.
+    A product row costs one column lookup per pair of terms, so sparse gens
+    make cheap rows.  An element of a reduced basis is its leading monomial
+    plus standard monomials: a quadric in 5 variables of an ideal with 13
+    independent quadrics has 3 terms, against up to 15.
     """
     p = ring.field.p
-    basis = _echelon_generators(ring, gens, budget)
+    terms = [(g.degree, [(m, c) for _, m, c in g.terms]) for g in gens]
     by_degree = {}
-    for i, (a, f) in enumerate(basis):
-        for b, g in basis[i:]:
+    for i, (a, f) in enumerate(terms):
+        for b, g in terms[i:]:
             by_degree.setdefault(a + b, []).append((f, g))
 
     def extra(d, pos, n):
@@ -404,22 +386,22 @@ def _products(ring: PolynomialRing, gens, budget: _Budget):
     return extra
 
 
-def _macaulay_basis(gb: GroebnerBasis, ell, delta, budget: int) -> GroebnerBasis:
-    """Reduced Groebner basis of J = I + l for a form l regular on R/I,
-    read off the reduced Macaulay matrices of `_sweep`.
+def _macaulay_basis(ring: PolynomialRing, images, delta, budget: int) -> GroebnerBasis:
+    """Reduced Groebner basis of J = IS in S = R/(l), for a form l regular
+    on R/I and the images in S of a basis of I, read off the reduced
+    Macaulay matrices of `_sweep` in the variables of S.
 
-    `delta` is HF(R/J) = ΔHF(R/I), so J_d = R_d from d = s + 1 on, s =
+    `delta` is HF(S/J) = ΔHF(R/I), so J_d = S_d from d = s + 1 on, s =
     len(delta) - 1, and every leading monomial of J has degree at most
     s + 1.  For d = 1..s+1, J_d is spanned by the variables times J_(d-1)
-    and the elements of degree d of the basis and l.  A row of the reduced
-    echelon form is a leading monomial plus standard monomials, and it is
-    an element of the reduced basis iff its pivot is not a variable times
-    a pivot of degree d - 1.  The sweep is charged to one fresh step
-    budget; a rank that disagrees with `delta` is an internal error.
+    and the images of degree d.  A row of the reduced echelon form is a
+    leading monomial plus standard monomials, and it is an element of the
+    reduced basis iff its pivot is not a variable times a pivot of degree
+    d - 1.  The sweep is charged to one fresh step budget; a rank that
+    disagrees with `delta` is an internal error.
     """
-    ring = gb.ring
     gens = {}
-    for g in list(gb.elements) + [ell]:
+    for g in images:
         gens.setdefault(g.degree, []).append(g)
 
     def extra(d, pos, n):
@@ -432,7 +414,7 @@ def _macaulay_basis(gb: GroebnerBasis, ell, delta, budget: int) -> GroebnerBasis
         hf = len(pos) - len(ech.pivots)
         if hf != expected:
             raise RuntimeError(
-                f"internal inconsistency: R/(I + l) has dimension {hf} "
+                f"internal inconsistency: S/IS has dimension {hf} "
                 f"in degree {d}, where the points' Hilbert function gives {expected}"
             )
         monos = list(pos)
@@ -454,7 +436,7 @@ def _square_length(ring: PolynomialRing, gens, cap: int, budget: _Budget) -> int
     degree 1.  Passing degree `cap` is an internal error.
     """
     lam = 1
-    for _, pos, ech, _ in _sweep(ring, cap, budget, _products(ring, gens, budget)):
+    for _, pos, ech, _ in _sweep(ring, cap, budget, _products(ring, gens)):
         hf = len(pos) - len(ech.pivots)
         if hf == 0:
             return lam
@@ -487,20 +469,20 @@ def is_cm_square(
     gb: GroebnerBasis, reduction: Reduction, budget: int = DEFAULT_STEP_BUDGET
 ) -> CmVerdict:
     """Cohen-Macaulayness of R/I^2 for a one-dimensional homogeneous ideal,
-    from `reduction = artinian_reduction(gb, ...)`: its form l, its basis
-    of I + l, the multiplicity e and s, the socle degree of R/(I + l).
-    Under the hypotheses of the module docstring, a length of R/(I^2 + l)
-    equal to (c+1)*e certifies CM and a larger one NotCM.
+    from `reduction = artinian_reduction(gb, ...)`: its form l, its reduced
+    basis of IS in S = R/(l), the multiplicity e and s, the socle degree of
+    S/IS.  Under the hypotheses of the module docstring, a length of
+    R/(I^2 + l) = S/(IS)^2 equal to (c+1)*e certifies CM and a larger one
+    NotCM.
 
     The count comes first: when `_counting_bound` proves NotCM, the verdict
     carries that bound as `lambda_min`, says so in `detail`, and sweeps
-    nothing.  Otherwise s caps a degree sweep in S = R/(l), as m^(2s+2)
-    lies in (I + l)^2: the images of the basis of I + l generate the image
-    of I, and the Hilbert function of S modulo its square is one rank per
-    degree.  The budget is one fresh cap for the sweep: a row, of the sweep
-    or of the reduced echelon form of the images (`_echelon_generators`),
-    costs one step plus one per echelon row subtracted from it, and
-    exhausting it gives Inconclusive.
+    nothing.  Otherwise s caps a degree sweep in S, as the (2s+2)-th power
+    of its maximal ideal lies in (IS)^2: the reduction's basis generates
+    IS as it stands, and the Hilbert function of S/(IS)^2 is one rank per
+    degree.  The budget is one fresh cap for the sweep: a row costs one
+    step plus one per echelon row subtracted from it, and exhausting it
+    gives Inconclusive.
     """
     ring = gb.ring
     if is_zero_dimensional(gb):
@@ -515,12 +497,10 @@ def is_cm_square(
     if bound is not None:
         detail = f"counting: (c+1)e = {e_expected} < {bound} = C({c + 3},3)"
         return CmVerdict("NotCM", None, drawn, bound, e_expected, detail)
-    smaller, assignment = linear_substitution(ring, [ell])
-    images = substitute_all(reduction.basis.elements, assignment)
+    basis = reduction.basis
     try:
         lam = _square_length(
-            smaller, [f for f in images if not f.is_zero()],
-            2 * reduction.socle_degree + 2, _Budget(budget),
+            basis.ring, basis.elements, 2 * reduction.socle_degree + 2, _Budget(budget)
         )
     except BudgetExceededError as exc:
         return CmVerdict("Inconclusive", None, drawn, None, e_expected, str(exc))
@@ -535,8 +515,8 @@ def is_cm_square(
 
 
 def _quadric_generator_count(art_gb: GroebnerBasis, report: InvariantReport):
-    """Degree-2 elements of the reduced basis of the non-degenerate Artinian
-    reduction; cross-checked against the Hilbert function when s = 2."""
+    """Degree-2 elements of the reduced basis of the Artinian reduction;
+    cross-checked against the Hilbert function when s = 2."""
     count = sum(1 for g in art_gb.elements if g.degree == 2)
     if report.s == 2:
         expected = comb(report.c + 1, 2) - report.hf[2]
@@ -562,31 +542,25 @@ def analyze(
     verdict, and no positive answer may meet one on a non-Gorenstein ring.
     The invariants and e come from one Artinian basis, classified as it
     stands: the input when zero-dimensional (then no verdict), otherwise
-    the basis of I + l from `artinian_reduction`.
+    the basis of IS from `artinian_reduction`.
 
     `points`, when given, are the points whose vanishing ideal `gb` is
     (ValueError otherwise): the reduction then runs no Buchberger, and the
-    Hilbert function of the invariants must be the first difference of the
-    points' one (so e = n), or RuntimeError.
+    Hilbert function of the invariants must be its own, the first
+    difference of the points' one (so e = n), or RuntimeError.
     """
     ring = gb.ring
-    delta = None
-    if points is not None:
-        # one Buchberger-Moller pass, or the one the points keep, serves
-        # the reduction and the check below
-        points = dataclasses.replace(points, bm=bm_result(points, ring.order, budget))
-        delta = _points_hf_difference(gb, points, budget)
-    if is_zero_dimensional(gb):
+    if points is None and is_zero_dimensional(gb):
         art_gb, reduction = gb, None
     else:
         reduction = artinian_reduction(gb, seed, trials, budget, points=points)
         art_gb = reduction.basis
     report = classify(art_gb, budget)
     e = report.length
-    if delta is not None and report.hf.values != delta:
+    if points is not None and report.hf.values != reduction.hf:
         raise RuntimeError(
             f"Hilbert function {report.hf} of the reduction disagrees with "
-            f"{delta}, the first difference of that of the {points.n} points"
+            f"{reduction.hf}, the first difference of that of the {points.n} points"
         )
     cm = None if reduction is None else is_cm_square(gb, reduction, budget)
     q = None
@@ -650,6 +624,5 @@ def eight_quadrics_square_gap(seed, p: int = 31991) -> bool:
         f = ring.poly({m: rng.randrange(p) for m in monos})
         if not f.is_zero():
             quadrics.append(f)
-    budget = _Budget(DEFAULT_STEP_BUDGET)
-    *_, (_, pos, ech, _) = _sweep(ring, 4, budget, _products(ring, quadrics, budget))
+    *_, (_, pos, ech, _) = _sweep(ring, 4, _Budget(DEFAULT_STEP_BUDGET), _products(ring, quadrics))
     return len(ech.pivots) < len(pos)

@@ -119,20 +119,12 @@ class _QuotientStructure:
         self._filtration = self._power_filtration()
 
     def _multiplication_columns(self):
-        """Multiplication matrices, one per variable, as lists of columns.
-        A variable that leads a homogeneous linear basis element is left
-        out: multiplication by it is a combination of the others, so every
-        span and kernel built from the matrices stays the same."""
+        """Multiplication matrices, one per variable, as lists of columns."""
         ring = self.ring
         shift = ring._deg_shift
-        redundant = {
-            f.terms[0][1] for f in self.gb.elements if f.degree == 1 and f.is_homogeneous()
-        }
         columns = []
         for j in range(ring.nvars):
             unit = (1 << (8 * j)) + (1 << shift)
-            if unit in redundant:
-                continue
             cols = []
             for s in self.basis:
                 mm = s + unit

@@ -110,12 +110,16 @@ def projective_point_count(c: int, p: int) -> int:
     return (p ** (c + 1) - 1) // (p - 1)
 
 
-def random_points(c: int, n: int, p: int, seed) -> PointSet:
-    """n distinct uniform points in P^c over GF(p); deterministic per seed."""
+def _check_counts(c: int, n: int):
     if c < 1:
         raise ValueError(f"projective dimension must be at least 1, got {c}")
     if n < 1:
         raise ValueError(f"need at least one point, got {n}")
+
+
+def random_points(c: int, n: int, p: int, seed) -> PointSet:
+    """n distinct uniform points in P^c over GF(p); deterministic per seed."""
+    _check_counts(c, n)
     field = PrimeField(p)
     if n > projective_point_count(c, p):
         raise ValueError(
@@ -303,6 +307,7 @@ def general_points(
     Each redraw derives a fresh sub-seed deterministically from the
     previous one.
     """
+    _check_counts(c, n)  # before the degree range, which assumes them
     _check_degree_range(c, n)  # before drawing the points
     for attempt in range(max_redraws + 1):
         ps = random_points(c, n, p, (seed, attempt) if attempt else seed)

@@ -179,8 +179,9 @@ def test_eight_quadrics_single_run():
 
 def test_analysis_runs_buchberger_on_i_plus_l_once(monkeypatch):
     # the first form is a parameter, and it alone decides the NotCM verdict:
-    # five trials allowed, one Buchberger run on I + l, shared by the
-    # reduction and the square verdict
+    # five trials allowed, one Buchberger run on I + l, made in S = R/(l)
+    # on the images of the basis, and shared by the reduction and the
+    # square verdict
     import conormal.cm as cm
 
     ps, _ = general_points(5, 8, 31991, seed=0)
@@ -188,14 +189,15 @@ def test_analysis_runs_buchberger_on_i_plus_l_once(monkeypatch):
     runs = []
 
     def counting(ideal, *args, **kwargs):
-        if ideal.ring == gb.ring and ideal.generators[:-1] == gb.elements:
-            runs.append(ideal.generators[-1])
+        runs.append(ideal)
         return buchberger(ideal, *args, **kwargs)
 
     monkeypatch.setattr(cm, "buchberger", counting)
     report = analyze(gb, seed=0, trials=5)
     assert report.cm_square.status == "NotCM" and report.cm_square.trials == 1
     assert len(runs) == 1
+    assert runs[0].ring.nvars == gb.ring.nvars - 1
+    assert len(runs[0].generators) == len(gb.elements)
 
 
 def test_points_analysis_runs_no_buchberger_on_i_plus_l(monkeypatch):
@@ -236,7 +238,7 @@ def test_square_verdict_reuses_a_given_reduction():
 
 
 def test_analysis_of_a_points_basis_runs_buchberger_only_for_the_trials(monkeypatch):
-    # the invariants are read off the chosen basis of I + l itself: no
+    # the invariants are read off the chosen basis of IS itself: no
     # elimination and no further Buchberger run
     import conormal.cm as cm
 
@@ -256,7 +258,7 @@ def test_analysis_of_a_points_basis_runs_buchberger_only_for_the_trials(monkeypa
 
 def test_analysis_of_points_runs_no_buchberger_at_all(monkeypatch):
     # the points twin of the test above: the invariants come from the
-    # Macaulay basis of I + l, and the analysis runs no Buchberger
+    # Macaulay basis of IS, and the analysis runs no Buchberger
     import conormal.cm as cm
 
     ps, _ = general_points(5, 10, 31991, seed=1)

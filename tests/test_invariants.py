@@ -192,14 +192,15 @@ def test_classify_rejects_a_quotient_that_is_not_local(ring_xy):
         classify(buchberger(Ideal(ring_xy, [x - 1, y])))
 
 
-def test_multiplication_skips_variables_that_lead_homogeneous_linear_elements():
-    # x = -y - z in the quotient, so its matrix adds nothing; x - 1 is not
-    # homogeneous, and x must keep its column for the locality check
+def test_multiplication_has_a_matrix_for_every_variable():
+    # x = -y - z in the quotient: its matrix is a combination of the other
+    # two and changes no span; with x - 1, x is a unit and its matrix makes
+    # the locality check fail
     ring = PolynomialRing(PrimeField(7), ["x", "y", "z"])
     x, y, z = ring.gens()
     gb = buchberger(Ideal(ring, [x + y + z, x ** 2, y ** 2]))
     q = _QuotientStructure(gb)
-    assert len(q._columns) == 2
+    assert len(q._columns) == 3
     assert classify(gb).hf.values == (1, 2, 1)
     gb = buchberger(Ideal(ring, [x - 1, y, z]))
     with pytest.raises(ValueError, match="not local"):
@@ -219,16 +220,28 @@ def _assert_presentations_agree(gb):
     assert _quadrics(gb) == _quadrics(eliminated)
 
 
+def _i_plus_l(gb, seed):
+    """The reduced basis of I + l in R, for the form l the reduction draws;
+    and the reduction's own basis of IS in S = R/(l)."""
+    reduction = artinian_reduction(gb, seed)
+    return buchberger(Ideal(gb.ring, list(gb.elements) + [reduction.form])), reduction.basis
+
+
 def test_presentations_agree_on_fixed_cases():
     ring = PolynomialRing(PrimeField(31991), ["x", "y", "z", "w"])
     x, y, z, w = ring.gens()
     gbs = [
         buchberger(Ideal(ring, [x + 2 * y - z, z ** 2, y * w, w ** 3 - y ** 3, y ** 2 * z])),
         buchberger(Ideal(ring, [x - y, z + w, y ** 2, z * w, w ** 3])),
-        # the chosen I + l bases of example 6.1 and of six points in P^4
-        artinian_reduction(buchberger(example61_ideal()), 0).basis,
-        artinian_reduction(vanishing_ideal(general_points(4, 6, 31991, 2)[0]), 2).basis,
     ]
+    # the I + l bases of example 6.1 and of six points in P^4, whose
+    # eliminated presentations are the reductions' bases in S
+    for gb, seed in ((buchberger(example61_ideal()), 0),
+                     (vanishing_ideal(general_points(4, 6, 31991, 2)[0]), 2)):
+        in_r, in_s = _i_plus_l(gb, seed)
+        assert classify(in_r).to_text() == classify(in_s).to_text()
+        assert _quadrics(in_r) == _quadrics(in_s)
+        gbs.append(in_r)
     for gb in gbs:
         assert any(g.degree == 1 for g in gb.elements)
         _assert_presentations_agree(gb)

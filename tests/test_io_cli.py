@@ -261,6 +261,14 @@ def test_cli_points_past_the_degree_limit_fail_at_once(capsys):
     assert time.monotonic() - started < 5
 
 
+def test_cli_points_in_p0_blame_the_dimension(capsys):
+    # P^0 is the fault, not the degree limit it would otherwise run into
+    assert main(["analyze", "--points", "0,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: projective dimension must be at least 1, got 0\n"
+
+
 def test_cli_points_can_exhaust_the_budget_in_the_vanishing_ideal(capsys):
     # 500 points in P^2 need an echelon of 500 columns per degree
     started = time.monotonic()

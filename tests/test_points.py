@@ -235,6 +235,22 @@ def test_point_counts_past_the_degree_limit_fail_before_any_evaluation(monkeypat
         vanishing_ideal(random_points(1, 121, 31991, 0))
 
 
+@pytest.mark.parametrize(
+    "c, n, message",
+    [
+        (0, 2, "projective dimension must be at least 1, got 0"),
+        (-1, 5, "projective dimension must be at least 1, got -1"),
+        (3, 0, "need at least one point, got 0"),
+    ],
+)
+def test_general_points_check_c_and_n_before_the_degree_range(c, n, message):
+    # P^0 has C(d0, d0) = 1 monomial in every degree, so the degree range
+    # alone would blame the degree limit for what is a bad dimension
+    with pytest.raises(ValueError) as err:
+        general_points(c, n, 31991, 0)
+    assert str(err.value) == message
+
+
 def test_points_on_a_line_climb_past_the_degree_limit(monkeypatch):
     # n points on a line in P^2 need an element of degree n, far above the
     # degree d0 + 1 that the count alone asks for; with the limit lowered to

@@ -8,18 +8,20 @@ lengths, and so the same verdict, which is what lets the first such form
 decide; the sweep of that one form must agree with them.
 
 The oracle of the points path (forms decided by evaluation, the basis of
-I + l from Macaulay matrices) is the route without the points: Buchberger
-on I + l for every trial form.  Both must find the same degenerate forms,
-the same socle degrees and the same reduced basis, and the whole analysis
-must print the same report.
+IS in S = R/(l) from Macaulay matrices) is the route without the points:
+Buchberger in S on the images of the basis of I, for every trial form.
+Both must find the same degenerate forms, the same socle degrees and the
+same reduced basis, and the whole analysis must print the same report.
+On both routes the reduction's basis must be the reduced basis of I + l
+in R, less its element led by the leading variable of l, moved to S.
 
 The oracle of the eight-quadrics check (the rank of the square in degree
 4) is the route it replaced: a Groebner basis of the square and the normal
 form of every degree-4 monomial.
 
-The oracle of the sweep's sparse generators (the reduced echelon basis of
-the images in each degree) is the square multiplied out from the images as
-they stand: the same pivots in every degree, the same length.
+The oracle of the sweep's sparse generators (the reduction's reduced basis
+of IS) is the square multiplied out from the raw images of the basis of
+I: the same pivots in every degree, the same length.
 
 The count that proves NotCM with no sweep (C(c+3, 3) > (c+1)e for I in
 m^2) is checked against the sweep's own length on both sides of its
@@ -28,7 +30,6 @@ boundary.
 
 import dataclasses
 import random
-from functools import partial
 from math import comb
 
 import pytest
@@ -38,10 +39,8 @@ from conormal import Ideal, PolynomialRing, PrimeField, buchberger
 from conormal.cm import (
     DEFAULT_TRIALS,
     CmVerdict,
-    _echelon_generators,
     _macaulay_basis,
     _points_hf_difference,
-    _product_row,
     _products,
     _sweep,
     analyze,
@@ -62,9 +61,9 @@ from conormal.groebner import (
     is_zero_dimensional,
     normal_form,
     standard_monomials_packed,
+    verify_groebner,
 )
 from conormal.invariants import length, linear_substitution
-from conormal.linalg import Echelon
 from conormal.points import general_points, make_point_set, random_points, vanishing_ideal
 from conormal.poly import substitute_all
 
@@ -188,6 +187,69 @@ def points_with_a_point_on_the_first_form(seed):
     return make_point_set(3, P, list(ps.points) + [(x0,) + rest])
 
 
+def images_in_s(gb, ell):
+    """S = R/(l) and the nonzero images in S of the basis of I: they
+    generate IS."""
+    smaller, assignment = linear_substitution(gb.ring, [ell])
+    return smaller, [f for f in substitute_all(gb.elements, assignment) if not f.is_zero()]
+
+
+def assert_reductions_are_i_plus_l_in_s(monkeypatch, gb, seed, trials, points=None):
+    """For every trial form that is a parameter, on the Buchberger path and
+    on the points path when there are points: the reduced basis of I + l in
+    R, less its element led by the leading variable of l and moved to S,
+    is the reduction's basis.  Returns the number of forms checked."""
+    import conormal.cm as cm
+
+    ring = gb.ring
+    checked = 0
+    for ell in _trial_forms(ring, seed, trials):
+        in_r = buchberger(Ideal(ring, list(gb.elements) + [ell]))
+        if not is_zero_dimensional(in_r):
+            continue
+        lead = ell.terms[0][1]
+        rest = [f for f in in_r.elements if f.terms[0][1] != lead]
+        assert len(rest) == len(in_r.elements) - 1
+        smaller, assignment = linear_substitution(ring, [ell])
+        want = substitute_all(rest, assignment)
+        monkeypatch.setattr(cm, "_trial_forms", lambda ring, seed, trials, ell=ell: [ell])
+        for path in [None] if points is None else [None, points]:
+            reduction = artinian_reduction(gb, seed, 1, points=path)
+            assert reduction.form == ell and reduction.basis.ring == smaller
+            assert list(reduction.basis.elements) == want
+        checked += 1
+    monkeypatch.undo()
+    return checked
+
+
+def test_reductions_are_i_plus_l_in_s_on_example61(monkeypatch):
+    gb = buchberger(example61_ideal())
+    assert assert_reductions_are_i_plus_l_in_s(monkeypatch, gb, 0, DEFAULT_TRIALS) == 5
+
+
+def test_reductions_are_i_plus_l_in_s_with_a_form_through_a_point(monkeypatch):
+    # the first form vanishes at a point and is no parameter; the other two
+    # are checked on both paths
+    ps = points_with_a_point_on_the_first_form(11)
+    gb = vanishing_ideal(ps)
+    assert assert_reductions_are_i_plus_l_in_s(monkeypatch, gb, 11, 3, ps) == 2
+
+
+def test_a_form_whose_images_are_all_zero_is_no_parameter(monkeypatch):
+    # I = (x) in k[x, y]: the form x maps every generator to zero, so it is
+    # skipped for the next one, not passed to Buchberger as an empty ideal
+    import conormal.cm as cm
+
+    ring = PolynomialRing(PrimeField(P), ["x", "y"])
+    x, y = ring.gens()
+    gb = buchberger(Ideal(ring, [x]))
+    monkeypatch.setattr(cm, "_trial_forms", lambda ring, seed, trials: [x * 2, x + y][:trials])
+    reduction = artinian_reduction(gb, 0, 2)
+    assert reduction.drawn == 2 and reduction.hf == (1,)
+    with pytest.raises(RuntimeError, match="no Artinian reduction in 1 form drawn"):
+        artinian_reduction(gb, 0, 1)
+
+
 def test_form_through_a_point_is_skipped():
     # the first trial form vanishes at the last point, so that trial is
     # degenerate on both routes and the second form decides
@@ -198,18 +260,18 @@ def test_form_through_a_point_is_skipped():
 
 def assert_points_path_matches_buchberger(ps, seed, trials):
     """For each trial form: degeneracy by evaluation against Buchberger's
-    "not Artinian", s from the points' Hilbert function against the top
-    standard degree, the Macaulay basis against the reduced basis of
-    I + l; then the reductions and the whole reports."""
+    "not Artinian" in S, s from the points' Hilbert function against the
+    top standard degree, the Macaulay basis against the reduced basis of IS
+    in S; then the reductions and the whole reports."""
     gb = vanishing_ideal(ps)
-    ring = gb.ring
     delta = _points_hf_difference(gb, ps, 10 ** 7)
-    for ell in _trial_forms(ring, seed, trials):
-        oracle = buchberger(Ideal(ring, list(gb.elements) + [ell]))
+    for ell in _trial_forms(gb.ring, seed, trials):
+        smaller, images = images_in_s(gb, ell)
+        oracle = buchberger(Ideal(smaller, images))
         assert _vanishes_at_a_point(ell, ps) == (not is_zero_dimensional(oracle)), ps.points
         if is_zero_dimensional(oracle):
             assert len(delta) == len(standard_monomials_packed(oracle))
-            assert _macaulay_basis(gb, ell, delta, 10 ** 7).elements == oracle.elements
+            assert _macaulay_basis(smaller, images, delta, 10 ** 7).elements == oracle.elements
     by_points = artinian_reduction(gb, seed, trials, points=ps)
     by_buchberger = artinian_reduction(gb, seed, trials)
     assert by_points.basis.elements == by_buchberger.basis.elements
@@ -289,31 +351,21 @@ def test_example61_length_is_sixty():
     assert verdict.status == "CM" and verdict.lambda_min == 60
 
 
-def images_of_the_reduction(gb, reduction):
-    """The nonzero images in S = R/(l) of the reduction's basis of I + l,
-    the generators the square verdict sweeps; and S."""
-    smaller, assignment = linear_substitution(gb.ring, [reduction.form])
-    images = substitute_all(reduction.basis.elements, assignment)
-    return smaller, [f for f in images if not f.is_zero()]
-
-
 def test_budget_exhausted_inside_the_sweep():
-    # one point in P^5: the check of the trial form (10 steps) and the
-    # reduced echelon form of the six images (11 steps) fit in the budget;
-    # the 15 products of the sweep do not
+    # one point in P^5: the reduction's Buchberger run on the five images
+    # in S fits in 11 steps, and its basis is the five variables of S; the
+    # 15 products of the sweep, one step each, do not fit
     ps = make_point_set(5, P, [(1, 2, 3, 4, 5, 6)])
     gb = vanishing_ideal(ps)
-    ell = next(_trial_forms(gb.ring, 3, 1))
     budget = 11
-    buchberger(Ideal(gb.ring, list(gb.elements) + [ell]), budget=budget)
     reduction = artinian_reduction(gb, 3, budget=budget)
-    smaller, images = images_of_the_reduction(gb, reduction)
-    assert len(images) == 6
-    _echelon_generators(smaller, images, _Budget(budget))
+    assert reduction.basis.elements == tuple(reversed(reduction.basis.ring.gens()))
     verdict = is_cm_square(gb, reduction, budget)
     assert verdict.status == "Inconclusive"
     assert verdict.detail == f"reduction step budget of {budget} exceeded"
     assert verdict.trials == 1 and verdict.lambda_min is None
+    assert is_cm_square(gb, reduction, 14).status == "Inconclusive"
+    assert is_cm_square(gb, reduction, 15).status == "CM"
 
 
 def boundary_cases():
@@ -336,7 +388,7 @@ def test_counting_proves_not_cm_exactly_where_the_count_does(c, n, seed):
     gb = vanishing_ideal(ps)
     reduction = artinian_reduction(gb, seed, points=ps)
     verdict = is_cm_square(gb, reduction)
-    smaller, images = images_of_the_reduction(gb, reduction)
+    smaller, images = images_in_s(gb, reduction.form)
     lam = _square_length(smaller, images, 2 * reduction.socle_degree + 2, _Budget(10 ** 7))
     bound, target = comb(c + 3, 3), (c + 1) * n
     assert verdict.e_expected == target
@@ -381,41 +433,35 @@ def test_a_counting_verdict_runs_no_sweep(monkeypatch):
 
 def test_passes_are_charged_by_their_row_updates():
     # 6 general points in P^3: a row costs one step plus one per echelon row
-    # subtracted from it, so the sweep costs 66 steps, 6 of them for the
-    # reduced echelon form of its six images (four quadrics and two cubics
-    # of the reduced basis of I + l, already in that form, one step each);
-    # a budget of 60 would let it through if the echelon form were not
-    # charged; a verdict that runs out in the echelon form still reports
-    # the form drawn
+    # subtracted from it, so the sweep of the squares of the reduction's
+    # basis (four quadrics and two cubics of IS, swept as they stand) costs
+    # 60 steps; a verdict that runs out still reports the form drawn
     ps, _ = general_points(3, 6, P, 0)
     gb = vanishing_ideal(ps)
     reduction = artinian_reduction(gb, 0)
-    smaller, images = images_of_the_reduction(gb, reduction)
-    assert sorted(f.degree for f in images) == [2, 2, 2, 2, 3, 3]
-    _echelon_generators(smaller, images, _Budget(6))
-    with pytest.raises(BudgetExceededError):
-        _echelon_generators(smaller, images, _Budget(5))
-    for budget in (5, 60, 65):
+    assert [f.degree for f in reduction.basis.elements] == [2, 2, 2, 2, 3, 3]
+    for budget in (5, 59):
         verdict = is_cm_square(gb, reduction, budget)
         assert verdict.status == "Inconclusive"
         assert verdict.detail == f"reduction step budget of {budget} exceeded"
         assert verdict.trials == 1 and verdict.lambda_min is None
-    assert is_cm_square(gb, reduction, 66).status == "NotCM"
+    assert is_cm_square(gb, reduction, 60).status == "NotCM"
 
 
 def test_macaulay_basis_is_charged_by_its_row_updates():
     # 6 general points in P^3 and the first trial form, which is regular:
-    # the basis of I + l takes 55 steps, one per row plus one per echelon
-    # row subtracted from it; the back-substitution is not charged
+    # the basis of IS takes 28 steps, one per row plus one per echelon row
+    # subtracted from it; the back-substitution is not charged
     ps, _ = general_points(3, 6, P, 0)
     gb = vanishing_ideal(ps)
     delta = _points_hf_difference(gb, ps, 10 ** 7)
     ell = next(_trial_forms(gb.ring, 0, 1))
     assert not _vanishes_at_a_point(ell, ps)
-    want = buchberger(Ideal(gb.ring, list(gb.elements) + [ell])).elements
-    assert _macaulay_basis(gb, ell, delta, 55).elements == want
+    smaller, images = images_in_s(gb, ell)
+    want = buchberger(Ideal(smaller, images)).elements
+    assert _macaulay_basis(smaller, images, delta, 28).elements == want
     with pytest.raises(BudgetExceededError):
-        _macaulay_basis(gb, ell, delta, 54)
+        _macaulay_basis(smaller, images, delta, 27)
 
 
 def oracle_square_gap(ring, quadrics):
@@ -429,8 +475,7 @@ def oracle_square_gap(ring, quadrics):
 
 def sweep_square_gap(ring, quadrics):
     """The rank of the square in degree 4 is below dim S_4."""
-    budget = _Budget(DEFAULT_STEP_BUDGET)
-    *_, (d, pos, ech, _) = _sweep(ring, 4, budget, _products(ring, quadrics, budget))
+    *_, (d, pos, ech, _) = _sweep(ring, 4, _Budget(DEFAULT_STEP_BUDGET), _products(ring, quadrics))
     assert d == 4
     return len(ech.pivots) < len(pos)
 
@@ -490,61 +535,18 @@ def test_random_point_sets_give_the_same_lengths(c, extra, seed):
     assert assert_same_verdict(gb, seed, 2).e_expected == (c + 1) * ps.n
 
 
-def raw_square_sweep(ring, gens, cap):
+def square_sweep(ring, gens, cap):
     """(length of S/J, pivots of J_d for each degree the sweep reached) for J
     the square of the ideal of the gens, every product of two gens formed
     as they stand."""
-    p = ring.field.p
-    terms = [[(m, c) for _, m, c in f.terms] for f in gens]
-    by_degree = {}
-    for i, f in enumerate(gens):
-        for j in range(i, len(gens)):
-            by_degree.setdefault(f.degree + gens[j].degree, []).append((terms[i], terms[j]))
-
-    def extra(d, pos, n):
-        return [
-            (pos[f[0][0] + g[0][0]], partial(_product_row, f, g, pos, n, p))
-            for f, g in by_degree.get(d, ())
-        ]
-
     lam, pivots = 1, []
-    for _, pos, ech, _ in _sweep(ring, cap, _Budget(10 ** 7), extra):
+    for _, pos, ech, _ in _sweep(ring, cap, _Budget(10 ** 7), _products(ring, gens)):
         pivots.append(sorted(ech.pivots))
         hf = len(pos) - len(ech.pivots)
         if hf == 0:
             return lam, pivots
         lam += hf
-    raise AssertionError("the raw sweep passed its cap")
-
-
-def assert_echelon_shape(ring, gens, basis):
-    """Each degree of the basis spans the gens of that degree; an element of
-    degree a is monic at its leading monomial and has at most
-    1 + dim S_a - rank terms, none of them after the first leading another
-    element."""
-    leads = {f[0][0] for _, f in basis}
-    assert len(leads) == len(basis)
-    for a in {g.degree for g in gens}:
-        of_degree = [f for b, f in basis if b == a]
-        span = Echelon(ring.field.p)
-        monos = ring.monomials_of_degree(a)
-        col = {m: i for i, m in enumerate(monos)}
-        for g in gens:
-            if g.degree == a:
-                span.add([g.coefficient(ring.unpack(m)) for m in monos])
-        rank = len(span.pivots)
-        assert len(of_degree) == rank
-        for f in of_degree:
-            assert f[0][1] == 1
-            assert len(f) <= 1 + len(monos) - rank
-            assert all(ring.mono_deg(m) == a for m, _ in f)
-            assert not any(m in leads for m, _ in f[1:])
-            # f lies in the span: adding it leaves the rank unchanged
-            vec = [0] * len(monos)
-            for m, c in f:
-                vec[col[m]] = c
-            assert span.reduce(vec)[0] == [0] * len(monos)
-    assert {a for a, _ in basis} == {g.degree for g in gens}
+    raise AssertionError("the sweep passed its cap")
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -554,42 +556,22 @@ def assert_echelon_shape(ring, gens, basis):
     seed=st.integers(min_value=0, max_value=10_000),
 )
 def test_echelon_generators_leave_the_square_unchanged(c, extra, seed):
-    # for every trial form that misses the points: the square of the images
-    # of the basis of I + l, multiplied out as they stand, has the same
-    # pivots in every degree and the same length as the square of their
-    # reduced echelon basis, whether `_square_length` gets the images or
-    # that basis
+    # for every trial form that misses the points: the reduction's basis of
+    # IS is reduced, so in each degree it is one element per leading
+    # monomial in reduced echelon form; the square of the raw images of the
+    # basis of I has the same pivots in every degree and the same length as
+    # the square of that basis
     ps, _ = general_points(c, c + 1 + extra, P, seed)
     gb = vanishing_ideal(ps)
     delta = _points_hf_difference(gb, ps, 10 ** 7)
-    s = len(delta) - 1
+    cap = 2 * (len(delta) - 1) + 2
     for ell in _trial_forms(gb.ring, seed, DEFAULT_TRIALS):
         if _vanishes_at_a_point(ell, ps):
             continue
-        gens = _macaulay_basis(gb, ell, delta, 10 ** 7).elements
-        smaller, assignment = linear_substitution(gb.ring, [ell])
-        images = [f for f in substitute_all(gens, assignment) if not f.is_zero()]
-        basis = _echelon_generators(smaller, images, _Budget(10 ** 7))
-        assert_echelon_shape(smaller, images, basis)
-        reduced = [smaller._from_packed_dict(dict(f)) for _, f in basis]
-        cap = 2 * s + 2
-        lam, pivots = raw_square_sweep(smaller, images, cap)
-        assert raw_square_sweep(smaller, reduced, cap) == (lam, pivots)
-        assert _square_length(smaller, images, cap, _Budget(10 ** 7)) == lam
-        assert _square_length(smaller, reduced, cap, _Budget(10 ** 7)) == lam
-        budget = _Budget(10 ** 7)
-        swept = _sweep(smaller, len(pivots), budget, _products(smaller, images, budget))
-        assert [sorted(ech.pivots) for _, _, ech, _ in swept] == pivots
+        smaller, images = images_in_s(gb, ell)
+        basis = _macaulay_basis(smaller, images, delta, 10 ** 7)
+        assert verify_groebner(basis)
+        lam, pivots = square_sweep(smaller, images, cap)
+        assert square_sweep(smaller, basis.elements, cap) == (lam, pivots)
+        assert _square_length(smaller, basis.elements, cap, _Budget(10 ** 7)) == lam
         assert lam >= (c + 1) * ps.n
-
-
-def test_echelon_generators_drop_dependent_gens_and_are_charged():
-    # x + y, x - y and 2x span the linear forms of GF(7)[x, y]: the basis is
-    # x and y, and the three rows cost 1, 2 and 3 steps
-    ring = PolynomialRing(PrimeField(7), ["x", "y"])
-    x, y = ring.gens()
-    gens = [x + y, x - y, x * 2]
-    basis = _echelon_generators(ring, gens, _Budget(6))
-    assert [f for _, f in basis] == [[(x.terms[0][1], 1)], [(y.terms[0][1], 1)]]
-    with pytest.raises(BudgetExceededError):
-        _echelon_generators(ring, gens, _Budget(5))

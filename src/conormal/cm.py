@@ -16,14 +16,16 @@ R/(I^2 + l) is S/(IS)^2.  One seeded form serves the whole analysis.  The
 reduction draws forms until one gives an Artinian S/IS, and keeps the
 reduced basis of IS in S and the Hilbert function of S/IS, whose sum is e
 and whose top degree is s; the verdict needs only l, that basis and s, and
-the invariants are read off that basis as it stands.  Given a basis alone,
-a draw costs one substitution and one Buchberger run in S.  Given the
-points whose ideal it is, the reduction runs no Buchberger: l is a
-parameter iff it vanishes at none of the n points (Abbott, Bigatti, Kreuzer
-and Robbiano, "Computing ideals of points", 2000), and then HF(S/IS) is the
-first difference of HF(R/I), which the Buchberger-Moller pass already has;
-so e = n, s is the last degree where that difference is positive, and the
-basis of IS comes from reduced Macaulay matrices.
+the invariants are read off that basis as it stands.  For R/I CM of
+dimension 1 and l regular on it, HF(S/IS) is the first difference of
+HF(R/I), which the standard monomials of the basis give once, whatever
+the input; a basis whose HF falls, or still rises past the degree any
+such reduction allows, is refused there.  A draw costs one substitution
+and one sweep of Macaulay matrices in S: l passes iff the ranks give that
+difference through s and fill degree s + 1, and the reduced basis of IS
+is read off the same matrices, with no Buchberger run.  On points a form
+passes iff it vanishes at none of them (Abbott, Bigatti, Kreuzer and
+Robbiano, "Computing ideals of points", 2000), and e = n.
 
 The length of S/(IS)^2 comes from a degree sweep of graded Macaulay
 matrices (Lazard 1983): in each degree d the square spans the variables
@@ -33,9 +35,9 @@ monomial plus standard monomials, one per leading monomial in each degree,
 as F4 makes them before it multiplies (Faugere 1999), and their products
 have few terms.  One rank per degree gives the Hilbert function, and the
 sweep ends at its first zero.  No Groebner basis of the square is
-computed.  The same degree loop, `_sweep`, also builds the basis of IS on
-the points path and ranks the square of eight quadrics in degree 4; its
-column tables are built once per ring shape.
+computed.  The same degree loop, `_sweep`, also builds the basis of IS
+and ranks the square of eight quadrics in degree 4; its column tables are
+built once per ring shape.
 
 Some NotCM verdicts need no sweep at all.  When I lies in m^2, the image
 of I^2 lies in the fourth power of the maximal ideal of S, so the length
@@ -52,16 +54,14 @@ from math import comb
 from . import __version__
 from .field import PrimeField, derive_seed
 from .linalg import Echelon
-from .poly import PolynomialRing, random_linear_form, substitute_all
+from .poly import MAX_EXPONENT, PolynomialRing, random_linear_form, substitute_all
 from .groebner import (
     BudgetExceededError,
     DEFAULT_STEP_BUDGET,
     GroebnerBasis,
-    Ideal,
     _Budget,
-    buchberger,
+    _standard_successors,
     is_zero_dimensional,
-    standard_monomials_packed,
 )
 from .invariants import InvariantReport, classify, linear_substitution
 from .points import PointSet, bm_result
@@ -183,53 +183,67 @@ def artinian_reduction(
     seed,
     trials: int = DEFAULT_TRIALS,
     budget: int = DEFAULT_STEP_BUDGET,
-    points: PointSet = None,
 ) -> Reduction:
     """S/IS, S = R/(l), for the first seeded linear form l, of at most
-    `trials` drawn, for which it is Artinian.  For a one-dimensional
-    Cohen-Macaulay quotient its length is the multiplicity, whichever such
-    form is drawn.
-
-    Each form drawn is substituted away from the basis once, and the
-    images generate IS.  Without `points` a draw costs one Buchberger run
-    on the images, and one walk of the standard monomials of the first
-    zero-dimensional basis gives the Hilbert function; a draw whose images
-    are all zero (I inside (l)) is no parameter.  With `points`, whose
-    vanishing ideal `gb` must be (ValueError otherwise, checked first), a
-    draw is a parameter iff it vanishes at none of the points, and only
-    its basis is built, by `_macaulay_basis`.  ValueError unless `trials`
-    is at least 1; RuntimeError when no draw gives an Artinian quotient:
-    with `points` every form vanished at a point, without them the ideal
-    may have dimension above 1.
+    `trials` drawn, whose images pass `_macaulay_basis` against the
+    Hilbert function `_hf_difference` reads off the basis once.  For a
+    one-dimensional Cohen-Macaulay quotient its length is the multiplicity,
+    whichever such form is drawn.  ValueError unless `trials` is at least
+    1, for a zero-dimensional basis, and from `_hf_difference`;
+    RuntimeError when no form drawn passes.
     """
     if trials < 1:
         raise ValueError(f"an Artinian reduction needs at least 1 trial, got {trials}")
-    delta = None if points is None else _points_hf_difference(gb, points, budget)
     if is_zero_dimensional(gb):
         raise ValueError("the ideal is already zero-dimensional; nothing to reduce")
+    delta = _hf_difference(gb)
     for drawn, ell in enumerate(_trial_forms(gb.ring, seed, trials), 1):
-        if points is not None and _vanishes_at_a_point(ell, points):
-            continue
         smaller, assignment = linear_substitution(gb.ring, [ell])
         images = [f for f in substitute_all(gb.elements, assignment) if not f.is_zero()]
-        if points is not None:
-            return Reduction(_macaulay_basis(smaller, images, delta, budget), ell, delta, drawn)
-        if not images:
-            continue
-        cand = buchberger(Ideal(smaller, images), budget=budget)
-        if is_zero_dimensional(cand):
-            hf = tuple(len(level) for level in standard_monomials_packed(cand))
-            return Reduction(cand, ell, hf, drawn)
-    tried = f"{trials} form{'s' * (trials != 1)} drawn"
-    if points is not None:
-        raise RuntimeError(
-            f"no Artinian reduction in {tried}: each form vanishes at "
-            f"one of the {points.n} points over GF({points.p}); a larger "
-            "--trials or p may draw one that misses them all"
-        )
+        basis = _macaulay_basis(smaller, images, delta, budget)
+        if basis is not None:
+            return Reduction(basis, ell, delta, drawn)
     raise RuntimeError(
-        f"no Artinian reduction in {tried}; "
-        "the ideal may have dimension above 1"
+        f"no Artinian reduction in {trials} form{'s' * (trials != 1)} drawn over "
+        f"GF({gb.ring.field.p}): R/I is not Cohen-Macaulay of dimension 1, or each "
+        "form vanishes at one of the points of I, as is likely over a small "
+        "field; a larger --trials or p may draw one that misses them all"
+    )
+
+
+def _hf_difference(gb: GroebnerBasis) -> tuple:
+    """(h(0), h(1) - h(0), ..., h(s) - h(s-1)), h = HF(R/I) read off the
+    standard monomials of the basis degree by degree, s the first degree
+    with h(s+1) <= h(s): HF(S/IS) for every l regular on a CM R/I of
+    dimension 1.  ValueError for a basis that is not homogeneous; when h
+    falls, which a CM R/I of positive dimension never does (it has a
+    regular linear form over the algebraic closure, and HF does not change
+    under field extension); when h still rises in degree c(D-1) + 1, D the
+    top degree of the basis (an Artinian S/IS generated in degrees <= D
+    contains a complete intersection of c forms of degree D, so s <=
+    c(D-1)); and when the walk would pass total degree 120.
+    """
+    ring = gb.ring
+    if any(not g.is_homogeneous() for g in gb.elements):
+        raise ValueError("artinian_reduction needs a homogeneous ideal")
+    c, top = ring.nvars - 1, max(g.degree for g in gb.elements)
+    cap = c * (top - 1) + 1
+    index = gb.index()
+    hf, level = [1], [0]
+    for d in range(1, cap + 1):
+        if d > MAX_EXPONENT:
+            raise ValueError(f"total degree {d} exceeds the {MAX_EXPONENT} limit")
+        level = _standard_successors(ring, index, level)
+        if len(level) < hf[-1]:
+            raise ValueError(f"R/I is not Cohen-Macaulay of positive dimension: its Hilbert "
+                             f"function falls from {hf[-1]} in degree {d - 1} to {len(level)}")
+        if len(level) == hf[-1]:
+            return tuple(b - a for a, b in zip([0] + hf, hf))
+        hf.append(len(level))
+    raise ValueError(
+        f"R/I is not Cohen-Macaulay of dimension 1, or has dimension above 1: its "
+        f"Hilbert function still rises in degree {cap} = c(D-1) + 1, for c = {c} "
+        f"and the top degree D = {top} of the basis"
     )
 
 
@@ -245,16 +259,6 @@ def _points_hf_difference(gb: GroebnerBasis, ps: PointSet, budget: int) -> tuple
     while delta[-1] == 0:
         delta.pop()
     return tuple(delta)
-
-
-def _vanishes_at_a_point(ell, ps: PointSet) -> bool:
-    ring = ell.ring
-    coeffs = [0] * ring.nvars
-    for _, m, c in ell.terms:
-        coeffs[ring.unpack(m).index(1)] = c
-    return any(
-        sum(a * x for a, x in zip(coeffs, pt)) % ps.p == 0 for pt in ps.points
-    )
 
 
 def _poly_row(f, pos, n):
@@ -386,19 +390,18 @@ def _products(ring: PolynomialRing, gens):
     return extra
 
 
-def _macaulay_basis(ring: PolynomialRing, images, delta, budget: int) -> GroebnerBasis:
-    """Reduced Groebner basis of J = IS in S = R/(l), for a form l regular
-    on R/I and the images in S of a basis of I, read off the reduced
-    Macaulay matrices of `_sweep` in the variables of S.
-
-    `delta` is HF(S/J) = ΔHF(R/I), so J_d = S_d from d = s + 1 on, s =
-    len(delta) - 1, and every leading monomial of J has degree at most
-    s + 1.  For d = 1..s+1, J_d is spanned by the variables times J_(d-1)
-    and the images of degree d.  A row of the reduced echelon form is a
-    leading monomial plus standard monomials, and it is an element of the
-    reduced basis iff its pivot is not a variable times a pivot of degree
-    d - 1.  The sweep is charged to one fresh step budget; a rank that
-    disagrees with `delta` is an internal error.
+def _macaulay_basis(ring: PolynomialRing, images, delta, budget: int):
+    """Reduced Groebner basis of J = IS in S = R/(l), for the images in S of
+    a basis of I, read off the reduced Macaulay matrices of `_sweep`; None
+    when HF(S/J) is not `delta` = ΔHF(R/I) in some degree d <= s + 1,
+    s = len(delta) - 1.  HF(S/J)(d) = delta(d) + dim (0 :_{R/I} l)_(d-1),
+    so a form through a point of I leaves S/J nonzero in degree s + 1; when
+    the ranks match, every leading monomial of J has degree at most s + 1.
+    J_d is spanned by the variables times J_(d-1) and the images of degree
+    d.  A row of the reduced echelon form is a leading monomial plus
+    standard monomials, and an element of the reduced basis iff its pivot
+    is not a variable times a pivot of degree d - 1.  The sweep is charged
+    to one fresh step budget.
     """
     gens = {}
     for g in images:
@@ -413,10 +416,7 @@ def _macaulay_basis(ring: PolynomialRing, images, delta, budget: int) -> Groebne
         expected = delta[d] if d < top else 0
         hf = len(pos) - len(ech.pivots)
         if hf != expected:
-            raise RuntimeError(
-                f"internal inconsistency: S/IS has dimension {hf} "
-                f"in degree {d}, where the points' Hilbert function gives {expected}"
-            )
+            return None
         monos = list(pos)
         for col, row in zip(ech.pivots, ech.rows):
             if col not in lifted:
@@ -469,11 +469,11 @@ def is_cm_square(
     gb: GroebnerBasis, reduction: Reduction, budget: int = DEFAULT_STEP_BUDGET
 ) -> CmVerdict:
     """Cohen-Macaulayness of R/I^2 for a one-dimensional homogeneous ideal,
-    from `reduction = artinian_reduction(gb, ...)`: its form l, its reduced
-    basis of IS in S = R/(l), the multiplicity e and s, the socle degree of
-    S/IS.  Under the hypotheses of the module docstring, a length of
-    R/(I^2 + l) = S/(IS)^2 equal to (c+1)*e certifies CM and a larger one
-    NotCM.
+    from `reduction = artinian_reduction(gb, ...)`, which checks both: its
+    form l, its reduced basis of IS in S = R/(l), the multiplicity e and s,
+    the socle degree of S/IS.  Under the hypotheses of the module
+    docstring, a length of R/(I^2 + l) = S/(IS)^2 equal to (c+1)*e
+    certifies CM and a larger one NotCM.
 
     The count comes first: when `_counting_bound` proves NotCM, the verdict
     carries that bound as `lambda_min`, says so in `detail`, and sweeps
@@ -484,13 +484,7 @@ def is_cm_square(
     step plus one per echelon row subtracted from it, and exhausting it
     gives Inconclusive.
     """
-    ring = gb.ring
-    if is_zero_dimensional(gb):
-        raise ValueError("is_cm_square needs a one-dimensional ideal")
-    for g in gb.elements:
-        if not g.is_homogeneous():
-            raise ValueError("is_cm_square needs a homogeneous ideal")
-    c = ring.nvars - 1  # height of a points ideal
+    c = gb.ring.nvars - 1  # height of a points ideal
     ell, drawn = reduction.form, reduction.drawn
     e_expected = (c + 1) * reduction.length
     bound = _counting_bound(gb, c, reduction.length)
@@ -545,23 +539,24 @@ def analyze(
     the basis of IS from `artinian_reduction`.
 
     `points`, when given, are the points whose vanishing ideal `gb` is
-    (ValueError otherwise): the reduction then runs no Buchberger, and the
-    Hilbert function of the invariants must be its own, the first
-    difference of the points' one (so e = n), or RuntimeError.
+    (ValueError otherwise, checked first), and the Hilbert function of the
+    reduction must be the first difference of the points' one (so e = n),
+    or RuntimeError.
     """
     ring = gb.ring
-    if points is None and is_zero_dimensional(gb):
+    delta = None if points is None else _points_hf_difference(gb, points, budget)
+    if is_zero_dimensional(gb):
         art_gb, reduction = gb, None
     else:
-        reduction = artinian_reduction(gb, seed, trials, budget, points=points)
+        reduction = artinian_reduction(gb, seed, trials, budget)
         art_gb = reduction.basis
+        if delta is not None and reduction.hf != delta:
+            raise RuntimeError(
+                f"Hilbert function {reduction.hf} of the reduction disagrees with "
+                f"{delta}, the first difference of that of the {points.n} points"
+            )
     report = classify(art_gb, budget)
     e = report.length
-    if points is not None and report.hf.values != reduction.hf:
-        raise RuntimeError(
-            f"Hilbert function {report.hf} of the reduction disagrees with "
-            f"{reduction.hf}, the first difference of that of the {points.n} points"
-        )
     cm = None if reduction is None else is_cm_square(gb, reduction, budget)
     q = None
     if all(g.is_homogeneous() for g in art_gb.elements):

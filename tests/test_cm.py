@@ -1,4 +1,6 @@
 import dataclasses
+import random
+import time
 
 import pytest
 
@@ -10,8 +12,11 @@ from conormal import (
     buchberger,
 )
 from conormal.cm import (
+    DEFAULT_TRIALS,
     CmVerdict,
     CriteriaAgreementError,
+    _hf_difference,
+    _trial_forms,
     analyze,
     artinian_reduction,
     derive_seed,
@@ -19,6 +24,7 @@ from conormal.cm import (
     is_cm_square,
 )
 from conormal.constructions import example61_ideal
+from conormal.groebner import contains
 from conormal.invariants import length
 from conormal.points import general_points, make_point_set, random_points, vanishing_ideal
 
@@ -177,48 +183,32 @@ def test_eight_quadrics_single_run():
     assert eight_quadrics_square_gap(0)
 
 
-def test_analysis_runs_buchberger_on_i_plus_l_once(monkeypatch):
-    # the first form is a parameter, and it alone decides the NotCM verdict:
-    # five trials allowed, one Buchberger run on I + l, made in S = R/(l)
-    # on the images of the basis, and shared by the reduction and the
-    # square verdict
-    import conormal.cm as cm
+def forbid_buchberger(monkeypatch):
+    """Make every binding of `buchberger` in the package raise, so an
+    analysis that runs it fails."""
+    import sys
 
-    ps, _ = general_points(5, 8, 31991, seed=0)
-    gb = vanishing_ideal(ps)
-    runs = []
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the analysis ran Buchberger")
 
-    def counting(ideal, *args, **kwargs):
-        runs.append(ideal)
-        return buchberger(ideal, *args, **kwargs)
-
-    monkeypatch.setattr(cm, "buchberger", counting)
-    report = analyze(gb, seed=0, trials=5)
-    assert report.cm_square.status == "NotCM" and report.cm_square.trials == 1
-    assert len(runs) == 1
-    assert runs[0].ring.nvars == gb.ring.nvars - 1
-    assert len(runs[0].generators) == len(gb.elements)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "conormal" and "buchberger" in vars(module):
+            monkeypatch.setattr(module, "buchberger", forbidden)
 
 
 def test_points_analysis_runs_no_buchberger_on_i_plus_l(monkeypatch):
-    # the points twin of the test above: the first form misses every point
-    # and its basis comes from Macaulay matrices
+    # the first form is a parameter, and it alone decides the NotCM verdict:
+    # five trials allowed, the basis of IS read off Macaulay matrices in
+    # S = R/(l), with the points or without them, and no Buchberger run
     import conormal.cm as cm
 
     ps, _ = general_points(5, 8, 31991, seed=0)
     gb = vanishing_ideal(ps)
-    runs = []
-
-    def counting(ideal, *args, **kwargs):
-        runs.append(ideal)
-        return buchberger(ideal, *args, **kwargs)
-
-    monkeypatch.setattr(cm, "buchberger", counting)
+    assert "buchberger" not in vars(cm)
+    forbid_buchberger(monkeypatch)
     report = analyze(gb, seed=0, trials=5, points=ps)
     assert report.cm_square.status == "NotCM" and report.cm_square.trials == 1
-    assert runs == []
     assert report.to_text() == analyze(gb, seed=0, trials=5).to_text()
-    assert len(runs) == 1
 
 
 def test_square_verdict_reuses_a_given_reduction():
@@ -237,77 +227,141 @@ def test_square_verdict_reuses_a_given_reduction():
     assert verdict61.witness == reduction61.form
 
 
-def test_analysis_of_a_points_basis_runs_buchberger_only_for_the_trials(monkeypatch):
-    # the invariants are read off the chosen basis of IS itself: no
-    # elimination and no further Buchberger run
-    import conormal.cm as cm
-
-    ps, _ = general_points(5, 10, 31991, seed=1)
-    gb = vanishing_ideal(ps)
-    runs = []
-
-    def counting(ideal, *args, **kwargs):
-        runs.append(ideal)
-        return buchberger(ideal, *args, **kwargs)
-
-    monkeypatch.setattr(cm, "buchberger", counting)
-    report = analyze(gb, seed=1, trials=3)
-    assert report.e == 10 and report.invariants.hf.values == (1, 5, 4)
-    assert len(runs) == 1
-
-
 def test_analysis_of_points_runs_no_buchberger_at_all(monkeypatch):
-    # the points twin of the test above: the invariants come from the
-    # Macaulay basis of IS, and the analysis runs no Buchberger
-    import conormal.cm as cm
-
+    # the invariants are read off the Macaulay basis of IS itself, with the
+    # points or without them: no elimination and no Buchberger run
     ps, _ = general_points(5, 10, 31991, seed=1)
     gb = vanishing_ideal(ps)
-    monkeypatch.setattr(cm, "buchberger", None)
-    report = analyze(gb, seed=1, trials=3, points=ps)
-    assert report.e == 10 and report.invariants.hf.values == (1, 5, 4)
-    assert report.cm_square.status == "CM"
+    forbid_buchberger(monkeypatch)
+    for points in (ps, None):
+        report = analyze(gb, seed=1, trials=3, points=points)
+        assert report.e == 10 and report.invariants.hf.values == (1, 5, 4)
+        assert report.cm_square.status == "CM"
 
 
 def test_points_reduction_of_a_degenerate_set_of_forms_raises(monkeypatch):
-    # every trial form through a point of the coordinate triangle: no
-    # Artinian reduction, by evaluation as by Buchberger
+    # every trial form through a point of the coordinate triangle: S/IS is
+    # nonzero in degree s + 1 for each, so no Artinian reduction
     import conormal.cm as cm
 
     ps = make_point_set(2, 31991, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     gb = vanishing_ideal(ps)
     x0, x1, _ = gb.ring.gens()
     monkeypatch.setattr(cm, "_trial_forms", lambda ring, seed, trials: [x0, x1])
-    for points in (ps, None):
-        with pytest.raises(RuntimeError, match="no Artinian reduction"):
-            artinian_reduction(gb, 0, 2, points=points)
+    with pytest.raises(RuntimeError, match="no Artinian reduction in 2 forms drawn"):
+        artinian_reduction(gb, 0, 2)
 
 
 def test_points_reduction_over_a_small_field_blames_the_forms_not_the_dimension():
     # over GF(3) a form misses all of 10 points with probability (2/3)^10:
     # every trial form vanishes at one of them, although the ideal of the
-    # points is one-dimensional; the Buchberger route cannot tell the two
-    # apart and keeps its guess
+    # points is one-dimensional and CM; the message names the forms, p and
+    # both causes
     ps, _ = general_points(5, 10, 3, seed=0)
     gb = vanishing_ideal(ps)
-    with pytest.raises(RuntimeError) as err:
-        artinian_reduction(gb, 0, points=ps)
-    assert str(err.value) == (
-        "no Artinian reduction in 5 forms drawn: each form vanishes at one of "
-        "the 10 points over GF(3); a larger --trials or p may draw one that misses them all"
-    )
-    with pytest.raises(RuntimeError, match="dimension above 1"):
-        artinian_reduction(gb, 0)
-    with pytest.raises(RuntimeError, match="in 1 form drawn: each form vanishes"):
-        artinian_reduction(gb, 0, 1, points=ps)
+    for points in (ps, None):
+        with pytest.raises(RuntimeError) as err:
+            analyze(gb, 0, points=points)
+        assert str(err.value) == (
+            "no Artinian reduction in 5 forms drawn over GF(3): R/I is not "
+            "Cohen-Macaulay of dimension 1, or each form vanishes at one of the "
+            "points of I, as is likely over a small field; a larger --trials or p "
+            "may draw one that misses them all"
+        )
+    with pytest.raises(RuntimeError, match="in 1 form drawn over GF"):
+        artinian_reduction(gb, 0, 1)
 
 
 def test_analysis_of_an_artinian_input_runs_no_buchberger(monkeypatch, ring_xyz):
-    import conormal.cm as cm
-
     x, y, z = ring_xyz.gens()
     gb = buchberger(Ideal(ring_xyz, [x - y, y ** 2, y * z, z ** 3]))
-    monkeypatch.setattr(cm, "buchberger", None)
+    forbid_buchberger(monkeypatch)
     report = analyze(gb)
     assert report.invariants.hf.values == (1, 2, 1) and report.e == 4
     assert report.cm_square is None and report.q == 2
+
+
+def parsed_basis(variables, gens):
+    ring = PolynomialRing(PrimeField(31991), variables)
+    return buchberger(Ideal(ring, [ring.parse(g) for g in gens]))
+
+
+def quadric_truncation():
+    """(I, q) for 12 points on the quadric x0*x3 - x1*x2 in P^3, q the
+    quadric of their ideal J and I generated by the x_i*q and the basis
+    elements of J of degree at least 3.  I and J agree from degree 3 on,
+    so R/I has the Hilbert function 1, 4, 10, 12, 12, ... of a CM ring of
+    multiplicity 12; but q is not in I and l*q is, for every linear form l,
+    so R/I is not CM and no form is regular on it."""
+    rng = random.Random(5)
+    pts = set()
+    while len(pts) < 12:
+        a, b, c, d = (rng.randrange(1, 31991) for _ in range(4))
+        pts.add((a * c % 31991, a * d % 31991, b * c % 31991, b * d % 31991))
+    j = vanishing_ideal(make_point_set(3, 31991, sorted(pts)))
+    (q,) = [g for g in j.elements if g.degree == 2]
+    gens = [x * q for x in j.ring.gens()] + [g for g in j.elements if g.degree >= 3]
+    return buchberger(Ideal(j.ring, gens)), q
+
+
+def test_a_quadric_every_form_kills_is_refused():
+    # Buchberger on I + l finds S/IS of length 13, not 12, for every form:
+    # q survives in degree 2 of 0 :_{R/I} l, and the sweep finds the rank
+    # one short of delta in degree 3, so every form is skipped
+    gb, q = quadric_truncation()
+    assert _hf_difference(gb) == (1, 3, 6, 2)
+    assert not contains(gb, q)
+    for ell in _trial_forms(gb.ring, 0, DEFAULT_TRIALS):
+        assert contains(gb, ell * q)
+        assert length(buchberger(Ideal(gb.ring, list(gb.elements) + [ell]))) == 13
+    with pytest.raises(RuntimeError, match="no Artinian reduction in 5 forms drawn"):
+        analyze(gb, seed=0)
+
+
+def test_a_surface_is_refused_by_its_hilbert_function_alone(monkeypatch):
+    # R/(xy, zw) has dimension 2 and h = 1, 4, 8, 12, 16, ...: still rising
+    # in degree c(D-1) + 1 = 4, so the walk refuses it before any sweep
+    import conormal.cm as cm
+
+    gb = parsed_basis(["x", "y", "z", "w"], ["x*y", "z*w"])
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the reduction ran a sweep")
+
+    monkeypatch.setattr(cm, "_sweep", no_sweep)
+    with pytest.raises(ValueError, match="still rises in degree 4"):
+        analyze(gb, seed=0)
+
+
+def test_a_walk_past_degree_120_fails_at_once():
+    # x^61, y^61 in k[x, y, z]: h rises until degree 120, so its plateau
+    # lies past the monomial degree limit
+    gb = parsed_basis(["x", "y", "z"], ["x^61", "y^61"])
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="total degree 121 exceeds the 120 limit"):
+        analyze(gb, seed=0)
+    assert time.monotonic() - started < 10
+
+
+def test_reduction_needs_a_homogeneous_basis(ring_xyz):
+    x, y, z = ring_xyz.gens()
+    gb = buchberger(Ideal(ring_xyz, [x - y * y, y * z]))
+    with pytest.raises(ValueError, match="needs a homogeneous ideal"):
+        artinian_reduction(gb, seed=0)
+
+
+def test_analysis_checks_the_reduction_against_the_points(monkeypatch):
+    # a reduction whose Hilbert function is not the first difference of
+    # the points' one is an internal inconsistency
+    import conormal.cm as cm
+
+    ps, _ = general_points(3, 6, 31991, seed=0)
+    gb = vanishing_ideal(ps)
+    honest = cm.artinian_reduction
+    monkeypatch.setattr(
+        cm, "artinian_reduction",
+        lambda *args: dataclasses.replace(honest(*args), hf=(1, 3, 1, 1)),
+    )
+    analyze(gb, seed=0)
+    with pytest.raises(RuntimeError, match=r"\(1, 3, 1, 1\) of the reduction disagrees"):
+        analyze(gb, seed=0, points=ps)

@@ -387,3 +387,12 @@ def test_run_calls_the_verb_bound_to_its_name(monkeypatch):
     monkeypatch.setattr(harness, "conjecture_experiment", lambda config: calls.append(config) or ("", 0))
     config = ExperimentConfig(command="conjecture", c=5)
     assert harness.run(config) == ("", 0) and calls == [config]
+
+
+def test_cli_analyze_refuses_a_ring_that_is_not_cm(tmp_path, capsys):
+    # R/(x^2, xy) has the Hilbert function 1, 2, 1, 1, ...: it falls, so
+    # R/I is not CM and the reduction refuses it
+    path = tmp_path / "embedded.txt"
+    path.write_text("ring p=31991 vars=x,y\nx^2\nx*y\n")
+    assert main(["analyze", str(path)]) == 1
+    assert "not Cohen-Macaulay" in capsys.readouterr().err

@@ -1,5 +1,5 @@
 """Differential tests of the square verdict's degree sweep and of the
-points path of the reduction.
+reduction's Macaulay basis.
 
 The oracle of the sweep is the route it replaced: a full Buchberger run on
 I + l and on I^2 + l for every trial form, with the lengths read off the
@@ -7,12 +7,14 @@ standard monomials.  Every form with R/(I + l) Artinian must give the same
 lengths, and so the same verdict, which is what lets the first such form
 decide; the sweep of that one form must agree with them.
 
-The oracle of the points path (forms decided by evaluation, the basis of
-IS in S = R/(l) from Macaulay matrices) is the route without the points:
-Buchberger in S on the images of the basis of I, for every trial form.
-Both must find the same degenerate forms, the same socle degrees and the
-same reduced basis, and the whole analysis must print the same report.
-On both routes the reduction's basis must be the reduced basis of I + l
+The oracle of the reduction (the Hilbert function of S/IS, S = R/(l),
+from the standard monomials of the basis of I, and the basis of IS from
+Macaulay matrices) is Buchberger in S on the images of the basis of I,
+for every trial form: a form is skipped iff that basis is not
+zero-dimensional, and otherwise the two reduced bases agree.  On points
+the Hilbert function must be the first difference of the points' one, and
+the analysis with the points must print the report of the analysis
+without them.  The reduction's basis must be the reduced basis of I + l
 in R, less its element led by the leading variable of l, moved to S.
 
 The oracle of the eight-quadrics check (the rank of the square in degree
@@ -39,6 +41,7 @@ from conormal import Ideal, PolynomialRing, PrimeField, buchberger
 from conormal.cm import (
     DEFAULT_TRIALS,
     CmVerdict,
+    _hf_difference,
     _macaulay_basis,
     _points_hf_difference,
     _products,
@@ -47,7 +50,6 @@ from conormal.cm import (
     artinian_reduction,
     _square_length,
     _trial_forms,
-    _vanishes_at_a_point,
     eight_quadrics_square_gap,
     is_cm_square,
 )
@@ -141,12 +143,12 @@ def conjectured_grid():
 )
 def test_general_points_match_buchberger(c, n, seed, trials):
     # every form that misses the points gives one length of R/(I^2 + l), so
-    # the first decides, on the file path and on the points path alike
+    # the first decides, with the points or without them
     ps, _ = general_points(c, n, P, seed)
     gb = vanishing_ideal(ps)
     got = assert_same_verdict(gb, seed, trials)
     assert got.e_expected == (c + 1) * n
-    assert is_cm_square(gb, artinian_reduction(gb, seed, trials, points=ps)) == got
+    assert analyze(gb, seed, trials, points=ps).cm_square == got
 
 
 @pytest.mark.parametrize(
@@ -160,19 +162,23 @@ def test_general_points_match_buchberger(c, n, seed, trials):
 )
 def test_inputs_outside_the_hypotheses_do_not_depend_on_the_form(variables, gens):
     # these inputs break the paper's hypotheses, so their verdicts are not
-    # certified; but no other form could have changed them: every form
-    # gives the same e and the same length of R/(I^2 + l)
+    # certified; but no other form could have changed them: R/(x^2, xy)
+    # is refused at every seed before a form is drawn, as its Hilbert
+    # function 1, 2, 1 falls, and for the fat point every form gives the
+    # same e and the same length of R/(I^2 + l)
     ring = PolynomialRing(PrimeField(P), variables)
     gb = buchberger(Ideal(ring, [ring.parse(g) for g in gens]))
+    if len(variables) == 2:
+        for seed in range(3):
+            with pytest.raises(ValueError, match="falls from 2 in degree 1 to 1"):
+                artinian_reduction(gb, seed)
+        return
     for seed in range(3):
         verdict = assert_same_verdict(gb, seed, DEFAULT_TRIALS)
-        if len(variables) == 3:
-            # (x, y)^2 lies in m^2 with e = 3 and c = 2: the count proves
-            # the same NotCM as the sweep, 10 > 9
-            assert (verdict.status, verdict.lambda_min) == ("NotCM", 10)
-            assert verdict.detail == "counting: (c+1)e = 9 < 10 = C(5,3)"
-        else:
-            assert verdict.detail == ""
+        # (x, y)^2 lies in m^2 with e = 3 and c = 2: the count proves the
+        # same NotCM as the sweep, 10 > 9
+        assert (verdict.status, verdict.lambda_min) == ("NotCM", 10)
+        assert verdict.detail == "counting: (c+1)e = 9 < 10 = C(5,3)"
 
 
 def points_with_a_point_on_the_first_form(seed):
@@ -194,10 +200,9 @@ def images_in_s(gb, ell):
     return smaller, [f for f in substitute_all(gb.elements, assignment) if not f.is_zero()]
 
 
-def assert_reductions_are_i_plus_l_in_s(monkeypatch, gb, seed, trials, points=None):
-    """For every trial form that is a parameter, on the Buchberger path and
-    on the points path when there are points: the reduced basis of I + l in
-    R, less its element led by the leading variable of l and moved to S,
+def assert_reductions_are_i_plus_l_in_s(monkeypatch, gb, seed, trials):
+    """For every trial form that is a parameter: the reduced basis of I + l
+    in R, less its element led by the leading variable of l and moved to S,
     is the reduction's basis.  Returns the number of forms checked."""
     import conormal.cm as cm
 
@@ -213,10 +218,9 @@ def assert_reductions_are_i_plus_l_in_s(monkeypatch, gb, seed, trials, points=No
         smaller, assignment = linear_substitution(ring, [ell])
         want = substitute_all(rest, assignment)
         monkeypatch.setattr(cm, "_trial_forms", lambda ring, seed, trials, ell=ell: [ell])
-        for path in [None] if points is None else [None, points]:
-            reduction = artinian_reduction(gb, seed, 1, points=path)
-            assert reduction.form == ell and reduction.basis.ring == smaller
-            assert list(reduction.basis.elements) == want
+        reduction = artinian_reduction(gb, seed, 1)
+        assert reduction.form == ell and reduction.basis.ring == smaller
+        assert list(reduction.basis.elements) == want
         checked += 1
     monkeypatch.undo()
     return checked
@@ -229,15 +233,14 @@ def test_reductions_are_i_plus_l_in_s_on_example61(monkeypatch):
 
 def test_reductions_are_i_plus_l_in_s_with_a_form_through_a_point(monkeypatch):
     # the first form vanishes at a point and is no parameter; the other two
-    # are checked on both paths
-    ps = points_with_a_point_on_the_first_form(11)
-    gb = vanishing_ideal(ps)
-    assert assert_reductions_are_i_plus_l_in_s(monkeypatch, gb, 11, 3, ps) == 2
+    # are checked
+    gb = vanishing_ideal(points_with_a_point_on_the_first_form(11))
+    assert assert_reductions_are_i_plus_l_in_s(monkeypatch, gb, 11, 3) == 2
 
 
 def test_a_form_whose_images_are_all_zero_is_no_parameter(monkeypatch):
-    # I = (x) in k[x, y]: the form x maps every generator to zero, so it is
-    # skipped for the next one, not passed to Buchberger as an empty ideal
+    # I = (x) in k[x, y]: the form x maps every generator to zero, so S/IS
+    # is S, nonzero in degree 1, and the next form is drawn
     import conormal.cm as cm
 
     ring = PolynomialRing(PrimeField(P), ["x", "y"])
@@ -246,7 +249,7 @@ def test_a_form_whose_images_are_all_zero_is_no_parameter(monkeypatch):
     monkeypatch.setattr(cm, "_trial_forms", lambda ring, seed, trials: [x * 2, x + y][:trials])
     reduction = artinian_reduction(gb, 0, 2)
     assert reduction.drawn == 2 and reduction.hf == (1,)
-    with pytest.raises(RuntimeError, match="no Artinian reduction in 1 form drawn"):
+    with pytest.raises(RuntimeError, match=r"no Artinian reduction in 1 form drawn over GF\(31991\)"):
         artinian_reduction(gb, 0, 1)
 
 
@@ -259,30 +262,33 @@ def test_form_through_a_point_is_skipped():
 
 
 def assert_points_path_matches_buchberger(ps, seed, trials):
-    """For each trial form: degeneracy by evaluation against Buchberger's
-    "not Artinian" in S, s from the points' Hilbert function against the
-    top standard degree, the Macaulay basis against the reduced basis of IS
-    in S; then the reductions and the whole reports."""
+    """The Hilbert function from the basis against the points' one; for
+    each trial form, the Macaulay basis against Buchberger in S on the
+    images (None iff that basis is not zero-dimensional, the form vanishing
+    at a point); then the reduction against the first zero-dimensional
+    oracle, and the analysis with the points against the one without."""
     gb = vanishing_ideal(ps)
-    delta = _points_hf_difference(gb, ps, 10 ** 7)
-    for ell in _trial_forms(gb.ring, seed, trials):
+    delta = _hf_difference(gb)
+    assert delta == _points_hf_difference(gb, ps, 10 ** 7)
+    first = None
+    for drawn, ell in enumerate(_trial_forms(gb.ring, seed, trials), 1):
         smaller, images = images_in_s(gb, ell)
         oracle = buchberger(Ideal(smaller, images))
-        assert _vanishes_at_a_point(ell, ps) == (not is_zero_dimensional(oracle)), ps.points
-        if is_zero_dimensional(oracle):
-            assert len(delta) == len(standard_monomials_packed(oracle))
-            assert _macaulay_basis(smaller, images, delta, 10 ** 7).elements == oracle.elements
-    by_points = artinian_reduction(gb, seed, trials, points=ps)
-    by_buchberger = artinian_reduction(gb, seed, trials)
-    assert by_points.basis.elements == by_buchberger.basis.elements
-    assert dataclasses.replace(by_points, basis=None) == dataclasses.replace(
-        by_buchberger, basis=None
-    )
-    assert by_points.length == ps.n and by_points.socle_degree == len(delta) - 1
+        basis = _macaulay_basis(smaller, images, delta, 10 ** 7)
+        if not is_zero_dimensional(oracle):
+            assert basis is None, ps.points
+            continue
+        assert len(delta) == len(standard_monomials_packed(oracle))
+        assert basis.elements == oracle.elements
+        if first is None:
+            first = drawn, oracle
+    reduction = artinian_reduction(gb, seed, trials)
+    assert (reduction.drawn, reduction.basis.elements) == (first[0], first[1].elements)
+    assert reduction.hf == delta and reduction.length == ps.n
     assert (
         analyze(gb, seed, trials, points=ps).to_text() == analyze(gb, seed, trials).to_text()
     )
-    return by_points
+    return reduction
 
 
 @pytest.mark.parametrize(
@@ -336,6 +342,29 @@ def test_points_path_matches_buchberger_on_special_point_sets(c, kind, n, extra,
     assert_points_path_matches_buchberger(ps, seed, 2)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.integers(min_value=1, max_value=6),
+    kind=st.sampled_from(["general", "random", "line", "conic", "on the first form"]),
+    n=st.integers(min_value=1, max_value=12),
+    extra=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_hilbert_function_from_the_basis_is_that_of_the_points(c, kind, n, extra, seed):
+    # the walk of the standard monomials of the basis stops where the
+    # points' Hilbert function does, and its first difference is the same
+    if kind == "general":
+        ps, _ = general_points(c, n, P, seed)
+    elif kind == "on the first form":
+        ps = points_with_a_point_on_the_first_form(seed)
+    elif kind == "random" or c >= 2:
+        ps = special_points(c, kind, n, extra, seed)
+    else:
+        ps = random_points(c, n, P, seed)
+    gb = vanishing_ideal(ps)
+    assert _hf_difference(gb) == _points_hf_difference(gb, ps, 10 ** 7)
+
+
 def test_single_point_ideals_keep_their_linear_generators():
     for c in (2, 3, 4):
         ps = make_point_set(c, P, [tuple(range(1, c + 2))])
@@ -352,13 +381,16 @@ def test_example61_length_is_sixty():
 
 
 def test_budget_exhausted_inside_the_sweep():
-    # one point in P^5: the reduction's Buchberger run on the five images
-    # in S fits in 11 steps, and its basis is the five variables of S; the
-    # 15 products of the sweep, one step each, do not fit
+    # one point in P^5: the reduction's sweep of the five linear images in
+    # S, charged per row, takes 9 steps, and its basis is the five
+    # variables of S; the 15 products of the verdict's sweep, one step
+    # each, do not fit in 11
     ps = make_point_set(5, P, [(1, 2, 3, 4, 5, 6)])
     gb = vanishing_ideal(ps)
+    with pytest.raises(BudgetExceededError):
+        artinian_reduction(gb, 3, budget=8)
+    reduction = artinian_reduction(gb, 3, budget=9)
     budget = 11
-    reduction = artinian_reduction(gb, 3, budget=budget)
     assert reduction.basis.elements == tuple(reversed(reduction.basis.ring.gens()))
     verdict = is_cm_square(gb, reduction, budget)
     assert verdict.status == "Inconclusive"
@@ -386,7 +418,7 @@ def test_counting_proves_not_cm_exactly_where_the_count_does(c, n, seed):
     # the sweep's, with no detail
     ps, _ = general_points(c, n, P, seed)
     gb = vanishing_ideal(ps)
-    reduction = artinian_reduction(gb, seed, points=ps)
+    reduction = artinian_reduction(gb, seed)
     verdict = is_cm_square(gb, reduction)
     smaller, images = images_in_s(gb, reduction.form)
     lam = _square_length(smaller, images, 2 * reduction.socle_degree + 2, _Budget(10 ** 7))
@@ -407,7 +439,7 @@ def test_a_multiplicity_past_the_criteria_grid_is_swept():
     # the verdict is the sweep's
     ps, _ = general_points(2, 67, P, 0)
     gb = vanishing_ideal(ps)
-    verdict = is_cm_square(gb, artinian_reduction(gb, 0, points=ps))
+    verdict = is_cm_square(gb, artinian_reduction(gb, 0))
     assert verdict.detail == "" and verdict.lambda_min > verdict.e_expected == 201
 
 
@@ -421,7 +453,7 @@ def test_a_counting_verdict_runs_no_sweep(monkeypatch):
     for n in (8, 10):
         ps, _ = general_points(5, n, P, 0)
         gb = vanishing_ideal(ps)
-        reductions[n] = gb, artinian_reduction(gb, 0, points=ps)
+        reductions[n] = gb, artinian_reduction(gb, 0)
     monkeypatch.setattr(cm, "_sweep", no_sweep)
     # 8 points in P^5: 6 * 8 < 56 = C(8, 3)
     verdict = is_cm_square(*reductions[8])
@@ -454,9 +486,8 @@ def test_macaulay_basis_is_charged_by_its_row_updates():
     # subtracted from it; the back-substitution is not charged
     ps, _ = general_points(3, 6, P, 0)
     gb = vanishing_ideal(ps)
-    delta = _points_hf_difference(gb, ps, 10 ** 7)
+    delta = _hf_difference(gb)
     ell = next(_trial_forms(gb.ring, 0, 1))
-    assert not _vanishes_at_a_point(ell, ps)
     smaller, images = images_in_s(gb, ell)
     want = buchberger(Ideal(smaller, images)).elements
     assert _macaulay_basis(smaller, images, delta, 28).elements == want
@@ -556,20 +587,20 @@ def square_sweep(ring, gens, cap):
     seed=st.integers(min_value=0, max_value=10_000),
 )
 def test_echelon_generators_leave_the_square_unchanged(c, extra, seed):
-    # for every trial form that misses the points: the reduction's basis of
+    # for every trial form that passes the reduction's sweep: its basis of
     # IS is reduced, so in each degree it is one element per leading
     # monomial in reduced echelon form; the square of the raw images of the
     # basis of I has the same pivots in every degree and the same length as
     # the square of that basis
     ps, _ = general_points(c, c + 1 + extra, P, seed)
     gb = vanishing_ideal(ps)
-    delta = _points_hf_difference(gb, ps, 10 ** 7)
+    delta = _hf_difference(gb)
     cap = 2 * (len(delta) - 1) + 2
     for ell in _trial_forms(gb.ring, seed, DEFAULT_TRIALS):
-        if _vanishes_at_a_point(ell, ps):
-            continue
         smaller, images = images_in_s(gb, ell)
         basis = _macaulay_basis(smaller, images, delta, 10 ** 7)
+        if basis is None:
+            continue
         assert verify_groebner(basis)
         lam, pivots = square_sweep(smaller, images, cap)
         assert square_sweep(smaller, basis.elements, cap) == (lam, pivots)

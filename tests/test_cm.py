@@ -196,15 +196,44 @@ def forbid_buchberger(monkeypatch):
             monkeypatch.setattr(module, "buchberger", forbidden)
 
 
-def test_points_analysis_runs_no_buchberger_on_i_plus_l(monkeypatch):
+def count_buchberger(monkeypatch):
+    """Wrap every binding of `buchberger` in the package with a counter;
+    return the list the wrapped calls append their ideals to."""
+    import sys
+
+    runs = []
+
+    def counting(ideal, *args, **kwargs):
+        runs.append(ideal)
+        return buchberger(ideal, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "conormal" and "buchberger" in vars(module):
+            monkeypatch.setattr(module, "buchberger", counting)
+    return runs
+
+
+def test_analysis_runs_buchberger_on_i_plus_l_once(monkeypatch):
     # the first form is a parameter, and it alone decides the NotCM verdict:
-    # five trials allowed, the basis of IS read off Macaulay matrices in
-    # S = R/(l), with the points or without them, and no Buchberger run
+    # five trials allowed. The basis of IS = (I + l)/(l) now comes from
+    # Macaulay matrices in S = R/(l), so the one run on I + l this test once
+    # counted is gone: the analysis of a bare basis runs Buchberger no time
     import conormal.cm as cm
 
     ps, _ = general_points(5, 8, 31991, seed=0)
     gb = vanishing_ideal(ps)
     assert "buchberger" not in vars(cm)
+    runs = count_buchberger(monkeypatch)
+    report = analyze(gb, seed=0, trials=5)
+    assert report.cm_square.status == "NotCM" and report.cm_square.trials == 1
+    assert runs == []
+
+
+def test_points_analysis_runs_no_buchberger_on_i_plus_l(monkeypatch):
+    # the points twin of the test above: the first form misses every point
+    # and its basis comes from Macaulay matrices, as without the points
+    ps, _ = general_points(5, 8, 31991, seed=0)
+    gb = vanishing_ideal(ps)
     forbid_buchberger(monkeypatch)
     report = analyze(gb, seed=0, trials=5, points=ps)
     assert report.cm_square.status == "NotCM" and report.cm_square.trials == 1
@@ -227,16 +256,28 @@ def test_square_verdict_reuses_a_given_reduction():
     assert verdict61.witness == reduction61.form
 
 
+def test_analysis_of_a_points_basis_runs_buchberger_only_for_the_trials(monkeypatch):
+    # the invariants are read off the chosen basis of IS itself: no
+    # elimination. The trials' bases come from Macaulay matrices now, so
+    # the runs this test once allowed for them are gone too
+    ps, _ = general_points(5, 10, 31991, seed=1)
+    gb = vanishing_ideal(ps)
+    runs = count_buchberger(monkeypatch)
+    report = analyze(gb, seed=1, trials=3)
+    assert report.e == 10 and report.invariants.hf.values == (1, 5, 4)
+    assert report.cm_square.status == "CM"
+    assert runs == []
+
+
 def test_analysis_of_points_runs_no_buchberger_at_all(monkeypatch):
-    # the invariants are read off the Macaulay basis of IS itself, with the
-    # points or without them: no elimination and no Buchberger run
+    # the points twin of the test above: the invariants come from the
+    # Macaulay basis of IS, and the analysis runs no Buchberger
     ps, _ = general_points(5, 10, 31991, seed=1)
     gb = vanishing_ideal(ps)
     forbid_buchberger(monkeypatch)
-    for points in (ps, None):
-        report = analyze(gb, seed=1, trials=3, points=points)
-        assert report.e == 10 and report.invariants.hf.values == (1, 5, 4)
-        assert report.cm_square.status == "CM"
+    report = analyze(gb, seed=1, trials=3, points=ps)
+    assert report.e == 10 and report.invariants.hf.values == (1, 5, 4)
+    assert report.cm_square.status == "CM"
 
 
 def test_points_reduction_of_a_degenerate_set_of_forms_raises(monkeypatch):

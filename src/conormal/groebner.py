@@ -219,13 +219,12 @@ class GroebnerBasis:
     """A reduced Groebner basis: monic elements, no leading term divides another,
     no term of any element lies in the leading-term ideal of the rest."""
 
-    __slots__ = ("ring", "elements", "_index", "_std_cache")
+    __slots__ = ("ring", "elements", "_index")
 
     def __init__(self, ring: PolynomialRing, elements):
         self.ring = ring
         self.elements = tuple(sorted(elements, key=lambda f: f.terms[0][0]))
         self._index = None
-        self._std_cache = None
 
     @property
     def order(self) -> MonomialOrder:
@@ -516,8 +515,6 @@ def _standard_successors(ring, index: _LtIndex, level):
 
 def standard_monomials_packed(gb: GroebnerBasis):
     """Packed standard monomials grouped by degree: list of lists, index = degree."""
-    if gb._std_cache is not None:
-        return gb._std_cache
     if not is_zero_dimensional(gb):
         raise ValueError("standard monomials require a zero-dimensional ideal")
     ring = gb.ring
@@ -527,5 +524,4 @@ def standard_monomials_packed(gb: GroebnerBasis):
     while current:
         levels.append(sorted(current, key=ring.key, reverse=True))
         current = _standard_successors(ring, index, current)
-    gb._std_cache = levels
     return levels

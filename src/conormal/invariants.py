@@ -13,8 +13,8 @@ low-degree initial form).
 from dataclasses import dataclass
 from math import comb
 
-from .linalg import Echelon, combine, nullspace, rref
-from .poly import Polynomial, PolynomialRing, substitute_all
+from .linalg import Echelon, combine, rref
+from .poly import PolynomialRing, substitute_all
 from .groebner import (
     DEFAULT_STEP_BUDGET,
     GroebnerBasis,
@@ -61,12 +61,6 @@ class HilbertFunction:
 
 
 @dataclass(frozen=True)
-class SocleElement:
-    poly: Polynomial
-    degree: int  # largest d with the element inside the d-th power of the maximal ideal
-
-
-@dataclass(frozen=True)
 class InvariantReport:
     hf: HilbertFunction
     length: int
@@ -78,7 +72,6 @@ class InvariantReport:
     stretched: bool
     short: bool
     socle_degrees: tuple  # sorted multiset
-    socle: tuple  # SocleElement basis
 
     def to_text(self) -> str:
         lines = [
@@ -99,118 +92,37 @@ class InvariantReport:
 # -- the filtration engine -----------------------------------------------------
 
 
-class _QuotientStructure:
-    """Standard-monomial model of an Artinian quotient: multiplication
-    matrices and the filtration by powers of the maximal ideal."""
-
-    def __init__(self, gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET):
-        if not is_zero_dimensional(gb):
-            raise ValueError("the quotient is not Artinian (ideal not zero-dimensional)")
-        self.gb = gb
-        self.ring = gb.ring
-        levels = standard_monomials_packed(gb)
-        self.basis = [m for level in levels for m in reversed(level)]
-        if not self.basis:
-            raise ValueError("the quotient is the zero ring")
-        self.n = len(self.basis)
-        self.pos = {m: i for i, m in enumerate(self.basis)}
-        self._budget = _Budget(budget)
-        self._columns = self._multiplication_columns()
-        self._filtration = self._power_filtration()
-
-    def _multiplication_columns(self):
-        """Multiplication matrices, one per variable, as lists of columns."""
-        ring = self.ring
-        shift = ring._deg_shift
-        columns = []
-        for j in range(ring.nvars):
-            unit = (1 << (8 * j)) + (1 << shift)
-            cols = []
-            for s in self.basis:
-                mm = s + unit
-                red = _reduce_terms(
-                    ring, [(ring.key(mm), mm, 1)], self.gb.index(), self._budget
-                )
-                vec = [0] * self.n
-                for m, c in red.items():
-                    vec[self.pos[m]] = c
-                cols.append(vec)
-            columns.append(cols)
-        return columns
-
-    def _power_filtration(self):
-        """Echelon forms of the images of the powers of the maximal ideal.
-        The images are nested: one as large as the one before stays so, and
-        then the quotient is not local (ValueError)."""
-        p = self.ring.field.p
-        spaces = []
-        current = [vec for cols in self._columns for vec in cols]
-        dim = self.n
-        while True:
-            space = Echelon(p)
-            for vec in current:
-                space.add(vec)
-            if not space.rows:
-                break
-            if len(space.rows) == dim:
-                raise ValueError(f"the quotient is not local: powers of m stop at dimension {dim}")
-            dim = len(space.rows)
-            spaces.append(space)
-            current = [
-                combine(row, cols, self.n, p) for row in space.rows for cols in self._columns
-            ]
-        return spaces  # spaces[d-1] spans the image of the d-th power
-
-    @property
-    def socle_degree(self) -> int:
-        return len(self._filtration)
-
-    def hilbert_function(self) -> HilbertFunction:
-        dims = [self.n] + [len(space.rows) for space in self._filtration] + [0]
-        return HilbertFunction(tuple(dims[d] - dims[d + 1] for d in range(len(dims) - 1)))
-
-    def socle_kernel(self):
-        """Kernel of multiplication by every variable, as coordinate vectors."""
-        rows = []
-        for cols in self._columns:
-            for t in range(self.n):
-                rows.append([cols[i][t] for i in range(self.n)])
-        return nullspace(rows, self.n, self.ring.field.p)
-
-    def socle_elements(self):
-        """Socle basis adapted to the power filtration, with degree tags."""
-        p = self.ring.field.p
-        kernel = self.socle_kernel()
-        seen = Echelon(p)
-        tagged = []
-        for d in range(len(self._filtration), 0, -1):
-            # socle vectors inside the d-th power: solve within the kernel span
-            coords = [self._filtration[d - 1].reduce(kv)[0] for kv in kernel]
-            for combo in nullspace(list(zip(*coords)), len(kernel), p):
-                vec = combine(combo, kernel, self.n, p)
-                if seen.add(vec)[1] is not None:
-                    tagged.append((vec, d))
-        for kv in kernel:
-            if seen.add(kv)[1] is not None:
-                tagged.append((kv, 0))
-        tagged.sort(key=lambda t: t[1])
-        out = []
-        for vec, d in tagged:
-            poly = self.ring.poly({self.basis[i]: c for i, c in enumerate(vec) if c})
-            out.append(SocleElement(poly, d))
-        return out
+def _multiplication_columns(gb: GroebnerBasis, budget: int):
+    """(n, columns): the dimension n of the quotient and its multiplication
+    matrices on the standard-monomial basis, one per variable, each a list
+    of n columns."""
+    if not is_zero_dimensional(gb):
+        raise ValueError("the quotient is not Artinian (ideal not zero-dimensional)")
+    ring = gb.ring
+    basis = [m for level in standard_monomials_packed(gb) for m in reversed(level)]
+    if not basis:
+        raise ValueError("the quotient is the zero ring")
+    n = len(basis)
+    pos = {m: i for i, m in enumerate(basis)}
+    steps = _Budget(budget)
+    index = gb.index()
+    shift = ring._deg_shift
+    columns = []
+    for j in range(ring.nvars):
+        unit = (1 << (8 * j)) + (1 << shift)
+        cols = []
+        for s in basis:
+            mm = s + unit
+            red = _reduce_terms(ring, [(ring.key(mm), mm, 1)], index, steps)
+            vec = [0] * n
+            for m, c in red.items():
+                vec[pos[m]] = c
+            cols.append(vec)
+        columns.append(cols)
+    return n, columns
 
 
 # -- public operations ----------------------------------------------------------
-
-
-def hilbert_function(gb: GroebnerBasis) -> HilbertFunction:
-    """Standard-monomial counts per degree (the Hilbert function of the
-    quotient by the leading-term ideal)."""
-    levels = standard_monomials_packed(gb)
-    if not levels:
-        raise ValueError("the quotient is the zero ring")
-    return HilbertFunction(tuple(len(level) for level in levels))
 
 
 def length(gb: GroebnerBasis) -> int:
@@ -219,15 +131,42 @@ def length(gb: GroebnerBasis) -> int:
 
 
 def classify(gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET) -> InvariantReport:
-    """Full invariant report of an Artinian quotient in any presentation
-    (linear generators need no elimination); ValueError unless it is local."""
-    q = _QuotientStructure(gb, budget)
-    hf = q.hilbert_function()
-    soc = q.socle_elements()
-    degrees = tuple(sorted(e.degree for e in soc))
+    """Full invariant report of an Artinian quotient A in any presentation
+    (linear generators need no elimination); ValueError unless it is local.
+
+    Every invariant is a dimension, read from ranks in one pass over the
+    images m^d in A of the powers of the maximal ideal, from m^0 = A.  For
+    each basis vector u of m^d the pass forms x_1 u, ..., x_v u, whose span
+    is m^(d+1); so hf(d) = dim m^d - dim m^(d+1).  The socle inside m^d is
+    the kernel of u -> (x_1 u, ..., x_v u) on m^d: its dimension is dim m^d
+    less the rank of the concatenated images, and tau is that at d = 0.  In
+    a socle basis adapted to the filtration the degree d occurs
+    dim(soc & m^d) - dim(soc & m^(d+1)) times.  When a nonzero m^d has an
+    m^(d+1) as large, the quotient is not local.
+    """
+    n, columns = _multiplication_columns(gb, budget)
+    p = gb.ring.field.p
+    dims, socle = [], []  # dim m^d and dim(soc & m^d), d = 0, 1, ...
+    images = [[cols[i] for cols in columns] for i in range(n)]  # of the unit vectors of A
+    while images:
+        dim = len(images)
+        relations, power = Echelon(p), Echelon(p)
+        for row in images:
+            relations.add([c for vec in row for c in vec])
+            for vec in row:
+                power.add(vec)
+        if len(power.rows) == dim:
+            raise ValueError(f"the quotient is not local: powers of m stop at dimension {dim}")
+        dims.append(dim)
+        socle.append(dim - len(relations.rows))
+        images = [[combine(u, cols, n, p) for cols in columns] for u in power.rows]
+    dims.append(0)
+    socle.append(0)
+    hf = HilbertFunction(tuple(dims[d] - dims[d + 1] for d in range(len(dims) - 1)))
+    degrees = tuple(d for d in range(len(socle) - 1) for _ in range(socle[d] - socle[d + 1]))
     s = hf.socle_degree
     c = hf.embedding_dimension
-    tau = len(soc)
+    tau = socle[0]
     stretched = s >= 1 and all(hf[i] == 1 for i in range(2, s + 1))
     short = all(hf[j] == comb(c - 1 + j, j) for j in range(s))
     return InvariantReport(
@@ -241,7 +180,6 @@ def classify(gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET) -> InvariantR
         stretched=stretched,
         short=short,
         socle_degrees=degrees,
-        socle=tuple(soc),
     )
 
 

@@ -186,19 +186,3 @@ def rref(rows, p: int) -> Echelon:
         ech.add(row)
     return ech.reduced()
 
-
-def nullspace(rows, ncols: int, p: int) -> list:
-    """Basis of the right kernel of the matrix with the given rows and ncols
-    columns: one vector per non-pivot column, 1 there and 0 at the others."""
-    ech = rref(rows, p)
-    pivot_set = set(ech.pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for col, row in zip(ech.pivots, ech.rows):
-            vec[col] = -row[free] % p
-        basis.append(vec)
-    return basis

@@ -14,26 +14,36 @@ from conormal import (
     ideal_square,
     normal_form,
 )
+from conormal.groebner import DEFAULT_STEP_BUDGET
 from conormal.invariants import (
     HilbertFunction,
-    _QuotientStructure,
+    _multiplication_columns,
     classify,
     eliminate_linear_forms,
-    hilbert_function,
     length,
 )
 from conormal.cm import artinian_reduction
 from conormal.constructions import StretchedSpec, example61_ideal, stretched_ideal
 from conormal.points import general_points, vanishing_ideal
+from conftest import count_standard_of_degree, monomial_quotient_standard
+
+
+def graded_counts(gb):
+    """Standard monomials per degree, counted by raw filtering, up to the
+    first degree with none."""
+    counts = []
+    while not counts or counts[-1]:
+        counts.append(count_standard_of_degree(gb, len(counts)))
+    return tuple(counts[:-1])
 
 
 def test_hilbert_function_basic(ring_xy):
     x, y = ring_xy.gens()
     gb = buchberger(ideal_square(Ideal(ring_xy, [x, y])))
-    assert hilbert_function(gb).values == (1, 2)
+    assert graded_counts(gb) == classify(gb).hf.values == (1, 2)
     ring1 = PolynomialRing(PrimeField(7), ["x"])
     gb1 = buchberger(Ideal(ring1, [ring1.var("x") ** 3]))
-    assert hilbert_function(gb1).values == (1, 1, 1)
+    assert graded_counts(gb1) == classify(gb1).hf.values == (1, 1, 1)
 
 
 def test_hilbert_function_validation():
@@ -58,21 +68,17 @@ def test_length_of_squared_maximal_ideal():
 def test_socle_of_square_of_maximal_ideal(ring_xy):
     x, y = ring_xy.gens()
     gb = buchberger(Ideal(ring_xy, [x ** 2, x * y, y ** 2]))
-    elements = classify(gb).socle
-    assert len(elements) == 2
-    assert sorted(e.degree for e in elements) == [1, 1]
-    assert sorted(str(e.poly) for e in elements) == ["x", "y"]
+    report = classify(gb)
+    assert report.tau == 2
+    assert report.socle_degrees == (1, 1)
 
 
 def test_socle_of_power_of_one_variable():
     ring = PolynomialRing(PrimeField(7), ["x"])
     x = ring.var("x")
     gb = buchberger(Ideal(ring, [x ** 4]))
-    elements = classify(gb).socle
-    assert len(elements) == 1
-    assert elements[0].degree == 3
-    assert str(elements[0].poly) == "x^3"
     report = classify(gb)
+    assert report.socle_degrees == (3,)
     assert report.gorenstein and report.tau == 1
 
 
@@ -111,9 +117,9 @@ def test_local_vs_graded_hilbert_function():
     ring = PolynomialRing(PrimeField(31991), ["x1", "x2", "x3"])
     ideal = stretched_ideal(StretchedSpec(3, 3, 0), ring)
     gb = buchberger(ideal)
-    assert hilbert_function(gb).values == (1, 3, 2)  # graded std-monomial counts
+    assert graded_counts(gb) == (1, 3, 2)  # graded std-monomial counts
     assert classify(gb).hf.values == (1, 3, 1, 1)  # local filtration counts
-    assert hilbert_function(gb).length == classify(gb).hf.length == 6
+    assert sum(graded_counts(gb)) == classify(gb).hf.length == 6
 
 
 def test_filtration_matches_graded_for_homogeneous():
@@ -133,7 +139,7 @@ def test_filtration_matches_graded_for_homogeneous():
         if not extra.is_zero():
             gens.append(extra)
         gb = buchberger(Ideal(ring, gens))
-        assert classify(gb).hf.values == hilbert_function(gb).values
+        assert classify(gb).hf.values == graded_counts(gb)
 
 
 def test_gorenstein_stretched_socle_is_level():
@@ -144,6 +150,30 @@ def test_gorenstein_stretched_socle_is_level():
     assert report.tau == 1 and report.gorenstein
     assert report.socle_degrees == (3,)
     assert report.level
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(nvars=st.integers(min_value=1, max_value=4), seed=st.integers(min_value=0, max_value=10_000))
+def test_socle_of_a_monomial_ideal_is_spanned_by_its_corners(nvars, seed):
+    # for a monomial ideal the socle is spanned by the standard monomials
+    # whose every variable multiple lies in the ideal, and the Hilbert
+    # function counts standard monomials per degree; the expected values
+    # come from divisibility alone, with no Groebner or linear algebra
+    rng = random.Random(seed)
+    ring = PolynomialRing(PrimeField(31991), [f"x{i}" for i in range(nvars)])
+    gens = [tuple(rng.randrange(1, 5) if j == i else 0 for j in range(nvars)) for i in range(nvars)]
+    gens += [tuple(rng.randrange(3) for _ in range(nvars)) for _ in range(rng.randrange(4))]
+    gens = [e for e in gens if any(e)]
+    std = set(monomial_quotient_standard(gens, nvars))
+    corners = [
+        e for e in std
+        if all(tuple(a + (i == j) for i, a in enumerate(e)) not in std for j in range(nvars))
+    ]
+    top = max(sum(e) for e in std)
+    report = classify(buchberger(Ideal(ring, [ring.monomial(e) for e in gens])))
+    assert report.socle_degrees == tuple(sorted(sum(e) for e in corners))
+    assert report.tau == len(corners)
+    assert report.hf.values == tuple(sum(1 for e in std if sum(e) == d) for d in range(top + 1))
 
 
 def test_eliminate_linear_forms(ring_xyz):
@@ -199,12 +229,13 @@ def test_multiplication_has_a_matrix_for_every_variable():
     ring = PolynomialRing(PrimeField(7), ["x", "y", "z"])
     x, y, z = ring.gens()
     gb = buchberger(Ideal(ring, [x + y + z, x ** 2, y ** 2]))
-    q = _QuotientStructure(gb)
-    assert len(q._columns) == 3
+    n, columns = _multiplication_columns(gb, DEFAULT_STEP_BUDGET)
+    assert n == 4 and len(columns) == 3
+    assert all(len(cols) == n for cols in columns)
     assert classify(gb).hf.values == (1, 2, 1)
     gb = buchberger(Ideal(ring, [x - 1, y, z]))
     with pytest.raises(ValueError, match="not local"):
-        _QuotientStructure(gb)
+        classify(gb)
 
 
 # -- classify reads any presentation: the eliminated ring as the oracle --------

@@ -318,18 +318,25 @@ def test_report_echoes_config():
          "a33b8fbae31c320af78aa0007bb55d67f5be5682c7308e4115937e31baeb78e1"),
         (["analyze", "triple.txt"], 0,
          "64325bd366ad1f9d65f34bf3f8854cb7f3967ce6226c43c6d90d5628ae89a8aa"),
+        (["analyze", "stretched.txt"], 0,
+         "f73214a0a5ddd8899d0908ccfeb14c0abccca9d064261933a34e1b6616de88c7"),
     ],
 )
 def test_report_bytes_are_pinned(argv, code, sha256, tmp_path, monkeypatch, capsys):
     # whole reports at seed 0: CM, CM, NotCM by counting, a stretched grid,
     # CM over a larger prime, NotCM by the sweep (n = 11, where counting
-    # proves nothing), points NotCM, and a file whose reduction keeps a
-    # linear element; a refactor must leave them byte-identical, and a
-    # change that alters them says why and updates the pin
+    # proves nothing), points NotCM, a file whose reduction keeps a linear
+    # element, and a local ring whose filtration is not its grading; a
+    # refactor must leave them byte-identical, and a change that alters them
+    # says why and updates the pin
     monkeypatch.delenv("CONORMAL_STEP_BUDGET", raising=False)
     monkeypatch.chdir(tmp_path)
     # the two points (0:1:0) and (0:0:1) of P^2: I = (x, yz)
     (tmp_path / "triple.txt").write_text("ring p=31991 vars=x,y,z\nx\ny*z\n")
+    # graded standard-monomial counts 1 3 2, local hf 1 3 1 1, socle degrees 1 3
+    (tmp_path / "stretched.txt").write_text(
+        "ring p=31991 vars=x,y,z\nx^2\nx*y\nx*z\ny*z\nz^3 - 5*y^2\n"
+    )
     assert main(argv + ["--seed", "0"]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conormal.linalg import Echelon, Lanes, combine, nullspace, rref
-from conftest import PlainEchelon, gauss_jordan, gauss_jordan_nullspace
+from conormal.linalg import Echelon, Lanes, combine, rref
+from conftest import PlainEchelon, gauss_jordan
 
 # 2^31 - 1, the largest supported prime, needs lanes wider than 64 bits
 PRIMES = (3, 7, 31991, 2147483647)
@@ -61,15 +61,6 @@ def test_reduced_matches_gauss_jordan_and_ignores_row_order(p):
                 # the reduced echelon reduces like the one it came from
                 vec = [rng.randrange(p) for _ in range(ncols)]
                 assert red.reduce(vec)[0] == ech.reduce(vec)[0]
-
-
-def test_nullspace_matches_gauss_jordan_and_kills_the_rows():
-    for p, ncols, rows, _ in matrices(2):
-        kernel = nullspace(rows, ncols, p)
-        assert kernel == gauss_jordan_nullspace(rows, ncols, p)
-        assert len(kernel) == ncols - len(gauss_jordan(rows, ncols, p)[0])
-        for k in kernel:
-            assert all(sum(a * b for a, b in zip(row, k)) % p == 0 for row in rows)
 
 
 def test_echelon_shape_and_pivots():

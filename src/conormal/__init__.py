@@ -27,7 +27,6 @@ from .groebner import (
     Ideal,
     buchberger,
     contains,
-    ideal_product,
     ideal_square,
     is_zero_dimensional,
     normal_form,

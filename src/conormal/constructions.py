@@ -1,14 +1,15 @@
-"""Ideal builders: stretched Artinian ideals in their normal form,
-the monomial comparison ideal L, power truncations, and the frozen
-10-points-in-P5 benchmark ideal over GF(31991).
+"""Ideal builders: stretched Artinian ideals in their normal form, the
+monomial comparison ideal L and power truncations; and the ten frozen points
+of Example 6.1 in P^5 over GF(31991), whose vanishing ideal is the paper's
+homogeneous counterexample.
 """
 
 import hashlib
 from dataclasses import dataclass
 
-from .field import PrimeField
-from .poly import DEGREVLEX, PolynomialRing
+from .poly import PolynomialRing
 from .groebner import Ideal
+from .points import PointSet, make_point_set
 
 
 @dataclass(frozen=True)
@@ -111,47 +112,36 @@ def ideal_L(c: int, s: int, ring: PolynomialRing) -> Ideal:
     return Ideal(ring, gens)
 
 
-# The 15 generators of the benchmark ideal of 10 general points in P^5 over
-# GF(31991).  The text is frozen; the checksum guards the transcription.
+# The ten points of Example 6.1 in P^5 over GF(31991), whose vanishing ideal
+# is the paper's level, non-Gorenstein ideal with a Cohen-Macaulay square:
+# the six coordinate points, (1, ..., 1) and three more.  The coordinates are
+# frozen; the checksum guards the transcription.
 EXAMPLE61_PRIME = 31991
-EXAMPLE61_VARS = ("a", "b", "c", "d", "e", "f")
-_EXAMPLE61_TEXT = """\
-e^2*f + 2963*b*f^2 + 4964*c*f^2 + 5333*d*f^2 - 13261*e*f^2
-a*f - 13894*b*f + 12842*c*f + 4036*d*f - 2985*e*f
-d*e + 3056*b*f + 12160*c*f + 971*d*f + 15803*e*f
-c*e - 2357*b*f - 14460*c*f + 3040*d*f + 13776*e*f
-b*e - 8504*b*f + 1159*c*f - 1581*d*f + 8925*e*f
-a*e - 9147*b*f + 1379*c*f + 4167*d*f + 3600*e*f
-c*d + 7380*b*f + 5885*c*f + 6255*d*f + 12470*e*f
-b*d - 11676*b*f - 2833*c*f - 13277*d*f - 4206*e*f
-a*d + 5555*b*f + 2017*c*f + 2100*d*f - 9673*e*f
-b*c + 5653*b*f - 6596*c*f - 8208*d*f + 9150*e*f
-a*c - 2335*b*f - 10387*c*f + 514*d*f + 12207*e*f
-a*b - 8324*b*f - 7688*c*f - 4252*d*f - 11728*e*f
-b^2*f + 15536*b*f^2 + 1265*c*f^2 + 9888*d*f^2 + 5301*e*f^2
-d^2*f + 10625*b*f^2 - 11725*c*f^2 + 9514*d*f^2 - 8415*e*f^2
-c^2*f + 11390*b*f^2 + 7112*c*f^2 - 10319*d*f^2 - 8184*e*f^2"""
-_EXAMPLE61_SHA256 = "1d572928f885a0837a19df46f5584e6a77680e471db74313aaee5914ba26de2f"
+EXAMPLE61_POINTS = (
+    (1, 0, 0, 0, 0, 0),
+    (0, 1, 0, 0, 0, 0),
+    (0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 1, 0, 0),
+    (0, 0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 0, 1),
+    (1, 1, 1, 1, 1, 1),
+    (1586, 24082, 8928, 6403, 6599, 1),
+    (21691, 23911, 14730, 25646, 13626, 1),
+    (21724, 11400, 7527, 12406, 15028, 1),
+)
+_EXAMPLE61_SHA256 = "14f1b8a4f18a4235321ac9587b358f489a8a3e8c4c6cbc627485ba1a46a9e2a7"
 
 
-def example61_text_checksum() -> str:
-    return hashlib.sha256(_EXAMPLE61_TEXT.encode()).hexdigest()
+def example61_checksum() -> str:
+    """SHA-256 of the frozen points, one line of coordinates per point."""
+    text = "\n".join(" ".join(map(str, pt)) for pt in EXAMPLE61_POINTS)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def example61_ideal(ring: PolynomialRing = None) -> Ideal:
-    """The benchmark ideal, parsed from the frozen text after a checksum check."""
-    if example61_text_checksum() != _EXAMPLE61_SHA256:
+def example61_points() -> PointSet:
+    """The points of Example 6.1, after a checksum check."""
+    if example61_checksum() != _EXAMPLE61_SHA256:
         raise ValueError(
-            "benchmark ideal text failed its checksum; the transcription was altered"
+            "the points of Example 6.1 failed their checksum; the transcription was altered"
         )
-    if ring is None:
-        ring = PolynomialRing(PrimeField(EXAMPLE61_PRIME), EXAMPLE61_VARS, DEGREVLEX)
-    if ring.field.p != EXAMPLE61_PRIME:
-        raise ValueError(f"the benchmark ideal lives over GF({EXAMPLE61_PRIME})")
-    if ring.vars != EXAMPLE61_VARS:
-        raise ValueError(f"the benchmark ideal needs variables {EXAMPLE61_VARS}")
-    gens = [
-        ring.parse(line, line=i + 1)
-        for i, line in enumerate(_EXAMPLE61_TEXT.splitlines())
-    ]
-    return Ideal(ring, gens)
+    return make_point_set(5, EXAMPLE61_PRIME, EXAMPLE61_POINTS)

@@ -86,12 +86,6 @@ def _dedup(polys):
     return out
 
 
-def ideal_product(a: Ideal, b: Ideal) -> Ideal:
-    if a.ring != b.ring:
-        raise ValueError("ideal product across different rings")
-    return Ideal(a.ring, _dedup([f * g for f in a.generators for g in b.generators]))
-
-
 def ideal_square(a: Ideal) -> Ideal:
     """The ideal of all products of two generators.  A monomial generator that
     another monomial generator divides is dropped first: it lies in the ideal

@@ -5,8 +5,10 @@ code); a config plus the package version determines every output byte.
 Exit codes follow the CM verdict: 0 CM-consistent, 1 NotCM, 2 Inconclusive.
 `run` dispatches a verb by name and turns an exhausted step budget, in any
 verb, into an Inconclusive report: the config echo and the reason.  The
-analysing verbs share one route, `_analysis`: a basis (Buchberger on an
-ideal, or the vanishing ideal of general points), then `cm.analyze`.
+analysing verbs share one route for points, `_analysis`: the vanishing ideal
+of a point set certified general, drawn at random or the frozen points of
+Example 6.1, then `cm.analyze` with the points.  Only an ideal file goes
+through Buchberger before `cm.analyze`.
 """
 
 import functools
@@ -29,15 +31,15 @@ from .groebner import (
     verify_groebner,
 )
 from .invariants import classify, length
-from .points import general_points, vanishing_ideal
+from .points import _certified_general, general_points, vanishing_ideal
 from .cm import DEFAULT_TRIALS, analyze, eight_quadrics_square_gap
 from .io import parse_ideal_file
 from . import criteria as crit
 from .constructions import (
     EXAMPLE61_PRIME,
     StretchedSpec,
-    example61_ideal,
-    example61_text_checksum,
+    example61_checksum,
+    example61_points,
     ideal_L,
     stretched_ideal,
 )
@@ -75,35 +77,29 @@ def _report_text(config: ExperimentConfig, body_lines) -> str:
     return "\n".join(config.echo_lines() + list(body_lines)) + "\n"
 
 
-def _analysis(config: ExperimentConfig, ideal=None, source="", n=None):
-    """`analyze` of the Buchberger basis of `ideal`, named by `source`, or
-    else of the vanishing ideal of n certified-general points in P^config.c,
-    with the points; returns (report, redraws of the points)."""
-    ps, redraws = None, 0
-    if ideal is not None:
-        gb = buchberger(ideal, budget=config.budget)
-    else:
-        ps, redraws = general_points(
-            config.c, n, config.p, config.seed, max_redraws=10, budget=config.budget
-        )
-        gb = vanishing_ideal(ps, budget=config.budget)
-        source = f"{n} general points in P^{config.c} over GF({config.p})"
-    report = analyze(
+def _analysis(config: ExperimentConfig, ps, source=None):
+    """`analyze` of the vanishing ideal of the certified-general point set
+    `ps`, with the points, named by `source` or else by the points' shape."""
+    gb = vanishing_ideal(ps, budget=config.budget)
+    if source is None:
+        source = f"{ps.n} general points in P^{ps.c} over GF({ps.p})"
+    return analyze(
         gb, seed=config.seed, trials=config.trials, budget=config.budget,
         source=source, points=ps,
     )
-    return report, redraws
 
 
 def verify_example61(config: ExperimentConfig):
-    """Build the frozen benchmark ideal and assert its five published facts."""
+    """Certify the frozen points of Example 6.1 general and assert the five
+    published facts of their vanishing ideal."""
     if config.p != EXAMPLE61_PRIME:
         raise ValueError(
             f"the benchmark ideal is defined over GF({EXAMPLE61_PRIME}); --p cannot change it"
         )
-    report, _ = _analysis(
-        config, example61_ideal(), "builtin benchmark: 10 general points in P^5"
-    )
+    ps = _certified_general(example61_points(), config.budget)
+    if ps is None:
+        raise ValueError("the frozen points of Example 6.1 are not in general position")
+    report = _analysis(config, ps, "builtin benchmark: 10 general points in P^5")
     inv = report.invariants
     cm = report.cm_square
     facts = [
@@ -136,7 +132,10 @@ def conjecture_experiment(config: ExperimentConfig):
             f"c={c} is a long run; pass --allow-long (and consider a larger budget)"
         )
     n = config.n if config.n is not None else crit.conjectured_counterexample_points(c)
-    report, redraws = _analysis(config, n=n)
+    ps, redraws = general_points(
+        c, n, config.p, config.seed, max_redraws=10, budget=config.budget
+    )
+    report = _analysis(config, ps)
     counterexample = (
         report.cm_square is not None
         and report.cm_square.status == "CM"
@@ -157,11 +156,18 @@ def analyze_command(config: ExperimentConfig, path: str = None):
     if path is not None and (config.c is not None or config.n is not None):
         raise ValueError("analyze takes a file path or --points c,n, not both")
     if path is not None:
-        report, _ = _analysis(config, parse_ideal_file(path), str(path))
+        gb = buchberger(parse_ideal_file(path), budget=config.budget)
+        report = analyze(
+            gb, seed=config.seed, trials=config.trials, budget=config.budget,
+            source=str(path),
+        )
     elif config.c is None or config.n is None:
         raise ValueError("analyze needs a file path or --points c,n")
     else:
-        report, _ = _analysis(config, n=config.n)
+        ps, _ = general_points(
+            config.c, config.n, config.p, config.seed, max_redraws=10, budget=config.budget
+        )
+        report = _analysis(config, ps)
     code = EXIT_OK if report.cm_square is None else report.cm_square.exit_code
     return _report_text(config, [report.to_text()]), code
 
@@ -327,8 +333,8 @@ def selftest(config: ExperimentConfig):
 
     check(
         "benchmark transcription checksum",
-        example61_text_checksum()
-        == "1d572928f885a0837a19df46f5584e6a77680e471db74313aaee5914ba26de2f",
+        example61_checksum()
+        == "14f1b8a4f18a4235321ac9587b358f489a8a3e8c4c6cbc627485ba1a46a9e2a7",
     )
 
     check(

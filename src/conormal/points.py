@@ -22,10 +22,11 @@ that monomial's values times one coordinate, point by point; the closing
 check that every element vanishes evaluates each term from scratch, from a
 table of coordinate powers.
 
-`general_points` keeps the result of its pass (the basis, the Hilbert
-function of the coordinate ring and the steps it took) on the point set it
-returns, so `vanishing_ideal` and the points path of `cm.analyze` read it
-instead of running the pass again.
+A point set certified general, drawn by `general_points` or frozen like
+the points of Example 6.1, keeps the result of its pass (the basis, the
+Hilbert function of the coordinate ring and the steps it took), so
+`vanishing_ideal` and the points path of `cm.analyze` read it instead of
+running the pass again.
 """
 
 import dataclasses
@@ -62,8 +63,8 @@ class BmResult(NamedTuple):
 @dataclass(frozen=True)
 class PointSet:
     """n distinct points in P^c over GF(p), stored with first nonzero
-    coordinate normalized to 1.  `bm` is the `BmResult` kept by
-    `general_points`, None otherwise; it takes no part in equality."""
+    coordinate normalized to 1.  `bm` is the `BmResult` kept when the set
+    was certified general, None otherwise; it takes no part in equality."""
 
     c: int
     p: int
@@ -296,6 +297,15 @@ def _in_general_position(ps: PointSet, hf) -> bool:
     return hf == tuple(min(comb(ps.c + i, i), ps.n) for i in range(len(hf)))
 
 
+def _certified_general(ps: PointSet, budget: int):
+    """`ps` keeping its degrevlex Buchberger-Moller result, if its coordinate
+    ring has the generic Hilbert function; None otherwise."""
+    result = _bm_run(ps, DEGREVLEX, budget)
+    if not _in_general_position(ps, result.hf):
+        return None
+    return dataclasses.replace(ps, bm=result)
+
+
 def general_points(
     c: int, n: int, p: int, seed, max_redraws: int = 10, budget: int = DEFAULT_STEP_BUDGET
 ):
@@ -310,10 +320,10 @@ def general_points(
     _check_counts(c, n)  # before the degree range, which assumes them
     _check_degree_range(c, n)  # before drawing the points
     for attempt in range(max_redraws + 1):
-        ps = random_points(c, n, p, (seed, attempt) if attempt else seed)
-        result = _bm_run(ps, DEGREVLEX, budget)
-        if _in_general_position(ps, result.hf):
-            return dataclasses.replace(ps, bm=result), attempt
+        drawn = random_points(c, n, p, (seed, attempt) if attempt else seed)
+        ps = _certified_general(drawn, budget)
+        if ps is not None:
+            return ps, attempt
     raise RuntimeError(
         f"no general configuration of {n} points in P^{c} over GF({p}) "
         f"after {max_redraws} redraws (seed {seed})"

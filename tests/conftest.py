@@ -3,13 +3,18 @@
 The oracles here deliberately avoid the library's optimized paths: order
 comparison straight from the definitions, standard-monomial counts by raw
 divisibility filtering, linear algebra by plain column-by-column
-Gauss-Jordan elimination, and vanishing ideals by solving the full
-evaluation system degree by degree.
+Gauss-Jordan elimination, vanishing ideals by solving the full evaluation
+system degree by degree, the product of two ideals over every pair of
+generators, and the 15 transcribed generators of the ideal of Example 6.1,
+which the vanishing ideal of its ten frozen points must reproduce.
 """
+
+import hashlib
 
 import pytest
 
-from conormal import PrimeField, PolynomialRing
+from conormal import DEGREVLEX, Ideal, PrimeField, PolynomialRing
+from conormal.constructions import EXAMPLE61_PRIME
 
 
 @pytest.fixture
@@ -203,3 +208,55 @@ def count_standard_of_degree(gb, d):
         if sum(e) == d and not any(divides(g, e) for g in lts):
             count += 1
     return count
+
+
+# -- ideal product oracle: every pair of generators -----------------------------
+
+
+def ideal_product(a, b):
+    """The products of every generator of `a` with every generator of `b`,
+    duplicates dropped: the unpruned route that `ideal_square` must match."""
+    if a.ring != b.ring:
+        raise ValueError("ideal product across different rings")
+    gens, seen = [], set()
+    for f in a.generators:
+        for g in b.generators:
+            h = f * g
+            if h.terms not in seen:
+                seen.add(h.terms)
+                gens.append(h)
+    return Ideal(a.ring, gens)
+
+
+# -- the transcribed ideal of Example 6.1 ---------------------------------------
+
+# The 15 generators of the ideal of 10 general points in P^5 over GF(31991),
+# as the paper's example gives them.  The text is frozen; the checksum guards
+# the transcription.
+EXAMPLE61_VARS = ("a", "b", "c", "d", "e", "f")
+EXAMPLE61_TEXT = """\
+e^2*f + 2963*b*f^2 + 4964*c*f^2 + 5333*d*f^2 - 13261*e*f^2
+a*f - 13894*b*f + 12842*c*f + 4036*d*f - 2985*e*f
+d*e + 3056*b*f + 12160*c*f + 971*d*f + 15803*e*f
+c*e - 2357*b*f - 14460*c*f + 3040*d*f + 13776*e*f
+b*e - 8504*b*f + 1159*c*f - 1581*d*f + 8925*e*f
+a*e - 9147*b*f + 1379*c*f + 4167*d*f + 3600*e*f
+c*d + 7380*b*f + 5885*c*f + 6255*d*f + 12470*e*f
+b*d - 11676*b*f - 2833*c*f - 13277*d*f - 4206*e*f
+a*d + 5555*b*f + 2017*c*f + 2100*d*f - 9673*e*f
+b*c + 5653*b*f - 6596*c*f - 8208*d*f + 9150*e*f
+a*c - 2335*b*f - 10387*c*f + 514*d*f + 12207*e*f
+a*b - 8324*b*f - 7688*c*f - 4252*d*f - 11728*e*f
+b^2*f + 15536*b*f^2 + 1265*c*f^2 + 9888*d*f^2 + 5301*e*f^2
+d^2*f + 10625*b*f^2 - 11725*c*f^2 + 9514*d*f^2 - 8415*e*f^2
+c^2*f + 11390*b*f^2 + 7112*c*f^2 - 10319*d*f^2 - 8184*e*f^2"""
+EXAMPLE61_TEXT_SHA256 = "1d572928f885a0837a19df46f5584e6a77680e471db74313aaee5914ba26de2f"
+
+
+def example61_ideal():
+    """The transcribed ideal in GF(31991)[a..f], after a checksum check."""
+    if hashlib.sha256(EXAMPLE61_TEXT.encode()).hexdigest() != EXAMPLE61_TEXT_SHA256:
+        raise AssertionError("the transcribed text of Example 6.1 was altered")
+    ring = PolynomialRing(PrimeField(EXAMPLE61_PRIME), EXAMPLE61_VARS, DEGREVLEX)
+    gens = [ring.parse(line, line=i + 1) for i, line in enumerate(EXAMPLE61_TEXT.splitlines())]
+    return Ideal(ring, gens)

@@ -23,10 +23,11 @@ from conormal.cm import (
     eight_quadrics_square_gap,
     is_cm_square,
 )
-from conormal.constructions import example61_ideal
 from conormal.groebner import contains
 from conormal.invariants import length
 from conormal.points import general_points, make_point_set, random_points, vanishing_ideal
+
+from conftest import example61_ideal
 
 
 def test_reduction_of_coordinate_triangle():
@@ -278,6 +279,16 @@ def test_analysis_of_points_runs_no_buchberger_at_all(monkeypatch):
     report = analyze(gb, seed=1, trials=3, points=ps)
     assert report.e == 10 and report.invariants.hf.values == (1, 5, 4)
     assert report.cm_square.status == "CM"
+
+
+def test_verify_example61_runs_no_buchberger(monkeypatch):
+    # Example 6.1 is its ten frozen points: their vanishing ideal comes
+    # from the Buchberger-Moller pass, and the analysis takes the points route
+    from conormal.harness import ExperimentConfig, verify_example61
+
+    forbid_buchberger(monkeypatch)
+    text, code = verify_example61(ExperimentConfig(command="verify-example61"))
+    assert code == 0 and text.endswith("verdict: all facts hold\n")
 
 
 def test_points_reduction_of_a_degenerate_set_of_forms_raises(monkeypatch):

@@ -9,15 +9,17 @@ from conormal import (
 )
 from conormal.invariants import classify, length
 from conormal.constructions import (
+    EXAMPLE61_POINTS,
     EXAMPLE61_PRIME,
     StretchedSpec,
-    example61_ideal,
+    example61_points,
     ideal_L,
     stretched_ideal,
     truncation,
 )
 from conormal import constructions
-from conftest import monomial_quotient_standard
+from conormal.points import vanishing_ideal
+from conftest import example61_ideal, monomial_quotient_standard
 
 
 def _ring(c, p=31991):
@@ -118,19 +120,24 @@ def test_benchmark_ideal_shape():
 
 
 def test_benchmark_checksum_guards_the_text(monkeypatch):
-    corrupted = constructions._EXAMPLE61_TEXT.replace("2963", "2964")
-    monkeypatch.setattr(constructions, "_EXAMPLE61_TEXT", corrupted)
+    # one coordinate of one frozen point altered
+    corrupted = list(EXAMPLE61_POINTS)
+    corrupted[7] = (1586, 24082, 8928, 6403, 6598, 1)
+    monkeypatch.setattr(constructions, "EXAMPLE61_POINTS", tuple(corrupted))
     with pytest.raises(ValueError, match="checksum"):
-        example61_ideal()
+        example61_points()
 
 
-def test_benchmark_ring_validation():
-    wrong_p = PolynomialRing(PrimeField(31991 - 28), list("abcdef"))
-    with pytest.raises(ValueError):
-        example61_ideal(wrong_p)
-    wrong_vars = PolynomialRing(PrimeField(31991), list("uvwxyz"))
-    with pytest.raises(ValueError):
-        example61_ideal(wrong_vars)
+def test_example61_points_reproduce_the_transcribed_ideal():
+    # the Buchberger-Moller basis of the ten points is the Buchberger basis
+    # of the 15 transcribed generators, term for term, up to the names of
+    # the variables (x0..x5 for a..f)
+    ps = example61_points()
+    assert (ps.c, ps.p, ps.n) == (5, EXAMPLE61_PRIME, 10)
+    gb_points = vanishing_ideal(ps)
+    gb_text = buchberger(example61_ideal())
+    assert gb_points.ring.vars == tuple(f"x{i}" for i in range(6))
+    assert [g.terms for g in gb_points.elements] == [g.terms for g in gb_text.elements]
 
 
 def test_containment_spot_check_c3():

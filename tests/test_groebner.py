@@ -14,13 +14,12 @@ from conormal import (
     PrimeField,
     buchberger,
     contains,
-    ideal_product,
     ideal_square,
     is_zero_dimensional,
     normal_form,
     verify_groebner,
 )
-from conormal.constructions import StretchedSpec, example61_ideal, ideal_L, stretched_ideal
+from conormal.constructions import StretchedSpec, ideal_L, stretched_ideal
 from conormal.groebner import (
     GroebnerBasis,
     _LtIndex,
@@ -29,7 +28,7 @@ from conormal.groebner import (
 )
 from conormal.invariants import length
 
-from conftest import monomial_quotient_standard
+from conftest import example61_ideal, ideal_product, monomial_quotient_standard
 
 
 def test_ideal_construction_drops_zeros(ring_xy):
@@ -232,8 +231,7 @@ def test_standard_monomials_match_the_monomial_oracle(nvars, order, kind, seed):
 
 
 def test_budget_exceeded_is_distinguishable():
-    ring = PolynomialRing(PrimeField(31991), list("abcdef"))
-    ideal = example61_ideal(ring)
+    ideal = example61_ideal()
     with pytest.raises(BudgetExceededError):
         buchberger(ideal_square(ideal), budget=10)
 
@@ -247,8 +245,7 @@ def test_determinism(ring_xyz):
 
 
 def test_reducedness_of_larger_basis():
-    ring = PolynomialRing(PrimeField(31991), list("abcdef"))
-    gb = buchberger(example61_ideal(ring))
+    gb = buchberger(example61_ideal())
     assert verify_groebner(gb)  # 15 elements: exhaustive S-pair check
     for f in gb.elements:
         assert f.leading_coefficient() == 1

@@ -23,9 +23,9 @@ from conormal.invariants import (
     length,
 )
 from conormal.cm import artinian_reduction
-from conormal.constructions import StretchedSpec, example61_ideal, stretched_ideal
+from conormal.constructions import StretchedSpec, stretched_ideal
 from conormal.points import general_points, vanishing_ideal
-from conftest import count_standard_of_degree, monomial_quotient_standard
+from conftest import count_standard_of_degree, example61_ideal, monomial_quotient_standard
 
 
 def graded_counts(gb):

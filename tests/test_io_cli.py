@@ -3,18 +3,16 @@ import time
 
 import pytest
 
-from conormal import ParseError, constructions
+from conormal import ParseError
 from conormal.io import parse_ideal_file, parse_ideal_text
-from conormal.constructions import example61_ideal
+from conormal.constructions import EXAMPLE61_PRIME
 from conormal.cli import main
 from conormal.harness import ExperimentConfig, conjecture_experiment, criteria_table
 
+from conftest import EXAMPLE61_TEXT, EXAMPLE61_VARS, example61_ideal
 
-# the frozen benchmark text under an ideal-file header
-EXAMPLE61_FILE = (
-    f"ring p={constructions.EXAMPLE61_PRIME} vars={','.join(constructions.EXAMPLE61_VARS)}\n"
-    f"{constructions._EXAMPLE61_TEXT}\n"
-)
+# the transcribed text of Example 6.1 under an ideal-file header
+EXAMPLE61_FILE = f"ring p={EXAMPLE61_PRIME} vars={','.join(EXAMPLE61_VARS)}\n{EXAMPLE61_TEXT}\n"
 
 
 def test_parse_benchmark_file_round_trip():
@@ -83,6 +81,26 @@ def test_cli_verify_example61(capsys):
     out = capsys.readouterr().out
     assert "verdict: all facts hold" in out
     assert "fact h-vector (1, 5, 4): ok" in out
+
+
+def test_verify_example61_refuses_frozen_points_not_in_general_position(monkeypatch):
+    # ten points on a line of P^5 have Hilbert function 1, 2, 3, ..., not
+    # the generic 1, 6, 10
+    from conormal import harness
+    from conormal.points import make_point_set
+
+    line = [(1, t, 0, 0, 0, 0) for t in range(10)]
+    monkeypatch.setattr(harness, "example61_points", lambda: make_point_set(5, 31991, line))
+    with pytest.raises(ValueError, match="not in general position"):
+        harness.verify_example61(ExperimentConfig(command="verify-example61"))
+
+
+def test_cli_verify_example61_refuses_another_prime(capsys):
+    # the frozen points live over GF(31991); --p cannot move them
+    assert main(["verify-example61", "--p", "32003"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "GF(31991)" in captured.err
 
 
 def test_cli_criteria_table(capsys):
@@ -303,7 +321,7 @@ def test_report_echoes_config():
     "argv, code, sha256",
     [
         (["verify-example61"], 0,
-         "d868b34e094d2827f5695da67365ab64bea1a24564ec58fdfd38a1af62aa8e13"),
+         "e1282fc09ce439856d39671c2b8ee0b7b5cfe70ca0da4a34357c7d3bb56fda44"),
         (["conjecture", "--c", "5"], 0,
          "d0124f2e8a4dbf383c0e021d89a2767e7248cd07738c2879a27537b624cdbeed"),
         (["conjecture", "--c", "5", "--n", "8"], 1,

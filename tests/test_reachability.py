@@ -18,8 +18,7 @@ PACKAGE = ROOT / "src" / "conormal"
 
 # Definitions kept without a caller, each for the reason given.
 ALLOWED = {
-    "curve_degree_verdict": "the monomial-curve verb (ROADMAP item 7) calls it",
-    "ideal_product": "the unpruned route that the tests compare ideal_square against",
+    "curve_degree_verdict": "the monomial-curve verb (ROADMAP item 6) calls it",
     "short_margin_monotonic": "acceptance criterion 2 checks the margin law with it",
 }
 

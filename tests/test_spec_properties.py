@@ -149,7 +149,7 @@ def test_agreement_violation_is_a_hard_failure(monkeypatch):
         return CriteriaVerdict(NOT_CM, "forced-for-test", {"c": c, "e": e})
 
     monkeypatch.setattr(cm_module.crit, "low_multiplicity_verdict", bogus)
-    from conormal.constructions import example61_ideal
+    from conftest import example61_ideal
 
     gb = buchberger(example61_ideal())
     with pytest.raises(CriteriaAgreementError):
@@ -164,7 +164,7 @@ def test_positive_answer_on_a_non_gorenstein_cm_square_is_a_hard_failure(monkeyp
         return CriteriaVerdict(POSITIVE, "forced-for-test", {"c": c, "e": e})
 
     monkeypatch.setattr(cm_module.crit, "low_multiplicity_verdict", forged)
-    from conormal.constructions import example61_ideal
+    from conftest import example61_ideal
 
     gb = buchberger(example61_ideal())
     with pytest.raises(CriteriaAgreementError, match="forces Gorenstein"):

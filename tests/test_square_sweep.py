@@ -53,7 +53,6 @@ from conormal.cm import (
     eight_quadrics_square_gap,
     is_cm_square,
 )
-from conormal.constructions import example61_ideal
 from conormal.field import derive_seed
 from conormal.groebner import (
     DEFAULT_STEP_BUDGET,
@@ -68,6 +67,8 @@ from conormal.groebner import (
 from conormal.invariants import length, linear_substitution
 from conormal.points import general_points, make_point_set, random_points, vanishing_ideal
 from conormal.poly import substitute_all
+
+from conftest import example61_ideal
 
 P = 31991
 

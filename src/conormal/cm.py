@@ -18,12 +18,14 @@ reduced basis of IS in S and the Hilbert function of S/IS, whose sum is e
 and whose top degree is s; the verdict needs only l, that basis and s, and
 the invariants are read off that basis as it stands.  For R/I CM of
 dimension 1 and l regular on it, HF(S/IS) is the first difference of
-HF(R/I), which the standard monomials of the basis give once, whatever
-the input; a basis whose HF falls, or still rises past the degree any
-such reduction allows, is refused there.  A draw costs one substitution
-and one sweep of Macaulay matrices in S: l passes iff the ranks give that
-difference through s and fill degree s + 1, and the reduced basis of IS
-is read off the same matrices, with no Buchberger run.  On points a form
+HF(R/I), which one walk over the standard monomials of the basis gives,
+whatever the input; a basis whose HF falls, or still rises past the degree
+any such reduction allows, is refused there.  Without points, whose
+Hilbert function certifies R/I, a second walk refuses a HF(R/I) that
+leaves e past s, through the Taylor bound on reg(in(I)).  A draw costs
+one substitution and one sweep of Macaulay matrices in S: l passes iff the
+ranks give that difference through s and fill degree s + 1, and the
+reduced basis of IS is read off the same matrices, with no Buchberger run.  On points a form
 passes iff it vanishes at none of them (Abbott, Bigatti, Kreuzer and
 Robbiano, "Computing ideals of points", 2000), and e = n.
 
@@ -60,7 +62,7 @@ from .groebner import (
     DEFAULT_STEP_BUDGET,
     GroebnerBasis,
     _Budget,
-    _standard_successors,
+    _standard_levels,
     is_zero_dimensional,
 )
 from .invariants import InvariantReport, classify, linear_substitution
@@ -223,23 +225,18 @@ def _hf_difference(gb: GroebnerBasis) -> tuple:
     contains a complete intersection of c forms of degree D, so s <=
     c(D-1)); and when the walk would pass total degree 120.
     """
-    ring = gb.ring
     if any(not g.is_homogeneous() for g in gb.elements):
         raise ValueError("artinian_reduction needs a homogeneous ideal")
-    c, top = ring.nvars - 1, max(g.degree for g in gb.elements)
+    c, top = gb.ring.nvars - 1, max(g.degree for g in gb.elements)
     cap = c * (top - 1) + 1
-    index = gb.index()
-    hf, level = [1], [0]
-    for d in range(1, cap + 1):
-        if d > MAX_EXPONENT:
-            raise ValueError(f"total degree {d} exceeds the {MAX_EXPONENT} limit")
-        level = _standard_successors(ring, index, level)
-        if len(level) < hf[-1]:
+    hf = []
+    for d, h in _hf_values(gb, cap):
+        if hf and h < hf[-1]:
             raise ValueError(f"R/I is not Cohen-Macaulay of positive dimension: its Hilbert "
-                             f"function falls from {hf[-1]} in degree {d - 1} to {len(level)}")
-        if len(level) == hf[-1]:
+                             f"function falls from {hf[-1]} in degree {d - 1} to {h}")
+        if hf and h == hf[-1]:
             return tuple(b - a for a, b in zip([0] + hf, hf))
-        hf.append(len(level))
+        hf.append(h)
     raise ValueError(
         f"R/I is not Cohen-Macaulay of dimension 1, or has dimension above 1: its "
         f"Hilbert function still rises in degree {cap} = c(D-1) + 1, for c = {c} "
@@ -247,12 +244,37 @@ def _hf_difference(gb: GroebnerBasis) -> tuple:
     )
 
 
+def _hf_values(gb: GroebnerBasis, last: int):
+    """(d, HF(R/I)(d)) for d = 0, 1, ..., last, counted off the standard
+    monomials of the basis one level at a time; ValueError when the walk
+    would pass total degree 120."""
+    for d, level in zip(range(last + 1), _standard_levels(gb)):
+        if d > MAX_EXPONENT:
+            raise ValueError(f"total degree {d} exceeds the {MAX_EXPONENT} limit")
+        yield d, len(level)
+
+
+def _check_plateau(gb: GroebnerBasis, reduction: Reduction):
+    """ValueError unless HF(R/I) stays at e = λ(S/IS) from s through
+    (c+1)(D-1)+1, D the top degree of the basis: the Taylor bound on
+    reg(in(I)) plus one, past which HF(R/I) is its Hilbert polynomial.  With
+    the ranks of the reduction's sweep, l is then regular on a CM R/I."""
+    top = max(g.degree for g in gb.elements)
+    e, s = reduction.length, reduction.socle_degree
+    for d, h in _hf_values(gb, gb.ring.nvars * (top - 1) + 1):
+        if d > s and h != e:
+            raise ValueError(
+                f"R/I is not Cohen-Macaulay of dimension 1: its Hilbert function "
+                f"leaves its plateau {e} in degree {d}, at {h}"
+            )
+
+
 def _points_hf_difference(gb: GroebnerBasis, ps: PointSet, budget: int) -> tuple:
     """The first difference of HF(R/I), I the vanishing ideal of the points,
     without its trailing zeros; ValueError unless `gb` is that ideal's
     basis in its ring."""
     result = bm_result(ps, gb.ring.order, budget)
-    if result.elements != gb.elements:
+    if result.basis.elements != gb.elements:
         raise ValueError("the basis is not the vanishing ideal of the given points")
     hf = result.hf
     delta = [hf[0]] + [hf[d] - hf[d - 1] for d in range(1, len(hf))]
@@ -541,7 +563,8 @@ def analyze(
     `points`, when given, are the points whose vanishing ideal `gb` is
     (ValueError otherwise, checked first), and the Hilbert function of the
     reduction must be the first difference of the points' one (so e = n),
-    or RuntimeError.
+    or RuntimeError.  Without them `_check_plateau` certifies that R/I is
+    Cohen-Macaulay of dimension 1, or raises ValueError.
     """
     ring = gb.ring
     delta = None if points is None else _points_hf_difference(gb, points, budget)
@@ -550,7 +573,9 @@ def analyze(
     else:
         reduction = artinian_reduction(gb, seed, trials, budget)
         art_gb = reduction.basis
-        if delta is not None and reduction.hf != delta:
+        if delta is None:
+            _check_plateau(gb, reduction)
+        elif reduction.hf != delta:
             raise RuntimeError(
                 f"Hilbert function {reduction.hf} of the reduction disagrees with "
                 f"{delta}, the first difference of that of the {points.n} points"

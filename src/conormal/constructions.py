@@ -55,29 +55,14 @@ def stretched_ideal(spec: StretchedSpec, ring: PolynomialRing) -> Ideal:
     if any(u == 0 for u in units):
         raise ValueError("units must be nonzero in the field")
     x = ring.gens()
-    gens = []
-    seen = set()
-
-    def push(g):
-        if not g.is_zero() and g.terms not in seen:
-            seen.add(g.terms)
-            gens.append(g)
-
-    for i in range(r):
-        for j in range(c):
-            push(x[i] * x[j])
+    gens = [x[i] * x[j] for i in range(r) for j in range(c)]
     if r < c - 1:
-        for i in range(r, c):
-            for j in range(i + 1, c):
-                push(x[i] * x[j])
+        gens += [x[i] * x[j] for i in range(r, c) for j in range(i + 1, c)]
         xc_s = x[c - 1] ** s
-        for i in range(c - 1 - r):
-            push(xc_s - x[r + i] * x[r + i] * units[i])
+        gens += [xc_s - x[r + i] * x[r + i] * units[i] for i in range(c - 1 - r)]
     else:
-        push(x[c - 1] ** (s + 1))
-    for t in truncation(ring, s + 1):
-        push(t)
-    return Ideal(ring, gens)
+        gens.append(x[c - 1] ** (s + 1))
+    return Ideal(ring, gens + truncation(ring, s + 1))
 
 
 def ideal_L(c: int, s: int, ring: PolynomialRing) -> Ideal:
@@ -94,20 +79,9 @@ def ideal_L(c: int, s: int, ring: PolynomialRing) -> Ideal:
     xc_cubed = (x[c - 1] ** 3).terms
     H = [ring.monomial(m) for m in ring.monomials_of_degree(3)]
     H = [h for h in H if h.terms != xc_cubed]
-    gens = []
-    seen = set()
-    for i in range(c - 1):
-        for h in H:
-            g = x[i] * h
-            if g.terms not in seen:
-                seen.add(g.terms)
-                gens.append(g)
     xc_s1 = x[c - 1] ** (s + 1)
-    for i in range(c - 1):
-        g = x[i] * xc_s1
-        if g.terms not in seen:
-            seen.add(g.terms)
-            gens.append(g)
+    gens = [x[i] * h for i in range(c - 1) for h in H]
+    gens += [x[i] * xc_s1 for i in range(c - 1)]
     gens.append(x[c - 1] ** (2 * s))
     return Ideal(ring, gens)
 

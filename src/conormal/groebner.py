@@ -41,23 +41,25 @@ class _Budget:
 
 
 class Ideal:
-    """An ideal given by a nonempty list of nonzero generators in one ring."""
+    """An ideal given by a nonempty list of nonzero generators in one ring.
+    Zero generators and repeats of an earlier generator are dropped; the
+    rest keep their order."""
 
     __slots__ = ("ring", "generators")
 
     def __init__(self, ring: PolynomialRing, generators):
-        gens = []
+        gens = {}  # terms -> the first generator with them
         for g in generators:
             if not isinstance(g, Polynomial):
                 raise TypeError(f"generator {g!r} is not a Polynomial")
             if g.ring != ring:
                 raise ValueError(f"generator in {g.ring}, expected {ring}")
             if not g.is_zero():
-                gens.append(g)
+                gens.setdefault(g.terms, g)
         if not gens:
             raise ValueError("an ideal needs at least one nonzero generator")
         self.ring = ring
-        self.generators = tuple(gens)
+        self.generators = tuple(gens.values())
 
     def __repr__(self):
         return f"Ideal({len(self.generators)} generators in {self.ring})"
@@ -76,16 +78,6 @@ class Ideal:
         return all(g.is_homogeneous() for g in self.generators)
 
 
-def _dedup(polys):
-    seen = set()
-    out = []
-    for f in polys:
-        if f.terms not in seen:
-            seen.add(f.terms)
-            out.append(f)
-    return out
-
-
 def ideal_square(a: Ideal) -> Ideal:
     """The ideal of all products of two generators.  A monomial generator that
     another monomial generator divides is dropped first: it lies in the ideal
@@ -99,7 +91,7 @@ def ideal_square(a: Ideal) -> Ideal:
         gi = gens[i]
         for j in range(i, len(gens)):
             prods.append(gi * gens[j])
-    return Ideal(a.ring, _dedup(prods))
+    return Ideal(a.ring, prods)
 
 
 def _tail_rise(f: Polynomial):
@@ -507,15 +499,21 @@ def _standard_successors(ring, index: _LtIndex, level):
     return nxt
 
 
+def _standard_levels(gb: GroebnerBasis):
+    """The standard monomials of the basis by degree from 0, each level a
+    dict from `_standard_successors`, up to the first empty level (none
+    when the quotient has positive dimension)."""
+    ring = gb.ring
+    index = gb.index()
+    level = {} if index.find(0) is not None else {0: None}  # 1 in the ideal: empty quotient
+    while level:
+        yield level
+        level = _standard_successors(ring, index, level)
+
+
 def standard_monomials_packed(gb: GroebnerBasis):
     """Packed standard monomials grouped by degree: list of lists, index = degree."""
     if not is_zero_dimensional(gb):
         raise ValueError("standard monomials require a zero-dimensional ideal")
-    ring = gb.ring
-    index = gb.index()
-    levels = []
-    current = [] if index.find(0) is not None else [0]  # 1 in the ideal: empty quotient
-    while current:
-        levels.append(sorted(current, key=ring.key, reverse=True))
-        current = _standard_successors(ring, index, current)
-    return levels
+    key = gb.ring.key
+    return [sorted(level, key=key, reverse=True) for level in _standard_levels(gb)]

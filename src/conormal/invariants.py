@@ -13,7 +13,7 @@ low-degree initial form).
 from dataclasses import dataclass
 from math import comb
 
-from .linalg import Echelon, combine, rref
+from .linalg import Echelon, Lanes, rref
 from .poly import PolynomialRing, substitute_all
 from .groebner import (
     DEFAULT_STEP_BUDGET,
@@ -146,6 +146,9 @@ def classify(gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET) -> InvariantR
     """
     n, columns = _multiplication_columns(gb, budget)
     p = gb.ring.field.p
+    # x_j u is one packed sum of columns of x_j, each adding at most (p-1)^2
+    lanes = Lanes(p, n, n * (p - 1) ** 2)
+    packed = [[lanes.pack(col) for col in cols] for cols in columns]
     dims, socle = [], []  # dim m^d and dim(soc & m^d), d = 0, 1, ...
     images = [[cols[i] for cols in columns] for i in range(n)]  # of the unit vectors of A
     while images:
@@ -159,7 +162,8 @@ def classify(gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET) -> InvariantR
             raise ValueError(f"the quotient is not local: powers of m stop at dimension {dim}")
         dims.append(dim)
         socle.append(dim - len(relations.rows))
-        images = [[combine(u, cols, n, p) for cols in columns] for u in power.rows]
+        images = [[lanes.unpack(sum(a * col for a, col in zip(u, cols) if a)) for cols in packed]
+                  for u in power.rows]
     dims.append(0)
     socle.append(0)
     hf = HilbertFunction(tuple(dims[d] - dims[d + 1] for d in range(len(dims) - 1)))

@@ -32,7 +32,10 @@ def parse_ideal_text(text: str) -> Ideal:
     names = [v.strip() for v in parts[2][5:].split(",") if v.strip()]
     if not names:
         raise ParseError("header declares no variables", header_no, 1)
-    ring = PolynomialRing(field, names, DEGREVLEX)
+    try:
+        ring = PolynomialRing(field, names, DEGREVLEX)
+    except ValueError as exc:
+        raise ParseError(str(exc), header_no, 1)
     gens = []
     for no, ln in stripped[1:]:
         gens.append(ring.parse(ln, line=no))

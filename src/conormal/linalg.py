@@ -8,8 +8,10 @@ column, column j in bits [j*W, (j+1)*W), so that a row update is one
 big-integer multiply-add run in C and the reduction mod p is delayed until
 the row is read back (delayed reduction after Dumas, Giorgi and Pernet,
 "FFLAS and FFPACK", 2008; several field elements per machine integer after
-Dumas, Fousse and Salvy, 2011).  `Lanes` is that format; the closing check
-of the vanishing ideal of points sums packed value vectors with it too.
+Dumas, Fousse and Salvy, 2011).  `Lanes` is that format, and the one way
+the package forms a sum of vectors times scalars: the invariants module
+multiplies by the variables with it, and the closing check of the vanishing
+ideal of points sums packed value vectors with it.
 """
 
 import struct
@@ -167,15 +169,6 @@ class Echelon:
         for items in (out.pivots, out.rows, out._packed, out._shifts):
             items.reverse()
         return out
-
-
-def combine(coeffs, vectors, n: int, p: int) -> list:
-    """The length-n vector sum of coeffs[i] * vectors[i] over GF(p)."""
-    out = [0] * n
-    for a, vec in zip(coeffs, vectors):
-        if a:
-            out = [(x + a * y) % p for x, y in zip(out, vec)]
-    return out
 
 
 def rref(rows, p: int) -> Echelon:

@@ -6,9 +6,10 @@ The vanishing ideal is computed Buchberger-Moller style: in each degree the
 candidate monomials are evaluated at the points; Gaussian elimination splits
 them into standard monomials and new reduced basis elements.  The
 candidates are the variable multiples of the previous degree's standard
-monomials that no leading term found so far divides: the standard-monomial
-walk of `groebner.standard_monomials_packed`, run against a leading-term
-index that grows with each new element.  The loop runs until a degree
+monomials that no leading term found so far divides: one step of the
+standard-monomial walk of `groebner._standard_levels`, taken by
+`groebner._standard_successors` against a leading-term index that grows
+with each new element between degrees.  The loop runs until a degree
 confirms the Hilbert function at n with no new generators, one degree past
 the stabilization required of saturated point ideals, which also covers
 special configurations whose initial ideal acquires late generators.  So it
@@ -49,13 +50,11 @@ from .linalg import Echelon, Lanes
 
 
 class BmResult(NamedTuple):
-    """One Buchberger-Moller pass: the reduced basis of the vanishing ideal
-    in `ring`, in `GroebnerBasis` order, the Hilbert function of the
-    coordinate ring by degree up to the degree the pass confirmed it at, and
-    the steps the pass took."""
+    """One Buchberger-Moller pass: the reduced basis of the vanishing ideal,
+    the Hilbert function of the coordinate ring by degree up to the degree
+    the pass confirmed it at, and the steps the pass took."""
 
-    ring: PolynomialRing
-    elements: tuple
+    basis: GroebnerBasis
     hf: tuple
     steps: int
 
@@ -243,8 +242,7 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
         if d > MAX_EXPONENT:
             raise _past_the_degree_limit(ps.c, n)
     _check_vanishing(ring, elements, ps)
-    basis = GroebnerBasis(ring, elements)
-    return BmResult(ring, basis.elements, tuple(hf), steps.limit - steps.remaining)
+    return BmResult(GroebnerBasis(ring, elements), tuple(hf), steps.limit - steps.remaining)
 
 
 def _check_vanishing(ring, elements, ps: PointSet):
@@ -275,7 +273,7 @@ def bm_result(
     result answers to the budget as the pass would have: one that took more
     steps than `budget` raises `BudgetExceededError`."""
     kept = ps.bm
-    if kept is None or kept.ring.order != order:
+    if kept is None or kept.basis.order != order:
         return _bm_run(ps, order, budget)
     if kept.steps > budget:
         raise BudgetExceededError(budget)
@@ -286,9 +284,10 @@ def vanishing_ideal(
     ps: PointSet, order: MonomialOrder = DEGREVLEX, budget: int = DEFAULT_STEP_BUDGET
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the homogeneous ideal of the points; every
-    element is re-verified to vanish at every point."""
-    result = bm_result(ps, order, budget)
-    return GroebnerBasis(result.ring, result.elements)
+    element is re-verified to vanish at every point.  A point set that kept
+    its pass under `order` gives the basis it kept, the same object on every
+    call."""
+    return bm_result(ps, order, budget).basis
 
 
 def _in_general_position(ps: PointSet, hf) -> bool:

@@ -364,7 +364,6 @@ def _tokenize(text, line):
 def _parse_term(ring, tokens, pos, text, line):
     coeff = 1
     exps = [0] * ring.nvars
-    saw_factor = False
     while True:
         if pos >= len(tokens):
             raise ParseError("expected a coefficient or variable", line, len(text))
@@ -387,13 +386,10 @@ def _parse_term(ring, tokens, pos, text, line):
             exps[idx] += e
         else:
             raise ParseError(f"expected a coefficient or variable, found {tok!r}", line, col)
-        saw_factor = True
         if pos < len(tokens) and tokens[pos][0] == "*":
             pos += 1
             continue
         break
-    if not saw_factor:
-        raise ParseError("empty term", line, 1)
     return coeff, tuple(exps), pos
 
 

@@ -385,6 +385,27 @@ def test_a_surface_is_refused_by_its_hilbert_function_alone(monkeypatch):
         analyze(gb, seed=0)
 
 
+def test_the_plateau_walk_refuses_a_late_fall_on_the_file_path_only(monkeypatch):
+    # R/(x^3, xy) has h = 1, 2, 2, 1, 1, ...: it levels off at 2 in degree 1,
+    # so the reduction passes with e = 2, and falls in degree 3, within the
+    # Taylor bound 2(3-1) + 1 = 5.  Points bring their own Hilbert function
+    # and skip the walk.
+    import conormal.cm as cm
+
+    gb = parsed_basis(["x", "y"], ["x^3", "x*y"])
+    assert artinian_reduction(gb, seed=0).hf == (1, 1)
+    with pytest.raises(ValueError, match="leaves its plateau 2 in degree 3, at 1"):
+        analyze(gb, seed=0)
+    calls = []
+    monkeypatch.setattr(cm, "_check_plateau", lambda *args: calls.append(args))
+    ps = make_point_set(2, 31991, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    points_gb = vanishing_ideal(ps)
+    analyze(points_gb, seed=0, points=ps)
+    assert calls == []
+    analyze(points_gb, seed=0)
+    assert len(calls) == 1
+
+
 def test_a_walk_past_degree_120_fails_at_once():
     # x^61, y^61 in k[x, y, z]: h rises until degree 120, so its plateau
     # lies past the monomial degree limit

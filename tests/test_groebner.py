@@ -23,6 +23,7 @@ from conormal.constructions import StretchedSpec, ideal_L, stretched_ideal
 from conormal.groebner import (
     GroebnerBasis,
     _LtIndex,
+    _standard_levels,
     _standard_successors,
     standard_monomials_packed,
 )
@@ -31,14 +32,23 @@ from conormal.invariants import length
 from conftest import example61_ideal, ideal_product, monomial_quotient_standard
 
 
-def test_ideal_construction_drops_zeros(ring_xy):
+def test_ideal_construction_drops_zeros(ring_xy, ring_xyz):
     x, y = ring_xy.gens()
     ideal = Ideal(ring_xy, [x, ring_xy.zero, y])
     assert len(ideal.generators) == 2
+    # a repeat is dropped, keyed by its terms: the first one stays, in order
+    twice = x * y
+    ideal = Ideal(ring_xy, [twice, y, x + y, x * y, y, x])
+    assert ideal.generators == (twice, y, x + y, x)
+    assert ideal.generators[0] is twice
     with pytest.raises(ValueError):
         Ideal(ring_xy, [ring_xy.zero])
     with pytest.raises(ValueError):
         Ideal(ring_xy, [])
+    with pytest.raises(TypeError, match="is not a Polynomial"):
+        Ideal(ring_xy, [x, 1])
+    with pytest.raises(ValueError, match="expected"):
+        Ideal(ring_xy, [x, ring_xyz.gens()[0]])
 
 
 def test_already_a_basis(ring_xy):
@@ -164,6 +174,21 @@ def test_standard_monomials_need_zero_dimensional(ring_xy):
     x, y = ring_xy.gens()
     with pytest.raises(ValueError):
         standard_monomials_packed(buchberger(Ideal(ring_xy, [x * y])))
+
+
+def test_standard_levels_walk_each_degree_once(ring_xy):
+    x, y = ring_xy.gens()
+    # R/(x^3, xy): the levels are 1, 2, 2, 1, 1, ... and never end
+    walk = _standard_levels(buchberger(Ideal(ring_xy, [x ** 3, x * y])))
+    assert [len(next(walk)) for _ in range(6)] == [1, 2, 2, 1, 1, 1]
+    # an Artinian quotient stops at its first empty level
+    gb = buchberger(Ideal(ring_xy, [x ** 2, x * y, y ** 3]))
+    assert [sorted(level) for level in _standard_levels(gb)] == [
+        sorted(level) for level in standard_monomials_packed(gb)
+    ]
+    assert [len(level) for level in _standard_levels(gb)] == [1, 2, 1]
+    # 1 in the ideal: no level at all
+    assert list(_standard_levels(buchberger(Ideal(ring_xy, [x, ring_xy.one])))) == []
 
 
 def _random_zero_dim_ideal(ring, rng):

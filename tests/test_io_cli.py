@@ -41,6 +41,11 @@ def test_parse_header_errors():
         parse_ideal_text("ring p=7 vars=\nx")
     with pytest.raises(ParseError):
         parse_ideal_text("ring p=7 vars=x")
+    # variable names the ring refuses are header errors too, at its start
+    for header in ("ring p=7 vars=x,x", "ring p=7 vars=x,1y"):
+        with pytest.raises(ParseError) as err:
+            parse_ideal_text(header + "\nx")
+        assert (err.value.line, err.value.column) == (1, 1)
 
 
 def test_parse_body_errors_carry_line_numbers():
@@ -421,3 +426,56 @@ def test_cli_analyze_refuses_a_ring_that_is_not_cm(tmp_path, capsys):
     path.write_text("ring p=31991 vars=x,y\nx^2\nx*y\n")
     assert main(["analyze", str(path)]) == 1
     assert "not Cohen-Macaulay" in capsys.readouterr().err
+
+
+def test_cli_analyze_refuses_a_hilbert_function_that_leaves_its_plateau(tmp_path, capsys):
+    # R/(x^3, xy) has the Hilbert function 1, 2, 2, 1, 1, ...: it levels off
+    # at 2 in degree 1, which passes the reduction, and then falls, so R/I
+    # is not CM and e is 1, not 2
+    path = tmp_path / "plateau.txt"
+    path.write_text("ring p=31991 vars=x,y\nx^3\nx*y\n")
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: R/I is not Cohen-Macaulay of dimension 1: its Hilbert function "
+        "leaves its plateau 2 in degree 3, at 1\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["conjecture", "--c", "4"], "error: the experiment needs --c at least 5"),
+        (["stretched-suite", "--cmax", "2"], "error: the grid starts at c=3, s=2"),
+        (
+            ["analyze", "--points", "3,40", "--p", "3"],
+            "error: no general configuration of 40 points in P^3 over GF(3) "
+            "after 10 redraws (seed 0)",
+        ),
+    ],
+)
+def test_cli_refuses_arguments_out_of_range(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vars=x,y\n1", "error: the quotient is the zero ring"),
+        ("vars=x,y\nx y", "parse error: expected '+' or '-', found 'y' at line 2, column 3"),
+        ("vars=x,y\nx$y", "parse error: unexpected character '$' at line 2, column 2"),
+        ("vars=x,y\nx^", "parse error: expected an integer exponent after '^' at line 2, column 1"),
+        ("vars=x,y\nx *", "parse error: expected a coefficient or variable at line 2, column 3"),
+        ("vars=x,x\nx", "parse error: duplicate variable names at line 1, column 1"),
+        ("vars=x,1y\nx", "parse error: variable name '1y' is not an identifier at line 1, column 1"),
+    ],
+)
+def test_cli_refuses_ideal_files(text, message, tmp_path, capsys):
+    path = tmp_path / "ideal.txt"
+    path.write_text(f"ring p=31991 {text}\n")
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")

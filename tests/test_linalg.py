@@ -3,12 +3,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conormal.linalg import Echelon, Lanes, combine, rref
+from conormal.linalg import Echelon, Lanes, rref
 from conftest import PlainEchelon, gauss_jordan
 
 # 2^31 - 1, the largest supported prime, needs lanes wider than 64 bits
 PRIMES = (3, 7, 31991, 2147483647)
 SHAPES = ((1, 1), (3, 8), (8, 3), (6, 6), (10, 4), (4, 10), (0, 5))
+
+
+def combine(coeffs, vectors, n: int, p: int) -> list:
+    """The length-n vector sum of coeffs[i] * vectors[i] over GF(p), one list
+    at a time: the oracle of the packed sums and the echelon remainders."""
+    out = [0] * n
+    for a, vec in zip(coeffs, vectors):
+        if a:
+            out = [(x + a * y) % p for x, y in zip(out, vec)]
+    return out
 
 
 def random_matrix(rng, nrows, ncols, p, rank=None):

@@ -154,6 +154,8 @@ def test_general_points_keep_their_pass_for_the_vanishing_ideal(monkeypatch):
     gb = vanishing_ideal(ps)
     assert _in_general_position(ps, bm_result(ps).hf)
     assert len(runs) == redraws + 1
+    # the kept basis itself, not a copy sorted again
+    assert vanishing_ideal(ps) is gb is bm_result(ps).basis
     # the kept pass takes no part in equality; a point set without it, or
     # another order, runs the pass again
     plain = make_point_set(3, 31991, ps.points, ps.seed)

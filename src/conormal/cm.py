@@ -18,16 +18,18 @@ reduced basis of IS in S and the Hilbert function of S/IS, whose sum is e
 and whose top degree is s; the verdict needs only l, that basis and s, and
 the invariants are read off that basis as it stands.  For R/I CM of
 dimension 1 and l regular on it, HF(S/IS) is the first difference of
-HF(R/I), which one walk over the standard monomials of the basis gives,
-whatever the input; a basis whose HF falls, or still rises past the degree
-any such reduction allows, is refused there.  Without points, whose
-Hilbert function certifies R/I, a second walk refuses a HF(R/I) that
-leaves e past s, through the Taylor bound on reg(in(I)).  A draw costs
-one substitution and one sweep of Macaulay matrices in S: l passes iff the
+HF(R/I), read from one place per analysis.  Points bring it: their
+Buchberger-Moller pass counted HF(R/I) up to its plateau at n, which
+certifies R/I, and nothing is walked.  A basis of I alone is walked once
+over its standard monomials, up to the Taylor bound on reg(in(I)) plus
+one; the walk refuses a HF that falls, still rises past the degree any
+such reduction allows, or leaves e after s.  A draw costs one
+substitution and one sweep of Macaulay matrices in S: l passes iff the
 ranks give that difference through s and fill degree s + 1, and the
-reduced basis of IS is read off the same matrices, with no Buchberger run.  On points a form
-passes iff it vanishes at none of them (Abbott, Bigatti, Kreuzer and
-Robbiano, "Computing ideals of points", 2000), and e = n.
+reduced basis of IS is read off the same matrices, with no Buchberger
+run.  On points a form passes iff it vanishes at none of them (Abbott,
+Bigatti, Kreuzer and Robbiano, "Computing ideals of points", 2000), and
+e = n.
 
 The length of S/(IS)^2 comes from a degree sweep of graded Macaulay
 matrices (Lazard 1983): in each degree d the square spans the variables
@@ -66,7 +68,7 @@ from .groebner import (
     is_zero_dimensional,
 )
 from .invariants import InvariantReport, classify, linear_substitution
-from .points import PointSet, bm_result
+from .points import BmResult
 from . import criteria as crit
 
 DEFAULT_TRIALS = 5
@@ -181,24 +183,29 @@ class Reduction:
 
 
 def artinian_reduction(
-    gb: GroebnerBasis,
+    ideal,
     seed,
     trials: int = DEFAULT_TRIALS,
     budget: int = DEFAULT_STEP_BUDGET,
 ) -> Reduction:
     """S/IS, S = R/(l), for the first seeded linear form l, of at most
-    `trials` drawn, whose images pass `_macaulay_basis` against the
-    Hilbert function `_hf_difference` reads off the basis once.  For a
-    one-dimensional Cohen-Macaulay quotient its length is the multiplicity,
-    whichever such form is drawn.  ValueError unless `trials` is at least
-    1, for a zero-dimensional basis, and from `_hf_difference`;
-    RuntimeError when no form drawn passes.
+    `trials` drawn, whose images pass `_macaulay_basis` against ΔHF(R/I)
+    from `_basis_and_delta`; `ideal` is a `GroebnerBasis` of I or the
+    `BmResult` of its points.  For a one-dimensional Cohen-Macaulay
+    quotient its length is the multiplicity, whichever such form is drawn.
+    ValueError for a zero-dimensional basis, from `_basis_and_delta`, and
+    unless `trials` is at least 1; RuntimeError when no form drawn passes.
     """
+    gb, delta = _basis_and_delta(ideal)
+    if delta is None:
+        raise ValueError("the ideal is already zero-dimensional; nothing to reduce")
+    return _reduce(gb, delta, seed, trials, budget)
+
+
+def _reduce(gb: GroebnerBasis, delta: tuple, seed, trials: int, budget: int) -> Reduction:
+    """`artinian_reduction` of the basis of I, given ΔHF(R/I) as `delta`."""
     if trials < 1:
         raise ValueError(f"an Artinian reduction needs at least 1 trial, got {trials}")
-    if is_zero_dimensional(gb):
-        raise ValueError("the ideal is already zero-dimensional; nothing to reduce")
-    delta = _hf_difference(gb)
     for drawn, ell in enumerate(_trial_forms(gb.ring, seed, trials), 1):
         smaller, assignment = linear_substitution(gb.ring, [ell])
         images = [f for f in substitute_all(gb.elements, assignment) if not f.is_zero()]
@@ -213,74 +220,65 @@ def artinian_reduction(
     )
 
 
+def _basis_and_delta(ideal) -> tuple:
+    """(basis of I, ΔHF(R/I) without its trailing zeros, or None for a
+    zero-dimensional basis), from a `GroebnerBasis` of I, walked once by
+    `_hf_difference`, or from the `BmResult` of the points whose ideal I
+    is, whose HF(R/I) up to its plateau at n certifies R/I CM of
+    dimension 1."""
+    if isinstance(ideal, BmResult):
+        delta = [b - a for a, b in zip((0,) + ideal.hf, ideal.hf)]
+        while delta[-1] == 0:
+            delta.pop()
+        return ideal.basis, tuple(delta)
+    if is_zero_dimensional(ideal):
+        return ideal, None
+    return ideal, _hf_difference(ideal)
+
+
 def _hf_difference(gb: GroebnerBasis) -> tuple:
     """(h(0), h(1) - h(0), ..., h(s) - h(s-1)), h = HF(R/I) read off the
-    standard monomials of the basis degree by degree, s the first degree
-    with h(s+1) <= h(s): HF(S/IS) for every l regular on a CM R/I of
-    dimension 1.  ValueError for a basis that is not homogeneous; when h
-    falls, which a CM R/I of positive dimension never does (it has a
-    regular linear form over the algebraic closure, and HF does not change
-    under field extension); when h still rises in degree c(D-1) + 1, D the
-    top degree of the basis (an Artinian S/IS generated in degrees <= D
-    contains a complete intersection of c forms of degree D, so s <=
-    c(D-1)); and when the walk would pass total degree 120.
+    standard monomials of the basis in one walk, s the first degree with
+    h(s+1) <= h(s): HF(S/IS) for every l regular on a CM R/I of dimension 1.
+    ValueError for a basis that is not homogeneous; when h falls, which a
+    CM R/I of positive dimension never does (it has a regular linear form
+    over the algebraic closure, and HF does not change under field
+    extension); when h still rises in degree c(D-1) + 1, D the top degree
+    of the basis (an Artinian S/IS generated in degrees <= D contains a
+    complete intersection of c forms of degree D, so s <= c(D-1)); when h
+    leaves e = h(s) by degree (c+1)(D-1) + 1, the Taylor bound on
+    reg(in(I)) plus one, past which h is the Hilbert polynomial, so that
+    with the ranks of the reduction's sweep l is regular on a CM R/I; and
+    when the walk would pass total degree 120.
     """
     if any(not g.is_homogeneous() for g in gb.elements):
         raise ValueError("artinian_reduction needs a homogeneous ideal")
     c, top = gb.ring.nvars - 1, max(g.degree for g in gb.elements)
-    cap = c * (top - 1) + 1
-    hf = []
-    for d, h in _hf_values(gb, cap):
-        if hf and h < hf[-1]:
-            raise ValueError(f"R/I is not Cohen-Macaulay of positive dimension: its Hilbert "
-                             f"function falls from {hf[-1]} in degree {d - 1} to {h}")
-        if hf and h == hf[-1]:
-            return tuple(b - a for a, b in zip([0] + hf, hf))
-        hf.append(h)
-    raise ValueError(
-        f"R/I is not Cohen-Macaulay of dimension 1, or has dimension above 1: its "
-        f"Hilbert function still rises in degree {cap} = c(D-1) + 1, for c = {c} "
-        f"and the top degree D = {top} of the basis"
-    )
-
-
-def _hf_values(gb: GroebnerBasis, last: int):
-    """(d, HF(R/I)(d)) for d = 0, 1, ..., last, counted off the standard
-    monomials of the basis one level at a time; ValueError when the walk
-    would pass total degree 120."""
+    cap, last = c * (top - 1) + 1, (c + 1) * (top - 1) + 1
+    hf, flat = [], False  # hf: h(0..s); flat once h(s+1) = h(s)
     for d, level in zip(range(last + 1), _standard_levels(gb)):
         if d > MAX_EXPONENT:
             raise ValueError(f"total degree {d} exceeds the {MAX_EXPONENT} limit")
-        yield d, len(level)
-
-
-def _check_plateau(gb: GroebnerBasis, reduction: Reduction):
-    """ValueError unless HF(R/I) stays at e = λ(S/IS) from s through
-    (c+1)(D-1)+1, D the top degree of the basis: the Taylor bound on
-    reg(in(I)) plus one, past which HF(R/I) is its Hilbert polynomial.  With
-    the ranks of the reduction's sweep, l is then regular on a CM R/I."""
-    top = max(g.degree for g in gb.elements)
-    e, s = reduction.length, reduction.socle_degree
-    for d, h in _hf_values(gb, gb.ring.nvars * (top - 1) + 1):
-        if d > s and h != e:
+        h = len(level)
+        if hf and h == hf[-1]:
+            flat = True
+        elif flat:
             raise ValueError(
                 f"R/I is not Cohen-Macaulay of dimension 1: its Hilbert function "
-                f"leaves its plateau {e} in degree {d}, at {h}"
+                f"leaves its plateau {hf[-1]} in degree {d}, at {h}"
             )
-
-
-def _points_hf_difference(gb: GroebnerBasis, ps: PointSet, budget: int) -> tuple:
-    """The first difference of HF(R/I), I the vanishing ideal of the points,
-    without its trailing zeros; ValueError unless `gb` is that ideal's
-    basis in its ring."""
-    result = bm_result(ps, gb.ring.order, budget)
-    if result.basis.elements != gb.elements:
-        raise ValueError("the basis is not the vanishing ideal of the given points")
-    hf = result.hf
-    delta = [hf[0]] + [hf[d] - hf[d - 1] for d in range(1, len(hf))]
-    while delta[-1] == 0:
-        delta.pop()
-    return tuple(delta)
+        elif hf and h < hf[-1]:
+            raise ValueError(f"R/I is not Cohen-Macaulay of positive dimension: its Hilbert "
+                             f"function falls from {hf[-1]} in degree {d - 1} to {h}")
+        elif d == cap:
+            raise ValueError(
+                f"R/I is not Cohen-Macaulay of dimension 1, or has dimension above 1: its "
+                f"Hilbert function still rises in degree {cap} = c(D-1) + 1, for c = {c} "
+                f"and the top degree D = {top} of the basis"
+            )
+        else:
+            hf.append(h)
+    return tuple(b - a for a, b in zip([0] + hf, hf))
 
 
 def _poly_row(f, pos, n):
@@ -545,41 +543,28 @@ def _quadric_generator_count(art_gb: GroebnerBasis, report: InvariantReport):
 
 
 def analyze(
-    gb: GroebnerBasis,
+    ideal,
     seed=0,
     trials: int = DEFAULT_TRIALS,
     budget: int = DEFAULT_STEP_BUDGET,
     source: str = "",
-    points: PointSet = None,
 ) -> AnalysisReport:
     """Full report: invariants of the Artinian reduction, quadric count,
     CM verdict for the square, and every applicable closed-form criterion,
     with a hard cross-check both ways: no NotCM criterion may meet a CM
     verdict, and no positive answer may meet one on a non-Gorenstein ring.
-    The invariants and e come from one Artinian basis, classified as it
-    stands: the input when zero-dimensional (then no verdict), otherwise
-    the basis of IS from `artinian_reduction`.
-
-    `points`, when given, are the points whose vanishing ideal `gb` is
-    (ValueError otherwise, checked first), and the Hilbert function of the
-    reduction must be the first difference of the points' one (so e = n),
-    or RuntimeError.  Without them `_check_plateau` certifies that R/I is
-    Cohen-Macaulay of dimension 1, or raises ValueError.
+    `ideal` is a `GroebnerBasis` of I or the `BmResult` of its points, as
+    for `artinian_reduction`.  The invariants and e come from one Artinian
+    basis, classified as it stands: the basis of I when zero-dimensional
+    (then no verdict), otherwise the basis of IS from the reduction.
     """
+    gb, delta = _basis_and_delta(ideal)
     ring = gb.ring
-    delta = None if points is None else _points_hf_difference(gb, points, budget)
-    if is_zero_dimensional(gb):
+    if delta is None:
         art_gb, reduction = gb, None
     else:
-        reduction = artinian_reduction(gb, seed, trials, budget)
+        reduction = _reduce(gb, delta, seed, trials, budget)
         art_gb = reduction.basis
-        if delta is None:
-            _check_plateau(gb, reduction)
-        elif reduction.hf != delta:
-            raise RuntimeError(
-                f"Hilbert function {reduction.hf} of the reduction disagrees with "
-                f"{delta}, the first difference of that of the {points.n} points"
-            )
     report = classify(art_gb, budget)
     e = report.length
     cm = None if reduction is None else is_cm_square(gb, reduction, budget)

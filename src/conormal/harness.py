@@ -5,10 +5,11 @@ code); a config plus the package version determines every output byte.
 Exit codes follow the CM verdict: 0 CM-consistent, 1 NotCM, 2 Inconclusive.
 `run` dispatches a verb by name and turns an exhausted step budget, in any
 verb, into an Inconclusive report: the config echo and the reason.  The
-analysing verbs share one route for points, `_analysis`: the vanishing ideal
-of a point set certified general, drawn at random or the frozen points of
-Example 6.1, then `cm.analyze` with the points.  Only an ideal file goes
-through Buchberger before `cm.analyze`.
+analysing verbs share one route for points, `_analysis`: a point set
+certified general, drawn at random or the frozen points of Example 6.1,
+keeps its Buchberger-Moller pass, and `cm.analyze` takes that pass, the
+basis of the vanishing ideal with the Hilbert function of its points.
+Only an ideal file goes through Buchberger before `cm.analyze`.
 """
 
 import functools
@@ -78,14 +79,12 @@ def _report_text(config: ExperimentConfig, body_lines) -> str:
 
 
 def _analysis(config: ExperimentConfig, ps, source=None):
-    """`analyze` of the vanishing ideal of the certified-general point set
-    `ps`, with the points, named by `source` or else by the points' shape."""
-    gb = vanishing_ideal(ps, budget=config.budget)
+    """`analyze` of the Buchberger-Moller pass that the certified-general
+    point set `ps` kept, named by `source` or else by the points' shape."""
     if source is None:
         source = f"{ps.n} general points in P^{ps.c} over GF({ps.p})"
     return analyze(
-        gb, seed=config.seed, trials=config.trials, budget=config.budget,
-        source=source, points=ps,
+        ps.bm, seed=config.seed, trials=config.trials, budget=config.budget, source=source
     )
 
 

@@ -29,11 +29,8 @@ def parse_ideal_text(text: str) -> Ideal:
         field = PrimeField(p)
     except ValueError as exc:
         raise ParseError(str(exc), header_no, 1)
-    names = [v.strip() for v in parts[2][5:].split(",") if v.strip()]
-    if not names:
-        raise ParseError("header declares no variables", header_no, 1)
     try:
-        ring = PolynomialRing(field, names, DEGREVLEX)
+        ring = PolynomialRing(field, parts[2][5:].split(","), DEGREVLEX)
     except ValueError as exc:
         raise ParseError(str(exc), header_no, 1)
     gens = []

@@ -26,8 +26,9 @@ table of coordinate powers.
 A point set certified general, drawn by `general_points` or frozen like
 the points of Example 6.1, keeps the result of its pass (the basis, the
 Hilbert function of the coordinate ring and the steps it took), so
-`vanishing_ideal` and the points path of `cm.analyze` read it instead of
-running the pass again.
+`vanishing_ideal` reads it instead of running the pass again, and
+`harness` hands it to `cm.analyze`, which takes the Hilbert function of
+R/I from it.
 """
 
 import dataclasses

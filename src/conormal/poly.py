@@ -331,6 +331,11 @@ class PolynomialRing:
         return self._from_packed_dict(acc)
 
 
+# str.isdigit also holds for '²', which int() refuses, and for '٣', which
+# int() reads as 3
+_DIGITS = "0123456789"
+
+
 def _tokenize(text, line):
     tokens = []
     i = 0
@@ -344,9 +349,9 @@ def _tokenize(text, line):
         if ch in "+-*^":
             tokens.append((ch, col))
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append((int(text[i:j]), col))
             i = j

@@ -34,7 +34,7 @@ from conormal.criteria import (
 )
 from conormal.cm import analyze, derive_seed, eight_quadrics_square_gap
 from conormal.constructions import StretchedSpec, ideal_L, stretched_ideal
-from conormal.points import general_points, random_points, vanishing_ideal
+from conormal.points import bm_result, general_points, random_points, vanishing_ideal
 from conormal.harness import ExperimentConfig, verify_example61
 from conftest import count_standard_of_degree, oneshot_vanishing_kernels
 
@@ -90,9 +90,7 @@ def test_criterion_4_conjecture_counterexamples(c, n):
         started = time.monotonic()
         ps, redraws = general_points(c, n, 31991, seed=seed, max_redraws=10)
         assert redraws <= 10
-        gb = vanishing_ideal(ps)
-        report = analyze(gb, seed=seed, points=ps,
-                         source=f"{n} points in P^{c}")
+        report = analyze(bm_result(ps), seed=seed, source=f"{n} points in P^{c}")
         elapsed = time.monotonic() - started
         assert report.cm_square.status == "CM", (c, seed)
         assert not report.invariants.gorenstein, (c, seed)
@@ -104,8 +102,7 @@ def test_criterion_4_conjecture_counterexamples(c, n):
 def test_criterion_5_negative_control_c5():
     started = time.monotonic()
     ps, _ = general_points(5, 9, 31991, seed=3, max_redraws=10)
-    gb = vanishing_ideal(ps)
-    report = analyze(gb, seed=3, points=ps, source="9 points in P^5")
+    report = analyze(bm_result(ps), seed=3, source="9 points in P^5")
     elapsed = time.monotonic() - started
     assert report.cm_square.status == "NotCM"
     assert report.q == 12
@@ -136,8 +133,7 @@ def test_criterion_5_negative_control_c7():
 def test_optional_conjecture_high_codimension(c):
     n = conjectured_counterexample_points(c)
     ps, _ = general_points(c, n, 31991, seed=1, max_redraws=10)
-    gb = vanishing_ideal(ps)
-    report = analyze(gb, seed=1, points=ps, source=f"{n} points in P^{c}",
+    report = analyze(bm_result(ps), seed=1, source=f"{n} points in P^{c}",
                      budget=500_000_000)
     assert report.cm_square.status == "CM"
     assert not report.invariants.gorenstein

@@ -25,7 +25,13 @@ from conormal.cm import (
 )
 from conormal.groebner import contains
 from conormal.invariants import length
-from conormal.points import general_points, make_point_set, random_points, vanishing_ideal
+from conormal.points import (
+    bm_result,
+    general_points,
+    make_point_set,
+    random_points,
+    vanishing_ideal,
+)
 
 from conftest import example61_ideal
 
@@ -124,8 +130,7 @@ def test_verdict_invariants():
 
 def test_analyze_single_point():
     ps = make_point_set(4, 31991, [(1, 2, 3, 4, 5)])
-    gb = vanishing_ideal(ps)
-    report = analyze(gb, seed=1, points=ps, source="one point")
+    report = analyze(bm_result(ps), seed=1, source="one point")
     assert report.invariants.hf.values == (1,)
     assert report.invariants.gorenstein
     assert report.cm_square.status == "CM"
@@ -159,20 +164,10 @@ def test_analyze_artinian_input(ring_xy):
 
 
 def test_analyze_checks_the_point_count():
-    # the points must be those whose vanishing ideal the basis is: one point
-    # more, or a basis that is not a points ideal at all, is refused
+    # the points' pass carries the basis of their ideal together with their
+    # Hilbert function: e is the point count
     ps, _ = general_points(2, 4, 31991, seed=2)
-    gb = vanishing_ideal(ps)
-    more = make_point_set(2, 31991, list(ps.points) + [(1, 2, 3)])
-    with pytest.raises(ValueError, match="not the vanishing ideal"):
-        analyze(gb, seed=2, points=more)
-    with pytest.raises(ValueError, match="not the vanishing ideal"):
-        analyze(vanishing_ideal(more), seed=2, points=ps)
-    x0, x1, x2 = gb.ring.gens()
-    artinian = buchberger(Ideal(gb.ring, [x0, x1 ** 2, x2 ** 2]))
-    with pytest.raises(ValueError, match="not the vanishing ideal"):
-        analyze(artinian, points=ps)
-    assert analyze(gb, seed=2, points=ps).e == 4
+    assert analyze(bm_result(ps), seed=2).e == 4
 
 
 def test_derive_seed_stability():
@@ -236,7 +231,7 @@ def test_points_analysis_runs_no_buchberger_on_i_plus_l(monkeypatch):
     ps, _ = general_points(5, 8, 31991, seed=0)
     gb = vanishing_ideal(ps)
     forbid_buchberger(monkeypatch)
-    report = analyze(gb, seed=0, trials=5, points=ps)
+    report = analyze(bm_result(ps), seed=0, trials=5)
     assert report.cm_square.status == "NotCM" and report.cm_square.trials == 1
     assert report.to_text() == analyze(gb, seed=0, trials=5).to_text()
 
@@ -274,9 +269,8 @@ def test_analysis_of_points_runs_no_buchberger_at_all(monkeypatch):
     # the points twin of the test above: the invariants come from the
     # Macaulay basis of IS, and the analysis runs no Buchberger
     ps, _ = general_points(5, 10, 31991, seed=1)
-    gb = vanishing_ideal(ps)
     forbid_buchberger(monkeypatch)
-    report = analyze(gb, seed=1, trials=3, points=ps)
+    report = analyze(bm_result(ps), seed=1, trials=3)
     assert report.e == 10 and report.invariants.hf.values == (1, 5, 4)
     assert report.cm_square.status == "CM"
 
@@ -311,9 +305,9 @@ def test_points_reduction_over_a_small_field_blames_the_forms_not_the_dimension(
     # both causes
     ps, _ = general_points(5, 10, 3, seed=0)
     gb = vanishing_ideal(ps)
-    for points in (ps, None):
+    for ideal in (bm_result(ps), gb):
         with pytest.raises(RuntimeError) as err:
-            analyze(gb, 0, points=points)
+            analyze(ideal, 0)
         assert str(err.value) == (
             "no Artinian reduction in 5 forms drawn over GF(3): R/I is not "
             "Cohen-Macaulay of dimension 1, or each form vanishes at one of the "
@@ -331,6 +325,15 @@ def test_analysis_of_an_artinian_input_runs_no_buchberger(monkeypatch, ring_xyz)
     report = analyze(gb)
     assert report.invariants.hf.values == (1, 2, 1) and report.e == 4
     assert report.cm_square is None and report.q == 2
+
+
+def no_call(what):
+    """A stand-in that fails the test, saying `what`, when it is called."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError(what)
+
+    return fail
 
 
 def parsed_basis(variables, gens):
@@ -376,34 +379,52 @@ def test_a_surface_is_refused_by_its_hilbert_function_alone(monkeypatch):
     import conormal.cm as cm
 
     gb = parsed_basis(["x", "y", "z", "w"], ["x*y", "z*w"])
-
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the reduction ran a sweep")
-
-    monkeypatch.setattr(cm, "_sweep", no_sweep)
+    monkeypatch.setattr(cm, "_sweep", no_call("the reduction ran a sweep"))
     with pytest.raises(ValueError, match="still rises in degree 4"):
         analyze(gb, seed=0)
 
 
 def test_the_plateau_walk_refuses_a_late_fall_on_the_file_path_only(monkeypatch):
-    # R/(x^3, xy) has h = 1, 2, 2, 1, 1, ...: it levels off at 2 in degree 1,
-    # so the reduction passes with e = 2, and falls in degree 3, within the
-    # Taylor bound 2(3-1) + 1 = 5.  Points bring their own Hilbert function
-    # and skip the walk.
+    # R/(x^3, xy) has h = 1, 2, 2, 1, 1, ...: it levels off at 2 in degree 1
+    # and falls in degree 3, within the Taylor bound 2(3-1) + 1 = 5, so the
+    # walk refuses it before any form is drawn.  Points bring their own
+    # Hilbert function and skip the walk.
     import conormal.cm as cm
 
     gb = parsed_basis(["x", "y"], ["x^3", "x*y"])
-    assert artinian_reduction(gb, seed=0).hf == (1, 1)
-    with pytest.raises(ValueError, match="leaves its plateau 2 in degree 3, at 1"):
-        analyze(gb, seed=0)
-    calls = []
-    monkeypatch.setattr(cm, "_check_plateau", lambda *args: calls.append(args))
+    monkeypatch.setattr(cm, "_trial_forms", no_call("a form was drawn"))
+    for run in (artinian_reduction, analyze):
+        with pytest.raises(ValueError, match="leaves its plateau 2 in degree 3, at 1"):
+            run(gb, seed=0)
+    monkeypatch.undo()
+    monkeypatch.setattr(cm, "_standard_levels", no_call("the points were walked"))
     ps = make_point_set(2, 31991, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    points_gb = vanishing_ideal(ps)
-    analyze(points_gb, seed=0, points=ps)
-    assert calls == []
-    analyze(points_gb, seed=0)
-    assert len(calls) == 1
+    assert analyze(bm_result(ps), seed=0).e == 3
+
+
+def test_an_analysis_walks_a_file_once_and_points_never(monkeypatch):
+    # HF(R/I) has one source per analysis: the points' pass on the points
+    # route (conjecture, analyze --points, verify-example61), one walk of
+    # the standard monomials of the basis otherwise
+    import conormal.cm as cm
+    from conormal.harness import ExperimentConfig, run
+
+    walks = []
+    honest = cm._standard_levels
+    monkeypatch.setattr(cm, "_standard_levels", lambda gb: walks.append(gb) or honest(gb))
+    for config in (
+        ExperimentConfig("analyze", c=3, n=6),
+        ExperimentConfig("conjecture", c=5, n=8),
+        ExperimentConfig("verify-example61"),
+    ):
+        text, _ = run(config)
+        assert "cm_square: " in text and walks == [], config
+    ps, _ = general_points(3, 6, 31991, seed=0)
+    gb = vanishing_ideal(ps)
+    analyze(bm_result(ps), seed=0)
+    assert walks == []
+    analyze(gb, seed=0)
+    assert walks == [gb]
 
 
 def test_a_walk_past_degree_120_fails_at_once():
@@ -421,20 +442,3 @@ def test_reduction_needs_a_homogeneous_basis(ring_xyz):
     gb = buchberger(Ideal(ring_xyz, [x - y * y, y * z]))
     with pytest.raises(ValueError, match="needs a homogeneous ideal"):
         artinian_reduction(gb, seed=0)
-
-
-def test_analysis_checks_the_reduction_against_the_points(monkeypatch):
-    # a reduction whose Hilbert function is not the first difference of
-    # the points' one is an internal inconsistency
-    import conormal.cm as cm
-
-    ps, _ = general_points(3, 6, 31991, seed=0)
-    gb = vanishing_ideal(ps)
-    honest = cm.artinian_reduction
-    monkeypatch.setattr(
-        cm, "artinian_reduction",
-        lambda *args: dataclasses.replace(honest(*args), hf=(1, 3, 1, 1)),
-    )
-    analyze(gb, seed=0)
-    with pytest.raises(RuntimeError, match=r"\(1, 3, 1, 1\) of the reduction disagrees"):
-        analyze(gb, seed=0, points=ps)

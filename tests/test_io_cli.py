@@ -42,7 +42,9 @@ def test_parse_header_errors():
     with pytest.raises(ParseError):
         parse_ideal_text("ring p=7 vars=x")
     # variable names the ring refuses are header errors too, at its start
-    for header in ("ring p=7 vars=x,x", "ring p=7 vars=x,1y"):
+    for header in (
+        "ring p=7 vars=x,x", "ring p=7 vars=x,1y", "ring p=7 vars=x,,y", "ring p=7 vars=x,y,"
+    ):
         with pytest.raises(ParseError) as err:
             parse_ideal_text(header + "\nx")
         assert (err.value.line, err.value.column) == (1, 1)
@@ -471,11 +473,16 @@ def test_cli_refuses_arguments_out_of_range(argv, message, capsys):
         ("vars=x,y\nx *", "parse error: expected a coefficient or variable at line 2, column 3"),
         ("vars=x,x\nx", "parse error: duplicate variable names at line 1, column 1"),
         ("vars=x,1y\nx", "parse error: variable name '1y' is not an identifier at line 1, column 1"),
+        ("vars=x,,y\nx", "parse error: variable name '' is not an identifier at line 1, column 1"),
+        ("vars=x,y,\nx", "parse error: variable name '' is not an identifier at line 1, column 1"),
+        # digits are ASCII: a superscript two or an Arabic-Indic three is no integer
+        ("vars=x,y\n2\u00b2*x", "parse error: unexpected character '\u00b2' at line 2, column 2"),
+        ("vars=x,y\n\u0663*x", "parse error: unexpected character '\u0663' at line 2, column 1"),
     ],
 )
 def test_cli_refuses_ideal_files(text, message, tmp_path, capsys):
     path = tmp_path / "ideal.txt"
-    path.write_text(f"ring p=31991 {text}\n")
+    path.write_text(f"ring p=31991 {text}\n", encoding="utf-8")
     assert main(["analyze", str(path)]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message + "\n")

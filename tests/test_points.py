@@ -176,13 +176,13 @@ def test_a_conjecture_run_makes_one_buchberger_moller_pass(monkeypatch):
 
 
 def test_an_analysis_of_points_without_a_kept_pass_runs_one(monkeypatch):
-    # the reduction and the check of its Hilbert function share the pass
+    # the pass gives the analysis both the basis and the Hilbert function,
+    # and the analysis runs no second one
     from conormal.cm import analyze
 
     ps = make_point_set(2, 31991, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
-    gb = vanishing_ideal(ps)
     runs = counting_bm_runs(monkeypatch)
-    assert analyze(gb, seed=0, points=ps).e == 4
+    assert analyze(bm_result(ps), seed=0).e == 4
     assert len(runs) == 1
 
 

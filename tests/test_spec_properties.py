@@ -9,7 +9,7 @@ import pytest
 from conormal import Ideal, PolynomialRing, PrimeField, buchberger
 from conormal.invariants import classify, length
 from conormal.constructions import StretchedSpec, stretched_ideal
-from conormal.points import general_points, vanishing_ideal
+from conormal.points import bm_result, general_points, vanishing_ideal
 from conormal import cm as cm_module
 from conormal.cm import CriteriaAgreementError, analyze
 from conormal.criteria import NOT_CM, POSITIVE, CriteriaVerdict
@@ -36,8 +36,7 @@ def test_generic_point_reductions_are_short_with_socle_degree_two():
         for n in n_values:
             assert 1 + c < n <= top
             ps, _ = general_points(c, n, 31991, seed=(c, n))
-            gb = vanishing_ideal(ps)
-            report = analyze(gb, seed=1, points=ps).invariants
+            report = analyze(bm_result(ps), seed=1).invariants
             assert report.short, (c, n)
             assert report.s == 2, (c, n)
             assert report.hf.values == (1, c, n - c - 1), (c, n)
@@ -124,7 +123,7 @@ def test_h_vector_is_the_difference_of_the_coordinate_hilbert_function():
     # equal the first difference of the evaluation-computed Hilbert
     # function; this ties the two independent computation paths together
     import random as _random
-    from conormal.points import bm_result, make_point_set, random_points
+    from conormal.points import make_point_set, random_points
 
     rng = _random.Random(6)
     configs = [random_points(rng.randrange(1, 4), rng.randrange(2, 9), 31991,
@@ -177,7 +176,7 @@ def test_positive_answer_on_a_gorenstein_cm_square_is_accepted():
     from conormal.points import make_point_set
 
     ps = make_point_set(1, 31991, [(1, 0), (0, 1), (1, 1)])
-    report = analyze(vanishing_ideal(ps), seed=0, points=ps)
+    report = analyze(bm_result(ps), seed=0)
     assert report.cm_square.status == "CM" and report.invariants.gorenstein
     assert report.criteria
     assert all(v.outcome == POSITIVE for _, v in report.criteria)

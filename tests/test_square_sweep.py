@@ -12,10 +12,11 @@ from the standard monomials of the basis of I, and the basis of IS from
 Macaulay matrices) is Buchberger in S on the images of the basis of I,
 for every trial form: a form is skipped iff that basis is not
 zero-dimensional, and otherwise the two reduced bases agree.  On points
-the Hilbert function must be the first difference of the points' one, and
-the analysis with the points must print the report of the analysis
-without them.  The reduction's basis must be the reduced basis of I + l
-in R, less its element led by the leading variable of l, moved to S.
+the Hilbert function walked off the basis must be the first difference of
+the points' one, and the analysis of the points' Buchberger-Moller pass
+must print the report of the analysis of its basis.  The reduction's
+basis must be the reduced basis of I + l in R, less its element led by
+the leading variable of l, moved to S.
 
 The oracle of the eight-quadrics check (the rank of the square in degree
 4) is the route it replaced: a Groebner basis of the square and the normal
@@ -41,9 +42,9 @@ from conormal import Ideal, PolynomialRing, PrimeField, buchberger
 from conormal.cm import (
     DEFAULT_TRIALS,
     CmVerdict,
+    _basis_and_delta,
     _hf_difference,
     _macaulay_basis,
-    _points_hf_difference,
     _products,
     _sweep,
     analyze,
@@ -65,7 +66,13 @@ from conormal.groebner import (
     verify_groebner,
 )
 from conormal.invariants import length, linear_substitution
-from conormal.points import general_points, make_point_set, random_points, vanishing_ideal
+from conormal.points import (
+    bm_result,
+    general_points,
+    make_point_set,
+    random_points,
+    vanishing_ideal,
+)
 from conormal.poly import substitute_all
 
 from conftest import example61_ideal
@@ -149,7 +156,7 @@ def test_general_points_match_buchberger(c, n, seed, trials):
     gb = vanishing_ideal(ps)
     got = assert_same_verdict(gb, seed, trials)
     assert got.e_expected == (c + 1) * n
-    assert analyze(gb, seed, trials, points=ps).cm_square == got
+    assert analyze(bm_result(ps), seed, trials).cm_square == got
 
 
 @pytest.mark.parametrize(
@@ -262,15 +269,27 @@ def test_form_through_a_point_is_skipped():
     assert assert_same_verdict(gb, seed, 3).trials == 2
 
 
+def first_difference(hf):
+    """The first difference of a Hilbert function, without its trailing
+    zeros."""
+    delta = [hf[0]] + [hf[d] - hf[d - 1] for d in range(1, len(hf))]
+    while delta[-1] == 0:
+        delta.pop()
+    return tuple(delta)
+
+
 def assert_points_path_matches_buchberger(ps, seed, trials):
-    """The Hilbert function from the basis against the points' one; for
-    each trial form, the Macaulay basis against Buchberger in S on the
-    images (None iff that basis is not zero-dimensional, the form vanishing
-    at a point); then the reduction against the first zero-dimensional
-    oracle, and the analysis with the points against the one without."""
-    gb = vanishing_ideal(ps)
+    """The Hilbert function walked off the basis against the first
+    difference of the points' one, which the points route reads; for each
+    trial form, the Macaulay basis against Buchberger in S on the images
+    (None iff that basis is not zero-dimensional, the form vanishing at a
+    point); then the reduction against the first zero-dimensional oracle,
+    and the analysis of the points' pass against that of its basis, byte
+    for byte."""
+    bm = bm_result(ps)
+    gb = bm.basis
     delta = _hf_difference(gb)
-    assert delta == _points_hf_difference(gb, ps, 10 ** 7)
+    assert delta == first_difference(bm.hf) == _basis_and_delta(bm)[1]
     first = None
     for drawn, ell in enumerate(_trial_forms(gb.ring, seed, trials), 1):
         smaller, images = images_in_s(gb, ell)
@@ -286,9 +305,11 @@ def assert_points_path_matches_buchberger(ps, seed, trials):
     reduction = artinian_reduction(gb, seed, trials)
     assert (reduction.drawn, reduction.basis.elements) == (first[0], first[1].elements)
     assert reduction.hf == delta and reduction.length == ps.n
-    assert (
-        analyze(gb, seed, trials, points=ps).to_text() == analyze(gb, seed, trials).to_text()
+    again = artinian_reduction(bm, seed, trials)
+    assert (again.drawn, again.hf, again.basis.elements) == (
+        reduction.drawn, reduction.hf, reduction.basis.elements
     )
+    assert analyze(bm, seed, trials).to_text() == analyze(gb, seed, trials).to_text()
     return reduction
 
 
@@ -362,8 +383,8 @@ def test_hilbert_function_from_the_basis_is_that_of_the_points(c, kind, n, extra
         ps = special_points(c, kind, n, extra, seed)
     else:
         ps = random_points(c, n, P, seed)
-    gb = vanishing_ideal(ps)
-    assert _hf_difference(gb) == _points_hf_difference(gb, ps, 10 ** 7)
+    bm = bm_result(ps)
+    assert _hf_difference(bm.basis) == first_difference(bm.hf)
 
 
 def test_single_point_ideals_keep_their_linear_generators():

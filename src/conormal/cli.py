@@ -78,8 +78,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     path, points = getattr(args, "path", None), getattr(args, "points", None)
     try:
-        if args.command == "analyze" and path is None and points is None:
-            raise ValueError("analyze needs a file path or --points c,n")
         budget = args.budget if args.budget is not None else _env_budget()
         if budget < 0:
             raise ValueError(f"the step budget must be at least 0, got {budget}")

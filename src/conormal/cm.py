@@ -118,7 +118,6 @@ class AnalysisReport:
     q: object  # quadric generator count of the reduction, None if not computed
     cm_square: object  # CmVerdict, or None for an Artinian input
     criteria: tuple  # (name, CriteriaVerdict) pairs
-    agreement: bool
     p: int
     seed: object
     trials: int
@@ -151,7 +150,7 @@ class AnalysisReport:
                 lines.append(f"cm_detail: {v.detail}")
         for name, verdict in self.criteria:
             lines.append(f"criterion {name}: {verdict.to_text()}")
-        lines.append(f"agreement: {str(self.agreement).lower()}")
+        lines.append("agreement: true")  # `analyze` raises on any disagreement
         return "\n".join(lines)
 
 
@@ -197,13 +196,6 @@ def artinian_reduction(
     unless `trials` is at least 1; RuntimeError when no form drawn passes.
     """
     gb, delta = _basis_and_delta(ideal)
-    if delta is None:
-        raise ValueError("the ideal is already zero-dimensional; nothing to reduce")
-    return _reduce(gb, delta, seed, trials, budget)
-
-
-def _reduce(gb: GroebnerBasis, delta: tuple, seed, trials: int, budget: int) -> Reduction:
-    """`artinian_reduction` of the basis of I, given ΔHF(R/I) as `delta`."""
     if trials < 1:
         raise ValueError(f"an Artinian reduction needs at least 1 trial, got {trials}")
     for drawn, ell in enumerate(_trial_forms(gb.ring, seed, trials), 1):
@@ -221,18 +213,18 @@ def _reduce(gb: GroebnerBasis, delta: tuple, seed, trials: int, budget: int) -> 
 
 
 def _basis_and_delta(ideal) -> tuple:
-    """(basis of I, ΔHF(R/I) without its trailing zeros, or None for a
-    zero-dimensional basis), from a `GroebnerBasis` of I, walked once by
-    `_hf_difference`, or from the `BmResult` of the points whose ideal I
-    is, whose HF(R/I) up to its plateau at n certifies R/I CM of
-    dimension 1."""
+    """(basis of I, ΔHF(R/I) without its trailing zeros), from a
+    `GroebnerBasis` of I, walked once by `_hf_difference`, or from the
+    `BmResult` of the points whose ideal I is, whose HF(R/I) up to its
+    plateau at n certifies R/I CM of dimension 1.  ValueError for a
+    zero-dimensional basis."""
     if isinstance(ideal, BmResult):
         delta = [b - a for a, b in zip((0,) + ideal.hf, ideal.hf)]
         while delta[-1] == 0:
             delta.pop()
         return ideal.basis, tuple(delta)
     if is_zero_dimensional(ideal):
-        return ideal, None
+        raise ValueError("the ideal is already zero-dimensional; nothing to reduce")
     return ideal, _hf_difference(ideal)
 
 
@@ -281,15 +273,6 @@ def _hf_difference(gb: GroebnerBasis) -> tuple:
     return tuple(b - a for a, b in zip([0] + hf, hf))
 
 
-def _poly_row(f, pos, n):
-    """Coordinates of a homogeneous polynomial in the columns `pos` of its
-    degree."""
-    vec = [0] * n
-    for _, m, c in f.terms:
-        vec[pos[m]] = c
-    return vec
-
-
 def _product_row(f, g, pos, n, p):
     """Coordinates of f * g in the columns `pos` of its degree, for f and g
     given as (packed monomial, coefficient) lists."""
@@ -330,20 +313,20 @@ def _degree_table(ring: PolynomialRing, d: int):
         monos = tuple(ring.monomials_of_degree(d))
         pos = {m: i for i, m in enumerate(monos)}
         prev = ring.monomials_of_degree(d - 1)
-        shifts = tuple(tuple(pos[m + x.terms[0][1]] for m in prev) for x in ring.gens())
+        shifts = tuple(tuple(pos[m + x] for m in prev) for x in ring._var_monos)
         table = _TABLES[key] = (monos, pos, shifts)
     return table
 
 
-def _sweep(ring: PolynomialRing, top: int, budget: _Budget, extra=None, reduced=False):
+def _sweep(ring: PolynomialRing, top: int, budget: _Budget, pairs, reduced=False):
     """The graded Macaulay matrices of a homogeneous ideal J (Lazard 1983):
     yields (d, pos, echelon of J_d, lifted) for d = 1..top.
 
     `pos` maps the degree-d monomials, in decreasing order, to their
     columns; so the first nonzero entry of a row is its leading monomial,
     and an `Echelon` pivot is a leading monomial too.  J_d is spanned by
-    the variables times J_(d-1) and the rows `extra(d, pos, n)` returns as
-    (leading column, row maker) pairs, n = len(pos); `lifted` holds the
+    the variables times J_(d-1) and the products f * g of the pairs of
+    term lists in `pairs[d]`, made by `_product_row`; `lifted` holds the
     leading columns of the multiples.  Rows the caller adds to the yielded
     echelon before asking for the next degree belong to J_d.  With
     `reduced` the echelon is in reduced form.  The column tables come from
@@ -365,8 +348,8 @@ def _sweep(ring: PolynomialRing, top: int, budget: _Budget, extra=None, reduced=
             for pivot, row in zip(prev.pivots, prev.rows):
                 candidates.append((cols[pivot], partial(_shifted_row, row, cols, n)))
         lifted = {lead for lead, _ in candidates}
-        if extra is not None:
-            candidates += extra(d, pos, n)
+        for f, g in pairs.get(d, ()):
+            candidates.append((pos[f[0][0] + g[0][0]], partial(_product_row, f, g, pos, n, p)))
         first, rest = {}, []
         for lead, make in candidates:
             if lead in first:
@@ -385,29 +368,21 @@ def _sweep(ring: PolynomialRing, top: int, budget: _Budget, extra=None, reduced=
         prev = ech
 
 
-def _products(ring: PolynomialRing, gens):
-    """The `extra` of a sweep of the square of the ideal of the homogeneous
-    gens: the products of two of them, each in its degree.
+def _products(gens):
+    """The `pairs` of a sweep of the square of the ideal of the homogeneous
+    gens: every two of them, by the degree of their product.
 
     A product row costs one column lookup per pair of terms, so sparse gens
     make cheap rows.  An element of a reduced basis is its leading monomial
     plus standard monomials: a quadric in 5 variables of an ideal with 13
     independent quadrics has 3 terms, against up to 15.
     """
-    p = ring.field.p
     terms = [(g.degree, [(m, c) for _, m, c in g.terms]) for g in gens]
-    by_degree = {}
+    pairs = {}
     for i, (a, f) in enumerate(terms):
         for b, g in terms[i:]:
-            by_degree.setdefault(a + b, []).append((f, g))
-
-    def extra(d, pos, n):
-        return [
-            (pos[f[0][0] + g[0][0]], partial(_product_row, f, g, pos, n, p))
-            for f, g in by_degree.get(d, ())
-        ]
-
-    return extra
+            pairs.setdefault(a + b, []).append((f, g))
+    return pairs
 
 
 def _macaulay_basis(ring: PolynomialRing, images, delta, budget: int):
@@ -418,21 +393,18 @@ def _macaulay_basis(ring: PolynomialRing, images, delta, budget: int):
     so a form through a point of I leaves S/J nonzero in degree s + 1; when
     the ranks match, every leading monomial of J has degree at most s + 1.
     J_d is spanned by the variables times J_(d-1) and the images of degree
-    d.  A row of the reduced echelon form is a leading monomial plus
-    standard monomials, and an element of the reduced basis iff its pivot
-    is not a variable times a pivot of degree d - 1.  The sweep is charged
-    to one fresh step budget.
+    d, each paired with the term list of 1.  A row of the reduced echelon
+    form is a leading monomial plus standard monomials, and an element of
+    the reduced basis iff its pivot is not a variable times a pivot of
+    degree d - 1.  The sweep is charged to one fresh step budget.
     """
-    gens = {}
+    one = [(ring._one_mono, 1)]
+    pairs = {}
     for g in images:
-        gens.setdefault(g.degree, []).append(g)
-
-    def extra(d, pos, n):
-        return [(pos[g.terms[0][1]], partial(_poly_row, g, pos, n)) for g in gens.get(d, ())]
-
+        pairs.setdefault(g.degree, []).append(([(m, c) for _, m, c in g.terms], one))
     top = len(delta)
     elements = []
-    for d, pos, ech, lifted in _sweep(ring, top, _Budget(budget), extra, reduced=True):
+    for d, pos, ech, lifted in _sweep(ring, top, _Budget(budget), pairs, reduced=True):
         expected = delta[d] if d < top else 0
         hf = len(pos) - len(ech.pivots)
         if hf != expected:
@@ -456,7 +428,7 @@ def _square_length(ring: PolynomialRing, gens, cap: int, budget: _Budget) -> int
     degree 1.  Passing degree `cap` is an internal error.
     """
     lam = 1
-    for _, pos, ech, _ in _sweep(ring, cap, budget, _products(ring, gens)):
+    for _, pos, ech, _ in _sweep(ring, cap, budget, _products(gens)):
         hf = len(pos) - len(ech.pivots)
         if hf == 0:
             return lam
@@ -467,31 +439,35 @@ def _square_length(ring: PolynomialRing, gens, cap: int, budget: _Budget) -> int
     )
 
 
-def _counting_bound(gb: GroebnerBasis, c: int, e: int):
-    """C(c+3, 3) when that count alone proves NotCM, else None.
+def _counting_bound(basis: GroebnerBasis, e: int):
+    """C(c+3, 3) when that count alone proves NotCM, else None, for the
+    reduction's basis of IS in S, c the number of variables of S.
 
-    With I in m^2 (no basis element below degree 2) the image of I^2 in S
-    lies in the fourth power of its maximal ideal, so the length of
-    R/(I^2 + l) is at least dim S_(<=3) = C(c+3, 3).  That exceeds (c+1)e
-    iff 6t < c^2 - c + 6, t = e - c, which is c >= min_codim_forcing_not_cm(t)
-    for t >= 1; I in m^2 forces e >= c + 1, so t >= 1, and a t past the
-    criteria's grid is left to the sweep.
+    I lies in m^2 iff the basis of IS has no linear element: (IS)_1 is
+    the image of I_1, zero only if I_1 = 0 or l lies in I, and l in I
+    would leave S/IS = R/I nonzero in degree s + 1, which the reduction
+    refuses.  Then the image of I^2 in S lies in the fourth power of its
+    maximal ideal, so the length of R/(I^2 + l) is at least
+    dim S_(<=3) = C(c+3, 3).  That exceeds (c+1)e iff 6t < c^2 - c + 6,
+    t = e - c, which is c >= min_codim_forcing_not_cm(t) for t >= 1; I in
+    m^2 forces e >= c + 1, so t >= 1, and a t past the criteria's grid is
+    left to the sweep.
     """
+    c = basis.ring.nvars
     t = e - c
-    if min(g.degree for g in gb.elements) < 2 or t > crit.MAX_GRID:
+    if any(g.degree < 2 for g in basis.elements) or t > crit.MAX_GRID:
         return None
     if c < crit.min_codim_forcing_not_cm(t):
         return None
     return comb(c + 3, 3)
 
 
-def is_cm_square(
-    gb: GroebnerBasis, reduction: Reduction, budget: int = DEFAULT_STEP_BUDGET
-) -> CmVerdict:
+def is_cm_square(reduction: Reduction, budget: int = DEFAULT_STEP_BUDGET) -> CmVerdict:
     """Cohen-Macaulayness of R/I^2 for a one-dimensional homogeneous ideal,
-    from `reduction = artinian_reduction(gb, ...)`, which checks both: its
-    form l, its reduced basis of IS in S = R/(l), the multiplicity e and s,
-    the socle degree of S/IS.  Under the hypotheses of the module
+    from `reduction = artinian_reduction(...)` of I, which checks both and
+    is all the verdict reads: its form l, its reduced basis of IS in
+    S = R/(l), whose c variables give the height c of I, the multiplicity e
+    and s, the socle degree of S/IS.  Under the hypotheses of the module
     docstring, a length of R/(I^2 + l) = S/(IS)^2 equal to (c+1)*e
     certifies CM and a larger one NotCM.
 
@@ -504,14 +480,13 @@ def is_cm_square(
     step plus one per echelon row subtracted from it, and exhausting it
     gives Inconclusive.
     """
-    c = gb.ring.nvars - 1  # height of a points ideal
-    ell, drawn = reduction.form, reduction.drawn
+    basis, ell, drawn = reduction.basis, reduction.form, reduction.drawn
+    c = basis.ring.nvars  # height of a points ideal
     e_expected = (c + 1) * reduction.length
-    bound = _counting_bound(gb, c, reduction.length)
+    bound = _counting_bound(basis, reduction.length)
     if bound is not None:
         detail = f"counting: (c+1)e = {e_expected} < {bound} = C({c + 3},3)"
         return CmVerdict("NotCM", None, drawn, bound, e_expected, detail)
-    basis = reduction.basis
     try:
         lam = _square_length(
             basis.ring, basis.elements, 2 * reduction.socle_degree + 2, _Budget(budget)
@@ -558,16 +533,14 @@ def analyze(
     basis, classified as it stands: the basis of I when zero-dimensional
     (then no verdict), otherwise the basis of IS from the reduction.
     """
-    gb, delta = _basis_and_delta(ideal)
-    ring = gb.ring
-    if delta is None:
-        art_gb, reduction = gb, None
+    if isinstance(ideal, GroebnerBasis) and is_zero_dimensional(ideal):
+        art_gb, reduction = ideal, None
     else:
-        reduction = _reduce(gb, delta, seed, trials, budget)
+        reduction = artinian_reduction(ideal, seed, trials, budget)
         art_gb = reduction.basis
     report = classify(art_gb, budget)
     e = report.length
-    cm = None if reduction is None else is_cm_square(gb, reduction, budget)
+    cm = None if reduction is None else is_cm_square(reduction, budget)
     q = None
     if all(g.is_homogeneous() for g in art_gb.elements):
         q = _quadric_generator_count(art_gb, report)
@@ -584,10 +557,9 @@ def analyze(
     if report.short and report.s >= 3:
         checks.append(("short", crit.short_socle_verdict(report.c, report.s)))
 
-    contradiction = cm is not None and cm.status == "CM" and any(
+    if cm is not None and cm.status == "CM" and any(
         v.outcome == crit.NOT_CM for _, v in checks
-    )
-    if contradiction:
+    ):
         raise CriteriaAgreementError(
             "a closed-form NotCM criterion fired while the computation "
             f"certified CM: {[(n, v.to_text()) for n, v in checks]}"
@@ -606,8 +578,7 @@ def analyze(
         q=q,
         cm_square=cm,
         criteria=tuple(checks),
-        agreement=not contradiction,
-        p=ring.field.p,
+        p=art_gb.ring.field.p,
         seed=seed,
         trials=trials,
         budget=budget,
@@ -629,5 +600,5 @@ def eight_quadrics_square_gap(seed, p: int = 31991) -> bool:
         f = ring.poly({m: rng.randrange(p) for m in monos})
         if not f.is_zero():
             quadrics.append(f)
-    *_, (_, pos, ech, _) = _sweep(ring, 4, _Budget(DEFAULT_STEP_BUDGET), _products(ring, quadrics))
+    *_, (_, pos, ech, _) = _sweep(ring, 4, _Budget(DEFAULT_STEP_BUDGET), _products(quadrics))
     return len(ech.pivots) < len(pos)

@@ -4,9 +4,7 @@ Field elements are plain Python ints kept canonical in [0, p).  The
 PrimeField object carries the modulus and provides the arithmetic; this
 keeps the hot loops (polynomial reduction) free of wrapper objects.
 
-The module also owns seed derivation.  `stable_seed` and `derive_seed`
-hash different text formats, and every random draw of a report depends
-on which one it went through, so the two stay separate.
+The module also owns seed derivation, with one hash: `derive_seed`.
 """
 
 import hashlib
@@ -16,10 +14,7 @@ _MAX_MODULUS = 2**31
 
 def stable_seed(seed):
     """Collapse any hashable seed description into a deterministic int."""
-    if isinstance(seed, int):
-        return seed
-    data = repr(seed).encode()
-    return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+    return seed if isinstance(seed, int) else derive_seed(repr(seed))
 
 
 def derive_seed(*parts) -> int:

@@ -462,21 +462,15 @@ def verify_groebner(gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET) -> boo
 
 
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
-    """True iff every variable appears as a pure power among the leading terms."""
+    """True iff every variable appears as a pure power among the leading
+    terms; the 1 of the unit ideal is the 0th power of each."""
     ring = gb.ring
-    shift = ring._deg_shift
-    mask = ring._exp_mask
-    covered = set()
-    for lt in gb.leading_monomials():
-        exp = lt & mask
-        if exp == 0:
-            return True  # unit ideal
-        deg = lt >> shift
-        for j in range(ring.nvars):
-            e = (exp >> (8 * j)) & 0xFF
-            if e == deg:
-                covered.add(j)
-                break
+    covered = {
+        j
+        for lt in gb.leading_monomials()
+        for j, x in enumerate(ring._var_monos)
+        if lt == ring.mono_deg(lt) * x
+    }
     return len(covered) == ring.nvars
 
 
@@ -484,8 +478,7 @@ def _standard_successors(ring, index: _LtIndex, level):
     """The variable multiples of the given monomials that no leading term in
     the index divides, as a dict from each to the (monomial, variable index)
     it was first reached from."""
-    step = 1 << ring._deg_shift
-    units = [(1 << (8 * j)) + step for j in range(ring.nvars)]
+    units = ring._var_monos
     find = index.find
     nxt = {}
     seen = set()  # each distinct candidate is looked up once
@@ -510,10 +503,3 @@ def _standard_levels(gb: GroebnerBasis):
         yield level
         level = _standard_successors(ring, index, level)
 
-
-def standard_monomials_packed(gb: GroebnerBasis):
-    """Packed standard monomials grouped by degree: list of lists, index = degree."""
-    if not is_zero_dimensional(gb):
-        raise ValueError("standard monomials require a zero-dimensional ideal")
-    key = gb.ring.key
-    return [sorted(level, key=key, reverse=True) for level in _standard_levels(gb)]

@@ -21,8 +21,8 @@ from .groebner import (
     Ideal,
     _Budget,
     _reduce_terms,
+    _standard_levels,
     is_zero_dimensional,
-    standard_monomials_packed,
 )
 
 
@@ -99,17 +99,15 @@ def _multiplication_columns(gb: GroebnerBasis, budget: int):
     if not is_zero_dimensional(gb):
         raise ValueError("the quotient is not Artinian (ideal not zero-dimensional)")
     ring = gb.ring
-    basis = [m for level in standard_monomials_packed(gb) for m in reversed(level)]
+    basis = [m for level in _standard_levels(gb) for m in sorted(level, key=ring.key)]
     if not basis:
         raise ValueError("the quotient is the zero ring")
     n = len(basis)
     pos = {m: i for i, m in enumerate(basis)}
     steps = _Budget(budget)
     index = gb.index()
-    shift = ring._deg_shift
     columns = []
-    for j in range(ring.nvars):
-        unit = (1 << (8 * j)) + (1 << shift)
+    for unit in ring._var_monos:
         cols = []
         for s in basis:
             mm = s + unit
@@ -127,7 +125,9 @@ def _multiplication_columns(gb: GroebnerBasis, budget: int):
 
 def length(gb: GroebnerBasis) -> int:
     """Length of the Artinian quotient, i.e. the standard-monomial count."""
-    return sum(len(level) for level in standard_monomials_packed(gb))
+    if not is_zero_dimensional(gb):
+        raise ValueError("standard monomials require a zero-dimensional ideal")
+    return sum(len(level) for level in _standard_levels(gb))
 
 
 def classify(gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET) -> InvariantReport:

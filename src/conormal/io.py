@@ -2,7 +2,7 @@
 one polynomial per line in the standard grammar."""
 
 from .field import PrimeField
-from .poly import DEGREVLEX, ParseError, PolynomialRing
+from .poly import _DIGITS, DEGREVLEX, ParseError, PolynomialRing
 from .groebner import Ideal
 
 
@@ -21,12 +21,11 @@ def parse_ideal_text(text: str) -> Ideal:
         )
     if not parts[1].startswith("p=") or not parts[2].startswith("vars="):
         raise ParseError(f"malformed header {header!r}", header_no, 1)
+    modulus = parts[1][2:]
+    if not modulus or any(ch not in _DIGITS for ch in modulus):  # as in the body
+        raise ParseError(f"modulus {modulus!r} is not an integer", header_no, 1)
     try:
-        p = int(parts[1][2:])
-    except ValueError:
-        raise ParseError(f"modulus {parts[1][2:]!r} is not an integer", header_no, 1)
-    try:
-        field = PrimeField(p)
+        field = PrimeField(int(modulus))
     except ValueError as exc:
         raise ParseError(str(exc), header_no, 1)
     try:

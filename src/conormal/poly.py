@@ -110,6 +110,8 @@ class PolynomialRing:
             self._guard |= 0x80 << (FIELD_BITS * j)
             self._full |= 0x7F << (FIELD_BITS * j)
         self._ones = self._guard >> 7  # 0x01 in every exponent field
+        # the packed monomial of each variable: multiplying by x_j adds it
+        self._var_monos = tuple((1 << (FIELD_BITS * j)) | (1 << self._deg_shift) for j in range(v))
         self._var_index = {name: i for i, name in enumerate(variables)}
         self._one_mono = 0
 
@@ -239,7 +241,7 @@ class PolynomialRing:
         i = self._var_index.get(name)
         if i is None:
             raise ValueError(f"unknown variable {name!r}")
-        return self.monomial(tuple(1 if j == i else 0 for j in range(self.nvars)))
+        return self.monomial(self._var_monos[i])
 
     def gens(self):
         return [self.var(name) for name in self.vars]
@@ -456,11 +458,7 @@ class Polynomial:
         used = 0
         for _, m, _ in self.terms:
             used |= m & self.ring._exp_mask
-        return [
-            self.ring.vars[j]
-            for j in range(self.ring.nvars)
-            if (used >> (FIELD_BITS * j)) & 0xFF
-        ]
+        return [name for name, e in zip(self.ring.vars, self.ring.unpack(used)) if e]
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -606,14 +604,13 @@ def substitute_all(polys, assignment: dict) -> list:
                 raise ValueError(f"variable {name!r} of the polynomial is not assigned")
     p = target.field.p
     values = [assignment.get(name) for name in ring.vars]
-    step = 1 << ring._deg_shift
     images = {ring._one_mono: target.one}
 
     def image(m):
         img = images.get(m)
         if img is None:
-            j = next(j for j in range(ring.nvars) if (m >> (FIELD_BITS * j)) & 0xFF)
-            img = images[m] = image(m - (1 << (FIELD_BITS * j)) - step) * values[j]
+            j = next(j for j, e in enumerate(ring.unpack(m)) if e)
+            img = images[m] = image(m - ring._var_monos[j]) * values[j]
         return img
 
     out = []
@@ -639,9 +636,4 @@ def random_linear_form(ring: PolynomialRing, seed) -> Polynomial:
         coeffs = [rng.randrange(p) for _ in range(ring.nvars)]
         if any(coeffs):
             break
-    acc = {}
-    for j, c in enumerate(coeffs):
-        if c:
-            m = (1 << (FIELD_BITS * j)) | (1 << ring._deg_shift)
-            acc[m] = c
-    return ring._from_packed_dict(acc)
+    return ring._from_packed_dict({m: c for m, c in zip(ring._var_monos, coeffs) if c})

@@ -80,14 +80,14 @@ def test_single_point_square_is_cm():
     for c in (2, 3, 4):
         ps = make_point_set(c, 31991, [tuple([1] + [0] * c)])
         gb = vanishing_ideal(ps)
-        verdict = is_cm_square(gb, artinian_reduction(gb, 5))
+        verdict = is_cm_square(artinian_reduction(gb, 5))
         assert verdict.status == "CM" and verdict.trials == 1
         assert verdict.lambda_min == c + 1 == verdict.e_expected
 
 
 def test_benchmark_square_is_cm():
     gb = buchberger(example61_ideal())
-    verdict = is_cm_square(gb, artinian_reduction(gb, 0))
+    verdict = is_cm_square(artinian_reduction(gb, 0))
     assert verdict.status == "CM"
     assert verdict.lambda_min == 60 == verdict.e_expected
     assert verdict.witness is not None
@@ -96,7 +96,7 @@ def test_benchmark_square_is_cm():
 def test_nine_points_in_p5_not_cm():
     ps, _ = general_points(5, 9, 31991, seed=3)
     gb = vanishing_ideal(ps)
-    verdict = is_cm_square(gb, artinian_reduction(gb, 3, 3))
+    verdict = is_cm_square(artinian_reduction(gb, 3, 3))
     assert verdict.status == "NotCM"
     assert verdict.lambda_min > verdict.e_expected == 54
     # the first form decides NotCM too: the other two are never drawn
@@ -105,15 +105,15 @@ def test_nine_points_in_p5_not_cm():
 
 def test_budget_exhaustion_is_inconclusive():
     gb = buchberger(example61_ideal())
-    verdict = is_cm_square(gb, artinian_reduction(gb, 0), budget=100)
+    verdict = is_cm_square(artinian_reduction(gb, 0), budget=100)
     assert verdict.status == "Inconclusive"
     assert verdict.detail
 
 
 def test_verdict_determinism():
     gb = buchberger(example61_ideal())
-    v1 = is_cm_square(gb, artinian_reduction(gb, 42))
-    v2 = is_cm_square(gb, artinian_reduction(gb, 42))
+    v1 = is_cm_square(artinian_reduction(gb, 42))
+    v2 = is_cm_square(artinian_reduction(gb, 42))
     assert (v1.status, v1.trials, v1.lambda_min, str(v1.witness)) == (
         v2.status, v2.trials, v2.lambda_min, str(v2.witness)
     )
@@ -146,7 +146,6 @@ def test_analyze_benchmark_report():
     assert inv.level and not inv.gorenstein
     assert report.e == 10 and report.q == 11
     assert report.cm_square.status == "CM"
-    assert report.agreement
     names = [name for name, _ in report.criteria]
     assert "quadric-count" in names and "low-multiplicity" in names
     text = report.to_text()
@@ -242,13 +241,13 @@ def test_square_verdict_reuses_a_given_reduction():
     reduction = artinian_reduction(gb, 4, 3, 10**6)
     assert reduction.drawn == 1
     # the verdict sweeps the form it is given and reports its draws
-    verdict = is_cm_square(gb, reduction)
+    verdict = is_cm_square(reduction)
     assert verdict.status == "NotCM" and verdict.e_expected == 6 * reduction.length
     assert verdict.trials == 1
-    assert is_cm_square(gb, dataclasses.replace(reduction, drawn=3)).trials == 3
+    assert is_cm_square(dataclasses.replace(reduction, drawn=3)).trials == 3
     gb61 = buchberger(example61_ideal())
     reduction61 = artinian_reduction(gb61, 0)
-    verdict61 = is_cm_square(gb61, reduction61)
+    verdict61 = is_cm_square(reduction61)
     assert verdict61.witness == reduction61.form
 
 
@@ -425,6 +424,26 @@ def test_an_analysis_walks_a_file_once_and_points_never(monkeypatch):
     assert walks == []
     analyze(gb, seed=0)
     assert walks == [gb]
+
+
+def test_an_analysis_reduces_through_artinian_reduction(monkeypatch, tmp_path):
+    # a tracer that wraps `artinian_reduction` sees every reduction an
+    # analysis draws; an Artinian file needs none
+    import conormal.cm as cm
+    from conormal.harness import ExperimentConfig, conjecture_experiment, run
+
+    calls = []
+    honest = cm.artinian_reduction
+    monkeypatch.setattr(
+        cm, "artinian_reduction", lambda *args: calls.append(args) or honest(*args)
+    )
+    conjecture_experiment(ExperimentConfig("conjecture", c=5, n=8))
+    assert len(calls) == 1
+    path = tmp_path / "artinian.txt"
+    path.write_text("ring p=31991 vars=x,y\nx^2\ny^2\n")
+    text, code = run(ExperimentConfig("analyze"), str(path))
+    assert code == 0 and "cm_square: n/a" in text
+    assert len(calls) == 1
 
 
 def test_a_walk_past_degree_120_fails_at_once():

@@ -75,6 +75,16 @@ def test_stretched_needs_matching_ring():
         stretched_ideal(StretchedSpec(3, 2, 0, units=(31991, 1)), _ring(3))
 
 
+def test_ideal_L_needs_c_and_s_at_least_2_and_a_matching_ring():
+    for c, s, nvars, message in (
+        (1, 2, 1, "c must be at least 2, got 1"),
+        (2, 1, 2, "s must be at least 2, got 1"),
+        (3, 2, 2, "ring has 2 variables, expected 3"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ideal_L(c, s, _ring(nvars))
+
+
 def test_ideal_L_smallest_case():
     ring = _ring(2)
     L = ideal_L(2, 2, ring)

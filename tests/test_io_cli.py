@@ -41,6 +41,14 @@ def test_parse_header_errors():
         parse_ideal_text("ring p=7 vars=\nx")
     with pytest.raises(ParseError):
         parse_ideal_text("ring p=7 vars=x")
+    for header in ("ring p=7", "field p=7 vars=x"):
+        with pytest.raises(ParseError, match="malformed header"):
+            parse_ideal_text(header + "\nx")
+    # the modulus is read by the body's rule for integers: ASCII digits only
+    for modulus in ("31_991", "+31991", "\u0663\u0661\u0669\u0669\u0661"):
+        with pytest.raises(ParseError) as err:
+            parse_ideal_text(f"ring p={modulus} vars=x,y\nx")
+        assert str(err.value) == f"modulus {modulus!r} is not an integer at line 1, column 1"
     # variable names the ring refuses are header errors too, at its start
     for header in (
         "ring p=7 vars=x,x", "ring p=7 vars=x,1y", "ring p=7 vars=x,,y", "ring p=7 vars=x,y,"
@@ -467,6 +475,7 @@ def test_cli_refuses_arguments_out_of_range(argv, message, capsys):
     "text, message",
     [
         ("vars=x,y\n1", "error: the quotient is the zero ring"),
+        ("vars=x,y\nx - x", "error: an ideal needs at least one nonzero generator"),
         ("vars=x,y\nx y", "parse error: expected '+' or '-', found 'y' at line 2, column 3"),
         ("vars=x,y\nx$y", "parse error: unexpected character '$' at line 2, column 2"),
         ("vars=x,y\nx^", "parse error: expected an integer exponent after '^' at line 2, column 1"),

@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from conormal import DEGREVLEX, DEGLEX, buchberger, Ideal, random_linear_form, verify_groebner
 from conormal import points
+from conormal.field import stable_seed
 from conormal.groebner import BudgetExceededError
 from conormal.invariants import length
 from conormal.points import (
@@ -53,6 +55,8 @@ def test_point_normalization_and_distinctness():
         make_point_set(1, 7, [(0, 0)])
     with pytest.raises(ValueError):
         make_point_set(1, 7, [(1, 1, 1)])
+    with pytest.raises(ValueError, match="at least one point"):
+        make_point_set(1, 7, [])
 
 
 def test_random_points_determinism_and_counting():
@@ -64,6 +68,15 @@ def test_random_points_determinism_and_counting():
     with pytest.raises(ValueError):
         random_points(1, 5, 3, seed=0)
     assert projective_point_count(1, 3) == 4
+
+
+def test_a_redraw_seed_is_the_hash_of_its_repr():
+    # general_points seeds redraw k of `seed` with (seed, k)
+    digest = hashlib.sha256(repr(("s", 1)).encode()).digest()
+    assert stable_seed(("s", 1)) == int.from_bytes(digest[:8], "big")
+    assert random_points(2, 3, 31991, (0, 1)).points == (
+        (1, 18479, 18825), (1, 16543, 31251), (1, 8526, 1646)
+    )
 
 
 def test_single_point_always_general():

@@ -1,6 +1,7 @@
 """Dense linear algebra over GF(p): the one Gaussian elimination of the
 package, used by the square verdict's degree sweep, the invariants module
-and the Buchberger-Moller vanishing ideal.
+and the Buchberger-Moller vanishing ideal, which reduces each candidate
+first and appends its remainder as a row only when it is standard.
 
 Vectors go in and come out as lists of canonical ints in [0, p).  Inside
 `Echelon` each row is also one Python int with a fixed-width lane per
@@ -134,19 +135,22 @@ class Echelon:
         added, when the remainder is zero.
         """
         x, mults = self._reduce(vec)
-        exact = not any(mults)  # then x packs vec itself, lanes canonical
-        rem = vec if exact else self._unpack(x)
+        if any(mults):
+            return mults, self._append(self._unpack(x))
+        return mults, self._append(vec, x)  # x packs vec itself, lanes canonical
+
+    def _append(self, rem, packed=None):
+        """Append rem, a remainder of `reduce` (zero at every pivot), made
+        monic, as a new row; its scale as in `add`.  `packed` is the packed
+        int of rem when the caller already has it."""
         lead = next(filter(None, rem), 0)
         if not lead:
-            return mults, None
+            return None
         p = self.p
         col = rem.index(lead)
         scale = pow(lead, -1, p)
-        if scale == 1:
-            row = list(rem)
-            packed = x if exact else self._pack(row)
-        else:
-            row = [c * scale % p for c in rem]
+        row = list(rem) if scale == 1 else [c * scale % p for c in rem]
+        if scale != 1 or packed is None:
             packed = self._pack(row)
         shift = col * self._width
         self.pivots.append(col)
@@ -154,7 +158,7 @@ class Echelon:
         self._packed.append(packed)
         self._shifts.append(shift)
         self._below |= (1 << shift + self._width) - 1
-        return mults, scale
+        return scale
 
     def reduced(self):
         """The reduced echelon form of the span, a new `Echelon`: pivots

@@ -3,8 +3,16 @@ with redraws until the points are in general position, and vanishing ideals
 via degree-by-degree evaluation.
 
 The vanishing ideal is computed Buchberger-Moller style: in each degree the
-candidate monomials are evaluated at the points; Gaussian elimination splits
-them into standard monomials and new reduced basis elements.  The
+candidate monomials are evaluated at the points, smallest first, and each
+value vector is reduced against those of the standard monomials found so
+far in the degree (Marinari, Moller and Mora, "Groebner bases of ideals
+defined by functionals", 1993).  A nonzero remainder makes the candidate
+standard; a zero one makes it the leading term of a new reduced basis
+element, its other terms the standard monomials below it.  So the echelon
+of a degree holds only the rows of standard monomials: a row is the n
+values followed by one slot per standard monomial, at most n of them, in
+which it records its combination of them, and the slots of a candidate
+that reduces to zero are the coefficients of its element.  The
 candidates are the variable multiples of the previous degree's standard
 monomials that no leading term found so far divides: one step of the
 standard-monomial walk of `groebner._standard_levels`, taken by
@@ -38,7 +46,7 @@ import random
 from typing import NamedTuple
 
 from .field import PrimeField, stable_seed
-from .poly import DEGREVLEX, MAX_EXPONENT, MonomialOrder, PolynomialRing
+from .poly import DEGREVLEX, MAX_EXPONENT, MonomialOrder, Polynomial, PolynomialRing
 from .groebner import (
     DEFAULT_STEP_BUDGET,
     BudgetExceededError,
@@ -212,27 +220,29 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
                 "this contradicts the regularity bound for point ideals"
             )
         successors = _standard_successors(ring, index, values)
-        # ascending: smallest first
-        candidates = sorted(successors, key=key)
-        # a row is the values at the points followed by its combination of
-        # the candidates, the largest candidate first: the echelon keeps the
-        # combinations, and when the values reduce to zero the first nonzero
-        # entry is the candidate's own 1, so the row is a new basis element
+        # ascending, smallest first, with the keys the element terms carry
+        candidates = sorted((key(m), m) for m in successors)
+        # a row is the values at the points followed by one slot per standard
+        # monomial of this degree (see the module docstring)
+        slots = min(n, len(candidates))
         echelon = Echelon(p)
         new_gens = []
-        std_here = {}
-        for k, m in enumerate(candidates):
+        std_here = {}  # standard monomial of this degree: values
+        std_keys = []  # the same monomials, ascending: (key, monomial)
+        for k, m in candidates:
             parent, j = successors[m]
             vals = [a * b % p for a, b in zip(values[parent], coords[j])]
-            vec = vals + [0] * len(candidates)
-            vec[-1 - k] = 1
-            mults, _ = echelon.add(vec)
+            rem, mults = echelon.reduce(vals + [0] * slots)
             steps.charge_row(mults)
-            if echelon.pivots[-1] < n:
+            if any(rem[:n]):
+                rem[n + len(std_keys)] = 1  # the candidate's own slot
+                echelon._append(rem)
                 std_here[m] = vals
+                std_keys.append((k, m))
             else:
-                combo = zip(reversed(candidates), echelon.rows[-1][n:])
-                new_gens.append(ring.poly({mm: c for mm, c in combo if c}))
+                tail = zip(reversed(std_keys), reversed(rem[n:n + len(std_keys)]))
+                terms = ((k, m, 1),) + tuple((kk, mm, c) for (kk, mm), c in tail if c)
+                new_gens.append(Polynomial(ring, terms))
         hf.append(len(std_here))
         for g in new_gens:
             index.add(g)

@@ -256,6 +256,43 @@ def test_cli_env_budget(monkeypatch, capsys):
     assert captured.err == "error: CONORMAL_STEP_BUDGET='bogus' is not an integer\n"
 
 
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        # an integer is ASCII digits after an optional '-', as in an ideal file
+        (["analyze", "--points", "\u0663,\u0666"], None, "--points needs c,n, got '\u0663,\u0666'"),
+        (["analyze", "--points", "3,+6"], None, "--points needs c,n, got '3,+6'"),
+        (["analyze", "--points", "3,6", "--p", "31_991"], None, "--p='31_991' is not an integer"),
+        (["analyze", "--points", "3,6", "--seed", "+0"], None, "--seed='+0' is not an integer"),
+        (["conjecture", "--c", "abc"], None, "--c='abc' is not an integer"),
+        (["conjecture", "--c", "5", "--n", "1_0"], None, "--n='1_0' is not an integer"),
+        (["conjecture", "--c", "5", "--trials", " 1"], None, "--trials=' 1' is not an integer"),
+        (["conjecture", "--c", "5", "--budget", "1e3"], None, "--budget='1e3' is not an integer"),
+        (["stretched-suite", "--cmax", "\uff13"], None, "--cmax='\uff13' is not an integer"),
+        (["criteria-table", "--smax=-"], None, "--smax='-' is not an integer"),
+        (["selftest"], "+5", "CONORMAL_STEP_BUDGET='+5' is not an integer"),
+        (["selftest"], "\u0665", "CONORMAL_STEP_BUDGET='\u0665' is not an integer"),
+    ],
+)
+def test_cli_integers_are_ascii_digits(argv, env, message, monkeypatch, capsys):
+    # a bad spelling is an input error (exit 1), never a usage error (exit 2)
+    if env is None:
+        monkeypatch.delenv("CONORMAL_STEP_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("CONORMAL_STEP_BUDGET", env)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_cli_integers_take_a_minus_sign_and_leading_zeros(capsys):
+    argv = ["criteria-table", "--cmax", "3", "--smax", "3"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.replace("seed: 0", "seed: -3")
+    assert main(["criteria-table", "--cmax", "03", "--smax", "003", "--seed", "-3"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_reports_are_reproducible():
     config = ExperimentConfig(command="conjecture", c=5, seed=3)
     text1, code1 = conjecture_experiment(config)

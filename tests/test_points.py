@@ -116,22 +116,38 @@ def test_reduction_length_equals_point_count():
 
 
 def test_vanishing_ideal_agrees_with_oneshot_oracle():
+    from math import comb
+
+    from conormal import contains
+
     rng = random.Random(12)
-    for _ in range(6):
-        c = rng.randrange(1, 4)
-        n = rng.randrange(1, 9)
-        ps = random_points(c, n, 31991, seed=rng.randrange(10**6))
+    drawn = [
+        random_points(rng.randrange(1, 4), rng.randrange(1, 9), 31991, seed=rng.randrange(10**6))
+        for _ in range(6)
+    ]
+    # five general points in P^2: in degree 2 the value rank fills at the
+    # fifth candidate, and the sixth, x0^2, leads the one new element
+    five, _ = general_points(2, 5, 31991, 0)
+    assert bm_result(five).hf[2] == 5
+    quadrics = [g for g in vanishing_ideal(five).elements if g.degree == 2]
+    assert [five.ring().unpack(g.leading_monomial()) for g in quadrics] == [(2, 0, 0)]
+    # ten general points in P^2: every candidate of degrees 1 to 3 is standard
+    ten, _ = general_points(2, 10, 31991, 0)
+    assert bm_result(ten).hf[:4] == (1, 3, 6, 10)
+    collinear = make_point_set(2, 31991, [(1, t, 5 * t + 7) for t in range(7)])
+    twisted_cubic = make_point_set(3, 31991, [(1, t, t * t, t ** 3) for t in range(1, 10)])
+    wide = random_points(3, 8, 2**31 - 1, seed=4)  # 128-bit echelon lanes
+    for ps in drawn + [five, ten, collinear, twisted_cubic, wide]:
         gb = vanishing_ideal(ps)
+        hf = bm_result(ps).hf
         max_deg = max(int(g.degree) for g in gb.elements) + 1
         kernels = oneshot_vanishing_kernels(ps, max_deg)
-        from conormal import contains
-
         for d, polys in kernels.items():
-            # dimension agreement: monomials minus standard = kernel size
-            from math import comb
-
+            # dimension agreement: monomials minus standard = kernel size,
+            # and the pass's Hilbert function, which stays at n past its end
             total = comb(ps.c + d, d)
             assert total - count_standard_of_degree(gb, d) == len(polys)
+            assert total - hf[min(d, len(hf) - 1)] == len(polys)
             for f in polys:
                 assert contains(gb, f)
 
@@ -197,6 +213,16 @@ def test_an_analysis_of_points_without_a_kept_pass_runs_one(monkeypatch):
     runs = counting_bm_runs(monkeypatch)
     assert analyze(bm_result(ps), seed=0).e == 4
     assert len(runs) == 1
+
+
+def test_buchberger_moller_step_counts_are_pinned():
+    # one step per candidate row plus one per nonzero multiplier; the
+    # multipliers are read at the value columns only
+    from conormal.constructions import example61_points
+
+    assert bm_result(example61_points()).steps == 189
+    ps, redraws = general_points(13, 40, 31991, 0)
+    assert (redraws, ps.bm.steps) == (0, 6870)
 
 
 def test_vanishing_ideal_is_charged_to_the_step_budget():

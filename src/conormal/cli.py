@@ -5,10 +5,12 @@ Exit codes encode the verdict: 0 CM-consistent / all checks pass,
 1 NotCM / a check failed / an input error, 2 Inconclusive (the step
 budget ran out, in any verb).  The reduction-step budget can be set with
 --budget or the CONORMAL_STEP_BUDGET environment variable; it must be at
-least 0.  An integer, in an option, in --points or in the environment, is
-ASCII digits after an optional '-', as the numbers of an ideal file are;
-any other spelling is an input error.  `main` parses the arguments into
-one ExperimentConfig and hands it to `harness.run`.
+least 0.  A usage error (a missing or malformed argument) is an input
+error too, reported like every other one; --help exits 0.  An integer, in
+an option, in --points or in the environment, is ASCII digits after an
+optional '-', as the numbers of an ideal file are; any other spelling is
+an input error.  `main` parses the arguments into one ExperimentConfig
+and hands it to `harness.run`.
 """
 
 import argparse
@@ -44,6 +46,15 @@ def _env_budget():
     return _integer(raw, "CONORMAL_STEP_BUDGET")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError, so that `main`
+    reports them as input errors (exit 1) and not with argparse's exit 2,
+    the code of an Inconclusive verdict.  Its subparsers are of this class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 # integer options are read as text and parsed by `_integer` inside `main`
 def _add_common(sub):
     sub.add_argument("--seed", default="0", help="master seed (default 0)")
@@ -54,7 +65,7 @@ def _add_common(sub):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conormal",
         description="Groebner-based invariants of point ideals and Cohen-Macaulayness of their squares",
     )
@@ -91,9 +102,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    path, points = getattr(args, "path", None), getattr(args, "points", None)
     try:
+        args = build_parser().parse_args(argv)
+        path, points = getattr(args, "path", None), getattr(args, "points", None)
         budget = _option(args, "budget")
         if budget is None:
             budget = _env_budget()

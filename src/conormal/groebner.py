@@ -301,7 +301,8 @@ def _minimal(ring, polys):
 
 
 def _interreduce(ring, polys, budget):
-    """Forward-reduce a generating set; cheap preprocessing, same ideal."""
+    """Forward-reduce a generating set; cheap preprocessing, same ideal.
+    Returns (index, kept): the kept polynomials and an index of them."""
     monos = []
     others = []
     for f in polys:
@@ -315,7 +316,7 @@ def _interreduce(ring, polys, budget):
             g = ring._from_packed_dict(red).monic()
             index.add(g)
             kept.append(g)
-    return kept
+    return index, kept
 
 
 def _final_reduce(ring, basis, budget):
@@ -339,25 +340,33 @@ def buchberger(
     """Reduced Groebner basis of the ideal under the given (or ring's) order.
 
     When every generator is a monomial, the minimal monic ones are the
-    reduced basis, and no S-pair is formed."""
+    reduced basis, and no S-pair is formed.  Otherwise a new element h is
+    paired by the Gebauer-Moller update.  A new monomial h is paired only
+    with the elements that have a tail, and an lcm class that a monomial m
+    of the basis divides is dropped: lcm(m, lt h) divides the class too,
+    so either properly (criterion M drops the class) or equally (the class
+    has the pair of two monomials m and h, whose S-polynomial is zero)."""
     ring = ideal.ring if order is None else ideal.ring.with_order(order)
     gens = [ring_convert(g, ring) for g in ideal.generators]
     counter = _Budget(budget)
-    basis = _interreduce(ring, gens, counter)
+    index, basis = _interreduce(ring, gens, counter)  # index: the reducers so far
     if not basis:
         raise ValueError("ideal reduced to zero generators")
     # tested on the input: interreduction can turn a binomial into a monomial
     # that divides a monomial kept before it
     if all(g.is_monomial() for g in gens):
-        return GroebnerBasis(ring, basis)
+        gb = GroebnerBasis(ring, basis)
+        gb._index = index
+        return gb
 
     lcm = ring.mono_lcm
     shift = ring._deg_shift
     key = ring.key
     guard = ring._guard
 
-    G = []          # (poly, lt, is_monomial)
-    index = _LtIndex(ring)
+    G = []          # (poly, lt)
+    tailed = []     # positions in G of the elements with a tail
+    monomials = _LtIndex(ring)  # the monomials of G
     pairs = []      # heap of (lcm degree, lcm key, i, j, lcm)
 
     def update(h):
@@ -365,18 +374,21 @@ def buchberger(
         lt_h = h.terms[0][1]
         h_mono = h.is_monomial()
         t = len(G)
-        lcms = [lcm(entry[1], lt_h) for entry in G]
         # criterion F: drop old pairs whose lcm is a proper multiple of lt_h
         pairs[:] = [
             (d, k, i, j, l)
             for d, k, i, j, l in pairs
-            if not (((l | guard) - lt_h) & guard == guard and lcms[i] != l and lcms[j] != l)
+            if not (
+                ((l | guard) - lt_h) & guard == guard
+                and lcm(G[i][1], lt_h) != l
+                and lcm(G[j][1], lt_h) != l
+            )
         ]
         heapq.heapify(pairs)
         # new pairs grouped by lcm, members in basis order
         by_lcm = {}
-        for i, l in enumerate(lcms):
-            by_lcm.setdefault(l, []).append(i)
+        for i in tailed if h_mono else range(t):
+            by_lcm.setdefault(lcm(G[i][1], lt_h), []).append(i)
         # criterion M: an lcm survives iff no other new lcm properly divides
         # it.  A proper divisor has lower degree, the top packed field, and
         # divisibility is transitive, so taking the lcms in increasing order
@@ -388,27 +400,22 @@ def buchberger(
             if any((lg - m) & guard == guard for m in minimal):
                 continue
             minimal.append(l)
-            # one representative per lcm class; a class whose S-polynomial is
-            # trivially zero (coprime leading terms, or two monomials) is skipped
+            # one representative per lcm class; a class with coprime leading
+            # terms, whose S-polynomial is zero, is skipped, and so is one
+            # that a monomial of G divides when h is a monomial (see above)
             members = by_lcm[l]
             if any(l == G[i][1] + lt_h for i in members):
                 continue
-            if h_mono and any(G[i][2] for i in members):
+            if h_mono and monomials.find(l) is not None:
                 continue
             heapq.heappush(pairs, (l >> shift, key(l), members[0], t, l))
-        G.append((h, lt_h, h_mono))
-        index.add(h)
+        G.append((h, lt_h))
+        if h_mono:
+            monomials.add(h)
+        else:
+            tailed.append(t)
 
-    # the leading run of monomials enters with no pair work: a pair of two
-    # monomials has a zero S-polynomial, so update would push none.  The run
-    # can be the whole basis: interreduction can leave only monomials.
-    k = 0
-    while k < len(basis) and basis[k].is_monomial():
-        h = basis[k]
-        G.append((h, h.terms[0][1], True))
-        index.add(h)
-        k += 1
-    for h in basis[k:]:
+    for h in basis:
         update(h)
 
     while pairs:
@@ -419,9 +426,10 @@ def buchberger(
         red = _reduce_terms(ring, items, index, counter)
         if red:
             h = ring._from_packed_dict(red).monic()
+            index.add(h)
             update(h)
 
-    reduced = _final_reduce(ring, [g for g, _, _ in G], counter)
+    reduced = _final_reduce(ring, [g for g, _ in G], counter)
     return GroebnerBasis(ring, reduced)
 
 
@@ -474,20 +482,27 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     return len(covered) == ring.nvars
 
 
-def _standard_successors(ring, index: _LtIndex, level):
-    """The variable multiples of the given monomials that no leading term in
-    the index divides, as a dict from each to the (monomial, variable index)
-    it was first reached from."""
+def _standard_successors(ring, lts, level):
+    """The standard monomials one degree above `level`, given a whole degree
+    of standard monomials and a container of leading monomials that holds
+    at least those of the next degree.  Standard monomials form an order
+    ideal, so a variable multiple mm of the level is standard iff every
+    mm / x_i with x_i | mm is in the level and mm is not itself a leading
+    monomial: a leading monomial of lower degree that divides mm divides
+    one of those quotients (Marinari, Moller and Mora, 1993).  Returns a
+    dict from each to the (monomial, variable index) it was first reached
+    from."""
     units = ring._var_monos
-    find = index.find
+    guard = ring._guard
     nxt = {}
-    seen = set()  # each distinct candidate is looked up once
+    seen = set()  # each distinct candidate is judged once
     for m in level:
         for j, u in enumerate(units):
             mm = m + u
             if mm not in seen:
                 seen.add(mm)
-                if find(mm) is None:
+                # mm - x_i borrows into the guard bit of field i iff x_i does not divide mm
+                if mm not in lts and all((mm - v) & guard or mm - v in level for v in units):
                     nxt[mm] = (m, j)
     return nxt
 
@@ -497,9 +512,8 @@ def _standard_levels(gb: GroebnerBasis):
     dict from `_standard_successors`, up to the first empty level (none
     when the quotient has positive dimension)."""
     ring = gb.ring
-    index = gb.index()
-    level = {} if index.find(0) is not None else {0: None}  # 1 in the ideal: empty quotient
+    lts = set(gb.leading_monomials())
+    level = {} if 0 in lts else {0: None}  # 1 in the ideal: empty quotient
     while level:
         yield level
-        level = _standard_successors(ring, index, level)
-
+        level = _standard_successors(ring, lts, level)

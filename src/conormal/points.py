@@ -14,12 +14,14 @@ values followed by one slot per standard monomial, at most n of them, in
 which it records its combination of them, and the slots of a candidate
 that reduces to zero are the coefficients of its element.  The
 candidates are the variable multiples of the previous degree's standard
-monomials that no leading term found so far divides: one step of the
+monomials that no leading term found so far divides, which are those whose
+every divisor one degree down is standard: one step of the
 standard-monomial walk of `groebner._standard_levels`, taken by
-`groebner._standard_successors` against a leading-term index that grows
-with each new element between degrees.  The loop runs until a degree
-confirms the Hilbert function at n with no new generators, one degree past
-the stabilization required of saturated point ideals, which also covers
+`groebner._standard_successors` with no leading terms, since every element
+found so far lies in a lower degree and so divides a candidate only through
+one of those divisors.  The loop runs until a degree confirms the Hilbert
+function at n with no new generators, one degree past the stabilization
+required of saturated point ideals, which also covers
 special configurations whose initial ideal acquires late generators.  So it
 reaches at least degree d0 + 1, d0 the first degree with C(c + d0, d0) >= n,
 and a point count that puts d0 + 1 past the monomial degree limit is refused
@@ -52,7 +54,6 @@ from .groebner import (
     BudgetExceededError,
     GroebnerBasis,
     _Budget,
-    _LtIndex,
     _standard_successors,
 )
 from .linalg import Echelon, Lanes
@@ -205,7 +206,6 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
     key = ring.key
     coords = [[pt[j] for pt in ps.points] for j in range(ps.c + 1)]
 
-    index = _LtIndex(ring)  # leading terms of the elements found so far
     elements = []
     hf = [1]
     values = {0: [1] * n}  # standard monomials of the previous degree: values
@@ -219,7 +219,8 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
                 f"vanishing ideal loop passed degree {degree_cap}; "
                 "this contradicts the regularity bound for point ideals"
             )
-        successors = _standard_successors(ring, index, values)
+        # every leading term found so far lies below degree d
+        successors = _standard_successors(ring, (), values)
         # ascending, smallest first, with the keys the element terms carry
         candidates = sorted((key(m), m) for m in successors)
         # a row is the values at the points followed by one slot per standard
@@ -244,9 +245,7 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
                 terms = ((k, m, 1),) + tuple((kk, mm, c) for (kk, mm), c in tail if c)
                 new_gens.append(Polynomial(ring, terms))
         hf.append(len(std_here))
-        for g in new_gens:
-            index.add(g)
-            elements.append(g)
+        elements.extend(new_gens)
         values = std_here
         if len(std_here) == n and not new_gens and hf[d - 1] == n:
             break

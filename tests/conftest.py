@@ -210,6 +210,24 @@ def count_standard_of_degree(gb, d):
     return count
 
 
+def successors_by_divisor_scan(ring, lts, level):
+    """The variable multiples of the monomials of `level` that no monomial
+    of `lts` divides, each tested against every one of them on exponent
+    tuples; each maps to the first (monomial, variable index), in the order
+    of `level`, it is reached from."""
+    divisors = [ring.unpack(lt) for lt in lts]
+    first = {}
+    for m in level:
+        e = ring.unpack(m)
+        for j in range(ring.nvars):
+            first.setdefault(ring.pack(e[:j] + (e[j] + 1,) + e[j + 1:]), (m, j))
+    return {
+        mm: source
+        for mm, source in first.items()
+        if not any(all(a <= b for a, b in zip(g, ring.unpack(mm))) for g in divisors)
+    }
+
+
 # -- ideal product oracle: every pair of generators -----------------------------
 
 

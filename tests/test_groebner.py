@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,13 +23,18 @@ from conormal import (
 from conormal.constructions import StretchedSpec, ideal_L, stretched_ideal
 from conormal.groebner import (
     GroebnerBasis,
+    _Budget,
     _LtIndex,
     _standard_levels,
-    _standard_successors,
 )
 from conormal.invariants import length
 
-from conftest import example61_ideal, ideal_product, monomial_quotient_standard
+from conftest import (
+    example61_ideal,
+    ideal_product,
+    monomial_quotient_standard,
+    successors_by_divisor_scan,
+)
 
 
 def test_ideal_construction_drops_zeros(ring_xy, ring_xyz):
@@ -424,6 +430,44 @@ def test_stretched_step_counts_are_pinned(c, s, r, steps, square_steps):
             buchberger(target, budget=n - 1)
 
 
+# Buchberger steps of each stretched cell (default units) and of its square,
+# by r = 0, 1, ...: the Gebauer-Moller criteria decide which S-pairs get
+# reduced, so a pair the update adds or drops moves a count
+_STRETCHED_STEPS = {
+    (3, 2): [(6, 33), (3, 15), (0, 0)],
+    (3, 3): [(11, 36), (2, 13), (0, 0)],
+    (3, 4): [(11, 36), (2, 13), (0, 0)],
+    (4, 2): [(12, 76), (8, 48), (4, 23), (0, 0)],
+    (4, 3): [(31, 83), (13, 51), (3, 21), (0, 0)],
+    (4, 4): [(29, 83), (13, 51), (3, 21), (0, 0)],
+    (5, 2): [(20, 145), (15, 104), (10, 67), (5, 33), (0, 0)],
+    (5, 3): [(62, 157), (34, 111), (15, 70), (4, 31), (0, 0)],
+    (5, 4): [(56, 157), (32, 111), (15, 70), (4, 31), (0, 0)],
+}
+
+
+@pytest.mark.parametrize(
+    "c, s, r, steps, square_steps",
+    [(c, s, r, *counts) for (c, s), cells in _STRETCHED_STEPS.items() for r, counts in enumerate(cells)],
+)
+def test_every_stretched_cell_takes_its_pinned_steps(c, s, r, steps, square_steps, monkeypatch):
+    charged = []
+    charge = _Budget.charge
+
+    def counted(self, n=1):
+        charged.append(n)
+        return charge(self, n)
+
+    monkeypatch.setattr(_Budget, "charge", counted)
+    ring = PolynomialRing(PrimeField(31991), [f"x{i + 1}" for i in range(c)])
+    ideal = stretched_ideal(StretchedSpec(c, s, r), ring)
+    for target, n in ((ideal, steps), (ideal_square(ideal), square_steps)):
+        charged.clear()
+        gb = buchberger(target)
+        assert sum(charged) == n
+        assert verify_groebner(gb)
+
+
 @pytest.mark.parametrize("c, s, r, gens, square_gens", [(4, 3, 1, 44, 73), (5, 2, 0, 49, 180)])
 def test_square_of_a_stretched_cell_drops_divisible_monomials(c, s, r, gens, square_gens):
     # the truncation m^(s+1) is mostly divisible by the quadric monomials;
@@ -556,8 +600,10 @@ def test_lt_index_rejects_a_second_reducer_with_the_same_leading_term(ring_xy):
 
 
 def test_pair_work_of_a_stretched_square_is_pinned(monkeypatch):
-    # the leading run of monomials of the interreduced basis enters with no
-    # lcm formed; 4,475 lcms when each of its elements ran the pair update
+    # a new monomial forms lcms only with the elements that have a tail, and
+    # criterion F forms them for old pairs only when the new leading term
+    # divides the pair's lcm; 2,060 lcms when each element after the leading
+    # run of monomials formed one with every element before it
     ring = PolynomialRing(PrimeField(31991), [f"x{i + 1}" for i in range(5)])
     square = ideal_square(stretched_ideal(StretchedSpec(5, 2, 0), ring))
     calls = []
@@ -569,27 +615,25 @@ def test_pair_work_of_a_stretched_square_is_pinned(monkeypatch):
 
     monkeypatch.setattr(PolynomialRing, "mono_lcm", counted)
     gb = buchberger(square)
-    assert len(calls) == 2060
+    assert len(calls) == 204
     assert len(gb) == 70
 
 
-def test_standard_successors_look_up_each_distinct_candidate_once(monkeypatch):
-    ring = PolynomialRing(PrimeField(31991), [f"x{i + 1}" for i in range(4)])
-    gb = buchberger(stretched_ideal(StretchedSpec(4, 3, 1), ring))
-    index = gb.index()
-    level = list(_standard_levels(gb))[1]
-    queried = []
-    find = _LtIndex.find
-
-    def counted(self, m):
-        queried.append(m)
-        return find(self, m)
-
-    monkeypatch.setattr(_LtIndex, "find", counted)
-    successors = _standard_successors(ring, index, level)
-    candidates = {
-        ring.pack([a + (i == j) for i, a in enumerate(ring.unpack(m))]) for m in level for j in range(4)
-    }
-    assert len(level) > 1 and len(candidates) < 4 * len(level)
-    assert sorted(queried) == sorted(candidates)
-    assert set(successors) == {m for m in candidates if find(index, m) is None}
+@pytest.mark.parametrize("order", [DEGREVLEX, DEGLEX, LEX], ids=lambda order: order.kind)
+@pytest.mark.parametrize("p", [7, 31991])
+def test_standard_levels_match_a_divisor_scan(order, p):
+    # each level is the variable multiples of the level below that no
+    # leading monomial divides, though the walk tests a multiple only
+    # against its divisors one degree down and the leading monomials
+    rng = random.Random(p)
+    for _ in range(20):
+        nvars = rng.randrange(2, 5)
+        ring = PolynomialRing(PrimeField(p), [f"x{i}" for i in range(nvars)], order)
+        gb = buchberger(_random_zero_dim_ideal(ring, rng))
+        lts = gb.leading_monomials()
+        # the pure powers, of degree at most 3, leave at most 2 * nvars + 1
+        # levels; a walk cut short fails the last comparison
+        levels = list(islice(_standard_levels(gb), 2 * nvars + 2))
+        assert levels[:1] == ([] if 0 in lts else [{0: None}])
+        for level, above in zip(levels, levels[1:] + [{}]):
+            assert above == successors_by_divisor_scan(ring, lts, level)

@@ -285,6 +285,28 @@ def test_cli_integers_are_ascii_digits(argv, env, message, monkeypatch, capsys):
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["conjecture"], "the following arguments are required: --c"),
+        # argparse takes -x for an option, so --seed has no value
+        (["conjecture", "--c", "5", "--seed", "-x"], "argument --seed: expected one argument"),
+    ],
+)
+def test_cli_usage_errors_are_input_errors(argv, message, capsys):
+    # exit 1 like every other input error; exit 2 is Inconclusive only
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["conjecture", "--help"])
+    assert exc.value.code == 0
+    assert "--allow-long" in capsys.readouterr().out
+
+
 def test_cli_integers_take_a_minus_sign_and_leading_zeros(capsys):
     argv = ["criteria-table", "--cmax", "3", "--smax", "3"]
     assert main(argv) == 0

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conormal import DEGREVLEX, DEGLEX, buchberger, Ideal, random_linear_form, verify_groebner
+from conormal import DEGREVLEX, DEGLEX, LEX, buchberger, Ideal, random_linear_form, verify_groebner
 from conormal import points
 from conormal.field import stable_seed
 from conormal.groebner import BudgetExceededError
@@ -18,7 +18,7 @@ from conormal.points import (
     random_points,
     vanishing_ideal,
 )
-from conftest import count_standard_of_degree, oneshot_vanishing_kernels
+from conftest import count_standard_of_degree, oneshot_vanishing_kernels, successors_by_divisor_scan
 
 
 def test_two_points_in_p1():
@@ -150,6 +150,34 @@ def test_vanishing_ideal_agrees_with_oneshot_oracle():
             assert total - hf[min(d, len(hf) - 1)] == len(polys)
             for f in polys:
                 assert contains(gb, f)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, DEGLEX, LEX], ids=lambda order: order.kind)
+@pytest.mark.parametrize("p", [7, 31991])
+def test_buchberger_moller_candidates_match_a_divisor_scan(order, p, monkeypatch):
+    # the candidates of degree d are the variable multiples of the standard
+    # monomials of degree d - 1 that no leading term of lower degree divides;
+    # the pass hands the walk no leading terms, all of them lying below d
+    walked = []
+    honest = points._standard_successors
+
+    def recorded(ring, lts, level):
+        out = honest(ring, lts, level)
+        walked.append((ring, list(level), out))
+        return out
+
+    monkeypatch.setattr(points, "_standard_successors", recorded)
+    rng = random.Random(p)
+    for _ in range(8):
+        c = rng.randrange(1, 5)
+        n = rng.randrange(1, min(25, projective_point_count(c, p)) + 1)
+        walked.clear()
+        basis = bm_result(random_points(c, n, p, rng.randrange(10**6)), order).basis
+        assert walked
+        for ring, level, candidates in walked:
+            d = ring.mono_deg(level[0]) + 1
+            below = [lt for lt in basis.leading_monomials() if ring.mono_deg(lt) < d]
+            assert candidates == successors_by_divisor_scan(ring, below, level)
 
 
 def test_all_points_of_p1_over_gf3():

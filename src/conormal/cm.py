@@ -1,5 +1,5 @@
-"""Artinian reductions by a seeded parameter form, and the
-Cohen-Macaulayness verdict for the square of a points ideal.
+"""Artinian reductions by a parameter form, the last variable or a seeded
+one, and the Cohen-Macaulayness verdict for the square of a points ideal.
 
 The verdict logic: let I be a one-dimensional ideal with R/I Cohen-Macaulay
 and I generically a complete intersection of height c (a points ideal is
@@ -10,26 +10,34 @@ multiplicity of R/I, and 0 :_M l is nonzero exactly when M is not CM.  So
 the first such form decides: a length equal to (c+1)e certifies CM, a
 larger one certifies NotCM.
 
-Everything after l is drawn lives in S = R/(l): substituting the form
+Everything after l is chosen lives in S = R/(l): substituting the form
 away leaves a polynomial ring in one variable fewer, R/(I + l) is S/IS, and
-R/(I^2 + l) is S/(IS)^2.  One seeded form serves the whole analysis.  The
-reduction draws forms until one gives an Artinian S/IS, and keeps the
-reduced basis of IS in S and the Hilbert function of S/IS, whose sum is e
-and whose top degree is s; the verdict needs only l, that basis and s, and
-the invariants are read off that basis as it stands.  For R/I CM of
-dimension 1 and l regular on it, HF(S/IS) is the first difference of
-HF(R/I), read from one place per analysis.  Points bring it: their
-Buchberger-Moller pass counted HF(R/I) up to its plateau at n, which
-certifies R/I, and nothing is walked.  A basis of I alone is walked once
-over its standard monomials, up to the Taylor bound on reg(in(I)) plus
-one; the walk refuses a HF that falls, still rises past the degree any
-such reduction allows, or leaves e after s.  A draw costs one
-substitution and one sweep of Macaulay matrices in S: l passes iff the
-ranks give that difference through s and fill degree s + 1, and the
-reduced basis of IS is read off the same matrices, with no Buchberger
-run.  On points a form passes iff it vanishes at none of them (Abbott,
-Bigatti, Kreuzer and Robbiano, "Computing ideals of points", 2000), and
-e = n.
+R/(I^2 + l) is S/(IS)^2.  One parameter form serves the whole analysis.
+The reduction keeps the reduced basis of IS in S and the Hilbert function
+of S/IS, whose sum is e and whose top degree is s; the verdict needs only
+l, that basis and s, and the invariants are read off that basis as it
+stands.  For R/I CM of dimension 1 and l regular on it, HF(S/IS) is the
+first difference of HF(R/I), read from one place per analysis.  Points
+bring it: their Buchberger-Moller pass counted HF(R/I) up to its plateau
+at n, which certifies R/I, and nothing is walked.  A basis of I alone is
+walked once over its standard monomials, up to the Taylor bound on
+reg(in(I)) plus one; the walk refuses a HF that falls, still rises past
+the degree any such reduction allows, or leaves e after s.
+
+The form is the last variable x_c when Bayer and Stillman's test shows it
+regular: in degrevlex, x_c is regular on R/I iff no leading monomial of
+the reduced basis involves it, and then that basis with x_c = 0 is
+already the reduced basis of IS.  That costs one substitution and no
+sweep.  On points the test reads that x_c vanishes at none of them, which
+random points meet with probability about 1 - n/p; for a file, the
+walk's plateau with a regular x_c certifies R/I CM of dimension 1.  Any
+other basis draws seeded forms until one gives an Artinian S/IS.  A draw
+costs one substitution and one sweep of Macaulay matrices in S: l passes
+iff the ranks give that difference through s and fill degree s + 1, and
+the reduced basis of IS is read off the same matrices, with no
+Buchberger run.  On points a form passes iff it vanishes at none of them
+(Abbott, Bigatti, Kreuzer and Robbiano, "Computing ideals of points",
+2000), and e = n.
 
 The length of S/(IS)^2 comes from a degree sweep of graded Macaulay
 matrices (Lazard 1983): in each degree d the square spans the variables
@@ -163,12 +171,12 @@ def _trial_forms(ring, seed, trials):
 @dataclass(frozen=True)
 class Reduction:
     """R/(I + l) = S/IS, S = R/(l), for the parameter form l that
-    `artinian_reduction` drew."""
+    `artinian_reduction` chose."""
 
     basis: GroebnerBasis  # reduced basis of IS, in S
     form: object  # l, in R: the printed witness
     hf: tuple  # Hilbert function of S/IS
-    drawn: int  # forms drawn, l the last of them
+    drawn: int  # forms drawn, l the last of them; 1 for the last variable
 
     @property
     def length(self) -> int:
@@ -187,17 +195,25 @@ def artinian_reduction(
     trials: int = DEFAULT_TRIALS,
     budget: int = DEFAULT_STEP_BUDGET,
 ) -> Reduction:
-    """S/IS, S = R/(l), for the first seeded linear form l, of at most
-    `trials` drawn, whose images pass `_macaulay_basis` against ΔHF(R/I)
-    from `_basis_and_delta`; `ideal` is a `GroebnerBasis` of I or the
-    `BmResult` of its points.  For a one-dimensional Cohen-Macaulay
-    quotient its length is the multiplicity, whichever such form is drawn.
-    ValueError for a zero-dimensional basis, from `_basis_and_delta`, and
-    unless `trials` is at least 1; RuntimeError when no form drawn passes.
+    """S/IS, S = R/(l), with hf = ΔHF(R/I) from `_basis_and_delta`;
+    `ideal` is a `GroebnerBasis` of I or the `BmResult` of its points.  l
+    is the last variable when `_last_variable_is_regular`, drawn as the one
+    form, and the images of the basis are the basis of IS: no sweep runs
+    and no step is charged.  Otherwise l is the first seeded linear form,
+    of at most `trials` drawn, whose images pass `_macaulay_basis` against
+    ΔHF(R/I).  For a one-dimensional Cohen-Macaulay quotient the length is
+    the multiplicity, whichever regular form l is.  ValueError for a
+    zero-dimensional basis, from `_basis_and_delta`, and unless `trials` is
+    at least 1, on either route; RuntimeError when no form drawn passes.
     """
     gb, delta = _basis_and_delta(ideal)
     if trials < 1:
         raise ValueError(f"an Artinian reduction needs at least 1 trial, got {trials}")
+    if _last_variable_is_regular(gb):
+        last = gb.ring.gens()[-1]
+        smaller, assignment = linear_substitution(gb.ring, [last])
+        basis = GroebnerBasis(smaller, substitute_all(gb.elements, assignment))
+        return Reduction(basis, last, delta, 1)
     for drawn, ell in enumerate(_trial_forms(gb.ring, seed, trials), 1):
         smaller, assignment = linear_substitution(gb.ring, [ell])
         images = [f for f in substitute_all(gb.elements, assignment) if not f.is_zero()]
@@ -209,6 +225,19 @@ def artinian_reduction(
         f"GF({gb.ring.field.p}): R/I is not Cohen-Macaulay of dimension 1, or each "
         "form vanishes at one of the points of I, as is likely over a small "
         "field; a larger --trials or p may draw one that misses them all"
+    )
+
+
+def _last_variable_is_regular(gb: GroebnerBasis) -> bool:
+    """True for a degrevlex basis none of whose leading monomials involves
+    the last variable x_c: then x_c is regular on R/I, and the basis with
+    x_c = 0 is the reduced basis of I + (x_c) in S = R/(x_c) (Bayer and
+    Stillman, Invent. Math. 87, 1987; Eisenbud, Commutative Algebra,
+    Prop. 15.12).  Under the same order the converse holds, so on points
+    the test reads that x_c vanishes at none of them."""
+    ring = gb.ring
+    return ring.order.kind == "degrevlex" and all(
+        not ring.unpack(lt)[-1] for lt in gb.leading_monomials()
     )
 
 
@@ -329,7 +358,8 @@ def _sweep(ring: PolynomialRing, top: int, budget: _Budget, pairs, reduced=False
     term lists in `pairs[d]`, made by `_product_row`; `lifted` holds the
     leading columns of the multiples.  Rows the caller adds to the yielded
     echelon before asking for the next degree belong to J_d.  With
-    `reduced` the echelon is in reduced form.  The column tables come from
+    `reduced` the echelon is in reduced form, the identity at once when J_d
+    is all of degree d.  The column tables come from
     `_degree_table`, shared by every sweep over rings of one shape.
 
     One row per leading column goes first, in increasing column order:
@@ -363,7 +393,7 @@ def _sweep(ring: PolynomialRing, top: int, budget: _Budget, pairs, reduced=False
             mults, _ = ech.add(make())
             budget.charge_row(mults)
         if reduced:
-            ech = ech.reduced()
+            ech = Echelon.identity(p, n) if len(ech.pivots) == n else ech.reduced()
         yield d, pos, ech, lifted
         prev = ech
 

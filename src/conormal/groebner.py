@@ -9,7 +9,7 @@ never as a wrong answer.
 import heapq
 from bisect import insort
 
-from .poly import MAX_EXPONENT, Polynomial, PolynomialRing, MonomialOrder
+from .poly import FIELD_BITS, MAX_EXPONENT, Polynomial, PolynomialRing, MonomialOrder
 
 DEFAULT_STEP_BUDGET = 10_000_000
 
@@ -126,9 +126,13 @@ class _LtIndex:
         lt = f.terms[0][1]
         if lt in self.reducers:
             raise ValueError("a reducer with this leading term is already indexed")
-        tail = tuple((m, c) for _, m, c in f.terms[1:])
-        self.reducers[lt] = (lt, tail, max(_tail_rise(f), 0))
+        self.replace(f)
         insort(self.lts, lt)
+
+    def replace(self, f: Polynomial):
+        """Make f the reducer of its leading term."""
+        tail = tuple((m, c) for _, m, c in f.terms[1:])
+        self.reducers[f.terms[0][1]] = (f.terms[0][1], tail, max(_tail_rise(f), 0))
 
     def find(self, m: int):
         """(lt, tail, rise) of the first reducer, in ascending packed order,
@@ -207,10 +211,12 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "elements", "_index")
 
-    def __init__(self, ring: PolynomialRing, elements):
+    def __init__(self, ring: PolynomialRing, elements, index=None):
+        """`index`, when given, is an `_LtIndex` of exactly these elements,
+        which `index()` then returns instead of building one."""
         self.ring = ring
         self.elements = tuple(sorted(elements, key=lambda f: f.terms[0][0]))
-        self._index = None
+        self._index = index
 
     @property
     def order(self) -> MonomialOrder:
@@ -320,7 +326,8 @@ def _interreduce(ring, polys, budget):
 
 
 def _final_reduce(ring, basis, budget):
-    """Minimalize leading terms, then tail-reduce to the unique reduced basis."""
+    """Minimalize leading terms, then tail-reduce to the unique reduced basis.
+    Returns (index, reduced): the reduced elements and an index of them."""
     # a tail term lies below its own leading term, so one index serves all
     index, minimal = _minimal(ring, basis)
     reduced = []
@@ -329,7 +336,10 @@ def _final_reduce(ring, basis, budget):
         red = _reduce_terms(ring, f.terms[1:], index, budget)
         red[lt] = c
         reduced.append(ring._from_packed_dict(red))
-    return reduced
+    # only now: every tail above is reduced against the unreduced reducers
+    for g in reduced:
+        index.replace(g)
+    return index, reduced
 
 
 def buchberger(
@@ -355,9 +365,7 @@ def buchberger(
     # tested on the input: interreduction can turn a binomial into a monomial
     # that divides a monomial kept before it
     if all(g.is_monomial() for g in gens):
-        gb = GroebnerBasis(ring, basis)
-        gb._index = index
-        return gb
+        return GroebnerBasis(ring, basis, index)
 
     lcm = ring.mono_lcm
     shift = ring._deg_shift
@@ -429,8 +437,8 @@ def buchberger(
             index.add(h)
             update(h)
 
-    reduced = _final_reduce(ring, [g for g, _ in G], counter)
-    return GroebnerBasis(ring, reduced)
+    index, reduced = _final_reduce(ring, [g for g, _ in G], counter)
+    return GroebnerBasis(ring, reduced, index)
 
 
 def verify_groebner(gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET) -> bool:
@@ -471,15 +479,18 @@ def verify_groebner(gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET) -> boo
 
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     """True iff every variable appears as a pure power among the leading
-    terms; the 1 of the unit ideal is the 0th power of each."""
-    ring = gb.ring
-    covered = {
-        j
-        for lt in gb.leading_monomials()
-        for j, x in enumerate(ring._var_monos)
-        if lt == ring.mono_deg(lt) * x
-    }
-    return len(covered) == ring.nvars
+    terms; the 1 of the unit ideal is the 0th power of each.  A pure power
+    has one nonzero exponent field, so its lowest and highest set bits lie
+    in the same field."""
+    covered = set()
+    for lt in gb.leading_monomials():
+        exps = lt & gb.ring._exp_mask
+        if not exps:
+            return True
+        field = (exps.bit_length() - 1) // FIELD_BITS
+        if ((exps & -exps).bit_length() - 1) // FIELD_BITS == field:
+            covered.add(field)
+    return len(covered) == gb.ring.nvars
 
 
 def _standard_successors(ring, lts, level):

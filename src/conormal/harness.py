@@ -12,6 +12,7 @@ basis of the vanishing ideal with the Hilbert function of its points.
 Only an ideal file goes through Buchberger before `cm.analyze`.
 """
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -151,15 +152,22 @@ def conjecture_experiment(config: ExperimentConfig):
 
 def analyze_command(config: ExperimentConfig, path: str = None):
     """Analyze an ideal file, or n certified-general points in P^c given
-    as config.c and config.n."""
+    as config.c and config.n.  The echo of a file's analysis gives the
+    modulus of its header, which the analysis runs over, as `p`, also when
+    the step budget runs out."""
     if path is not None and (config.c is not None or config.n is not None):
         raise ValueError("analyze takes a file path or --points c,n, not both")
     if path is not None:
-        gb = buchberger(parse_ideal_file(path), budget=config.budget)
-        report = analyze(
-            gb, seed=config.seed, trials=config.trials, budget=config.budget,
-            source=str(path),
-        )
+        ideal = parse_ideal_file(path)
+        config = dataclasses.replace(config, p=ideal.ring.field.p)
+        try:
+            gb = buchberger(ideal, budget=config.budget)
+            report = analyze(
+                gb, seed=config.seed, trials=config.trials, budget=config.budget,
+                source=str(path),
+            )
+        except BudgetExceededError as exc:
+            return _inconclusive(config, exc)
     elif config.c is None or config.n is None:
         raise ValueError("analyze needs a file path or --points c,n")
     else:
@@ -366,4 +374,8 @@ def run(config: ExperimentConfig, path: str = None):
     try:
         return verb(config) if path is None else verb(config, path)
     except BudgetExceededError as exc:
-        return _report_text(config, [f"inconclusive: {exc}"]), EXIT_INCONCLUSIVE
+        return _inconclusive(config, exc)
+
+
+def _inconclusive(config: ExperimentConfig, exc: BudgetExceededError):
+    return _report_text(config, [f"inconclusive: {exc}"]), EXIT_INCONCLUSIVE

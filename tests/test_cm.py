@@ -6,6 +6,9 @@ import pytest
 
 from conormal import (
     BudgetExceededError,
+    DEGLEX,
+    DEGREVLEX,
+    LEX,
     Ideal,
     PolynomialRing,
     PrimeField,
@@ -57,9 +60,27 @@ def test_reduction_rejects_artinian_input(ring_xy):
 
 @pytest.mark.parametrize("trials", [0, -1])
 def test_reduction_needs_a_trial(trials):
-    gb = vanishing_ideal(random_points(3, 7, 31991, seed=4))
-    with pytest.raises(ValueError, match="at least 1 trial"):
-        artinian_reduction(gb, seed=4, trials=trials)
+    # on either route: random points, where x3 vanishes at none of them, and
+    # the same points with the last coordinate of the first set to 0
+    ps = random_points(3, 7, 31991, seed=4)
+    moved = make_point_set(3, 31991, [ps.points[0][:3] + (0,)] + list(ps.points[1:]))
+    for points, last_variable in ((ps, True), (moved, False)):
+        gb = vanishing_ideal(points)
+        with pytest.raises(ValueError, match="at least 1 trial"):
+            artinian_reduction(gb, seed=4, trials=trials)
+        assert (str(artinian_reduction(gb, seed=4, trials=1).form) == "x3") == last_variable
+
+
+def test_the_last_variable_is_the_form_only_in_degrevlex():
+    # no leading monomial of a single point's basis involves x2, in any of
+    # the three orders; Bayer and Stillman's test holds in degrevlex only,
+    # so the other two draw a seeded form
+    ps = make_point_set(2, 31991, [(1, 2, 3)])
+    for order in (DEGREVLEX, DEGLEX, LEX):
+        gb = bm_result(ps, order).basis
+        assert all(not gb.ring.unpack(lt)[2] for lt in gb.leading_monomials())
+        form = artinian_reduction(bm_result(ps, order), seed=0).form
+        assert (str(form) == "x2") == (order == DEGREVLEX)
 
 
 def test_multiplicity_is_the_point_count():

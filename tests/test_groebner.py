@@ -157,6 +157,34 @@ def test_zero_dimensionality(ring_xy):
     assert not is_zero_dimensional(buchberger(Ideal(ring_xy, [x * y])))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    nvars=st.integers(min_value=1, max_value=5),
+    unit=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_zero_dimensionality_matches_the_pure_power_definition(nvars, unit, seed):
+    # monomial sets, pure powers among them and the 1 of the unit ideal
+    # when drawn, against the definition: every variable x has a leading
+    # term deg(lt) * x, and lt = 1 covers every variable
+    rng = random.Random(seed)
+    ring = PolynomialRing(PrimeField(7), [f"x{i}" for i in range(nvars)])
+    exponents = [_random_exponents(rng, nvars, 8) for _ in range(rng.randrange(1, 6))]
+    for _ in range(rng.randrange(nvars + 1)):
+        j = rng.randrange(nvars)
+        exponents.append(tuple(rng.randrange(1, 9) * (i == j) for i in range(nvars)))
+    if unit:
+        exponents.append((0,) * nvars)
+    gb = GroebnerBasis(ring, [ring.monomial(e) for e in set(exponents)])
+    covered = {
+        j
+        for lt in gb.leading_monomials()
+        for j, x in enumerate(ring._var_monos)
+        if lt == ring.mono_deg(lt) * x
+    }
+    assert is_zero_dimensional(gb) == (len(covered) == nvars)
+
+
 def test_benchmark_ideal_is_one_dimensional():
     gb = buchberger(example61_ideal())
     assert not is_zero_dimensional(gb)
@@ -589,6 +617,26 @@ def test_lt_index_find_is_the_first_divisor_in_ascending_packed_order(nvars, ord
     if below is not None:
         assert index.find(below) is None
     assert index.find(0) is None
+
+
+def assert_handed_index_is_a_fresh_one(gb):
+    fresh = GroebnerBasis(gb.ring, gb.elements).index()
+    handed = gb.index()
+    assert (handed.lts, handed.reducers) == (fresh.lts, fresh.reducers)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, DEGLEX, LEX], ids=lambda order: order.kind)
+def test_buchberger_hands_its_basis_the_index_of_its_final_reduction(order):
+    # the index `_final_reduce` built, with the tails of the reduced
+    # elements, is the one `index()` would build: on random ideals, their
+    # squares and a stretched cell
+    rng = random.Random(41)
+    ring = PolynomialRing(PrimeField(31991), ["x", "y", "z"], order)
+    ideals = [_random_zero_dim_ideal(ring, rng) for _ in range(10)]
+    ideals += [ideal_square(ideal) for ideal in ideals[:3]]
+    ideals.append(stretched_ideal(StretchedSpec(3, 3, 0, (5, 7)), ring))
+    for ideal in ideals:
+        assert_handed_index_is_a_fresh_one(buchberger(ideal))
 
 
 def test_lt_index_rejects_a_second_reducer_with_the_same_leading_term(ring_xy):

@@ -381,6 +381,17 @@ def test_verify_example61_single_trial():
     assert "verdict: all facts hold" in text
 
 
+@pytest.mark.parametrize("budget, code", [(None, 1), ("0", 2)])
+def test_a_file_report_echoes_the_modulus_of_its_header(budget, code, tmp_path, capsys):
+    # the analysis runs over GF(7), whatever --p says, finished or cut short
+    path = tmp_path / "gf7.txt"
+    path.write_text("ring p=7 vars=x,y,z\nx^2\nx*y\ny^2\n")
+    argv = ["analyze", str(path), "--p", "31991"] + (["--budget", budget] if budget else [])
+    assert main(argv) == code
+    p_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("p: ")]
+    assert p_lines == (["p: 7", "p: 7"] if code == 1 else ["p: 7"])
+
+
 def test_report_echoes_config():
     config = ExperimentConfig(command="conjecture", c=5, seed=3, trials=2)
     text, _ = conjecture_experiment(config)
@@ -397,13 +408,13 @@ def test_report_echoes_config():
         (["verify-example61"], 0,
          "e1282fc09ce439856d39671c2b8ee0b7b5cfe70ca0da4a34357c7d3bb56fda44"),
         (["conjecture", "--c", "5"], 0,
-         "d0124f2e8a4dbf383c0e021d89a2767e7248cd07738c2879a27537b624cdbeed"),
+         "2cadd7bedbbe817c1aa9baad0d2314b1a59a7067f0f9dcf0c4f5f6af21ab36ec"),
         (["conjecture", "--c", "5", "--n", "8"], 1,
          "ec8bdbbf5d3ed7e8a34e1db6c83562da02c1f272cfc32b177b8d8916f90894ab"),
         (["stretched-suite", "--cmax", "4", "--smax", "3"], 0,
          "f9f3ea24b7d08b7ebdda15df12875464c868b88e165744f34bb4a4b89f11a144"),
         (["conjecture", "--c", "5", "--p", "2147483647"], 0,
-         "bb29334d83fe2df9f63b5240ed25d84ec1f6aed3b300ae307db2052015977bff"),
+         "1790b722c15c1ea6ce1d700aa323a64dd3c022bc1801b4ea02fe956b86967036"),
         (["conjecture", "--c", "5", "--n", "11"], 1,
          "c6054d7e4b182f167ac071e66bd2e39187f73f3f93279283a20b983f6fc0d60b"),
         (["analyze", "--points", "4,9"], 1,
@@ -412,15 +423,18 @@ def test_report_echoes_config():
          "64325bd366ad1f9d65f34bf3f8854cb7f3967ce6226c43c6d90d5628ae89a8aa"),
         (["analyze", "stretched.txt"], 0,
          "f73214a0a5ddd8899d0908ccfeb14c0abccca9d064261933a34e1b6616de88c7"),
+        (["analyze", "gf7.txt"], 1,
+         "fb5dc485075014637683a82784772e211e426d61b2d0b8143e501fe6da0ff0e3"),
     ],
 )
 def test_report_bytes_are_pinned(argv, code, sha256, tmp_path, monkeypatch, capsys):
     # whole reports at seed 0: CM, CM, NotCM by counting, a stretched grid,
     # CM over a larger prime, NotCM by the sweep (n = 11, where counting
     # proves nothing), points NotCM, a file whose reduction keeps a linear
-    # element, and a local ring whose filtration is not its grading; a
-    # refactor must leave them byte-identical, and a change that alters them
-    # says why and updates the pin
+    # element, a local ring whose filtration is not its grading, and the fat
+    # point (x, y)^2 over GF(7), whose echo gives p: 7 only; a refactor must
+    # leave them byte-identical, and a change that alters them says why and
+    # updates the pin
     monkeypatch.delenv("CONORMAL_STEP_BUDGET", raising=False)
     monkeypatch.chdir(tmp_path)
     # the two points (0:1:0) and (0:0:1) of P^2: I = (x, yz)
@@ -429,6 +443,7 @@ def test_report_bytes_are_pinned(argv, code, sha256, tmp_path, monkeypatch, caps
     (tmp_path / "stretched.txt").write_text(
         "ring p=31991 vars=x,y,z\nx^2\nx*y\nx*z\ny*z\nz^3 - 5*y^2\n"
     )
+    (tmp_path / "gf7.txt").write_text("ring p=7 vars=x,y,z\nx^2\nx*y\ny^2\n")
     assert main(argv + ["--seed", "0"]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

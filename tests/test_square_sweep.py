@@ -2,21 +2,24 @@
 reduction's Macaulay basis.
 
 The oracle of the sweep is the route it replaced: a full Buchberger run on
-I + l and on I^2 + l for every trial form, with the lengths read off the
-standard monomials.  Every form with R/(I + l) Artinian must give the same
-lengths, and so the same verdict, which is what lets the first such form
-decide; the sweep of that one form must agree with them.
+I + l and on I^2 + l for the witness l the reduction returns and for every
+trial form, with the lengths read off the standard monomials.  Every form
+with R/(I + l) Artinian must give the same lengths, and so the same
+verdict, which is what lets one such form decide; the sweep of the
+witness must agree with them.  The witness is the last variable x_c when
+R/(I + x_c) is Artinian, else the first trial form with that property.
 
 The oracle of the reduction (the Hilbert function of S/IS, S = R/(l),
 from the standard monomials of the basis of I, and the basis of IS from
-Macaulay matrices) is Buchberger in S on the images of the basis of I,
-for every trial form: a form is skipped iff that basis is not
-zero-dimensional, and otherwise the two reduced bases agree.  On points
-the Hilbert function walked off the basis must be the first difference of
-the points' one, and the analysis of the points' Buchberger-Moller pass
-must print the report of the analysis of its basis.  The reduction's
-basis must be the reduced basis of I + l in R, less its element led by
-the leading variable of l, moved to S.
+Macaulay matrices, or the basis of I with x_c = 0) is Buchberger in S on
+the images of the basis of I, for x_c and for every trial form: a form is
+skipped iff that basis is not zero-dimensional, and otherwise the two
+reduced bases agree.  On points the Hilbert function walked off the basis
+must be the first difference of the points' one, and the analysis of the
+points' Buchberger-Moller pass must print the report of the analysis of
+its basis.  The reduction's basis must be the reduced basis of I + l in
+R, less its element led by the leading variable of l, moved to S.  Both
+routes must give the same analysis, but for the witness.
 
 The oracle of the eight-quadrics check (the rank of the square in degree
 4) is the route it replaced: a Groebner basis of the square and the normal
@@ -34,9 +37,10 @@ boundary.
 import dataclasses
 import random
 from math import comb
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conormal import Ideal, PolynomialRing, PrimeField, buchberger
 from conormal.cm import (
@@ -73,7 +77,7 @@ from conormal.points import (
     random_points,
     vanishing_ideal,
 )
-from conormal.poly import substitute_all
+from conormal.poly import DEGLEX, substitute_all
 
 from conftest import example61_ideal
 
@@ -90,40 +94,54 @@ def counting_detail(gb, e):
     return f"counting: (c+1)e = {(c + 1) * e} < {bound} = C({c + 3},3)"
 
 
-def oracle_verdict(gb, seed, trials):
-    """The square verdict with one Buchberger run on I + l and one on
-    I^2 + l for every trial form: (the verdict of the first form with
-    R/(I + l) Artinian, or None if no form has one; the pairs (length of
-    R/(I + l), length of R/(I^2 + l)) of all such forms).  Where the count
-    proves NotCM the verdict carries its detail, and its length is still
-    the computed one."""
+def oracle_lengths(gb, square, ell):
+    """(length of R/(I + l), length of R/(I^2 + l)) from one Buchberger run
+    on each, or None when R/(I + l) is not Artinian; `square` is the ideal
+    I^2."""
     ring = gb.ring
-    sq = ideal_square(gb.as_ideal())
-    first, lengths = None, []
-    for drawn, ell in enumerate(_trial_forms(ring, seed, trials), 1):
-        reduced = buchberger(Ideal(ring, list(gb.elements) + [ell]))
-        if not is_zero_dimensional(reduced):
-            continue
-        square = buchberger(Ideal(ring, list(sq.generators) + [ell]))
-        lengths.append((length(reduced), length(square)))
-        if first is None:
-            first = ell, drawn
-    if first is None:
-        return None, lengths
-    (e, lam), (ell, drawn) = lengths[0], first
-    e_expected = ring.nvars * e  # (c + 1) * e
+    reduced = buchberger(Ideal(ring, list(gb.elements) + [ell]))
+    if not is_zero_dimensional(reduced):
+        return None
+    return length(reduced), length(buchberger(Ideal(ring, list(square.generators) + [ell])))
+
+
+def oracle_verdict(gb, square, ell, drawn):
+    """The square verdict from Buchberger on I + l and I^2 + l for the form
+    l, drawn as the `drawn`-th form, and the two lengths.  Where the count
+    proves NotCM the verdict carries its detail, and its length is still the
+    computed one."""
+    e, lam = oracle_lengths(gb, square, ell)
+    e_expected = gb.ring.nvars * e  # (c + 1) * e
     if lam == e_expected:
-        return CmVerdict("CM", ell, drawn, lam, e_expected), lengths
-    detail = counting_detail(gb, e)
-    return CmVerdict("NotCM", None, drawn, lam, e_expected, detail), lengths
+        return CmVerdict("CM", ell, drawn, lam, e_expected), (e, lam)
+    return CmVerdict("NotCM", None, drawn, lam, e_expected, counting_detail(gb, e)), (e, lam)
+
+
+def last_variable_is_a_parameter(gb):
+    """R/(I + x_c) is Artinian, by Buchberger: on a Cohen-Macaulay R/I of
+    dimension 1 that is x_c regular, so the reduction takes x_c."""
+    x_c = gb.ring.gens()[-1]
+    return is_zero_dimensional(buchberger(Ideal(gb.ring, list(gb.elements) + [x_c])))
 
 
 def assert_same_verdict(gb, seed, trials):
-    """Every trial form with R/(I + l) Artinian gives the same two lengths,
-    and the one-form verdict is the oracle's."""
-    got = is_cm_square(artinian_reduction(gb, seed, trials))
-    want, lengths = oracle_verdict(gb, seed, trials)
-    assert len(set(lengths)) == 1, lengths
+    """The verdict against Buchberger on I + l and I^2 + l for the witness
+    l the reduction returns: x_c, drawn as the one form, when it is a
+    parameter, else the first trial form that is one.  Every trial form
+    with R/(I + l) Artinian gives the same two lengths as l."""
+    ring = gb.ring
+    reduction = artinian_reduction(gb, seed, trials)
+    got = is_cm_square(reduction)
+    square = ideal_square(gb.as_ideal())
+    others = [oracle_lengths(gb, square, ell) for ell in _trial_forms(ring, seed, trials)]
+    if last_variable_is_a_parameter(gb):
+        form, drawn = ring.gens()[-1], 1
+    else:
+        drawn = next(k for k, lengths in enumerate(others, 1) if lengths is not None)
+        form = list(_trial_forms(ring, seed, drawn))[-1]
+    assert (reduction.form, reduction.drawn) == (form, drawn)
+    want, lengths = oracle_verdict(gb, square, form, drawn)
+    assert all(other in (None, lengths) for other in others), (lengths, others)
     assert (got.status, got.trials, got.lambda_min, got.e_expected, got.detail) == (
         want.status, want.trials, want.lambda_min, want.e_expected, want.detail
     )
@@ -190,13 +208,15 @@ def test_inputs_outside_the_hypotheses_do_not_depend_on_the_form(variables, gens
 
 
 def points_with_a_point_on_the_first_form(seed):
-    """Five general points in P^3 and a sixth on the first trial form."""
+    """Five general points in P^3 and a sixth on the first trial form, with
+    last coordinate 0: x_3 vanishes there, so the reduction draws its
+    seeded forms, and the first is no parameter."""
     ps, _ = general_points(3, 5, P, seed)
     ring = vanishing_ideal(ps).ring
     ell = next(_trial_forms(ring, seed, 1))
     a = [ell.coefficient(tuple(int(i == j) for i in range(4))) for j in range(4)]
     # a point on the hyperplane a . x = 0: solve for the first coordinate
-    rest = (1, 2, 3)
+    rest = (1, 2, 0)
     x0 = -sum(ai * xi for ai, xi in zip(a[1:], rest)) * pow(a[0], -1, P) % P
     return make_point_set(3, P, list(ps.points) + [(x0,) + rest])
 
@@ -247,14 +267,15 @@ def test_reductions_are_i_plus_l_in_s_with_a_form_through_a_point(monkeypatch):
 
 
 def test_a_form_whose_images_are_all_zero_is_no_parameter(monkeypatch):
-    # I = (x) in k[x, y]: the form x maps every generator to zero, so S/IS
-    # is S, nonzero in degree 1, and the next form is drawn
+    # I = (y) in k[x, y], whose leading monomial is the last variable, so
+    # the reduction draws forms: the form y maps every generator to zero,
+    # so S/IS is S, nonzero in degree 1, and the next form is drawn
     import conormal.cm as cm
 
     ring = PolynomialRing(PrimeField(P), ["x", "y"])
     x, y = ring.gens()
-    gb = buchberger(Ideal(ring, [x]))
-    monkeypatch.setattr(cm, "_trial_forms", lambda ring, seed, trials: [x * 2, x + y][:trials])
+    gb = buchberger(Ideal(ring, [y]))
+    monkeypatch.setattr(cm, "_trial_forms", lambda ring, seed, trials: [y * 2, x + y][:trials])
     reduction = artinian_reduction(gb, 0, 2)
     assert reduction.drawn == 2 and reduction.hf == (1,)
     with pytest.raises(RuntimeError, match=r"no Artinian reduction in 1 form drawn over GF\(31991\)"):
@@ -267,6 +288,56 @@ def test_form_through_a_point_is_skipped():
     seed = 11
     gb = vanishing_ideal(points_with_a_point_on_the_first_form(seed))
     assert assert_same_verdict(gb, seed, 3).trials == 2
+
+
+def without_witness(report):
+    return [line for line in report.to_text().splitlines() if not line.startswith("cm_witness:")]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.integers(min_value=2, max_value=6),
+    extra=st.integers(min_value=0, max_value=4),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_the_last_variable_and_a_seeded_form_give_the_same_analysis(c, extra, seed):
+    # general points where x_c vanishes at none of them: the reduction takes
+    # x_c, and its basis is the reduced basis of I + (x_c) with x_c = 0;
+    # drawing the seeded forms instead, in degrevlex or under deglex, where
+    # the last variable is not looked at, gives the same e, q, invariants,
+    # verdict and length, and the reports differ only in their witness
+    import conormal.cm as cm
+
+    ps, _ = general_points(c, c + 1 + extra, P, seed)
+    assume(all(point[-1] for point in ps.points))
+    bm = bm_result(ps)
+    ring = bm.basis.ring
+    x_c = ring.gens()[-1]
+    reduction = artinian_reduction(bm, seed)
+    assert (reduction.form, reduction.drawn) == (x_c, 1)
+    in_r = buchberger(Ideal(ring, list(bm.basis.elements) + [x_c]))
+    smaller, assignment = linear_substitution(ring, [x_c])
+    assert list(reduction.basis.elements) == substitute_all(
+        [f for f in in_r.elements if f != x_c], assignment
+    )
+    fast = analyze(bm, seed)
+    with mock.patch.object(cm, "_last_variable_is_regular", lambda gb: False):
+        seeded_form = artinian_reduction(bm, seed).form
+        seeded = analyze(bm, seed)
+    assert str(seeded_form) != str(x_c)
+    assert str(artinian_reduction(bm_result(ps, DEGLEX), seed).form) == str(seeded_form)
+    under_deglex = analyze(bm_result(ps, DEGLEX), seed)
+    # the witnesses print alike but live in rings of different orders
+    assert dataclasses.replace(under_deglex.cm_square, witness=None) == dataclasses.replace(
+        seeded.cm_square, witness=None
+    )
+    assert str(under_deglex.cm_square.witness) == str(seeded.cm_square.witness)
+    for other in (seeded, under_deglex):
+        assert (other.e, other.q, other.invariants) == (fast.e, fast.q, fast.invariants)
+        assert (other.cm_square.status, other.cm_square.lambda_min) == (
+            fast.cm_square.status, fast.cm_square.lambda_min
+        )
+        assert without_witness(other) == without_witness(fast)
 
 
 def first_difference(hf):
@@ -283,9 +354,10 @@ def assert_points_path_matches_buchberger(ps, seed, trials):
     difference of the points' one, which the points route reads; for each
     trial form, the Macaulay basis against Buchberger in S on the images
     (None iff that basis is not zero-dimensional, the form vanishing at a
-    point); then the reduction against the first zero-dimensional oracle,
-    and the analysis of the points' pass against that of its basis, byte
-    for byte."""
+    point); then the reduction against Buchberger in S for x_c when x_c
+    vanishes at none of the points, else against the first
+    zero-dimensional oracle; and the analysis of the points' pass against
+    that of its basis, byte for byte."""
     bm = bm_result(ps)
     gb = bm.basis
     delta = _hf_difference(gb)
@@ -303,7 +375,14 @@ def assert_points_path_matches_buchberger(ps, seed, trials):
         if first is None:
             first = drawn, oracle
     reduction = artinian_reduction(gb, seed, trials)
-    assert (reduction.drawn, reduction.basis.elements) == (first[0], first[1].elements)
+    if all(point[-1] for point in ps.points):
+        # x_c vanishes at none of the points: it is the form, and its basis
+        # is Buchberger's in S on the images
+        assert (reduction.form, reduction.drawn) == (gb.ring.gens()[-1], 1)
+        smaller, images = images_in_s(gb, reduction.form)
+        assert reduction.basis.elements == buchberger(Ideal(smaller, images)).elements
+    else:
+        assert (reduction.drawn, reduction.basis.elements) == (first[0], first[1].elements)
     assert reduction.hf == delta and reduction.length == ps.n
     again = artinian_reduction(bm, seed, trials)
     assert (again.drawn, again.hf, again.basis.elements) == (
@@ -403,11 +482,11 @@ def test_example61_length_is_sixty():
 
 
 def test_budget_exhausted_inside_the_sweep():
-    # one point in P^5: the reduction's sweep of the five linear images in
-    # S, charged per row, takes 9 steps, and its basis is the five
-    # variables of S; the 15 products of the verdict's sweep, one step
-    # each, do not fit in 11
-    ps = make_point_set(5, P, [(1, 2, 3, 4, 5, 6)])
+    # one point in P^5 on the hyperplane x5 = 0, so the reduction draws a
+    # form: its sweep of the five linear images in S, charged per row,
+    # takes 9 steps, and its basis is the five variables of S; the 15
+    # products of the verdict's sweep, one step each, do not fit in 11
+    ps = make_point_set(5, P, [(1, 2, 3, 4, 5, 0)])
     gb = vanishing_ideal(ps)
     with pytest.raises(BudgetExceededError):
         artinian_reduction(gb, 3, budget=8)
@@ -418,6 +497,18 @@ def test_budget_exhausted_inside_the_sweep():
     assert verdict.status == "Inconclusive"
     assert verdict.detail == f"reduction step budget of {budget} exceeded"
     assert verdict.trials == 1 and verdict.lambda_min is None
+    assert is_cm_square(reduction, 14).status == "Inconclusive"
+    assert is_cm_square(reduction, 15).status == "CM"
+
+
+def test_the_last_variable_route_charges_no_step():
+    # x5 vanishes at no point, so it is the form: no sweep, no step, and
+    # the same basis of the five variables of S; the verdict's sweep costs
+    # what it costs after a drawn form
+    ps = make_point_set(5, P, [(1, 2, 3, 4, 5, 6)])
+    reduction = artinian_reduction(vanishing_ideal(ps), 3, budget=0)
+    assert str(reduction.form) == "x5" and reduction.drawn == 1
+    assert reduction.basis.elements == tuple(reversed(reduction.basis.ring.gens()))
     assert is_cm_square(reduction, 14).status == "Inconclusive"
     assert is_cm_square(reduction, 15).status == "CM"
 

@@ -9,7 +9,8 @@ least 0.  A usage error (a missing or malformed argument) is an input
 error too, reported like every other one; --help exits 0.  An integer, in
 an option, in --points or in the environment, is ASCII digits after an
 optional '-', as the numbers of an ideal file are; any other spelling is
-an input error.  `main` parses the arguments into one ExperimentConfig
+an input error, and so is a --p that is not an odd prime below 2**31,
+in every verb.  `main` parses the arguments into one ExperimentConfig
 and hands it to `harness.run`.
 """
 
@@ -18,6 +19,7 @@ import os
 import sys
 
 from .cm import DEFAULT_TRIALS
+from .field import PrimeField
 from .groebner import DEFAULT_STEP_BUDGET
 from .poly import _DIGITS, ParseError
 from .harness import DEFAULT_PRIME, EXIT_NOT_CM, ExperimentConfig, run
@@ -116,11 +118,16 @@ def main(argv=None) -> int:
                 c, n = (_integer(v, "--points") for v in points.split(","))
             except ValueError:
                 raise ValueError(f"--points needs c,n, got {points!r}") from None
+        p = _option(args, "p")
+        try:
+            PrimeField(p)
+        except ValueError as exc:
+            raise ValueError(f"--p={p}: {exc}") from None
         config = ExperimentConfig(
             command=args.command,
             c=c,
             n=n,
-            p=_option(args, "p"),
+            p=p,
             seed=_option(args, "seed"),
             trials=_option(args, "trials"),
             budget=budget,

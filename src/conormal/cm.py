@@ -63,7 +63,6 @@ from dataclasses import dataclass
 from functools import partial
 from math import comb
 
-from . import __version__
 from .field import PrimeField, derive_seed
 from .linalg import Echelon
 from .poly import MAX_EXPONENT, PolynomialRing, random_linear_form, substitute_all
@@ -121,26 +120,22 @@ class CmVerdict:
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """The analysis of one ideal; the run parameters are the config echo's."""
+
     invariants: InvariantReport
-    e: int
     q: object  # quadric generator count of the reduction, None if not computed
     cm_square: object  # CmVerdict, or None for an Artinian input
     criteria: tuple  # (name, CriteriaVerdict) pairs
-    p: int
-    seed: object
-    trials: int
-    budget: int
     source: str
-    version: str
+
+    @property
+    def e(self) -> int:
+        """The multiplicity: the length of the Artinian reduction."""
+        return self.invariants.length
 
     def to_text(self) -> str:
         lines = [
             f"source: {self.source}",
-            f"version: {self.version}",
-            f"p: {self.p}",
-            f"seed: {self.seed}",
-            f"trials: {self.trials}",
-            f"budget: {self.budget}",
             f"e: {self.e}",
             f"q: {self.q if self.q is not None else 'n/a'}",
         ]
@@ -602,19 +597,7 @@ def analyze(
             "the computation certified CM on a non-Gorenstein ring: "
             f"{[(n, v.to_text()) for n, v in checks]}"
         )
-    return AnalysisReport(
-        invariants=report,
-        e=e,
-        q=q,
-        cm_square=cm,
-        criteria=tuple(checks),
-        p=art_gb.ring.field.p,
-        seed=seed,
-        trials=trials,
-        budget=budget,
-        source=source,
-        version=__version__,
-    )
+    return AnalysisReport(report, q, cm, tuple(checks), source)
 
 
 def eight_quadrics_square_gap(seed, p: int = 31991) -> bool:

@@ -389,7 +389,41 @@ def test_a_file_report_echoes_the_modulus_of_its_header(budget, code, tmp_path, 
     argv = ["analyze", str(path), "--p", "31991"] + (["--budget", budget] if budget else [])
     assert main(argv) == code
     p_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("p: ")]
-    assert p_lines == (["p: 7", "p: 7"] if code == 1 else ["p: 7"])
+    assert p_lines == ["p: 7"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conjecture", "--c", "5"],
+        ["verify-example61"],
+        ["analyze", "--points", "4,9"],
+        ["analyze", "gf7.txt"],
+        ["verify-example61", "--budget", "100"],
+    ],
+)
+def test_each_run_parameter_is_printed_once(argv, tmp_path, monkeypatch, capsys):
+    # the config echo is the only writer of run parameters: the analysis
+    # that follows it opens with its source and repeats none of them
+    monkeypatch.delenv("CONORMAL_STEP_BUDGET", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gf7.txt").write_text("ring p=7 vars=x,y,z\nx^2\nx*y\ny^2\n")
+    main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("version", "p", "seed", "trials", "budget"):
+        assert sum(line.startswith(f"{name}: ") for line in lines) == 1, name
+    assert sum(line.startswith("source: ") for line in lines) <= 1
+
+
+@pytest.mark.parametrize("argv", [["criteria-table"], ["analyze", "gf7.txt"]])
+def test_cli_refuses_a_modulus_that_is_not_an_odd_prime(argv, tmp_path, monkeypatch, capsys):
+    # checked once for every verb, also for those that build no field over
+    # --p, so that the echo never prints a modulus no verb could use
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gf7.txt").write_text("ring p=7 vars=x,y,z\nx^2\nx*y\ny^2\n")
+    assert main(argv + ["--p", "12"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --p=12: modulus 12 is not prime\n")
 
 
 def test_report_echoes_config():
@@ -406,25 +440,25 @@ def test_report_echoes_config():
     "argv, code, sha256",
     [
         (["verify-example61"], 0,
-         "e1282fc09ce439856d39671c2b8ee0b7b5cfe70ca0da4a34357c7d3bb56fda44"),
+         "e8cf79445a027c77bc7aaf174836a8a754aac5a3fd6eb9fd798a8eb3e806c8c4"),
         (["conjecture", "--c", "5"], 0,
-         "2cadd7bedbbe817c1aa9baad0d2314b1a59a7067f0f9dcf0c4f5f6af21ab36ec"),
+         "91f67e95e5d75522d4a0f64b134f043badce878043a59ad09e55b3603ef8b7f8"),
         (["conjecture", "--c", "5", "--n", "8"], 1,
-         "ec8bdbbf5d3ed7e8a34e1db6c83562da02c1f272cfc32b177b8d8916f90894ab"),
+         "3d273291364c830d51945ce939e22cb4bdcddc790318ecc8e6b1a7dfe993bf2f"),
         (["stretched-suite", "--cmax", "4", "--smax", "3"], 0,
          "f9f3ea24b7d08b7ebdda15df12875464c868b88e165744f34bb4a4b89f11a144"),
         (["conjecture", "--c", "5", "--p", "2147483647"], 0,
-         "1790b722c15c1ea6ce1d700aa323a64dd3c022bc1801b4ea02fe956b86967036"),
+         "c8e03bb7bec4596c285909bf7ace9e38cb888ccd42afd47a46d76f47b40246b1"),
         (["conjecture", "--c", "5", "--n", "11"], 1,
-         "c6054d7e4b182f167ac071e66bd2e39187f73f3f93279283a20b983f6fc0d60b"),
+         "8731363900028b915a8e4d145c19e4ef5acd3be72515de19b5adc27f678b6006"),
         (["analyze", "--points", "4,9"], 1,
-         "a33b8fbae31c320af78aa0007bb55d67f5be5682c7308e4115937e31baeb78e1"),
+         "647c3f05aa3221837588df061a72843a43f39df1a19be23e230cc7db4cd6e77a"),
         (["analyze", "triple.txt"], 0,
-         "64325bd366ad1f9d65f34bf3f8854cb7f3967ce6226c43c6d90d5628ae89a8aa"),
+         "fbe41d776e926e0204287ea45d9d5260b8b5cfcbe8d7f42975013df2a41c6edf"),
         (["analyze", "stretched.txt"], 0,
-         "f73214a0a5ddd8899d0908ccfeb14c0abccca9d064261933a34e1b6616de88c7"),
+         "93aa7b67f1ef8c8da356d259857ee8a9317c6579452bf180be2c84c44a4af35f"),
         (["analyze", "gf7.txt"], 1,
-         "fb5dc485075014637683a82784772e211e426d61b2d0b8143e501fe6da0ff0e3"),
+         "612ddea15ef7c1a05c80a126d0c7525340da7098de46029295d80c4add901be3"),
     ],
 )
 def test_report_bytes_are_pinned(argv, code, sha256, tmp_path, monkeypatch, capsys):

@@ -27,17 +27,17 @@ the degree any such reduction allows, or leaves e after s.
 The form is the last variable x_c when Bayer and Stillman's test shows it
 regular: in degrevlex, x_c is regular on R/I iff no leading monomial of
 the reduced basis involves it, and then that basis with x_c = 0 is
-already the reduced basis of IS.  That costs one substitution and no
-sweep.  On points the test reads that x_c vanishes at none of them, which
-random points meet with probability about 1 - n/p; for a file, the
-walk's plateau with a regular x_c certifies R/I CM of dimension 1.  Any
-other basis draws seeded forms until one gives an Artinian S/IS.  A draw
-costs one substitution and one sweep of Macaulay matrices in S: l passes
-iff the ranks give that difference through s and fill degree s + 1, and
-the reduced basis of IS is read off the same matrices, with no
-Buchberger run.  On points a form passes iff it vanishes at none of them
-(Abbott, Bigatti, Kreuzer and Robbiano, "Computing ideals of points",
-2000), and e = n.
+already the reduced basis of IS.  That costs one projection, each
+element keeping its terms free of x_c, and no sweep.  On points the test
+reads that x_c vanishes at none of them, which random points meet with
+probability about 1 - n/p; for a file, the walk's plateau with a regular
+x_c certifies R/I CM of dimension 1.  Any other basis draws seeded forms
+until one gives an Artinian S/IS.  A draw costs one substitution and one
+sweep of Macaulay matrices in S: l passes iff the ranks give that
+difference through s and fill degree s + 1, and the reduced basis of IS
+is read off the same sweep, with no Buchberger run.  On points a form
+passes iff it vanishes at none of them (Abbott, Bigatti, Kreuzer and
+Robbiano, "Computing ideals of points", 2000), and e = n.
 
 The length of S/(IS)^2 comes from a degree sweep of graded Macaulay
 matrices (Lazard 1983): in each degree d the square spans the variables
@@ -45,11 +45,15 @@ times its degree d-1 part plus the products of two generators of degree d.
 The generators are the reduction's reduced basis, so each is its leading
 monomial plus standard monomials, one per leading monomial in each degree,
 as F4 makes them before it multiplies (Faugere 1999), and their products
-have few terms.  One rank per degree gives the Hilbert function, and the
+have few terms.  Each degree works in border coordinates, as F4's symbolic
+preprocessing does: its columns are the variables times the standard
+monomials of degree d-1, at most c * HF(d-1) of them, and every other
+monomial is a variable times a leading monomial of degree d-1, rewritten
+by that element's normal form and given no column.  So one rank per
+degree, over those columns only, gives the Hilbert function, and the
 sweep ends at its first zero.  No Groebner basis of the square is
 computed.  The same degree loop, `_sweep`, also builds the basis of IS
-and ranks the square of eight quadrics in degree 4; its column tables are
-built once per ring shape.
+and ranks the square of eight quadrics in degree 4.
 
 Some NotCM verdicts need no sweep at all.  When I lies in m^2, the image
 of I^2 lies in the fourth power of the maximal ideal of S, so the length
@@ -61,11 +65,19 @@ the count alone proves NotCM, under the same hypotheses as the sweep.
 import random
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from math import comb
+from operator import mul
 
 from .field import PrimeField, derive_seed
-from .linalg import Echelon
-from .poly import MAX_EXPONENT, PolynomialRing, random_linear_form, substitute_all
+from .linalg import Echelon, Lanes
+from .poly import (
+    MAX_EXPONENT,
+    Polynomial,
+    PolynomialRing,
+    random_linear_form,
+    substitute_all,
+)
 from .groebner import (
     BudgetExceededError,
     DEFAULT_STEP_BUDGET,
@@ -205,10 +217,7 @@ def artinian_reduction(
     if trials < 1:
         raise ValueError(f"an Artinian reduction needs at least 1 trial, got {trials}")
     if _last_variable_is_regular(gb):
-        last = gb.ring.gens()[-1]
-        smaller, assignment = linear_substitution(gb.ring, [last])
-        basis = GroebnerBasis(smaller, substitute_all(gb.elements, assignment))
-        return Reduction(basis, last, delta, 1)
+        return Reduction(_without_last_variable(gb), gb.ring.gens()[-1], delta, 1)
     for drawn, ell in enumerate(_trial_forms(gb.ring, seed, trials), 1):
         smaller, assignment = linear_substitution(gb.ring, [ell])
         images = [f for f in substitute_all(gb.elements, assignment) if not f.is_zero()]
@@ -234,6 +243,28 @@ def _last_variable_is_regular(gb: GroebnerBasis) -> bool:
     return ring.order.kind == "degrevlex" and all(
         not ring.unpack(lt)[-1] for lt in gb.leading_monomials()
     )
+
+
+def _without_last_variable(gb: GroebnerBasis) -> GroebnerBasis:
+    """The basis with x_c = 0, in S = R/(x_c): each element keeps its terms
+    free of x_c, with the last exponent field dropped and the degree
+    packed for S, which is what `substitute_all` gives for x_c = 0.  The
+    terms keep their order, since degrevlex compares two monomials free of
+    x_c as it compares them in S; and no element vanishes when none leads
+    with x_c, as `_last_variable_is_regular` requires."""
+    ring = gb.ring
+    smaller = PolynomialRing(ring.field, ring.vars[:-1], ring.order)
+    low, shift, key = smaller._exp_mask, smaller._deg_shift, smaller.key
+    full, deg_shift = ring._exp_mask, ring._deg_shift
+    images = []
+    for f in gb.elements:
+        terms = []
+        for _, m, coef in f.terms:
+            if m & full <= low:  # free of x_c
+                image = m & low | m >> deg_shift << shift
+                terms.append((key(image), image, coef))
+        images.append(Polynomial(smaller, tuple(terms)))
+    return GroebnerBasis(smaller, images)
 
 
 def _basis_and_delta(ideal) -> tuple:
@@ -297,100 +328,180 @@ def _hf_difference(gb: GroebnerBasis) -> tuple:
     return tuple(b - a for a, b in zip([0] + hf, hf))
 
 
-def _product_row(f, g, pos, n, p):
-    """Coordinates of f * g in the columns `pos` of its degree, for f and g
-    given as (packed monomial, coefficient) lists."""
+def _border_row(n, p, units, parts):
+    """A row over the n border columns: coefficient a at column j for each
+    (j, a) of `units`, plus a times `tail` at the columns `cols` for each
+    (a, tail, cols) of `parts`."""
     vec = [0] * n
+    for j, a in units:
+        vec[j] += a
+    for a, tail, cols in parts:
+        for j, t in zip(cols, tail):
+            vec[j] += a * t
+    return [v % p for v in vec]
+
+
+def _product_row(f, g, col, rules, shifts, n, p):
+    """f * g over the border columns `col`, for f and g given as (packed
+    monomial, coefficient) lists: a monomial m off the border is rewritten
+    by its rule, m = -x * tail(L) modulo J."""
+    vec = [0] * n
+    off = {}
     for m1, c1 in f:
         for m2, c2 in g:
-            k = pos[m1 + m2]
-            vec[k] = (vec[k] + c1 * c2) % p
+            m = m1 + m2
+            j = col.get(m)
+            if j is None:
+                off[m] = off.get(m, 0) + c1 * c2
+            else:
+                vec[j] = (vec[j] + c1 * c2) % p
+    for m, a in off.items():
+        tail, x = rules[m]
+        for j, t in zip(shifts[x], tail):
+            vec[j] = (vec[j] - a * t) % p
     return vec
 
 
-def _shifted_row(row, cols, n):
-    """A row of the previous degree multiplied by the variable whose column
-    map is `cols`."""
-    vec = [0] * n
-    for i, v in enumerate(row):
-        if v:
-            vec[cols[i]] = v
-    return vec
+_COLUMNS = {}  # (nvars, order kind, d) -> `_monomial_columns`
 
 
-_TABLES = {}  # (nvars, order kind, d) -> the tables of `_degree_table`
-
-
-def _degree_table(ring: PolynomialRing, d: int):
-    """(monomials of degree d in decreasing order, their column map `pos`,
-    one column map per variable), built once per ring shape and degree.
-
-    The map of variable x lists pos[x*m] for the monomials m of degree
-    d - 1 in their order.  Packed monomials and their order depend only on
-    the number of variables and the kind of order, so every analysis in
-    the process shares the tables of its ring shape; callers must not
-    change `pos`.
-    """
+def _monomial_columns(ring: PolynomialRing, d: int):
+    """(monomials of degree d in decreasing order, their column map), built
+    once per ring shape and degree: packed monomials and their order depend
+    only on the number of variables and the kind of order.  Callers must
+    not change them."""
     key = (ring.nvars, ring.order.kind, d)
-    table = _TABLES.get(key)
+    table = _COLUMNS.get(key)
     if table is None:
         monos = tuple(ring.monomials_of_degree(d))
-        pos = {m: i for i, m in enumerate(monos)}
-        prev = ring.monomials_of_degree(d - 1)
-        shifts = tuple(tuple(pos[m + x] for m in prev) for x in ring._var_monos)
-        table = _TABLES[key] = (monos, pos, shifts)
+        table = _COLUMNS[key] = monos, {m: j for j, m in enumerate(monos)}
     return table
 
 
-def _sweep(ring: PolynomialRing, top: int, budget: _Budget, pairs, reduced=False):
-    """The graded Macaulay matrices of a homogeneous ideal J (Lazard 1983):
-    yields (d, pos, echelon of J_d, lifted) for d = 1..top.
+def _sweep(ring: PolynomialRing, top: int, budget: _Budget, pairs):
+    """The graded Macaulay matrices of a homogeneous ideal J (Lazard 1983),
+    each degree in border coordinates: yields (d, standard, tails, new) for
+    d = 1..top, and ends after the first degree that J fills.
 
-    `pos` maps the degree-d monomials, in decreasing order, to their
-    columns; so the first nonzero entry of a row is its leading monomial,
-    and an `Echelon` pivot is a leading monomial too.  J_d is spanned by
-    the variables times J_(d-1) and the products f * g of the pairs of
-    term lists in `pairs[d]`, made by `_product_row`; `lifted` holds the
-    leading columns of the multiples.  Rows the caller adds to the yielded
-    echelon before asking for the next degree belong to J_d.  With
-    `reduced` the echelon is in reduced form, the identity at once when J_d
-    is all of degree d.  The column tables come from
-    `_degree_table`, shared by every sweep over rings of one shape.
+    `standard` is N_d, the standard monomials of J in degree d in
+    decreasing order, so HF(S/J, d) = len(standard).  `tails` maps each
+    leading monomial L of J_d to the coefficients on `standard` of the
+    tail of its element of J_d: L + tail lies in J.  It is empty in the
+    last degree and in a degree J fills, where every tail is empty.  `new`
+    lists, in decreasing order, the leading monomials of degree d that are
+    no variable times one of degree d - 1.
 
-    One row per leading column goes first, in increasing column order:
-    those rows are already in echelon form, so each takes the echelon's
-    fast path and needs no reduction.  The other rows are reduced in full,
-    until J_d is all of degree d.  Each row is charged to the budget by
-    `_Budget.charge_row`.
+    J_d is spanned by the variables times J_(d-1) and the products f * g
+    of the pairs of term lists in `pairs[d]`.  Its columns are the border
+    B_d, the variables times N_(d-1).  Every other monomial m of degree d
+    is x * L for leading monomials L of J_(d-1); the first such product
+    gives its rule m = -x * tail(L) modulo J, and no row, as F4's symbolic
+    preprocessing rewrites by the reduced previous degree (Faugere 1999).
+    So J_d is the span of the rules plus J_d meet span(B_d), which the rows
+    span: every other x * L, as a second rule for its m or, with m in B_d,
+    as it stands, and each product rewritten by the rules.  The border
+    columns are in decreasing order, so a pivot is a leading monomial, and
+    the leading monomials of J_d are the rule monomials and the pivots.
+
+    Rows with distinct leading columns in B_d go first, in increasing
+    column order: each takes the echelon's fast path and needs no
+    reduction.  The rest, from `_later_rows` and then the other products,
+    are made one at a time and reduced in full until the rank reaches
+    |B_d|.  Each row is charged to the budget by `_Budget.charge_row`; the
+    tails, made by `_tails`, are not charged.
     """
-    p = ring.field.p
-    prev = Echelon(p)
+    p, key, xs = ring.field.p, ring.key, ring._var_monos
+    standard, tails = [ring._one_mono], {}
     for d in range(1, top + 1):
-        _, pos, shifts = _degree_table(ring, d)
-        n = len(pos)
-        candidates = []
-        for cols in shifts:
-            for pivot, row in zip(prev.pivots, prev.rows):
-                candidates.append((cols[pivot], partial(_shifted_row, row, cols, n)))
-        lifted = {lead for lead, _ in candidates}
+        if tails:
+            border = sorted({u + x for u in standard for x in xs}, key=key, reverse=True)
+            col = {m: j for j, m in enumerate(border)}
+        else:  # J_(d-1) = 0: the border is all of degree d
+            border, col = _monomial_columns(ring, d)
+        n = len(border)
+        shifts = [[col[u + x] for u in standard] for x in xs] if tails else []
+        rules, firsts = {}, {}  # the first x * L at each monomial: (tail(L), x)
+        for i, x in enumerate(xs):
+            for lead, tail in tails.items():
+                m = lead + x
+                j = col.get(m)
+                if j is None:
+                    rules.setdefault(m, (tail, i))
+                else:
+                    firsts.setdefault(j, (tail, i))
+        heads = {
+            j: partial(_border_row, n, p, ((j, 1),), ((1, tail, shifts[i]),))
+            for j, (tail, i) in firsts.items()
+        }
+        products = []
         for f, g in pairs.get(d, ()):
-            candidates.append((pos[f[0][0] + g[0][0]], partial(_product_row, f, g, pos, n, p)))
-        first, rest = {}, []
-        for lead, make in candidates:
-            if lead in first:
-                rest.append(make)
+            make = partial(_product_row, f, g, col, rules, shifts, n, p)
+            j = col.get(f[0][0] + g[0][0])
+            if j is None or j in heads:
+                products.append(make)
             else:
-                first[lead] = make
+                heads[j] = make
+        rows = chain(
+            (heads[j]() for j in sorted(heads)),
+            _later_rows(tails, xs, shifts, col, rules, firsts, n, p),
+            (make() for make in products),
+        )
         ech = Echelon(p)
-        for make in [first[lead] for lead in sorted(first)] + rest:
+        for row in rows:
             if len(ech.pivots) == n:
                 break
-            mults, _ = ech.add(make())
+            mults, _ = ech.add(row)
             budget.charge_row(mults)
-        if reduced:
-            ech = Echelon.identity(p, n) if len(ech.pivots) == n else ech.reduced()
-        yield d, pos, ech, lifted
-        prev = ech
+        pivots = set(ech.pivots)
+        new = [border[j] for j in sorted(pivots - firsts.keys())]
+        standard = [m for j, m in enumerate(border) if j not in pivots]
+        tails = _tails(ech, border, standard, rules, shifts, p) if standard and d < top else {}
+        yield d, standard, tails, new
+        if not standard:
+            return
+
+
+def _later_rows(tails, xs, shifts, col, rules, firsts, n, p):
+    """The rows of the products x * L that are not the first at their
+    monomial m, in the order of the first pass, each made only when the
+    sweep asks for it: x * L as it stands when m has a border column,
+    else x * L minus the first product, its rule."""
+    for i, (x, cols) in enumerate(zip(xs, shifts)):
+        for lead, tail in tails.items():
+            m = lead + x
+            j = col.get(m)
+            if j is None:
+                first, k = rules[m]
+                if k != i:
+                    yield _border_row(n, p, (), ((1, tail, cols), (-1, first, shifts[k])))
+            elif firsts[j][1] != i:
+                yield _border_row(n, p, ((j, 1),), ((1, tail, cols),))
+
+
+def _tails(ech: Echelon, border, standard, rules, shifts, p):
+    """The tail on `standard` of every leading monomial of J_d, from the
+    echelon of J_d meet span(B_d) over the `border` and the degree's rules.
+
+    Modulo J a border column k is img[k]: the lane of its monomial when
+    that is standard, else minus the tail of its pivot.  A pivot row is 1
+    at its pivot j and nonzero only at larger columns, so in decreasing
+    pivot order its tail sum(row[k] * img[k]) needs only tails already
+    made, with no new elimination: img[j] is still 0 when it is summed.  A
+    rule's tail is x * tail(L) taken through img.  Each sum is one `Lanes`
+    int of len(standard) lanes, each lane at most n products below p^2,
+    read back once.  `Echelon.reduced` would eliminate again instead.
+    """
+    lanes = Lanes(p, len(standard), len(border) * (p - 1) ** 2)
+    lane = {m: k * lanes.width for k, m in enumerate(standard)}
+    img = [1 << lane[m] if m in lane else 0 for m in border]
+    tails = {}
+    for j, row in sorted(zip(ech.pivots, ech.rows), reverse=True):
+        tail = tails[border[j]] = lanes.unpack(sum(map(mul, row, img)))
+        img[j] = lanes.pack([-t % p for t in tail])
+    moved = [[img[j] for j in cols] for cols in shifts]
+    for m, (tail, x) in rules.items():
+        tails[m] = lanes.unpack(sum(map(mul, tail, moved[x])))
+    return tails
 
 
 def _products(gens):
@@ -412,16 +523,16 @@ def _products(gens):
 
 def _macaulay_basis(ring: PolynomialRing, images, delta, budget: int):
     """Reduced Groebner basis of J = IS in S = R/(l), for the images in S of
-    a basis of I, read off the reduced Macaulay matrices of `_sweep`; None
-    when HF(S/J) is not `delta` = ΔHF(R/I) in some degree d <= s + 1,
-    s = len(delta) - 1.  HF(S/J)(d) = delta(d) + dim (0 :_{R/I} l)_(d-1),
-    so a form through a point of I leaves S/J nonzero in degree s + 1; when
-    the ranks match, every leading monomial of J has degree at most s + 1.
-    J_d is spanned by the variables times J_(d-1) and the images of degree
-    d, each paired with the term list of 1.  A row of the reduced echelon
-    form is a leading monomial plus standard monomials, and an element of
-    the reduced basis iff its pivot is not a variable times a pivot of
-    degree d - 1.  The sweep is charged to one fresh step budget.
+    a basis of I, read off the degrees of `_sweep`; None when HF(S/J) is
+    not `delta` = ΔHF(R/I) in some degree d <= s + 1, s = len(delta) - 1.
+    HF(S/J)(d) = delta(d) + dim (0 :_{R/I} l)_(d-1), so a form through a
+    point of I leaves S/J nonzero in degree s + 1; when the ranks match,
+    every leading monomial of J has degree at most s + 1.  J_d is spanned
+    by the variables times J_(d-1) and the images of degree d, each paired
+    with the term list of 1.  The reduced basis has one element per new
+    leading monomial m of the sweep, a leading monomial that is no variable
+    times one of degree d - 1: m plus its tail on the standard monomials.
+    The sweep is charged to one fresh step budget.
     """
     one = [(ring._one_mono, 1)]
     pairs = {}
@@ -429,17 +540,13 @@ def _macaulay_basis(ring: PolynomialRing, images, delta, budget: int):
         pairs.setdefault(g.degree, []).append(([(m, c) for _, m, c in g.terms], one))
     top = len(delta)
     elements = []
-    for d, pos, ech, lifted in _sweep(ring, top, _Budget(budget), pairs, reduced=True):
-        expected = delta[d] if d < top else 0
-        hf = len(pos) - len(ech.pivots)
-        if hf != expected:
+    for d, standard, tails, new in _sweep(ring, top, _Budget(budget), pairs):
+        if len(standard) != (delta[d] if d < top else 0):
             return None
-        monos = list(pos)
-        for col, row in zip(ech.pivots, ech.rows):
-            if col not in lifted:
-                elements.append(
-                    ring._from_packed_dict({monos[i]: c for i, c in enumerate(row) if c})
-                )
+        for m in new:
+            acc = {u: c for u, c in zip(standard, tails.get(m, ())) if c}
+            acc[m] = 1
+            elements.append(ring._from_packed_dict(acc))
     return GroebnerBasis(ring, elements)
 
 
@@ -453,11 +560,10 @@ def _square_length(ring: PolynomialRing, gens, cap: int, budget: _Budget) -> int
     degree 1.  Passing degree `cap` is an internal error.
     """
     lam = 1
-    for _, pos, ech, _ in _sweep(ring, cap, budget, _products(gens)):
-        hf = len(pos) - len(ech.pivots)
-        if hf == 0:
+    for _, standard, _, _ in _sweep(ring, cap, budget, _products(gens)):
+        if not standard:
             return lam
-        lam += hf
+        lam += len(standard)
     raise RuntimeError(
         f"internal inconsistency: the square's Hilbert function is nonzero "
         f"in degree {cap}, where the socle degree of the reduction forces zero"
@@ -613,5 +719,5 @@ def eight_quadrics_square_gap(seed, p: int = 31991) -> bool:
         f = ring.poly({m: rng.randrange(p) for m in monos})
         if not f.is_zero():
             quadrics.append(f)
-    *_, (_, pos, ech, _) = _sweep(ring, 4, _Budget(DEFAULT_STEP_BUDGET), _products(quadrics))
-    return len(ech.pivots) < len(pos)
+    *_, (_, standard, _, _) = _sweep(ring, 4, _Budget(DEFAULT_STEP_BUDGET), _products(quadrics))
+    return bool(standard)

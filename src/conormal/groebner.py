@@ -131,7 +131,8 @@ class _LtIndex:
 
     def replace(self, f: Polynomial):
         """Make f the reducer of its leading term."""
-        tail = tuple((m, c) for _, m, c in f.terms[1:])
+        # sized at once, see PolynomialRing._from_packed_dict
+        tail = tuple([(m, c) for _, m, c in f.terms[1:]])
         self.reducers[f.terms[0][1]] = (f.terms[0][1], tail, max(_tail_rise(f), 0))
 
     def find(self, m: int):

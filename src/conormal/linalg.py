@@ -160,20 +160,6 @@ class Echelon:
         self._below |= (1 << shift + self._width) - 1
         return scale
 
-    @classmethod
-    def identity(cls, p: int, n: int):
-        """The reduced echelon form of all of GF(p)^n: row j is the j-th unit
-        vector.  It is what `reduced()` returns for an echelon of rank n,
-        built with no elimination."""
-        out = cls(p)
-        out._fix_width(n)
-        out.pivots = list(range(n))
-        out.rows = [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]
-        out._shifts = [j * out._width for j in range(n)]
-        out._packed = [1 << shift for shift in out._shifts]
-        out._below = (1 << n * out._width) - 1
-        return out
-
     def reduced(self):
         """The reduced echelon form of the span, a new `Echelon`: pivots
         ascending, each row zero at every pivot but its own.  It depends

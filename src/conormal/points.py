@@ -242,7 +242,8 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
                 std_keys.append((k, m))
             else:
                 tail = zip(reversed(std_keys), reversed(rem[n:n + len(std_keys)]))
-                terms = ((k, m, 1),) + tuple((kk, mm, c) for (kk, mm), c in tail if c)
+                # sized at once, see PolynomialRing._from_packed_dict
+                terms = tuple([(k, m, 1)] + [(kk, mm, c) for (kk, mm), c in tail if c])
                 new_gens.append(Polynomial(ring, terms))
         hf.append(len(std_here))
         elements.extend(new_gens)

@@ -155,7 +155,8 @@ class PolynomialRing:
         return m | (deg << self._deg_shift)
 
     def unpack(self, m: int) -> tuple:
-        return tuple((m >> (FIELD_BITS * j)) & 0xFF for j in range(self.nvars))
+        # a list, as in _from_packed_dict
+        return tuple([(m >> (FIELD_BITS * j)) & 0xFF for j in range(self.nvars)])
 
     def mono_deg(self, m: int) -> int:
         return m >> self._deg_shift
@@ -216,8 +217,11 @@ class PolynomialRing:
 
     def _from_packed_dict(self, acc) -> "Polynomial":
         key = self.key
+        # tuple() of a list allocates the tuple at its size; of a generator it
+        # resizes it, and resized tuples pile up in CPython's per-size free
+        # lists, which raises peak memory on long runs
         terms = tuple(
-            (k, m, acc[m]) for k, m in sorted(((key(m), m) for m in acc), reverse=True)
+            [(k, m, acc[m]) for k, m in sorted(((key(m), m) for m in acc), reverse=True)]
         )
         return Polynomial(self, terms)
 

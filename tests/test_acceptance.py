@@ -1,8 +1,9 @@
 """Acceptance suite: one criterion per test, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Criterion 5's c=7 half and the optional c in {7, 8, 9} conjecture
-confirmations are long runs, gated behind CONORMAL_LONG_TESTS=1.
+lines.  Criterion 5's c=7 half, the optional c in {7, 8, 9, 10} conjecture
+confirmations and the pinned c=11 conjecture report are long runs, gated
+behind CONORMAL_LONG_TESTS=1.
 """
 
 import os
@@ -137,6 +138,25 @@ def test_optional_conjecture_high_codimension(c):
     assert report.cm_square.status == "CM"
     assert not report.invariants.gorenstein
     _announce(f"optional (c={c}: conjectured count {n} confirmed)")
+
+
+@pytest.mark.skipif(not LONG_RUNS, reason="gated long run (CONORMAL_LONG_TESTS=1)")
+def test_conjecture_c11_report_is_pinned(monkeypatch, capsys):
+    # c = 11 is the first codimension where a large degree 5 of the square
+    # follows a degree 4 that does not fill: CM with lambda = 372 = 12 * 31,
+    # and its whole stdout at seed 0 is pinned byte for byte
+    import hashlib
+
+    from conormal.cli import main
+
+    monkeypatch.delenv("CONORMAL_STEP_BUDGET", raising=False)
+    assert main(["conjecture", "--c", "11", "--allow-long"]) == 0
+    out = capsys.readouterr().out
+    assert "cm_square: CM\ncm_lambda_min: 372\ncm_e_expected: 372\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8fa31e835b514da4160d00015b6f9211bb551ef5f82174caf4995066e8e1c585"
+    )
+    _announce("optional (c=11: the conjectured count 31 is CM, stdout pinned)")
 
 
 def test_criterion_6_stretched_grid():

@@ -436,29 +436,35 @@ def test_report_echoes_config():
     assert "agreement: true" in text
 
 
+def pinned(argv, code, sha256):
+    """One pinned report, its test id the command line and not the hash, so
+    that a re-pin keeps the test's name."""
+    return pytest.param(argv, code, sha256, id="-".join(arg.lstrip("-") for arg in argv))
+
+
 @pytest.mark.parametrize(
     "argv, code, sha256",
     [
-        (["verify-example61"], 0,
-         "e8cf79445a027c77bc7aaf174836a8a754aac5a3fd6eb9fd798a8eb3e806c8c4"),
-        (["conjecture", "--c", "5"], 0,
-         "91f67e95e5d75522d4a0f64b134f043badce878043a59ad09e55b3603ef8b7f8"),
-        (["conjecture", "--c", "5", "--n", "8"], 1,
-         "3d273291364c830d51945ce939e22cb4bdcddc790318ecc8e6b1a7dfe993bf2f"),
-        (["stretched-suite", "--cmax", "4", "--smax", "3"], 0,
-         "f9f3ea24b7d08b7ebdda15df12875464c868b88e165744f34bb4a4b89f11a144"),
-        (["conjecture", "--c", "5", "--p", "2147483647"], 0,
-         "c8e03bb7bec4596c285909bf7ace9e38cb888ccd42afd47a46d76f47b40246b1"),
-        (["conjecture", "--c", "5", "--n", "11"], 1,
-         "8731363900028b915a8e4d145c19e4ef5acd3be72515de19b5adc27f678b6006"),
-        (["analyze", "--points", "4,9"], 1,
-         "647c3f05aa3221837588df061a72843a43f39df1a19be23e230cc7db4cd6e77a"),
-        (["analyze", "triple.txt"], 0,
-         "fbe41d776e926e0204287ea45d9d5260b8b5cfcbe8d7f42975013df2a41c6edf"),
-        (["analyze", "stretched.txt"], 0,
-         "93aa7b67f1ef8c8da356d259857ee8a9317c6579452bf180be2c84c44a4af35f"),
-        (["analyze", "gf7.txt"], 1,
-         "612ddea15ef7c1a05c80a126d0c7525340da7098de46029295d80c4add901be3"),
+        pinned(["verify-example61"], 0,
+               "e8cf79445a027c77bc7aaf174836a8a754aac5a3fd6eb9fd798a8eb3e806c8c4"),
+        pinned(["conjecture", "--c", "5"], 0,
+               "91f67e95e5d75522d4a0f64b134f043badce878043a59ad09e55b3603ef8b7f8"),
+        pinned(["conjecture", "--c", "5", "--n", "8"], 1,
+               "3d273291364c830d51945ce939e22cb4bdcddc790318ecc8e6b1a7dfe993bf2f"),
+        pinned(["stretched-suite", "--cmax", "4", "--smax", "3"], 0,
+               "f9f3ea24b7d08b7ebdda15df12875464c868b88e165744f34bb4a4b89f11a144"),
+        pinned(["conjecture", "--c", "5", "--p", "2147483647"], 0,
+               "c8e03bb7bec4596c285909bf7ace9e38cb888ccd42afd47a46d76f47b40246b1"),
+        pinned(["conjecture", "--c", "5", "--n", "11"], 1,
+               "8731363900028b915a8e4d145c19e4ef5acd3be72515de19b5adc27f678b6006"),
+        pinned(["analyze", "--points", "4,9"], 1,
+               "647c3f05aa3221837588df061a72843a43f39df1a19be23e230cc7db4cd6e77a"),
+        pinned(["analyze", "triple.txt"], 0,
+               "fbe41d776e926e0204287ea45d9d5260b8b5cfcbe8d7f42975013df2a41c6edf"),
+        pinned(["analyze", "stretched.txt"], 0,
+               "93aa7b67f1ef8c8da356d259857ee8a9317c6579452bf180be2c84c44a4af35f"),
+        pinned(["analyze", "gf7.txt"], 1,
+               "612ddea15ef7c1a05c80a126d0c7525340da7098de46029295d80c4add901be3"),
     ],
 )
 def test_report_bytes_are_pinned(argv, code, sha256, tmp_path, monkeypatch, capsys):

@@ -73,27 +73,6 @@ def test_reduced_matches_gauss_jordan_and_ignores_row_order(p):
                 assert red.reduce(vec)[0] == ech.reduce(vec)[0]
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_identity_is_the_reduced_form_of_a_full_rank_echelon(p):
-    # same pivots, rows and packed rows, and it reduces every vector to zero
-    # as the eliminated one does
-    rng = random.Random(p)
-    for n in (1, 2, 5, 12):
-        units = [[int(i == j) for i in range(n)] for j in range(n)]
-        rng.shuffle(units)
-        ech = Echelon(p)
-        for row in random_matrix(rng, n, n, p) + units:
-            ech.add(row)
-        assert len(ech.pivots) == n
-        want, got = ech.reduced(), Echelon.identity(p, n)
-        assert (got.pivots, got.rows, got._packed, got._shifts, got._below) == (
-            want.pivots, want.rows, want._packed, want._shifts, want._below
-        )
-        vec = [rng.randrange(p) for _ in range(n)]
-        assert got.reduce(vec) == want.reduce(vec)
-        assert got.reduce(vec)[0] == [0] * n
-
-
 def test_echelon_shape_and_pivots():
     for p, ncols, rows, _ in matrices(3):
         ech = Echelon(p)

@@ -27,7 +27,13 @@ form of every degree-4 monomial.
 
 The oracle of the sweep's sparse generators (the reduction's reduced basis
 of IS) is the square multiplied out from the raw images of the basis of
-I: the same pivots in every degree, the same length.
+I: the same standard monomials in every degree, the same length.
+
+The oracle of the sweep itself, degree by degree in its border
+coordinates, is a Groebner basis of the square of random generators: the
+standard monomials, the new leading monomials and the normal form of
+every leading monomial.  The last-variable route's projection is checked
+against the substitution x_c = 0.
 
 The count that proves NotCM with no sweep (C(c+3, 3) > (c+1)e for I in
 m^2) is checked against the sweep's own length on both sides of its
@@ -48,6 +54,7 @@ from conormal.cm import (
     CmVerdict,
     _basis_and_delta,
     _hf_difference,
+    _last_variable_is_regular,
     _macaulay_basis,
     _products,
     _sweep,
@@ -55,6 +62,7 @@ from conormal.cm import (
     artinian_reduction,
     _square_length,
     _trial_forms,
+    _without_last_variable,
     eight_quadrics_square_gap,
     is_cm_square,
 )
@@ -340,6 +348,30 @@ def test_the_last_variable_and_a_seeded_form_give_the_same_analysis(c, extra, se
         assert without_witness(other) == without_witness(fast)
 
 
+@pytest.mark.parametrize("p", [7, P])
+def test_the_last_variable_route_substitutes_zero(p):
+    # on random degrevlex bases with x_c in no leading monomial, the route's
+    # projection (each element's terms free of x_c, moved to S) gives the
+    # ring and the elements of substituting x_c = 0; the bases met include
+    # elements with terms in x_c, which both maps drop
+    checked = dropped = 0
+    for nvars in range(2, 6):
+        for seed in range(15):
+            ring, gens = random_homogeneous_gens(nvars, p, seed, most=nvars - 1 or 1)
+            gb = buchberger(Ideal(ring, gens))
+            if not _last_variable_is_regular(gb):
+                continue
+            smaller, assignment = linear_substitution(ring, [ring.gens()[-1]])
+            got = _without_last_variable(gb)
+            assert got.ring == smaller
+            assert list(got.elements) == substitute_all(gb.elements, assignment)
+            checked += 1
+            dropped += sum(len(f.terms) for f in gb.elements) > sum(
+                len(f.terms) for f in got.elements
+            )
+    assert checked >= 20 and dropped >= 5, (checked, dropped)
+
+
 def first_difference(hf):
     """The first difference of a Hilbert function, without its trailing
     zeros."""
@@ -580,32 +612,40 @@ def test_passes_are_charged_by_their_row_updates():
     # 6 general points in P^3: a row costs one step plus one per echelon row
     # subtracted from it, so the sweep of the squares of the reduction's
     # basis (four quadrics and two cubics of IS, swept as they stand) costs
-    # 60 steps; a verdict that runs out still reports the form drawn
+    # 59 steps: 14 for the ten products of quadrics over the 15 monomials
+    # of degree 4, and 45 in degree 5, over its 9 border columns (the
+    # variables times the 5 standard monomials of degree 4): one each for
+    # four variables times a leading monomial on the border and three
+    # products with a border lead, 38 for five second rules, three of which
+    # vanish; a verdict that runs out still reports the form drawn
     ps, _ = general_points(3, 6, P, 0)
     gb = vanishing_ideal(ps)
     reduction = artinian_reduction(gb, 0)
     assert [f.degree for f in reduction.basis.elements] == [2, 2, 2, 2, 3, 3]
-    for budget in (5, 59):
+    for budget in (5, 58):
         verdict = is_cm_square(reduction, budget)
         assert verdict.status == "Inconclusive"
         assert verdict.detail == f"reduction step budget of {budget} exceeded"
         assert verdict.trials == 1 and verdict.lambda_min is None
-    assert is_cm_square(reduction, 60).status == "NotCM"
+    assert is_cm_square(reduction, 59).status == "NotCM"
 
 
 def test_macaulay_basis_is_charged_by_its_row_updates():
     # 6 general points in P^3 and the first trial form, which is regular:
-    # the basis of IS takes 28 steps, one per row plus one per echelon row
-    # subtracted from it; the back-substitution is not charged
+    # the basis of IS takes 21 steps, one per row plus one per echelon row
+    # subtracted from it: 9 for the four quadrics, and 12 for three
+    # variables times a quadric's leading monomial on the border and two
+    # second rules, which fill degree 3 before either cubic is formed; the
+    # tails are not charged
     ps, _ = general_points(3, 6, P, 0)
     gb = vanishing_ideal(ps)
     delta = _hf_difference(gb)
     ell = next(_trial_forms(gb.ring, 0, 1))
     smaller, images = images_in_s(gb, ell)
     want = buchberger(Ideal(smaller, images)).elements
-    assert _macaulay_basis(smaller, images, delta, 28).elements == want
+    assert _macaulay_basis(smaller, images, delta, 21).elements == want
     with pytest.raises(BudgetExceededError):
-        _macaulay_basis(smaller, images, delta, 27)
+        _macaulay_basis(smaller, images, delta, 20)
 
 
 def oracle_square_gap(ring, quadrics):
@@ -618,10 +658,10 @@ def oracle_square_gap(ring, quadrics):
 
 
 def sweep_square_gap(ring, quadrics):
-    """The rank of the square in degree 4 is below dim S_4."""
-    *_, (d, pos, ech, _) = _sweep(ring, 4, _Budget(DEFAULT_STEP_BUDGET), _products(quadrics))
+    """The square has a standard monomial in degree 4."""
+    *_, (d, standard, _, _) = _sweep(ring, 4, _Budget(DEFAULT_STEP_BUDGET), _products(quadrics))
     assert d == 4
-    return len(ech.pivots) < len(pos)
+    return bool(standard)
 
 
 def seeded_quadrics(seed, p):
@@ -667,6 +707,69 @@ def test_sweep_past_the_cap_is_an_internal_error():
         _square_length(ring, ring.gens(), 1, _Budget(100))
 
 
+def random_homogeneous_gens(nvars, p, seed, most=None):
+    """1 to `most` (by default nvars + 1) seeded homogeneous forms in nvars
+    variables, each of degree 1, 2 or 3 with 1 to 4 terms."""
+    rng = random.Random(seed)
+    ring = PolynomialRing(PrimeField(p), [f"x{i + 1}" for i in range(nvars)])
+    gens = []
+    for _ in range(rng.randint(1, nvars + 1 if most is None else most)):
+        monos = ring.monomials_of_degree(rng.randint(1, 3))
+        picked = rng.sample(monos, min(len(monos), rng.randint(1, 4)))
+        gens.append(ring.poly({m: rng.randrange(1, p) for m in picked}))
+    return ring, gens
+
+
+def assert_sweep_matches_buchberger(ring, gens, top):
+    """The sweep of the square of the ideal of the gens against a Groebner
+    basis of the square, degree by degree up to `top`: the standard
+    monomials, the new leading monomials (those of the reduced basis) and
+    every tail, L + tail being the element of L with NF(L) = -tail.
+    Returns what the degrees exercised: "empty before" (J_(d-1) = 0 below a
+    nonzero J_d), "not filled" (0 < HF(d) < dim S_d) and "filled through
+    rules" (HF(d) = 0 where a monomial off the border has two variables,
+    so two representations x * L, and a product has a term off it)."""
+    gb = buchberger(ideal_square(Ideal(ring, gens)))
+    lts = set(gb.leading_monomials())
+    pairs = _products(gens)
+    seen, before, last = set(), [ring._one_mono], 0
+    for d, standard, tails, new in _sweep(ring, top, _Budget(10 ** 8), pairs):
+        monos = ring.monomials_of_degree(d)
+        assert standard == [m for m in monos if not any(ring.mono_divides(lt, m) for lt in lts)]
+        assert new == [m for m in monos if m in lts]
+        if standard and d < top:
+            assert set(tails) == set(monos) - set(standard)
+        for lead, tail in tails.items():
+            tail = ring._from_packed_dict({u: c for u, c in zip(standard, tail) if c})
+            assert (normal_form(ring.monomial(lead), gb) + tail).is_zero()
+        border = {u + x for u in before for x in ring._var_monos}
+        if len(before) == len(ring.monomials_of_degree(d - 1)) and len(standard) < len(monos):
+            seen.add("empty before")
+        if 0 < len(standard) < len(monos):
+            seen.add("not filled")
+        off = [m for m in monos if m not in border]
+        if not standard and any(sum(map(bool, ring.unpack(m))) > 1 for m in off) and any(
+            a + b not in border for f, g in pairs.get(d, ()) for a, _ in f for b, _ in g
+        ):
+            seen.add("filled through rules")
+        before, last = standard, d
+    # the sweep ends with its first filled degree, or at top
+    assert last == top or not before
+    return seen
+
+
+@pytest.mark.parametrize("p", [7, P])
+def test_sweep_matches_buchberger_on_random_squares(p):
+    # random generators in 2-5 variables of degrees 1-3; the cases met
+    # include each kind of degree the border coordinates treat apart
+    seen = set()
+    for nvars in range(2, 6):
+        for seed in range(10):
+            ring, gens = random_homogeneous_gens(nvars, p, seed)
+            seen |= assert_sweep_matches_buchberger(ring, gens, 8)
+    assert seen == {"empty before", "not filled", "filled through rules"}
+
+
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(
     c=st.integers(min_value=2, max_value=4),
@@ -680,16 +783,15 @@ def test_random_point_sets_give_the_same_lengths(c, extra, seed):
 
 
 def square_sweep(ring, gens, cap):
-    """(length of S/J, pivots of J_d for each degree the sweep reached) for J
-    the square of the ideal of the gens, every product of two gens formed
-    as they stand."""
-    lam, pivots = 1, []
-    for _, pos, ech, _ in _sweep(ring, cap, _Budget(10 ** 7), _products(gens)):
-        pivots.append(sorted(ech.pivots))
-        hf = len(pos) - len(ech.pivots)
-        if hf == 0:
-            return lam, pivots
-        lam += hf
+    """(length of S/J, standard monomials of J in each degree the sweep
+    reached) for J the square of the ideal of the gens, every product of
+    two gens formed as they stand."""
+    lam, levels = 1, []
+    for _, standard, _, _ in _sweep(ring, cap, _Budget(10 ** 7), _products(gens)):
+        levels.append(standard)
+        if not standard:
+            return lam, levels
+        lam += len(standard)
     raise AssertionError("the sweep passed its cap")
 
 
@@ -703,8 +805,8 @@ def test_echelon_generators_leave_the_square_unchanged(c, extra, seed):
     # for every trial form that passes the reduction's sweep: its basis of
     # IS is reduced, so in each degree it is one element per leading
     # monomial in reduced echelon form; the square of the raw images of the
-    # basis of I has the same pivots in every degree and the same length as
-    # the square of that basis
+    # basis of I has the same standard monomials in every degree and the
+    # same length as the square of that basis
     ps, _ = general_points(c, c + 1 + extra, P, seed)
     gb = vanishing_ideal(ps)
     delta = _hf_difference(gb)
@@ -715,7 +817,7 @@ def test_echelon_generators_leave_the_square_unchanged(c, extra, seed):
         if basis is None:
             continue
         assert verify_groebner(basis)
-        lam, pivots = square_sweep(smaller, images, cap)
-        assert square_sweep(smaller, basis.elements, cap) == (lam, pivots)
+        lam, levels = square_sweep(smaller, images, cap)
+        assert square_sweep(smaller, basis.elements, cap) == (lam, levels)
         assert _square_length(smaller, basis.elements, cap, _Budget(10 ** 7)) == lam
         assert lam >= (c + 1) * ps.n

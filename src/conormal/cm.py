@@ -10,8 +10,9 @@ multiplicity of R/I, and 0 :_M l is nonzero exactly when M is not CM.  So
 the first such form decides: a length equal to (c+1)e certifies CM, a
 larger one certifies NotCM.
 
-Everything after l is chosen lives in S = R/(l): substituting the form
-away leaves a polynomial ring in one variable fewer, R/(I + l) is S/IS, and
+Everything after l is chosen lives in S = R/(l): setting the form to zero
+with `poly.quotient_by_linear_form`, the one substitution of the package,
+leaves a polynomial ring in one variable fewer, R/(I + l) is S/IS, and
 R/(I^2 + l) is S/(IS)^2.  One parameter form serves the whole analysis.
 The reduction keeps the reduced basis of IS in S and the Hilbert function
 of S/IS, whose sum is e and whose top degree is s; the verdict needs only
@@ -28,7 +29,8 @@ The form is the last variable x_c when Bayer and Stillman's test shows it
 regular: in degrevlex, x_c is regular on R/I iff no leading monomial of
 the reduced basis involves it, and then that basis with x_c = 0 is
 already the reduced basis of IS.  That costs one projection, each
-element keeping its terms free of x_c, and no sweep.  On points the test
+element keeping its terms free of x_c, as `quotient_by_linear_form`
+does for a bare variable, and no sweep.  On points the test
 reads that x_c vanishes at none of them, which random points meet with
 probability about 1 - n/p; for a file, the walk's plateau with a regular
 x_c certifies R/I CM of dimension 1.  Any other basis draws seeded forms
@@ -73,10 +75,9 @@ from .field import PrimeField, derive_seed
 from .linalg import Echelon, Lanes
 from .poly import (
     MAX_EXPONENT,
-    Polynomial,
     PolynomialRing,
+    quotient_by_linear_form,
     random_linear_form,
-    substitute_all,
 )
 from .groebner import (
     BudgetExceededError,
@@ -86,7 +87,7 @@ from .groebner import (
     _standard_levels,
     is_zero_dimensional,
 )
-from .invariants import InvariantReport, classify, linear_substitution
+from .invariants import InvariantReport, classify
 from .points import BmResult
 from . import criteria as crit
 
@@ -217,10 +218,11 @@ def artinian_reduction(
     if trials < 1:
         raise ValueError(f"an Artinian reduction needs at least 1 trial, got {trials}")
     if _last_variable_is_regular(gb):
-        return Reduction(_without_last_variable(gb), gb.ring.gens()[-1], delta, 1)
+        x_c = gb.ring.gens()[-1]
+        return Reduction(GroebnerBasis(*quotient_by_linear_form(gb.elements, x_c)), x_c, delta, 1)
     for drawn, ell in enumerate(_trial_forms(gb.ring, seed, trials), 1):
-        smaller, assignment = linear_substitution(gb.ring, [ell])
-        images = [f for f in substitute_all(gb.elements, assignment) if not f.is_zero()]
+        smaller, images = quotient_by_linear_form(gb.elements, ell)
+        images = [f for f in images if not f.is_zero()]
         basis = _macaulay_basis(smaller, images, delta, budget)
         if basis is not None:
             return Reduction(basis, ell, delta, drawn)
@@ -243,28 +245,6 @@ def _last_variable_is_regular(gb: GroebnerBasis) -> bool:
     return ring.order.kind == "degrevlex" and all(
         not ring.unpack(lt)[-1] for lt in gb.leading_monomials()
     )
-
-
-def _without_last_variable(gb: GroebnerBasis) -> GroebnerBasis:
-    """The basis with x_c = 0, in S = R/(x_c): each element keeps its terms
-    free of x_c, with the last exponent field dropped and the degree
-    packed for S, which is what `substitute_all` gives for x_c = 0.  The
-    terms keep their order, since degrevlex compares two monomials free of
-    x_c as it compares them in S; and no element vanishes when none leads
-    with x_c, as `_last_variable_is_regular` requires."""
-    ring = gb.ring
-    smaller = PolynomialRing(ring.field, ring.vars[:-1], ring.order)
-    low, shift, key = smaller._exp_mask, smaller._deg_shift, smaller.key
-    full, deg_shift = ring._exp_mask, ring._deg_shift
-    images = []
-    for f in gb.elements:
-        terms = []
-        for _, m, coef in f.terms:
-            if m & full <= low:  # free of x_c
-                image = m & low | m >> deg_shift << shift
-                terms.append((key(image), image, coef))
-        images.append(Polynomial(smaller, tuple(terms)))
-    return GroebnerBasis(smaller, images)
 
 
 def _basis_and_delta(ideal) -> tuple:
@@ -489,7 +469,7 @@ def _tails(ech: Echelon, border, standard, rules, shifts, p):
     made, with no new elimination: img[j] is still 0 when it is summed.  A
     rule's tail is x * tail(L) taken through img.  Each sum is one `Lanes`
     int of len(standard) lanes, each lane at most n products below p^2,
-    read back once.  `Echelon.reduced` would eliminate again instead.
+    read back once, with no second elimination.
     """
     lanes = Lanes(p, len(standard), len(border) * (p - 1) ** 2)
     lane = {m: k * lanes.width for k, m in enumerate(standard)}
@@ -662,7 +642,9 @@ def analyze(
     `ideal` is a `GroebnerBasis` of I or the `BmResult` of its points, as
     for `artinian_reduction`.  The invariants and e come from one Artinian
     basis, classified as it stands: the basis of I when zero-dimensional
-    (then no verdict), otherwise the basis of IS from the reduction.
+    (then no verdict), otherwise the basis of IS from the reduction, whose
+    Hilbert function, computed apart as ΔHF(R/I), must be the invariants'
+    (RuntimeError otherwise): its sum e sets the verdict's target (c+1)e.
     """
     if isinstance(ideal, GroebnerBasis) and is_zero_dimensional(ideal):
         art_gb, reduction = ideal, None
@@ -670,6 +652,11 @@ def analyze(
         reduction = artinian_reduction(ideal, seed, trials, budget)
         art_gb = reduction.basis
     report = classify(art_gb, budget)
+    if reduction is not None and report.hf.values != reduction.hf:
+        raise RuntimeError(
+            f"internal inconsistency: the invariants' Hilbert function {report.hf} "
+            f"disagrees with the reduction's {reduction.hf}, whose sum the verdict targets"
+        )
     e = report.length
     cm = None if reduction is None else is_cm_square(reduction, budget)
     q = None

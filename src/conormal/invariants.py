@@ -13,8 +13,8 @@ low-degree initial form).
 from dataclasses import dataclass
 from math import comb
 
-from .linalg import Echelon, Lanes, rref
-from .poly import PolynomialRing, substitute_all
+from .linalg import Echelon, Lanes
+from .poly import quotient_by_linear_form
 from .groebner import (
     DEFAULT_STEP_BUDGET,
     GroebnerBasis,
@@ -187,49 +187,17 @@ def classify(gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET) -> InvariantR
     )
 
 
-def linear_substitution(ring: PolynomialRing, linear):
-    """The substitution that sets the given linear forms to zero.
-
-    Gaussian elimination on the forms picks pivot variables; each is
-    assigned its expression in the remaining variables, which are kept.
-    Returns the ring of the remaining variables and the assignment, ready
-    for `substitute_all`.
-    """
-    rows = []
-    for g in linear:
-        row = [0] * ring.nvars
-        for _, m, c in g.terms:
-            exps = ring.unpack(m)
-            row[exps.index(1)] = c
-        rows.append(row)
-    ech = rref(rows, ring.field.p)
-    pivot_set = set(ech.pivots)
-    remaining = [ring.vars[j] for j in range(ring.nvars) if j not in pivot_set]
-    if not remaining:
-        raise ValueError(
-            "an ideal needs at least one nonzero generator "
-            "(the linear forms span every variable)"
-        )
-    new_ring = PolynomialRing(ring.field, remaining, ring.order)
-    assignment = {name: new_ring.var(name) for name in remaining}
-    for col, row in zip(ech.pivots, ech.rows):
-        expr = new_ring.zero
-        for j in range(ring.nvars):
-            if j != col and row[j]:
-                expr = expr - new_ring.var(ring.vars[j]).scale(row[j])
-        assignment[ring.vars[col]] = expr
-    return new_ring, assignment
-
-
 def eliminate_linear_forms(ideal: Ideal):
     """Remove the linear forms of a homogeneous ideal by substitution.
 
-    The pivot variables of the degree-1 generators (see
-    `linear_substitution`) are substituted away from every other generator.
-    Returns the ideal in the smaller ring and the number of eliminated
-    variables.
+    The degree-1 generators are set to zero one at a time by
+    `quotient_by_linear_form`, each in the ring the ones before it left
+    and skipped when its image there is zero, so the eliminated variables
+    are the pivots of the reduced row echelon form of the linear forms.
+    Returns the ideal of the images of the other generators in the
+    smaller ring and the number of eliminated variables; ValueError when
+    the linear forms span every variable, which leaves no polynomial ring.
     """
-    ring = ideal.ring
     for g in ideal.generators:
         if not g.is_homogeneous():
             raise ValueError("eliminate_linear_forms needs a homogeneous ideal")
@@ -237,6 +205,11 @@ def eliminate_linear_forms(ideal: Ideal):
     rest = [g for g in ideal.generators if g.degree != 1]
     if not linear:
         return ideal, 0
-    new_ring, assignment = linear_substitution(ring, linear)
-    images = substitute_all(rest, assignment)
-    return Ideal(new_ring, images), ring.nvars - new_ring.nvars
+    ring = ideal.ring
+    while linear:
+        ell, *linear = linear
+        if ell.is_zero():
+            continue
+        ring, images = quotient_by_linear_form(linear + rest, ell)
+        linear, rest = images[:len(linear)], images[len(linear):]
+    return Ideal(ring, rest), ideal.ring.nvars - ring.nvars

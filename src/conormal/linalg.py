@@ -159,27 +159,3 @@ class Echelon:
         self._shifts.append(shift)
         self._below |= (1 << shift + self._width) - 1
         return scale
-
-    def reduced(self):
-        """The reduced echelon form of the span, a new `Echelon`: pivots
-        ascending, each row zero at every pivot but its own.  It depends
-        only on the span, not on the order the rows were added in."""
-        # last pivot first: a row is already zero left of its pivot, so
-        # clearing it at the larger pivots before it gives the reduced form,
-        # still monic
-        out = Echelon(self.p)
-        for _, row in sorted(zip(self.pivots, self.rows), reverse=True):
-            out.add(row)
-        for items in (out.pivots, out.rows, out._packed, out._shifts):
-            items.reverse()
-        return out
-
-
-def rref(rows, p: int) -> Echelon:
-    """Reduced row echelon form: pivots ascending, each row zero at every
-    pivot but its own.  Zero rows are dropped."""
-    ech = Echelon(p)
-    for row in rows:
-        ech.add(row)
-    return ech.reduced()
-

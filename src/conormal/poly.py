@@ -458,12 +458,6 @@ class Polynomial:
         """Exponent tuples of the support, in decreasing order."""
         return [self.ring.unpack(m) for _, m, _ in self.terms]
 
-    def variables_used(self):
-        used = 0
-        for _, m, _ in self.terms:
-            used |= m & self.ring._exp_mask
-        return [name for name, e in zip(self.ring.vars, self.ring.unpack(used)) if e]
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check_ring(self, other):
@@ -577,59 +571,65 @@ class Polynomial:
         return self.ring.format_poly(self)
 
 
-def substitute_all(polys, assignment: dict) -> list:
-    """Images of polynomials of one ring under the ring map sending each
-    variable to a polynomial.
+def quotient_by_linear_form(polys, ell: Polynomial):
+    """(S, images): S = R/(l) for a nonzero linear form l of R, the ring of
+    every variable of R but the leading variable x_j of l, which is its
+    first variable with a nonzero coefficient in each order; and the image
+    in S of each polynomial of R.
 
-    Every variable occurring in the polynomials must be assigned; all
-    assigned values must live in one common target ring.
-
-    The map is linear in the coefficients, so one table of monomial images
-    serves every polynomial: a monomial's image is formed once, as the image
-    of the monomial one variable lower times that variable's value, and
-    each polynomial's image is the combination of its monomials' images.
+    Modulo l, x_j is t = x_j - l/a_j, a_j its coefficient, so a term
+    u * x_j^e, u free of x_j, maps to u * t^e, with u moved to S by
+    dropping field j and packing the degree for S.  Each power of t is
+    formed once.  When l is a multiple of x_j, t = 0 and an image is the
+    terms free of x_j, in their order, since every order compares two such
+    monomials as it compares them in S.  ValueError for polynomials of
+    another ring than l's, or an l that is not a nonzero linear form.
     """
-    if not assignment:
-        raise ValueError("empty assignment")
-    target = None
-    for value in assignment.values():
-        if target is None:
-            target = value.ring
-        elif value.ring != target:
-            raise ValueError("assignment values live in different rings")
+    ring = ell.ring
     polys = list(polys)
-    if not polys:
-        return []
-    ring = polys[0].ring
     for f in polys:
-        f._check_ring(polys[0])
-        for name in f.variables_used():
-            if name not in assignment:
-                raise ValueError(f"variable {name!r} of the polynomial is not assigned")
-    p = target.field.p
-    values = [assignment.get(name) for name in ring.vars]
-    images = {ring._one_mono: target.one}
-
-    def image(m):
-        img = images.get(m)
-        if img is None:
-            j = next(j for j, e in enumerate(ring.unpack(m)) if e)
-            img = images[m] = image(m - ring._var_monos[j]) * values[j]
-        return img
-
-    out = []
+        f._check_ring(ell)
+    if ell.is_zero() or ell.degree != 1 or not ell.is_homogeneous():
+        raise ValueError(f"{ell} is not a nonzero linear form")
+    lead, a = ell.terms[0][1:]
+    j = ring._var_monos.index(lead)
+    smaller = PolynomialRing(ring.field, ring.vars[:j] + ring.vars[j + 1:], ring.order)
+    # u free of x_j keeps its fields below j and moves the rest, degree
+    # included, one field down
+    low = (1 << FIELD_BITS * j) - 1
+    high = ring._exp_mask ^ low
+    field = 0xFF << FIELD_BITS * j
+    key, images = smaller.key, []
+    if len(ell.terms) == 1:
+        for f in polys:
+            terms = []
+            for _, m, c in f.terms:
+                if not m & field:
+                    u = m & low | m >> FIELD_BITS & high
+                    terms.append((key(u), u, c))
+            images.append(Polynomial(smaller, tuple(terms)))
+        return smaller, images
+    p = ring.field.p
+    scale = p - ring.field.inv(a)
+    t = smaller._from_packed_dict(
+        {m & low | m >> FIELD_BITS & high: c * scale % p for _, m, c in ell.terms[1:]}
+    )
+    # powers[e]: t^e as (monomial, coefficient) pairs
+    powers, power = [[(smaller._one_mono, 1)]], smaller.one
     for f in polys:
         acc = {}
         for _, m, c in f.terms:
-            for _, mm, cc in image(m).terms:
+            e = (m & field) >> FIELD_BITS * j
+            while len(powers) <= e:
+                power = power * t
+                powers.append([(mm, cc) for _, mm, cc in power.terms])
+            m -= e * lead
+            u = m & low | m >> FIELD_BITS & high
+            for mm, cc in powers[e]:
+                mm += u
                 acc[mm] = acc.get(mm, 0) + c * cc
-        reduced = {}
-        for mm, c in acc.items():
-            c %= p
-            if c:
-                reduced[mm] = c
-        out.append(target._from_packed_dict(reduced))
-    return out
+        images.append(smaller._from_packed_dict({m: c % p for m, c in acc.items() if c % p}))
+    return smaller, images
 
 
 def random_linear_form(ring: PolynomialRing, seed) -> Polynomial:

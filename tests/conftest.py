@@ -5,8 +5,9 @@ comparison straight from the definitions, standard-monomial counts by raw
 divisibility filtering, linear algebra by plain column-by-column
 Gauss-Jordan elimination, vanishing ideals by solving the full evaluation
 system degree by degree, the product of two ideals over every pair of
-generators, and the 15 transcribed generators of the ideal of Example 6.1,
-which the vanishing ideal of its ten frozen points must reproduce.
+generators, setting a linear form to zero by expanding each term on its
+own, and the 15 transcribed generators of the ideal of Example 6.1, which
+the vanishing ideal of its ten frozen points must reproduce.
 """
 
 import hashlib
@@ -30,6 +31,39 @@ def ring_xy(gf7):
 @pytest.fixture
 def ring_xyz(gf7):
     return PolynomialRing(gf7, ["x", "y", "z"])
+
+
+# -- setting a linear form to zero, term by term -------------------------------
+
+
+def substitute_term_by_term(f, assignment, target):
+    """The image of f under the ring map sending each variable to its value
+    in `assignment`, a polynomial of `target`, each term expanded on its own."""
+    out = target.zero
+    for exps, (_, _, c) in zip(f.monomials(), f.terms):
+        term = target.constant(c)
+        for name, e in zip(f.ring.vars, exps):
+            if e:
+                term = term * assignment[name] ** e
+        out = out + term
+    return out
+
+
+def quotient_term_by_term(polys, ell):
+    """(S, images) for S = R/(ell), from the definitions: x_j, the first
+    variable with a nonzero coefficient a_j in ell, goes to x_j - ell/a_j
+    in the ring S of the other variables, every other variable to itself."""
+    ring = ell.ring
+    coeffs = [ell.coefficient(tuple(int(i == k) for i in range(ring.nvars))) for k in range(ring.nvars)]
+    j = next(k for k, a in enumerate(coeffs) if a)
+    target = PolynomialRing(ring.field, ring.vars[:j] + ring.vars[j + 1:], ring.order)
+    assignment = {name: target.var(name) for name in target.vars}
+    inv = pow(coeffs[j], -1, ring.field.p)
+    assignment[ring.vars[j]] = sum(
+        (target.var(name) * (-a * inv) for name, a in zip(ring.vars, coeffs) if a and name in assignment),
+        target.zero,
+    )
+    return target, [substitute_term_by_term(f, assignment, target) for f in polys]
 
 
 # -- order oracle: literal definitions on exponent tuples ----------------------

@@ -467,6 +467,25 @@ def test_an_analysis_reduces_through_artinian_reduction(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def test_analyze_refuses_a_reduction_whose_hilbert_function_is_not_the_invariants(monkeypatch):
+    # the reduction of Example 6.1 with its Hilbert function stubbed from
+    # (1, 5, 4) to (1, 5, 3): unchecked, the verdict would take the target
+    # 6 * 9 = 54, below the counting bound C(8, 3) = 56, and report NotCM
+    import conormal.cm as cm
+
+    honest = cm.artinian_reduction
+
+    def stubbed(*args):
+        reduction = honest(*args)
+        assert reduction.hf == (1, 5, 4)
+        return dataclasses.replace(reduction, hf=(1, 5, 3))
+
+    gb = buchberger(example61_ideal())
+    monkeypatch.setattr(cm, "artinian_reduction", stubbed)
+    with pytest.raises(RuntimeError, match=r"\(1, 5, 4\) disagrees with the reduction's \(1, 5, 3\)"):
+        analyze(gb, seed=7)
+
+
 def test_a_walk_past_degree_120_fails_at_once():
     # x^61, y^61 in k[x, y, z]: h rises until degree 120, so its plateau
     # lies past the monomial degree limit

@@ -199,6 +199,22 @@ def test_eliminate_substitutes_into_higher_degrees(ring_xyz):
     assert normal_form(smaller.ring.parse("y*z"), gb).is_zero()
 
 
+@pytest.mark.parametrize("p, minus_three", [(7, 4), (31991, 31988)])
+def test_eliminate_skips_a_dependent_form_and_pivots_in_the_middle(p, minus_three):
+    # x + y pivots at x, 2x + 2y maps to zero and is skipped, y - z pivots
+    # at y: x = -z and y = z in k[w, z]; the generators as the RREF route
+    # gave them
+    ring = PolynomialRing(PrimeField(p), ["w", "x", "y", "z"])
+    w, x, y, z = ring.gens()
+    ideal = Ideal(ring, [x + y, w ** 3 + x * y * z, 2 * x + 2 * y,
+                         x ** 2 * z - 3 * w * y ** 2, y - z, z ** 3 - w * x * y])
+    smaller, count = eliminate_linear_forms(ideal)
+    assert count == 2 and smaller.ring.vars == ("w", "z")
+    assert [str(g) for g in smaller.generators] == [
+        f"w^3 + {p - 1}*z^3", f"{minus_three}*w*z^2 + z^3", "w*z^2 + z^3"
+    ]
+
+
 def test_eliminate_everything_is_rejected(ring_xy):
     x, y = ring_xy.gens()
     with pytest.raises(ValueError):

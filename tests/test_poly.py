@@ -14,8 +14,8 @@ from conormal import (
     monomial_compare,
     random_linear_form,
 )
-from conormal.poly import substitute_all
-from conftest import exponents_up_to, oracle_compare
+from conormal.poly import quotient_by_linear_form
+from conftest import exponents_up_to, oracle_compare, quotient_term_by_term
 
 
 def test_product_of_sum_and_difference(ring_xy):
@@ -156,76 +156,61 @@ def test_parse_coefficients_reduce_mod_p(ring_xy):
     assert ring_xy.parse("x*x") == ring_xy.var("x") ** 2
 
 
-def test_substitute_depolarization():
-    ring2 = PolynomialRing(PrimeField(7), ["x0", "x1"])
-    target = PolynomialRing(PrimeField(7), ["x"])
-    x = target.var("x")
-    image = substitute_all([ring2.var("x0") * ring2.var("x1")], {"x0": x, "x1": x})[0]
-    assert image == x ** 2
+def _form_with_lead(ring, rng, lead, bare):
+    """A linear form whose first nonzero coefficient is at variable `lead`:
+    a multiple of that variable when `bare`, else random after it."""
+    p = ring.field.p
+    coeffs = [0] * ring.nvars
+    coeffs[lead] = rng.randrange(1, p)
+    if not bare:
+        for k in range(lead + 1, ring.nvars):
+            coeffs[k] = rng.randrange(p)
+    return ring.poly({tuple(int(i == k) for i in range(ring.nvars)): a for k, a in enumerate(coeffs)})
 
 
-def test_substitute_identity(ring_xy):
-    x = ring_xy.var("x")
-    assert substitute_all([x], {"x": x})[0] == x
-
-
-def test_substitute_set_variable_to_one():
-    ring = PolynomialRing(PrimeField(31991), ["x", "t"])
-    x, t = ring.gens()
-    f = x ** 4 + x ** 2 * t ** 2
-    expected = x ** 4 + x ** 2  # direct expansion
-    assert substitute_all([f], {"x": x, "t": ring.one})[0] == expected
-
-
-def test_substitute_unassigned_variable(ring_xy):
-    x, y = ring_xy.gens()
-    with pytest.raises(ValueError):
-        substitute_all([x * y], {"x": x})
-
-
-def _substitute_term_by_term(f, assignment, target):
-    """The image of f with each term expanded on its own."""
-    out = target.zero
-    for exps, (_, _, c) in zip(f.monomials(), f.terms):
-        term = target.constant(c)
-        for name, e in zip(f.ring.vars, exps):
-            if e:
-                term = term * assignment[name] ** e
-        out = out + term
-    return out
-
-
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(min_value=0, max_value=10 ** 6), p=st.sampled_from([7, 31991]))
-def test_substitute_all_shares_one_table_with_the_same_images(seed, p):
-    # a linear substitution, as the square verdict makes one per trial form,
-    # and a nonlinear one; each image must be the canonical polynomial of
-    # the term-by-term expansion
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10 ** 6),
+    p=st.sampled_from([7, 31991]),
+    order=st.sampled_from([DEGREVLEX, DEGLEX, LEX]),
+    lead=st.integers(min_value=0, max_value=3),
+    bare=st.booleans(),
+)
+@example(seed=0, p=31991, order=DEGREVLEX, lead=3, bare=True)
+@example(seed=1, p=7, order=LEX, lead=1, bare=False)
+def test_quotient_by_linear_form_matches_term_by_term_expansion(seed, p, order, lead, bare):
+    # each image must be the canonical polynomial of the term-by-term
+    # expansion of x_j -> x_j - l/a_j, the ring that of the other
+    # variables; a bare variable keeps each image's terms free of x_j
     rng = random.Random(seed)
-    ring = PolynomialRing(PrimeField(p), ["a", "b", "c", "d"])
-    target = PolynomialRing(PrimeField(p), ["b", "c", "d"])
-    b, c, d = target.gens()
-    linear = {"a": 3 * b - c + 5 * d, "b": b, "c": c, "d": d}
-    nonlinear = {"a": b * c + 1, "b": b - d, "c": c * c, "d": d}
-    polys = []
+    ring = PolynomialRing(PrimeField(p), ["a", "b", "c", "d"], order)
+    ell = _form_with_lead(ring, rng, lead, bare)
+    polys = [ell, ring.zero]
     for _ in range(4):
         polys.append(ring.poly({
-            tuple(rng.randrange(3) for _ in range(4)): rng.randrange(p) for _ in range(6)
+            tuple(rng.randrange(4) for _ in range(4)): rng.randrange(p) for _ in range(6)
         }))
-    for assignment in (linear, nonlinear):
-        images = substitute_all(polys, assignment)
-        assert images == [_substitute_term_by_term(f, assignment, target) for f in polys]
-        assert images == [substitute_all([f], assignment)[0] for f in polys]
+    smaller, images = quotient_by_linear_form(polys, ell)
+    target, want = quotient_term_by_term(polys, ell)
+    assert smaller == target and smaller.vars == ring.vars[:lead] + ring.vars[lead + 1:]
+    assert images == want and images[0].is_zero()
+    assert [f.terms for f in images] == [f.terms for f in want]
+    if bare:
+        for f, image in zip(polys, images):
+            free = [(m, c) for _, m, c in f.terms if not ring.unpack(m)[lead]]
+            assert [c for _, c in free] == [c for _, _, c in image.terms]
 
 
-def test_substitute_all_checks_its_input(ring_xy):
+def test_quotient_by_linear_form_checks_its_input(ring_xy):
     x, y = ring_xy.gens()
     other = PolynomialRing(PrimeField(31991), ["x", "y"])
-    assert substitute_all([], {"x": x}) == []
-    with pytest.raises(ValueError, match="not assigned"):
-        substitute_all([x, x * y], {"x": x})
+    smaller, images = quotient_by_linear_form([], x + y)
+    assert smaller.vars == ("y",) and images == []
     with pytest.raises(ValueError, match="mixed rings"):
-        substitute_all([x, other.var("x")], {"x": x, "y": y})
+        quotient_by_linear_form([x, other.var("x")], x + y)
+    for ell in (ring_xy.zero, ring_xy.one, x + 1, x * y, x + y ** 2, x ** 2):
+        with pytest.raises(ValueError, match="not a nonzero linear form"):
+            quotient_by_linear_form([x], ell)
 
 
 def test_random_linear_form_determinism():

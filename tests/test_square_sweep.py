@@ -33,7 +33,7 @@ The oracle of the sweep itself, degree by degree in its border
 coordinates, is a Groebner basis of the square of random generators: the
 standard monomials, the new leading monomials and the normal form of
 every leading monomial.  The last-variable route's projection is checked
-against the substitution x_c = 0.
+against the substitution x_c = 0 expanded term by term.
 
 The count that proves NotCM with no sweep (C(c+3, 3) > (c+1)e for I in
 m^2) is checked against the sweep's own length on both sides of its
@@ -62,7 +62,6 @@ from conormal.cm import (
     artinian_reduction,
     _square_length,
     _trial_forms,
-    _without_last_variable,
     eight_quadrics_square_gap,
     is_cm_square,
 )
@@ -70,6 +69,7 @@ from conormal.field import derive_seed
 from conormal.groebner import (
     DEFAULT_STEP_BUDGET,
     BudgetExceededError,
+    GroebnerBasis,
     _Budget,
     _standard_levels,
     ideal_square,
@@ -77,7 +77,7 @@ from conormal.groebner import (
     normal_form,
     verify_groebner,
 )
-from conormal.invariants import length, linear_substitution
+from conormal.invariants import length
 from conormal.points import (
     bm_result,
     general_points,
@@ -85,9 +85,9 @@ from conormal.points import (
     random_points,
     vanishing_ideal,
 )
-from conormal.poly import DEGLEX, substitute_all
+from conormal.poly import DEGLEX, quotient_by_linear_form
 
-from conftest import example61_ideal
+from conftest import example61_ideal, quotient_term_by_term
 
 P = 31991
 
@@ -232,8 +232,8 @@ def points_with_a_point_on_the_first_form(seed):
 def images_in_s(gb, ell):
     """S = R/(l) and the nonzero images in S of the basis of I: they
     generate IS."""
-    smaller, assignment = linear_substitution(gb.ring, [ell])
-    return smaller, [f for f in substitute_all(gb.elements, assignment) if not f.is_zero()]
+    smaller, images = quotient_by_linear_form(gb.elements, ell)
+    return smaller, [f for f in images if not f.is_zero()]
 
 
 def assert_reductions_are_i_plus_l_in_s(monkeypatch, gb, seed, trials):
@@ -251,8 +251,7 @@ def assert_reductions_are_i_plus_l_in_s(monkeypatch, gb, seed, trials):
         lead = ell.terms[0][1]
         rest = [f for f in in_r.elements if f.terms[0][1] != lead]
         assert len(rest) == len(in_r.elements) - 1
-        smaller, assignment = linear_substitution(ring, [ell])
-        want = substitute_all(rest, assignment)
+        smaller, want = quotient_by_linear_form(rest, ell)
         monkeypatch.setattr(cm, "_trial_forms", lambda ring, seed, trials, ell=ell: [ell])
         reduction = artinian_reduction(gb, seed, 1)
         assert reduction.form == ell and reduction.basis.ring == smaller
@@ -324,10 +323,8 @@ def test_the_last_variable_and_a_seeded_form_give_the_same_analysis(c, extra, se
     reduction = artinian_reduction(bm, seed)
     assert (reduction.form, reduction.drawn) == (x_c, 1)
     in_r = buchberger(Ideal(ring, list(bm.basis.elements) + [x_c]))
-    smaller, assignment = linear_substitution(ring, [x_c])
-    assert list(reduction.basis.elements) == substitute_all(
-        [f for f in in_r.elements if f != x_c], assignment
-    )
+    smaller, want = quotient_by_linear_form([f for f in in_r.elements if f != x_c], x_c)
+    assert reduction.basis.ring == smaller and list(reduction.basis.elements) == want
     fast = analyze(bm, seed)
     with mock.patch.object(cm, "_last_variable_is_regular", lambda gb: False):
         seeded_form = artinian_reduction(bm, seed).form
@@ -352,8 +349,8 @@ def test_the_last_variable_and_a_seeded_form_give_the_same_analysis(c, extra, se
 def test_the_last_variable_route_substitutes_zero(p):
     # on random degrevlex bases with x_c in no leading monomial, the route's
     # projection (each element's terms free of x_c, moved to S) gives the
-    # ring and the elements of substituting x_c = 0; the bases met include
-    # elements with terms in x_c, which both maps drop
+    # ring and the elements of substituting x_c = 0 term by term; the bases
+    # met include elements with terms in x_c, which both maps drop
     checked = dropped = 0
     for nvars in range(2, 6):
         for seed in range(15):
@@ -361,10 +358,11 @@ def test_the_last_variable_route_substitutes_zero(p):
             gb = buchberger(Ideal(ring, gens))
             if not _last_variable_is_regular(gb):
                 continue
-            smaller, assignment = linear_substitution(ring, [ring.gens()[-1]])
-            got = _without_last_variable(gb)
+            x_c = ring.gens()[-1]
+            got = GroebnerBasis(*quotient_by_linear_form(gb.elements, x_c))
+            smaller, want = quotient_term_by_term(gb.elements, x_c)
             assert got.ring == smaller
-            assert list(got.elements) == substitute_all(gb.elements, assignment)
+            assert list(got.elements) == want
             checked += 1
             dropped += sum(len(f.terms) for f in gb.elements) > sum(
                 len(f.terms) for f in got.elements

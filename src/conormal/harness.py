@@ -192,7 +192,7 @@ def _stretched_cell(config, ring, c, s, r, unit_seeds):
     results = []
     for useed in unit_seeds:
         rng = random.Random(useed)
-        units = tuple(rng.randrange(1, p) for _ in range(max(c - 1 - r, 0)))
+        units = tuple([rng.randrange(1, p) for _ in range(max(c - 1 - r, 0))])
         spec = StretchedSpec(c, s, r, units)
         ideal = stretched_ideal(spec, ring)
         gb = buchberger(ideal, budget=config.budget)

@@ -96,7 +96,7 @@ def normalize_point(coords, field: PrimeField):
     if pivot is None:
         raise ValueError("the zero vector is not a projective point")
     inv = field.inv(coords[pivot])
-    return tuple(v * inv % field.p for v in coords)
+    return tuple([v * inv % field.p for v in coords])
 
 
 def make_point_set(c: int, p: int, raw_points, seed=None) -> PointSet:

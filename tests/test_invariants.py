@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conormal import (
+    BudgetExceededError,
     DEGLEX,
     DEGREVLEX,
     LEX,
@@ -14,17 +15,20 @@ from conormal import (
     ideal_square,
     normal_form,
 )
-from conormal.groebner import DEFAULT_STEP_BUDGET
+from conormal.groebner import DEFAULT_STEP_BUDGET, _Budget, _reduce_terms, _standard_levels
 from conormal.invariants import (
     HilbertFunction,
+    _filtration_socle,
+    _graded_socle,
     _multiplication_columns,
+    _times_variable,
     classify,
     eliminate_linear_forms,
     length,
 )
 from conormal.cm import artinian_reduction
-from conormal.constructions import StretchedSpec, stretched_ideal
-from conormal.points import general_points, vanishing_ideal
+from conormal.constructions import StretchedSpec, example61_points, stretched_ideal
+from conormal.points import bm_result, general_points, vanishing_ideal
 from conftest import count_standard_of_degree, example61_ideal, monomial_quotient_standard
 
 
@@ -316,3 +320,108 @@ def test_presentations_agree_on_random_artinian_ideals(nvars, nlinear, order, p,
     others = [form(rng.randrange(2, 4)) for _ in range(rng.randrange(3))]
     gb = buchberger(Ideal(ring, linear + powers + others))
     _assert_presentations_agree(gb)
+
+
+# -- a homogeneous basis: the graded route against the filtration route ------
+
+
+def _routes(gb):
+    """(hf, socle) by the graded route, after checking that the basis is
+    homogeneous and that the filtration route gives the same."""
+    assert all(g.is_homogeneous() for g in gb.elements)
+    graded = _graded_socle(gb, DEFAULT_STEP_BUDGET)
+    assert graded == _filtration_socle(gb, DEFAULT_STEP_BUDGET)
+    return graded
+
+
+def test_routes_agree_on_the_reductions_of_points():
+    # Example 6.1 (h = 1 5 4, level of type 4) and the conjecture items at
+    # c = 5, n = 8..12 and c = 6, n = 12
+    reduction = artinian_reduction(bm_result(example61_points()), 0)
+    assert _routes(reduction.basis) == ([1, 5, 4], [0, 0, 4])
+    for c, n in [(5, 8), (5, 9), (5, 10), (5, 11), (5, 12), (6, 12)]:
+        ps, _ = general_points(c, n, 31991, seed=0)
+        hf, socle = _routes(artinian_reduction(bm_result(ps), 0).basis)
+        assert sum(hf) == n and hf[:2] == [1, c]
+
+
+def test_routes_agree_on_fixed_graded_quotients(ring_xy):
+    ring = PolynomialRing(PrimeField(31991), ["x", "y", "z", "w"])
+    x, y, z, w = ring.gens()
+    stretched = stretched_ideal(StretchedSpec(4, 2, 1), ring)
+    assert stretched.is_homogeneous()
+    assert _routes(buchberger(stretched)) == ([1, 4, 1], [0, 1, 1])
+    a, b = ring_xy.gens()
+    # not level: x is killed by both variables in degree 1, y^2 in degree 2
+    assert _routes(buchberger(Ideal(ring_xy, [a ** 2, a * b, b ** 3]))) == ([1, 2, 1], [0, 1, 1])
+    # a complete intersection of three quadrics, Gorenstein, in LEX order
+    lex = PolynomialRing(PrimeField(31991), ["x", "y", "z"], LEX)
+    u, v, t = lex.gens()
+    gb = buchberger(Ideal(lex, [u ** 2 - v * t, v ** 2 + 3 * u * t, t ** 2 - u * v]))
+    assert gb.order.kind == "lex"
+    assert _routes(gb) == ([1, 3, 3, 1], [0, 0, 0, 1])
+    linear = buchberger(Ideal(ring, [x + 2 * y - z, z ** 2, y * w, w ** 3 - y ** 3, y ** 2 * z]))
+    assert any(g.degree == 1 for g in linear.elements)
+    _routes(linear)
+    # the maximal ideal itself: A = k, all socle in degree 0
+    assert _routes(buchberger(Ideal(ring, ring.gens()))) == ([1], [1])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    nvars=st.integers(min_value=1, max_value=4),
+    order=st.sampled_from([DEGREVLEX, DEGLEX, LEX]),
+    p=st.sampled_from([7, 31991]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_routes_agree_on_random_graded_quotients(nvars, order, p, seed):
+    # powers of every variable make the quotient Artinian; random forms of
+    # degree 1 to 3 shape it
+    rng = random.Random(seed)
+    ring = PolynomialRing(PrimeField(p), [f"x{i}" for i in range(nvars)], order)
+    powers = [ring.var(v) ** rng.randrange(2, 5) for v in ring.vars]
+    forms = [ring.poly({m: rng.randrange(p) for m in ring.monomials_of_degree(rng.randrange(1, 4))})
+             for _ in range(rng.randrange(4))]
+    _routes(buchberger(Ideal(ring, powers + forms)))
+
+
+def test_a_product_with_a_variable_is_its_full_normal_form():
+    # the shortcuts for a standard monomial and a leading monomial give what
+    # `_reduce_terms` gives and charge what it charges, on graded and local
+    # quotients, so the filtration route is unchanged by them
+    ring = PolynomialRing(PrimeField(31991), ["x1", "x2", "x3"])
+    lex = PolynomialRing(PrimeField(7), ["x", "y", "z"], LEX)
+    u, v, t = lex.gens()
+    gbs = [
+        artinian_reduction(bm_result(example61_points()), 0).basis,
+        buchberger(stretched_ideal(StretchedSpec(3, 3, 0), ring)),
+        buchberger(stretched_ideal(StretchedSpec(3, 2, 1), ring)),
+        buchberger(Ideal(lex, [u ** 2 - v * t, v ** 2 + 3 * u * t, t ** 2 - u * v])),
+    ]
+    kinds = set()
+    for gb in gbs:
+        ring, index = gb.ring, gb.index()
+        standard = {m for level in _standard_levels(gb) for m in level}
+        for s in standard:
+            for x in ring._var_monos:
+                mm = s + x
+                kinds.add("standard" if mm in standard else
+                          "leading" if mm in index.reducers else "reduced")
+                steps, ref_steps = _Budget(DEFAULT_STEP_BUDGET), _Budget(DEFAULT_STEP_BUDGET)
+                got = _times_variable(ring, mm, standard, index, steps)
+                assert got == _reduce_terms(ring, [(ring.key(mm), mm, 1)], index, ref_steps)
+                assert steps.remaining == ref_steps.remaining
+    assert kinds == {"standard", "leading", "reduced"}
+
+
+def test_the_graded_route_charges_its_products_and_rows(ring_xy):
+    # (x^2, xy, y^3): degree 0 is one row of standard monomials (1 step);
+    # degree 1 takes x^2, xy and yx to minus their empty tails (1 step
+    # each) and y^2 as it stands, in two rows (1 step each); the top
+    # degree forms no product
+    x, y = ring_xy.gens()
+    gb = buchberger(Ideal(ring_xy, [x ** 2, x * y, y ** 3]))
+    assert classify(gb, 6).socle_degrees == (1, 2)
+    for budget in (0, 5):
+        with pytest.raises(BudgetExceededError):
+            classify(gb, budget)

@@ -17,7 +17,6 @@ from .poly import (
     ParseError,
     Polynomial,
     PolynomialRing,
-    monomial_compare,
     random_linear_form,
 )
 from .groebner import (
@@ -30,5 +29,4 @@ from .groebner import (
     ideal_square,
     is_zero_dimensional,
     normal_form,
-    verify_groebner,
 )

@@ -1,5 +1,5 @@
 """Command-line surface: verify-example61, conjecture, analyze,
-criteria-table, stretched-suite, selftest.
+criteria-table, stretched-suite.
 
 Exit codes encode the verdict: 0 CM-consistent / all checks pass,
 1 NotCM / a check failed / an input error, 2 Inconclusive (the step
@@ -95,9 +95,6 @@ def build_parser():
     sub = subs.add_parser("stretched-suite", help="the stretched-quotient grid with all containment laws")
     sub.add_argument("--cmax", default="5")
     sub.add_argument("--smax", default="4")
-    _add_common(sub)
-
-    sub = subs.add_parser("selftest", help="fast sanity run across every module")
     _add_common(sub)
 
     return parser

@@ -54,8 +54,7 @@ monomial is a variable times a leading monomial of degree d-1, rewritten
 by that element's normal form and given no column.  So one rank per
 degree, over those columns only, gives the Hilbert function, and the
 sweep ends at its first zero.  No Groebner basis of the square is
-computed.  The same degree loop, `_sweep`, also builds the basis of IS
-and ranks the square of eight quadrics in degree 4.
+computed.  The same degree loop, `_sweep`, also builds the basis of IS.
 
 Some NotCM verdicts need no sweep at all.  When I lies in m^2, the image
 of I^2 lies in the fourth power of the maximal ideal of S, so the length
@@ -64,14 +63,13 @@ of R/(I^2 + l) is at least dim S_(<=3) = C(c+3, 3); when that exceeds
 the count alone proves NotCM, under the same hypotheses as the sweep.
 """
 
-import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from math import comb
 from operator import mul
 
-from .field import PrimeField, derive_seed
+from .field import derive_seed
 from .linalg import Echelon, Lanes
 from .poly import (
     MAX_EXPONENT,
@@ -692,19 +690,3 @@ def analyze(
         )
     return AnalysisReport(report, q, cm, tuple(checks), source)
 
-
-def eight_quadrics_square_gap(seed, p: int = 31991) -> bool:
-    """True iff the square of 8 seeded random quadrics in 4 variables misses
-    some degree-4 monomial (the square never fills degree 4).  The square is
-    generated in degree 4, so that is a sweep whose rank there is below
-    dim S_4 = 35."""
-    ring = PolynomialRing(PrimeField(p), [f"x{i + 1}" for i in range(4)])
-    rng = random.Random(derive_seed(seed, "quadrics"))
-    quadrics = []
-    monos = ring.monomials_of_degree(2)
-    while len(quadrics) < 8:
-        f = ring.poly({m: rng.randrange(p) for m in monos})
-        if not f.is_zero():
-            quadrics.append(f)
-    *_, (_, standard, _, _) = _sweep(ring, 4, _Budget(DEFAULT_STEP_BUDGET), _products(quadrics))
-    return bool(standard)

@@ -1,8 +1,9 @@
 """Arithmetic in prime fields GF(p) for odd primes p.
 
 Field elements are plain Python ints kept canonical in [0, p).  The
-PrimeField object carries the modulus and provides the arithmetic; this
-keeps the hot loops (polynomial reduction) free of wrapper objects.
+PrimeField object carries the modulus and the inverse; the hot loops
+(polynomial reduction) do their own arithmetic mod p on the ints, free of
+wrapper objects.
 
 The module also owns seed derivation, with one hash: `derive_seed`.
 """
@@ -74,12 +75,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"GF({self.p})"
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError on 0."""

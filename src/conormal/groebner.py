@@ -442,42 +442,6 @@ def buchberger(
     return GroebnerBasis(ring, reduced, index)
 
 
-def verify_groebner(gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET) -> bool:
-    """Post-hoc Buchberger criterion: every S-polynomial reduces to zero and the
-    basis is reduced.  Skipped: coprime pairs, and a pair whose lcm a third
-    leading term divides with both lcms with that term proper divisors of
-    it (strict chain criterion; the lcm drops along a chain, so it holds for
-    all pairs judged at once)."""
-    ring = gb.ring
-    els = gb.elements
-    for f in els:
-        if f.terms[0][2] != 1:
-            return False
-    lts = [f.terms[0][1] for f in els]
-    for i, f in enumerate(els):
-        for _, m, _ in f.terms:
-            for j, lt in enumerate(lts):
-                if ring.mono_divides(lt, m) and not (j == i and m == lts[i]):
-                    return False
-    guard = ring._guard
-    lcms = [[ring.mono_lcm(a, b) for b in lts] for a in lts]
-    counter = _Budget(budget)
-    for i, f in enumerate(els):
-        for j in range(i + 1, len(els)):
-            l = lcms[i][j]
-            if l == lts[i] + lts[j]:
-                continue
-            lg = l | guard
-            if any(
-                (lg - lt) & guard == guard and lcms[i][k] != l and lcms[j][k] != l
-                for k, lt in enumerate(lts)
-            ):
-                continue
-            if _reduce_terms(ring, _spoly_items(ring, f, els[j]), gb.index(), counter):
-                return False
-    return True
-
-
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     """True iff every variable appears as a pure power among the leading
     terms; the 1 of the unit ideal is the 0th power of each.  A pure power

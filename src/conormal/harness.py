@@ -13,34 +13,28 @@ Only an ideal file goes through Buchberger before `cm.analyze`.
 """
 
 import dataclasses
-import functools
-import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from . import __version__
 from .field import PrimeField, derive_seed
-from .poly import DEGLEX, DEGREVLEX, PolynomialRing, monomial_compare
+from .poly import PolynomialRing
 from .groebner import (
     DEFAULT_STEP_BUDGET,
     BudgetExceededError,
-    Ideal,
     buchberger,
     contains,
     ideal_square,
-    verify_groebner,
 )
 from .invariants import classify, length
-from .points import _certified_general, general_points, vanishing_ideal
-from .cm import DEFAULT_TRIALS, analyze, eight_quadrics_square_gap
+from .points import _certified_general, general_points
+from .cm import DEFAULT_TRIALS, analyze
 from .io import parse_ideal_file
 from . import criteria as crit
 from .constructions import (
     EXAMPLE61_PRIME,
     StretchedSpec,
-    example61_checksum,
     example61_points,
     ideal_L,
     stretched_ideal,
@@ -278,81 +272,6 @@ def criteria_table(config: ExperimentConfig):
     return _report_text(config, body), EXIT_OK
 
 
-def selftest(config: ExperimentConfig):
-    """Fast end-to-end sanity run over every module."""
-    body = []
-    ok = True
-
-    def check(name, holds):
-        nonlocal ok
-        body.append(f"selftest {name}: {'ok' if holds else 'FAILED'}")
-        ok = ok and holds
-
-    field = PrimeField(config.p)
-    rng = random.Random(derive_seed(config.seed, "selftest"))
-    good = True
-    for _ in range(1000):
-        a, b, c3 = (rng.randrange(config.p) for _ in range(3))
-        good = good and field.mul(a, field.add(b, c3)) == field.add(
-            field.mul(a, b), field.mul(a, c3)
-        )
-        if a:
-            good = good and field.mul(a, field.inv(a)) == 1
-    check("field axioms (1000 samples)", good)
-
-    check(
-        "margin reference values",
-        (
-            crit.short_margin(5, 4) == 6
-            and crit.short_margin(4, 5) == 17
-            and crit.short_margin(3, 6) == 7
-            and crit.short_margin(2, 8) == Fraction(1, 3)
-        ),
-    )
-
-    ring = PolynomialRing(field, ["x", "y", "z"])
-    monos = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
-    agree = True
-    for kind in (DEGREVLEX, DEGLEX):
-        ordered = sorted(
-            monos, key=functools.cmp_to_key(lambda a, b: monomial_compare(a, b, kind))
-        )
-        packed = sorted(monos, key=lambda e: ring.with_order(kind).key(ring.pack(e)))
-        agree = agree and ordered == packed
-    check("monomial orders agree with the comparison oracle", agree)
-
-    x, y = (ring.var("x"), ring.var("y"))
-    gb = buchberger(Ideal(ring, [x * x, x * y + y * y]), budget=config.budget)
-    check(
-        "buchberger worked example",
-        sorted(str(g) for g in gb.elements) == ["x*y + y^2", "x^2", "y^3"]
-        and verify_groebner(gb),
-    )
-
-    from .points import make_point_set
-
-    ps = make_point_set(2, config.p, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    vi = vanishing_ideal(ps)
-    check(
-        "vanishing ideal of the coordinate triangle",
-        sorted(str(g) for g in vi.elements) == ["x0*x1", "x0*x2", "x1*x2"],
-    )
-
-    check(
-        "benchmark transcription checksum",
-        example61_checksum()
-        == "14f1b8a4f18a4235321ac9587b358f489a8a3e8c4c6cbc627485ba1a46a9e2a7",
-    )
-
-    check(
-        "eight random quadrics never fill degree 4",
-        eight_quadrics_square_gap(derive_seed(config.seed, "8q"), p=config.p),
-    )
-
-    body.append(f"selftest: {'ok' if ok else 'FAILED'}")
-    return _report_text(config, body), (EXIT_OK if ok else EXIT_NOT_CM)
-
-
 # The verbs by name.  `run` calls what is bound to the verb function's name
 # when it runs, so that a wrapper bound there (a tracer, a test's stub) is
 # the one called.
@@ -362,7 +281,6 @@ _VERBS = {
     "analyze": analyze_command,
     "criteria-table": criteria_table,
     "stretched-suite": stretched_suite,
-    "selftest": selftest,
 }
 
 

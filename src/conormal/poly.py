@@ -56,31 +56,6 @@ DEGLEX = MonomialOrder("deglex")
 LEX = MonomialOrder("lex")
 
 
-def monomial_compare(a, b, order: MonomialOrder) -> int:
-    """Compare exponent tuples under the given order: -1, 0 or 1.
-
-    Reference implementation straight from the definitions; the packed
-    sort keys used internally must agree with it (tested).
-    """
-    if len(a) != len(b):
-        raise ValueError("exponent tuples of different lengths")
-    if a == b:
-        return 0
-    if order.kind != "lex":
-        da, db = sum(a), sum(b)
-        if da != db:
-            return 1 if da > db else -1
-    if order.kind == "degrevlex":
-        for i in range(len(a) - 1, -1, -1):
-            if a[i] != b[i]:
-                return 1 if a[i] < b[i] else -1
-        return 0
-    for i in range(len(a)):
-        if a[i] != b[i]:
-            return 1 if a[i] > b[i] else -1
-    return 0
-
-
 class PolynomialRing:
     """GF(p)[x_1, ..., x_v] together with a monomial order."""
 

@@ -6,16 +6,29 @@ divisibility filtering, linear algebra by plain column-by-column
 Gauss-Jordan elimination, vanishing ideals by solving the full evaluation
 system degree by degree, the product of two ideals over every pair of
 generators, setting a linear form to zero by expanding each term on its
-own, and the 15 transcribed generators of the ideal of Example 6.1, which
-the vanishing ideal of its ten frozen points must reproduce.
+own, a Groebner basis checked after the fact by reducing its S-pairs, the
+eight seeded quadrics whose square never fills degree 4, with the sweep
+that says so, and the 15 transcribed generators of the ideal of Example
+6.1, which the vanishing ideal of its ten frozen points must reproduce.
 """
 
 import hashlib
+import random
 
 import pytest
 
-from conormal import DEGREVLEX, Ideal, PrimeField, PolynomialRing
+from conormal import (
+    DEFAULT_STEP_BUDGET,
+    DEGREVLEX,
+    GroebnerBasis,
+    Ideal,
+    PolynomialRing,
+    PrimeField,
+)
+from conormal.cm import _products, _sweep
 from conormal.constructions import EXAMPLE61_PRIME
+from conormal.field import derive_seed
+from conormal.groebner import _Budget, _reduce_terms, _spoly_items
 
 
 @pytest.fixture
@@ -278,6 +291,70 @@ def ideal_product(a, b):
                 seen.add(h.terms)
                 gens.append(h)
     return Ideal(a.ring, gens)
+
+
+# -- Groebner basis oracle: every S-pair reduced after the fact -----------------
+
+
+def verify_groebner(gb: GroebnerBasis) -> bool:
+    """Post-hoc Buchberger criterion: every S-polynomial reduces to zero and the
+    basis is reduced.  Skipped: coprime pairs, and a pair whose lcm a third
+    leading term divides with both lcms with that term proper divisors of
+    it (strict chain criterion; the lcm drops along a chain, so it holds for
+    all pairs judged at once)."""
+    ring = gb.ring
+    els = gb.elements
+    for f in els:
+        if f.terms[0][2] != 1:
+            return False
+    lts = [f.terms[0][1] for f in els]
+    for i, f in enumerate(els):
+        for _, m, _ in f.terms:
+            for j, lt in enumerate(lts):
+                if ring.mono_divides(lt, m) and not (j == i and m == lts[i]):
+                    return False
+    guard = ring._guard
+    lcms = [[ring.mono_lcm(a, b) for b in lts] for a in lts]
+    counter = _Budget(DEFAULT_STEP_BUDGET)
+    for i, f in enumerate(els):
+        for j in range(i + 1, len(els)):
+            l = lcms[i][j]
+            if l == lts[i] + lts[j]:
+                continue
+            lg = l | guard
+            if any(
+                (lg - lt) & guard == guard and lcms[i][k] != l and lcms[j][k] != l
+                for k, lt in enumerate(lts)
+            ):
+                continue
+            if _reduce_terms(ring, _spoly_items(ring, f, els[j]), gb.index(), counter):
+                return False
+    return True
+
+
+# -- eight quadrics whose square never fills degree 4 ----------------------------
+
+
+def seeded_quadrics(seed, p):
+    """(ring, quadrics): eight nonzero random quadrics in 4 variables over
+    GF(p), drawn from a seed."""
+    ring = PolynomialRing(PrimeField(p), ["x1", "x2", "x3", "x4"])
+    rng = random.Random(derive_seed(seed, "quadrics"))
+    quadrics = []
+    while len(quadrics) < 8:
+        f = ring.poly({m: rng.randrange(p) for m in ring.monomials_of_degree(2)})
+        if not f.is_zero():
+            quadrics.append(f)
+    return ring, quadrics
+
+
+def sweep_square_gap(ring, quadrics):
+    """The square has a standard monomial in degree 4.  The square is
+    generated in degree 4, so that is a sweep whose rank there is below
+    dim S_4."""
+    *_, (d, standard, _, _) = _sweep(ring, 4, _Budget(DEFAULT_STEP_BUDGET), _products(quadrics))
+    assert d == 4
+    return bool(standard)
 
 
 # -- the transcribed ideal of Example 6.1 ---------------------------------------

@@ -33,11 +33,16 @@ from conormal.criteria import (
     short_margin,
     short_margin_monotonic,
 )
-from conormal.cm import analyze, derive_seed, eight_quadrics_square_gap
+from conormal.cm import analyze, derive_seed
 from conormal.constructions import StretchedSpec, ideal_L, stretched_ideal
 from conormal.points import bm_result, general_points, random_points, vanishing_ideal
 from conormal.harness import ExperimentConfig, verify_example61
-from conftest import count_standard_of_degree, oneshot_vanishing_kernels
+from conftest import (
+    count_standard_of_degree,
+    oneshot_vanishing_kernels,
+    seeded_quadrics,
+    sweep_square_gap,
+)
 
 LONG_RUNS = os.environ.get("CONORMAL_LONG_TESTS") == "1"
 
@@ -258,7 +263,7 @@ def test_criterion_8_order_independent_counts():
 def test_criterion_9_eight_quadrics():
     hits = 0
     for k in range(25):
-        assert eight_quadrics_square_gap(("acceptance9", k), p=31991)
+        assert sweep_square_gap(*seeded_quadrics(("acceptance9", k), 31991))
         hits += 1
     assert hits == 25
     _announce("9 (25/25 random eight-quadric squares miss a degree-4 monomial)")

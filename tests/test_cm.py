@@ -23,7 +23,6 @@ from conormal.cm import (
     analyze,
     artinian_reduction,
     derive_seed,
-    eight_quadrics_square_gap,
     is_cm_square,
 )
 from conormal.groebner import contains
@@ -36,7 +35,7 @@ from conormal.points import (
     vanishing_ideal,
 )
 
-from conftest import example61_ideal
+from conftest import example61_ideal, seeded_quadrics, sweep_square_gap
 
 
 def test_reduction_of_coordinate_triangle():
@@ -196,7 +195,7 @@ def test_derive_seed_stability():
 
 
 def test_eight_quadrics_single_run():
-    assert eight_quadrics_square_gap(0)
+    assert sweep_square_gap(*seeded_quadrics(0, 31991))
 
 
 def forbid_buchberger(monkeypatch):

@@ -18,7 +18,6 @@ from conormal import (
     ideal_square,
     is_zero_dimensional,
     normal_form,
-    verify_groebner,
 )
 from conormal.constructions import StretchedSpec, ideal_L, stretched_ideal
 from conormal.groebner import (
@@ -34,6 +33,7 @@ from conftest import (
     ideal_product,
     monomial_quotient_standard,
     successors_by_divisor_scan,
+    verify_groebner,
 )
 
 

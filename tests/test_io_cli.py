@@ -85,10 +85,12 @@ def test_parse_ideal_file(tmp_path):
     assert len(ideal.generators) == 2
 
 
-def test_cli_selftest_exit_zero(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "selftest: ok" in out
+def test_cli_selftest_is_not_a_verb(capsys):
+    # no such verb: a usage error, reported as an input error
+    assert main(["selftest"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument command: invalid choice: 'selftest'")
 
 
 def test_cli_verify_example61(capsys):
@@ -250,7 +252,7 @@ def test_cli_env_budget(monkeypatch, capsys):
     assert code in (1, 2)  # cannot finish inside 250 steps
     capsys.readouterr()
     monkeypatch.setenv("CONORMAL_STEP_BUDGET", "bogus")
-    assert main(["selftest"]) == 1
+    assert main(["criteria-table"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: CONORMAL_STEP_BUDGET='bogus' is not an integer\n"
@@ -270,8 +272,8 @@ def test_cli_env_budget(monkeypatch, capsys):
         (["conjecture", "--c", "5", "--budget", "1e3"], None, "--budget='1e3' is not an integer"),
         (["stretched-suite", "--cmax", "\uff13"], None, "--cmax='\uff13' is not an integer"),
         (["criteria-table", "--smax=-"], None, "--smax='-' is not an integer"),
-        (["selftest"], "+5", "CONORMAL_STEP_BUDGET='+5' is not an integer"),
-        (["selftest"], "\u0665", "CONORMAL_STEP_BUDGET='\u0665' is not an integer"),
+        (["criteria-table"], "+5", "CONORMAL_STEP_BUDGET='+5' is not an integer"),
+        (["criteria-table"], "\u0665", "CONORMAL_STEP_BUDGET='\u0665' is not an integer"),
     ],
 )
 def test_cli_integers_are_ascii_digits(argv, env, message, monkeypatch, capsys):
@@ -517,7 +519,7 @@ def test_an_exhausted_budget_exits_2_in_every_verb(argv, budget, tmp_path, monke
 
 @pytest.mark.parametrize(
     "argv, env",
-    [(["conjecture", "--c", "5", "--budget", "-1"], None), (["selftest"], "-1")],
+    [(["conjecture", "--c", "5", "--budget", "-1"], None), (["criteria-table"], "-1")],
 )
 def test_cli_rejects_a_negative_budget(argv, env, monkeypatch, capsys):
     # from the flag or from the environment: an input error, not an

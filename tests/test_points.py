@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conormal import DEGREVLEX, DEGLEX, LEX, buchberger, Ideal, random_linear_form, verify_groebner
+from conormal import DEGREVLEX, DEGLEX, LEX, buchberger, Ideal, random_linear_form
 from conormal import points
 from conormal.field import stable_seed
 from conormal.groebner import BudgetExceededError
@@ -18,7 +18,12 @@ from conormal.points import (
     random_points,
     vanishing_ideal,
 )
-from conftest import count_standard_of_degree, oneshot_vanishing_kernels, successors_by_divisor_scan
+from conftest import (
+    count_standard_of_degree,
+    oneshot_vanishing_kernels,
+    successors_by_divisor_scan,
+    verify_groebner,
+)
 
 
 def test_two_points_in_p1():

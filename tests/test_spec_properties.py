@@ -92,7 +92,8 @@ def test_groebner_stress_across_orders():
     # random small ideals: verified bases and order-independent lengths,
     # lex included
     import random
-    from conormal import DEGLEX, LEX, verify_groebner
+    from conormal import DEGLEX, LEX
+    from conftest import verify_groebner
 
     rng = random.Random(4242)
     field = PrimeField(101)

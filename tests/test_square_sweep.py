@@ -62,12 +62,9 @@ from conormal.cm import (
     artinian_reduction,
     _square_length,
     _trial_forms,
-    eight_quadrics_square_gap,
     is_cm_square,
 )
-from conormal.field import derive_seed
 from conormal.groebner import (
-    DEFAULT_STEP_BUDGET,
     BudgetExceededError,
     GroebnerBasis,
     _Budget,
@@ -75,7 +72,6 @@ from conormal.groebner import (
     ideal_square,
     is_zero_dimensional,
     normal_form,
-    verify_groebner,
 )
 from conormal.invariants import length
 from conormal.points import (
@@ -87,7 +83,13 @@ from conormal.points import (
 )
 from conormal.poly import DEGLEX, quotient_by_linear_form
 
-from conftest import example61_ideal, quotient_term_by_term
+from conftest import (
+    example61_ideal,
+    quotient_term_by_term,
+    seeded_quadrics,
+    sweep_square_gap,
+    verify_groebner,
+)
 
 P = 31991
 
@@ -655,32 +657,12 @@ def oracle_square_gap(ring, quadrics):
     )
 
 
-def sweep_square_gap(ring, quadrics):
-    """The square has a standard monomial in degree 4."""
-    *_, (d, standard, _, _) = _sweep(ring, 4, _Budget(DEFAULT_STEP_BUDGET), _products(quadrics))
-    assert d == 4
-    return bool(standard)
-
-
-def seeded_quadrics(seed, p):
-    """The eight quadrics `eight_quadrics_square_gap` draws for a seed."""
-    ring = PolynomialRing(PrimeField(p), ["x1", "x2", "x3", "x4"])
-    rng = random.Random(derive_seed(seed, "quadrics"))
-    quadrics = []
-    while len(quadrics) < 8:
-        f = ring.poly({m: rng.randrange(p) for m in ring.monomials_of_degree(2)})
-        if not f.is_zero():
-            quadrics.append(f)
-    return ring, quadrics
-
-
 @pytest.mark.parametrize("p", [7, P])
 def test_eight_quadrics_check_matches_the_normal_forms(p):
     for seed in range(10):
         ring, quadrics = seeded_quadrics(seed, p)
         want = oracle_square_gap(ring, quadrics)
         assert sweep_square_gap(ring, quadrics) == want
-        assert eight_quadrics_square_gap(seed, p) == want
 
 
 def test_squares_of_the_quadric_monomials_fill_degree_four():

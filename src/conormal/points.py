@@ -19,18 +19,34 @@ every divisor one degree down is standard: one step of the
 standard-monomial walk of `groebner._standard_levels`, taken by
 `groebner._standard_successors` with no leading terms, since every element
 found so far lies in a lower degree and so divides a candidate only through
-one of those divisors.  The loop runs until a degree confirms the Hilbert
-function at n with no new generators, one degree past the stabilization
-required of saturated point ideals, which also covers
-special configurations whose initial ideal acquires late generators.  So it
-reaches at least degree d0 + 1, d0 the first degree with C(c + d0, d0) >= n,
-and a point count that puts d0 + 1 past the monomial degree limit is refused
-before any evaluation; a configuration that climbs past the limit anyway,
-such as many points on a line, raises when it gets there.  Each pass runs
-under a step budget like Buchberger's.  A candidate is a variable times a
-standard monomial of the previous degree, so its values at the points are
-that monomial's values times one coordinate, point by point; the closing
-check that every element vanishes evaluates each term from scratch, from a
+one of those divisors.
+
+Where the pass stops.  When the order is degrevlex and x_c, the last
+variable, vanishes at none of the points, x_c is regular on R/I and
+in(I) : x_c = in(I) (Bayer and Stillman, Invent. Math. 87, 1987).  So in the
+first degree d with HF(d-1) = n the standard monomials are x_c times those
+of degree d-1, and in(I) has no minimal generator above degree d: the pass
+ends with degree d, which it reads off degree d-1.  A candidate that x_c
+divides is standard, with no row.  Every other candidate lies above all of
+those in degrevlex, and leads a new element; its values divided point by
+point by x_c, its parent's values times the ratio x_j/x_c, are reduced once
+against degree d-1's echelon, of full rank n, and the slots are the
+element's coefficients on x_c times degree d-1's standard monomials.  For
+one point HF is n from degree 0, whose echelon is the one row of the
+monomial 1.  Otherwise (another order, or x_c = 0 at some point, as at the
+coordinate points of Example 6.1) the loop runs until a degree confirms the
+Hilbert function at n with no new generators, one degree past the
+stabilization required of saturated point ideals, which also covers
+special configurations whose initial ideal acquires late generators.
+Either way it reaches at least degree d0 + 1, d0 the first degree with
+C(c + d0, d0) >= n, and a point count that puts d0 + 1 past the monomial
+degree limit is refused before any evaluation; a configuration that climbs
+past the limit anyway, such as many points on a line, raises when it gets
+there.  Each pass runs under a step budget like Buchberger's.  A candidate
+is a variable times a standard monomial of the previous degree, so its
+values at the points are that monomial's values times one coordinate,
+point by point; the closing check that every element vanishes, those of
+the degree read off included, evaluates each term from scratch, from a
 table of coordinate powers.
 
 A point set certified general, drawn by `general_points` or frozen like
@@ -62,7 +78,10 @@ from .linalg import Echelon, Lanes
 class BmResult(NamedTuple):
     """One Buchberger-Moller pass: the reduced basis of the vanishing ideal,
     the Hilbert function of the coordinate ring by degree up to the degree
-    the pass confirmed it at, and the steps the pass took."""
+    the pass stopped at, and the steps the pass took.  The Hilbert function
+    ends at n twice: in the degree read off the one before, when x_c
+    vanishes at no point under degrevlex, otherwise in the degree that
+    confirmed it (see the module docstring); past its end it stays n."""
 
     basis: GroebnerBasis
     hf: tuple
@@ -206,9 +225,17 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
     key = ring.key
     coords = [[pt[j] for pt in ps.points] for j in range(ps.c + 1)]
 
+    # x_c is regular on R/I: the last degree is read off (module docstring)
+    last_is_regular = order == DEGREVLEX and all(coords[-1])
+
     elements = []
     hf = [1]
     values = {0: [1] * n}  # standard monomials of the previous degree: values
+    # the previous degree's echelon and standard monomials; degree 0's echelon
+    # holds the one row of the monomial 1, its values and its slot
+    echelon = Echelon(p)
+    echelon.add([1] * n + [1])
+    std_keys = [(key(0), 0)]
 
     degree_cap = n + ps.c + 5
     d = 0
@@ -223,6 +250,15 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
         successors = _standard_successors(ring, (), values)
         # ascending, smallest first, with the keys the element terms carry
         candidates = sorted((key(m), m) for m in successors)
+        if last_is_regular and hf[d - 1] == n:
+            new_gens = _last_degree(
+                ring, coords, candidates, successors, values, echelon, std_keys, steps
+            )
+            if new_gens and d > MAX_EXPONENT:
+                raise _past_the_degree_limit(ps.c, n)
+            hf.append(len(candidates) - len(new_gens))
+            elements.extend(new_gens)
+            break
         # a row is the values at the points followed by one slot per standard
         # monomial of this degree (see the module docstring)
         slots = min(n, len(candidates))
@@ -254,6 +290,37 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
             raise _past_the_degree_limit(ps.c, n)
     _check_vanishing(ring, elements, ps)
     return BmResult(GroebnerBasis(ring, elements), tuple(hf), steps.limit - steps.remaining)
+
+
+def _last_degree(ring, coords, candidates, successors, values, echelon, std_keys, steps):
+    """The new elements of the first degree d with HF(d-1) = n when x_c,
+    the last variable, vanishes at no point, read off degree d-1: `values`,
+    its `echelon` and `std_keys`, its standard monomials ascending.  A
+    candidate that x_c divides is standard; any other, m = x_j times its
+    parent, leads an element on x_c times those standard monomials, all
+    below m under degrevlex, whose coefficients are the slots of the values
+    of m / x_c, the parent's times x_j / x_c, reduced against the echelon of
+    full rank n.  Each reduction is charged by `_Budget.charge_row`."""
+    p, n = ring.field.p, len(coords[0])
+    last = ring._var_monos[-1]
+    guard = ring._guard
+    inverse = [pow(v, -1, p) for v in coords[-1]]
+    ratios = [[a * b % p for a, b in zip(col, inverse)] for col in coords]
+    key = ring.key
+    tail = [(key(m + last), m + last) for _, m in reversed(std_keys)]  # descending
+    pad = [0] * (len(echelon.rows[0]) - n)  # the slots of a row
+    new_gens = []
+    for k, m in candidates:
+        # m - x_c borrows into the guard bit of x_c's field iff x_c does not divide m
+        if not (m - last) & guard:
+            continue
+        parent, j = successors[m]
+        rem, mults = echelon.reduce([a * b % p for a, b in zip(values[parent], ratios[j])] + pad)
+        steps.charge_row(mults)
+        coeffs = reversed(rem[n:n + len(tail)])
+        terms = tuple([(k, m, 1)] + [(kk, mm, c) for (kk, mm), c in zip(tail, coeffs) if c])
+        new_gens.append(Polynomial(ring, terms))
+    return new_gens
 
 
 def _check_vanishing(ring, elements, ps: PointSet):

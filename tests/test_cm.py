@@ -5,7 +5,6 @@ import time
 import pytest
 
 from conormal import (
-    BudgetExceededError,
     DEGLEX,
     DEGREVLEX,
     LEX,
@@ -17,7 +16,6 @@ from conormal import (
 from conormal.cm import (
     DEFAULT_TRIALS,
     CmVerdict,
-    CriteriaAgreementError,
     _hf_difference,
     _trial_forms,
     analyze,

@@ -142,10 +142,19 @@ def test_vanishing_ideal_agrees_with_oneshot_oracle():
     collinear = make_point_set(2, 31991, [(1, t, 5 * t + 7) for t in range(7)])
     twisted_cubic = make_point_set(3, 31991, [(1, t, t * t, t ** 3) for t in range(1, 10)])
     wide = random_points(3, 8, 2**31 - 1, seed=4)  # 128-bit echelon lanes
-    for ps in drawn + [five, ten, collinear, twisted_cubic, wide]:
+    # the 2 x 2 x 3 complete intersection (1, a, b, c), off x_c = 0: its
+    # Hilbert function reaches n late, and its cubic in x3 alone leads
+    grid = make_point_set(
+        3, 31991, [(1, a, b, c) for a in (2, 3) for b in (2, 3) for c in (2, 3, 5)]
+    )
+    assert bm_result(grid).hf == (1, 4, 8, 11, 12, 12)
+    for ps in drawn + [five, ten, collinear, twisted_cubic, wide, grid]:
         gb = vanishing_ideal(ps)
         hf = bm_result(ps).hf
-        max_deg = max(int(g.degree) for g in gb.elements) + 1
+        # the pass stops a degree early when x_c vanishes at no point, so
+        # there the kernels are checked two degrees past the top element
+        x_c_regular = all(pt[-1] for pt in ps.points)
+        max_deg = max(int(g.degree) for g in gb.elements) + 1 + x_c_regular
         kernels = oneshot_vanishing_kernels(ps, max_deg)
         for d, polys in kernels.items():
             # dimension agreement: monomials minus standard = kernel size,
@@ -255,22 +264,44 @@ def test_buchberger_moller_step_counts_are_pinned():
 
     assert bm_result(example61_points()).steps == 189
     ps, redraws = general_points(13, 40, 31991, 0)
-    assert (redraws, ps.bm.steps) == (0, 6870)
+    assert (redraws, ps.bm.steps) == (0, 5230)
+
+
+def test_the_pass_reads_its_last_degree_off_the_previous_one_when_x_c_is_regular():
+    # x_c vanishes at none of these points, so under degrevlex the pass
+    # stops in the first degree past HF = n and builds no confirmation degree
+    from conormal.constructions import example61_points
+
+    ps, _ = general_points(13, 40, 31991, 0)
+    assert ps.bm.hf == (1, 14, 40, 40)
+    # another order, or a point with x_c = 0, runs the full loop
+    assert bm_result(ps, DEGLEX).hf[:5] == (1, 14, 40, 40, 40)
+    assert bm_result(example61_points()).hf == (1, 6, 10, 10, 10)
+    # one point is HF = n from degree 0, read off the echelon of the monomial 1
+    off = bm_result(make_point_set(3, 31991, [(1, 2, 3, 4)]))
+    assert off.hf == (1, 1)
+    assert [str(g) for g in off.basis.elements] == [
+        "x2 + 7997*x3", "x1 + 15995*x3", "x0 + 23993*x3"
+    ]
+    on = bm_result(make_point_set(3, 31991, [(1, 2, 3, 0)]))
+    assert on.hf == (1, 1, 1)
+    assert [str(g) for g in on.basis.elements] == ["x3", "x1 + 10663*x2", "x0 + 21327*x2"]
 
 
 def test_vanishing_ideal_is_charged_to_the_step_budget():
-    # 6 general points in P^3: 115 steps, one per candidate row plus one per
-    # echelon row subtracted from it
+    # 6 general points in P^3: 73 steps, one per candidate row plus one per
+    # echelon row subtracted from it; the candidates of the last degree that
+    # x_c divides are standard with no row
     ps, _ = general_points(3, 6, 31991, 0)
-    assert [str(g) for g in vanishing_ideal(ps, budget=115).elements] == [
+    assert [str(g) for g in vanishing_ideal(ps, budget=73).elements] == [
         str(g) for g in vanishing_ideal(ps).elements
     ]
     with pytest.raises(BudgetExceededError):
-        vanishing_ideal(ps, budget=114)
+        vanishing_ideal(ps, budget=72)
     with pytest.raises(BudgetExceededError):
-        bm_result(ps, budget=114)
+        bm_result(ps, budget=72)
     with pytest.raises(BudgetExceededError):
-        general_points(3, 6, 31991, 0, budget=114)
+        general_points(3, 6, 31991, 0, budget=72)
 
 
 def value_by_pow(exps, point, p):
@@ -331,7 +362,10 @@ def test_points_on_a_line_climb_past_the_degree_limit(monkeypatch):
     # 10, ten such points still fit and eleven raise instead of packing
     # monomials past it
     monkeypatch.setattr(points, "MAX_EXPONENT", 10)
-    gb = vanishing_ideal(make_point_set(2, 31991, [(1, i, 0) for i in range(10)]))
-    assert [g.degree for g in gb.elements] == [1, 10]
-    with pytest.raises(ValueError, match="past total degree 10"):
-        vanishing_ideal(make_point_set(2, 31991, [(1, i, 0) for i in range(11)]))
+    # on x2 = 0 the pass runs the full loop; on x2 = x0 it reads its last
+    # degree off the one before
+    for last in (0, 1):
+        gb = vanishing_ideal(make_point_set(2, 31991, [(1, i, last) for i in range(10)]))
+        assert [g.degree for g in gb.elements] == [1, 10]
+        with pytest.raises(ValueError, match="past total degree 10"):
+            vanishing_ideal(make_point_set(2, 31991, [(1, i, last) for i in range(11)]))

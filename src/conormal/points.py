@@ -31,13 +31,14 @@ divides is standard, with no row.  Every other candidate lies above all of
 those in degrevlex, and leads a new element; its values divided point by
 point by x_c, its parent's values times the ratio x_j/x_c, are reduced once
 against degree d-1's echelon, of full rank n, and the slots are the
-element's coefficients on x_c times degree d-1's standard monomials.  For
-one point HF is n from degree 0, whose echelon is the one row of the
-monomial 1.  Otherwise (another order, or x_c = 0 at some point, as at the
-coordinate points of Example 6.1) the loop runs until a degree confirms the
-Hilbert function at n with no new generators, one degree past the
-stabilization required of saturated point ideals, which also covers
-special configurations whose initial ideal acquires late generators.
+element's coefficients on x_c times degree d-1's standard monomials.  The
+read-off starts at degree 2, with an echelon below it, so one point, whose
+HF is n from degree 0, runs the loop through degree 1.  Otherwise (another
+order, or x_c = 0 at some point, as at the coordinate points of Example
+6.1) the loop runs until a degree confirms the Hilbert function at n with
+no new generators, one degree past the stabilization required of saturated
+point ideals, which also covers special configurations whose initial ideal
+acquires late generators.
 Either way it reaches at least degree d0 + 1, d0 the first degree with
 C(c + d0, d0) >= n, and a point count that puts d0 + 1 past the monomial
 degree limit is refused before any evaluation; a configuration that climbs
@@ -231,11 +232,6 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
     elements = []
     hf = [1]
     values = {0: [1] * n}  # standard monomials of the previous degree: values
-    # the previous degree's echelon and standard monomials; degree 0's echelon
-    # holds the one row of the monomial 1, its values and its slot
-    echelon = Echelon(p)
-    echelon.add([1] * n + [1])
-    std_keys = [(key(0), 0)]
 
     degree_cap = n + ps.c + 5
     d = 0
@@ -250,7 +246,8 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
         successors = _standard_successors(ring, (), values)
         # ascending, smallest first, with the keys the element terms carry
         candidates = sorted((key(m), m) for m in successors)
-        if last_is_regular and hf[d - 1] == n:
+        # from degree 2, read off the echelon and std_keys of degree d - 1
+        if last_is_regular and d > 1 and hf[d - 1] == n:
             new_gens = _last_degree(
                 ring, coords, candidates, successors, values, echelon, std_keys, steps
             )

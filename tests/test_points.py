@@ -277,9 +277,11 @@ def test_the_pass_reads_its_last_degree_off_the_previous_one_when_x_c_is_regular
     # another order, or a point with x_c = 0, runs the full loop
     assert bm_result(ps, DEGLEX).hf[:5] == (1, 14, 40, 40, 40)
     assert bm_result(example61_points()).hf == (1, 6, 10, 10, 10)
-    # one point is HF = n from degree 0, read off the echelon of the monomial 1
+    # one point is HF = n from degree 0, but the read-off needs an echelon
+    # below it: degree 1 runs the loop, and degree 2 is read off degree 1
+    # when x_c is nonzero, otherwise built to confirm
     off = bm_result(make_point_set(3, 31991, [(1, 2, 3, 4)]))
-    assert off.hf == (1, 1)
+    assert off.hf == (1, 1, 1)
     assert [str(g) for g in off.basis.elements] == [
         "x2 + 7997*x3", "x1 + 15995*x3", "x0 + 23993*x3"
     ]

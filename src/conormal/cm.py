@@ -70,7 +70,7 @@ from math import comb
 from operator import mul
 
 from .field import derive_seed
-from .linalg import Echelon, Lanes
+from .linalg import Echelon
 from .poly import (
     MAX_EXPONENT,
     PolynomialRing,
@@ -433,7 +433,7 @@ def _sweep(ring: PolynomialRing, top: int, budget: _Budget, pairs):
         pivots = set(ech.pivots)
         new = [border[j] for j in sorted(pivots - firsts.keys())]
         standard = [m for j, m in enumerate(border) if j not in pivots]
-        tails = _tails(ech, border, standard, rules, shifts, p) if standard and d < top else {}
+        tails = _tails(ech, border, rules, shifts) if standard and d < top else {}
         yield d, standard, tails, new
         if not standard:
             return
@@ -456,26 +456,20 @@ def _later_rows(tails, xs, shifts, col, rules, firsts, n, p):
                 yield _border_row(n, p, ((j, 1),), ((1, tail, cols),))
 
 
-def _tails(ech: Echelon, border, standard, rules, shifts, p):
-    """The tail on `standard` of every leading monomial of J_d, from the
-    echelon of J_d meet span(B_d) over the `border` and the degree's rules.
+def _tails(ech: Echelon, border, rules, shifts):
+    """The tail on the standard monomials of every leading monomial of J_d,
+    from the echelon of J_d meet span(B_d) over the `border` and the
+    degree's rules.
 
-    Modulo J a border column k is img[k]: the lane of its monomial when
-    that is standard, else minus the tail of its pivot.  A pivot row is 1
-    at its pivot j and nonzero only at larger columns, so in decreasing
-    pivot order its tail sum(row[k] * img[k]) needs only tails already
-    made, with no new elimination: img[j] is still 0 when it is summed.  A
-    rule's tail is x * tail(L) taken through img.  Each sum is one `Lanes`
-    int of len(standard) lanes, each lane at most n products below p^2,
-    read back once, with no second elimination.
+    The standard monomials are the free columns of the echelon.  A pivot's
+    tail is its reduced row there, made by `Echelon.back_substitute`, and
+    modulo J a border column is its image there.  A rule's tail is
+    x * tail(L) taken through those images: one `Lanes` int, each lane at
+    most one product below p^2 per standard monomial, read back once, with
+    no second elimination.
     """
-    lanes = Lanes(p, len(standard), len(border) * (p - 1) ** 2)
-    lane = {m: k * lanes.width for k, m in enumerate(standard)}
-    img = [1 << lane[m] if m in lane else 0 for m in border]
-    tails = {}
-    for j, row in sorted(zip(ech.pivots, ech.rows), reverse=True):
-        tail = tails[border[j]] = lanes.unpack(sum(map(mul, row, img)))
-        img[j] = lanes.pack([-t % p for t in tail])
+    lanes, pivot_tails, img = ech.back_substitute(len(border))
+    tails = {border[j]: tail for j, tail in pivot_tails.items()}
     moved = [[img[j] for j in cols] for cols in shifts]
     for m, (tail, x) in rules.items():
         tails[m] = lanes.unpack(sum(map(mul, tail, moved[x])))

@@ -1,7 +1,12 @@
 """Dense linear algebra over GF(p): the one Gaussian elimination of the
 package, used by the square verdict's degree sweep, the invariants module
 and the Buchberger-Moller vanishing ideal, which reduces each candidate
-first and appends its remainder as a row only when it is standard.
+first and appends its remainder as a row only when it is standard.  Its
+one back-substitution, `Echelon.back_substitute`, reads the reduced rows
+off an echelon without a second elimination: the sweep takes the normal
+forms it hands on from it, and the vanishing ideal solves each candidate
+that comes after its echelon has reached full rank on the values with one
+packed product over it.
 
 Vectors go in and come out as lists of canonical ints in [0, p).  Inside
 `Echelon` each row is also one Python int with a fixed-width lane per
@@ -15,6 +20,7 @@ multiplies by the variables with it, and the closing check of the vanishing
 ideal of points sums packed value vectors with it.
 """
 
+from operator import mul
 import struct
 
 
@@ -159,3 +165,33 @@ class Echelon:
         self._shifts.append(shift)
         self._below |= (1 << shift + self._width) - 1
         return scale
+
+    def back_substitute(self, ncols):
+        """(lanes, tails, img): the rows brought to reduced echelon form over
+        `ncols` columns, read at the free columns, those of no pivot.
+
+        `lanes` packs one entry per free column, in increasing column order.
+        img[k] is the packed image of column k modulo the row space: the
+        lane of k when k is free, else minus the tail of its pivot row.
+        tails[j] is the reduced row of pivot j at the free columns, the
+        pivots in decreasing order.  A row is 1 at its pivot j and nonzero
+        only at larger columns, so in decreasing pivot order its tail
+        sum(row[k] * img[k]) needs only tails already made, with no second
+        elimination: img[j] is still 0 when it is summed.  Each sum is one
+        int whose lanes gain at most ncols products below p^2, read back
+        once.  The remainder of a vector x, as `reduce` gives it, is then
+        sum(x[k] * img[k]) at the free columns, one more such sum.  `ncols`
+        is given since an echelon with no rows has no column count.
+        """
+        p = self.p
+        pivots = set(self.pivots)
+        free = [k for k in range(ncols) if k not in pivots]
+        lanes = Lanes(p, len(free), ncols * (p - 1) ** 2)
+        img = [0] * ncols
+        for i, k in enumerate(free):
+            img[k] = 1 << i * lanes.width
+        tails = {}
+        for j, row in sorted(zip(self.pivots, self.rows), reverse=True):
+            tail = tails[j] = lanes.unpack(sum(map(mul, row, img)))
+            img[j] = lanes.pack([-t % p for t in tail])
+        return lanes, tails, img

@@ -12,14 +12,18 @@ element, its other terms the standard monomials below it.  So the echelon
 of a degree holds only the rows of standard monomials: a row is the n
 values followed by one slot per standard monomial, at most n of them, in
 which it records its combination of them, and the slots of a candidate
-that reduces to zero are the coefficients of its element.  The
-candidates are the variable multiples of the previous degree's standard
-monomials that no leading term found so far divides, which are those whose
-every divisor one degree down is standard: one step of the
-standard-monomial walk of `groebner._standard_levels`, taken by
-`groebner._standard_successors` with no leading terms, since every element
-found so far lies in a lower degree and so divides a candidate only through
-one of those divisors.
+that reduces to zero are the coefficients of its element.  Once the
+echelon has rank n on the values, every later candidate of the degree
+reduces to zero, and its slots are solved with no reduction: the rows are
+brought to reduced form once, by `Echelon.back_substitute`, and the slots
+of a candidate are one packed sum of its values times the images of the
+value columns (`_solver`).  The candidates are the variable multiples of
+the previous degree's standard monomials that no leading term found so far
+divides, which are those whose every divisor one degree down is standard:
+one step of the standard-monomial walk of `groebner._standard_levels`,
+taken by `groebner._standard_successors` with no leading terms, since
+every element found so far lies in a lower degree and so divides a
+candidate only through one of those divisors.
 
 Where the pass stops.  When the order is degrevlex and x_c, the last
 variable, vanishes at none of the points, x_c is regular on R/I and
@@ -29,7 +33,7 @@ of degree d-1, and in(I) has no minimal generator above degree d: the pass
 ends with degree d, which it reads off degree d-1.  A candidate that x_c
 divides is standard, with no row.  Every other candidate lies above all of
 those in degrevlex, and leads a new element; its values divided point by
-point by x_c, its parent's values times the ratio x_j/x_c, are reduced once
+point by x_c, its parent's values times the ratio x_j/x_c, are solved
 against degree d-1's echelon, of full rank n, and the slots are the
 element's coefficients on x_c times degree d-1's standard monomials.  The
 read-off starts at degree 2, with an echelon below it, so one point, whose
@@ -43,12 +47,15 @@ Either way it reaches at least degree d0 + 1, d0 the first degree with
 C(c + d0, d0) >= n, and a point count that puts d0 + 1 past the monomial
 degree limit is refused before any evaluation; a configuration that climbs
 past the limit anyway, such as many points on a line, raises when it gets
-there.  Each pass runs under a step budget like Buchberger's.  A candidate
-is a variable times a standard monomial of the previous degree, so its
-values at the points are that monomial's values times one coordinate,
-point by point; the closing check that every element vanishes, those of
-the degree read off included, evaluates each term from scratch, from a
-table of coordinate powers.
+there.  Each pass runs under a step budget like Buchberger's: a reduced
+row costs one step plus one per echelon row subtracted from it, and a
+solved row one step plus one per nonzero value, the reduced rows it
+applies.  A candidate is a variable times a standard monomial of the
+previous degree, so its values at the points are that monomial's values
+times one coordinate, point by point; the closing check that every
+element vanishes, the solved ones and those of the degree read off
+included, evaluates each term from scratch, from a table of coordinate
+powers.
 
 A point set certified general, drawn by `general_points` or frozen like
 the points of Example 6.1, keeps the result of its pass (the basis, the
@@ -61,6 +68,7 @@ R/I from it.
 import dataclasses
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 import random
 from typing import NamedTuple
 
@@ -174,7 +182,9 @@ def random_points(c: int, n: int, p: int, seed) -> PointSet:
 def _monomial_values(exponents, ps: PointSet) -> list:
     """The value vector at the points of each monomial, given by its
     exponents: products of entries of a table of coordinate powers, built
-    by multiplication up to the largest exponent, with no `pow`."""
+    by multiplication up to the largest exponent, with no `pow`.  A
+    monomial starts from its first factor's row of the table, which a pure
+    power returns as it stands, so the lists are not to be changed."""
     p, n = ps.p, ps.n
     top = max((max(exps) for exps in exponents), default=0)
     powers = []  # powers[j][k]: coordinate j to the k at every point
@@ -186,11 +196,12 @@ def _monomial_values(exponents, ps: PointSet) -> list:
         powers.append(table)
     out = []
     for exps in exponents:
-        vals = [1] * n
+        vals = None
         for j, e in enumerate(exps):
             if e:
-                vals = [a * b % p for a, b in zip(vals, powers[j][e])]
-        out.append(vals)
+                row = powers[j][e]
+                vals = row if vals is None else [a * b % p for a, b in zip(vals, row)]
+        out.append(powers[0][0] if vals is None else vals)
     return out
 
 
@@ -216,7 +227,7 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
     """One Buchberger-Moller pass.
 
     Each candidate row is charged to a fresh step budget by
-    `_Budget.charge_row`.
+    `_Budget.charge_row`: a solved row with its values as the multipliers.
     """
     _check_degree_range(ps.c, ps.n)
     steps = _Budget(budget)
@@ -246,10 +257,11 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
         successors = _standard_successors(ring, (), values)
         # ascending, smallest first, with the keys the element terms carry
         candidates = sorted((key(m), m) for m in successors)
-        # from degree 2, read off the echelon and std_keys of degree d - 1
+        # from degree 2, read off the echelon, solver and std_keys of degree d - 1
         if last_is_regular and d > 1 and hf[d - 1] == n:
             new_gens = _last_degree(
-                ring, coords, candidates, successors, values, echelon, std_keys, steps
+                ring, coords, candidates, successors, values, solve or _solver(echelon, n),
+                std_keys, steps,
             )
             if new_gens and d > MAX_EXPONENT:
                 raise _past_the_degree_limit(ps.c, n)
@@ -260,24 +272,31 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
         # monomial of this degree (see the module docstring)
         slots = min(n, len(candidates))
         echelon = Echelon(p)
+        solve = None  # made by `_solver` for the first candidate past rank n
         new_gens = []
         std_here = {}  # standard monomial of this degree: values
         std_keys = []  # the same monomials, ascending: (key, monomial)
         for k, m in candidates:
             parent, j = successors[m]
             vals = [a * b % p for a, b in zip(values[parent], coords[j])]
-            rem, mults = echelon.reduce(vals + [0] * slots)
-            steps.charge_row(mults)
-            if any(rem[:n]):
-                rem[n + len(std_keys)] = 1  # the candidate's own slot
-                echelon._append(rem)
-                std_here[m] = vals
-                std_keys.append((k, m))
+            if len(std_keys) == n:
+                solve = solve or _solver(echelon, n)
+                steps.charge_row(vals)
+                slot_values = solve(vals)
             else:
-                tail = zip(reversed(std_keys), reversed(rem[n:n + len(std_keys)]))
-                # sized at once, see PolynomialRing._from_packed_dict
-                terms = tuple([(k, m, 1)] + [(kk, mm, c) for (kk, mm), c in tail if c])
-                new_gens.append(Polynomial(ring, terms))
+                rem, mults = echelon.reduce(vals + [0] * slots)
+                steps.charge_row(mults)
+                if any(rem[:n]):
+                    rem[n + len(std_keys)] = 1  # the candidate's own slot
+                    echelon._append(rem)
+                    std_here[m] = vals
+                    std_keys.append((k, m))
+                    continue
+                slot_values = rem[n:n + len(std_keys)]
+            tail = zip(reversed(std_keys), reversed(slot_values))
+            # sized at once, see PolynomialRing._from_packed_dict
+            terms = tuple([(k, m, 1)] + [(kk, mm, c) for (kk, mm), c in tail if c])
+            new_gens.append(Polynomial(ring, terms))
         hf.append(len(std_here))
         elements.extend(new_gens)
         values = std_here
@@ -289,32 +308,46 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
     return BmResult(GroebnerBasis(ring, elements), tuple(hf), steps.limit - steps.remaining)
 
 
-def _last_degree(ring, coords, candidates, successors, values, echelon, std_keys, steps):
+def _solver(echelon: Echelon, n: int):
+    """The slots of the remainder of a row, n values followed by zero slots,
+    against `echelon`, of rank n on the values: a function of the values.
+
+    Each value column is a pivot, so the remainder is the values times the
+    images of the value columns, which `Echelon.back_substitute` makes once,
+    summed as one packed int and unpacked once; its multipliers against the
+    reduced rows are the values themselves.
+    """
+    lanes, _, img = echelon.back_substitute(len(echelon.rows[0]))
+    unpack, images = lanes.unpack, img[:n]
+    return lambda vals: unpack(sum(map(mul, vals, images)))
+
+
+def _last_degree(ring, coords, candidates, successors, values, solve, std_keys, steps):
     """The new elements of the first degree d with HF(d-1) = n when x_c,
     the last variable, vanishes at no point, read off degree d-1: `values`,
-    its `echelon` and `std_keys`, its standard monomials ascending.  A
-    candidate that x_c divides is standard; any other, m = x_j times its
-    parent, leads an element on x_c times those standard monomials, all
-    below m under degrevlex, whose coefficients are the slots of the values
-    of m / x_c, the parent's times x_j / x_c, reduced against the echelon of
-    full rank n.  Each reduction is charged by `_Budget.charge_row`."""
-    p, n = ring.field.p, len(coords[0])
+    the `_solver` of its echelon and `std_keys`, its standard monomials
+    ascending.  A candidate that x_c divides is standard; any other, m = x_j
+    times its parent, leads an element on x_c times those standard
+    monomials, all below m under degrevlex, whose coefficients are the
+    slots that `solve` gives for the values of m / x_c, the parent's times
+    x_j / x_c.  Each row is charged by `_Budget.charge_row` with the values
+    as its multipliers."""
+    p = ring.field.p
     last = ring._var_monos[-1]
     guard = ring._guard
     inverse = [pow(v, -1, p) for v in coords[-1]]
     ratios = [[a * b % p for a, b in zip(col, inverse)] for col in coords]
     key = ring.key
     tail = [(key(m + last), m + last) for _, m in reversed(std_keys)]  # descending
-    pad = [0] * (len(echelon.rows[0]) - n)  # the slots of a row
     new_gens = []
     for k, m in candidates:
         # m - x_c borrows into the guard bit of x_c's field iff x_c does not divide m
         if not (m - last) & guard:
             continue
         parent, j = successors[m]
-        rem, mults = echelon.reduce([a * b % p for a, b in zip(values[parent], ratios[j])] + pad)
-        steps.charge_row(mults)
-        coeffs = reversed(rem[n:n + len(tail)])
+        vals = [a * b % p for a, b in zip(values[parent], ratios[j])]
+        steps.charge_row(vals)
+        coeffs = reversed(solve(vals))
         terms = tuple([(k, m, 1)] + [(kk, mm, c) for (kk, mm), c in zip(tail, coeffs) if c])
         new_gens.append(Polynomial(ring, terms))
     return new_gens
@@ -323,21 +356,21 @@ def _last_degree(ring, coords, candidates, successors, values, echelon, std_keys
 def _check_vanishing(ring, elements, ps: PointSet):
     """Every element vanishes at every point, evaluated from scratch: each
     distinct monomial once by `_monomial_values`, its values packed into
-    lanes, and each element one packed sum of its terms."""
+    lanes, and each element one packed sum of its terms; the points are
+    walked only to name one where an element does not vanish."""
     p, n = ring.field.p, ps.n
     longest = max((len(g.terms) for g in elements), default=1)
     lanes = Lanes(p, n, longest * (p - 1) ** 2)
-    monos = list(dict.fromkeys(m for g in elements for _, m, _ in g.terms))
+    monos = list(dict.fromkeys([m for g in elements for _, m, _ in g.terms]))
     values = _monomial_values([ring.unpack(m) for m in monos], ps)
-    packed = {m: lanes.pack(vals) for m, vals in zip(monos, values)}
+    packed = dict(zip(monos, map(lanes.pack, values)))
     for g in elements:
-        total = lanes.unpack(sum(c * packed[m] for _, m, c in g.terms))
-        for pt, value in zip(ps.points, total):
-            if value:
-                raise RuntimeError(
-                    "internal error: a vanishing-ideal element does not vanish "
-                    f"at {pt}"
-                )
+        total = lanes.unpack(sum([c * packed[m] for _, m, c in g.terms]))
+        if any(total):
+            pt = ps.points[total.index(next(filter(None, total)))]
+            raise RuntimeError(
+                f"internal error: a vanishing-ideal element does not vanish at {pt}"
+            )
 
 
 def bm_result(

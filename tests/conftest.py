@@ -211,13 +211,14 @@ def gauss_jordan_nullspace(rows, ncols, p):
 # -- one-shot vanishing ideal oracle --------------------------------------------
 
 
-def oneshot_vanishing_kernels(ps, max_degree):
+def oneshot_vanishing_kernels(ps, max_degree, order=DEGREVLEX):
     """Kernel of the full degree-d evaluation matrix for every d <= max_degree.
 
-    Returns {degree: list of polynomials}, computed by plain Gaussian
-    elimination on all monomials at once (no candidate filtering).
+    Returns {degree: list of polynomials in the ring of `order`}, computed by
+    plain Gaussian elimination on all monomials at once (no candidate
+    filtering).
     """
-    ring = ps.ring()
+    ring = ps.ring(order)
     p = ring.field.p
     out = {}
     for d in range(1, max_degree + 1):

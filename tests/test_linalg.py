@@ -1,3 +1,4 @@
+from operator import mul
 import random
 
 import pytest
@@ -90,6 +91,41 @@ def test_multipliers_rebuild_the_reduced_part():
         vec = [rng.randrange(p) for _ in range(ncols)]
         rem, mults = ech.reduce(vec)
         assert combine(mults, ech.rows, ncols, p) == [(a - b) % p for a, b in zip(vec, rem)]
+
+
+def test_back_substitution_matches_gauss_jordan():
+    seen = set()
+    for p, ncols, rows, rng in matrices(6):
+        ech = Echelon(p)
+        for row in rows:
+            ech.add(row)
+        lanes, tails, img = ech.back_substitute(ncols)
+        pivots, reduced = gauss_jordan(rows, ncols, p)
+        free = [k for k in range(ncols) if k not in pivots]
+        seen.add("no rows" if not ech.rows else "full rank" if not free else "other")
+        # each pivot's reduced row at the free columns, pivots descending
+        assert list(tails) == pivots[::-1]
+        for col, row in zip(pivots, reduced):
+            assert tails[col] == [row[k] for k in free]
+        # img[k]: the lane of a free column, minus the tail of a pivot's
+        assert len(img) == ncols
+        for k in range(ncols):
+            if k in tails:
+                assert lanes.unpack(img[k]) == [-t % p for t in tails[k]]
+            else:
+                assert img[k] == 1 << free.index(k) * lanes.width
+        # a remainder of `reduce` is one packed sum over the images
+        for vec in [[rng.randrange(p) for _ in range(ncols)], [p - 1] * ncols]:
+            rem = ech.reduce(vec)[0]
+            assert lanes.unpack(sum(map(mul, vec, img))) == [rem[k] for k in free]
+    assert seen == {"no rows", "full rank", "other"}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_back_substitution_of_an_echelon_with_no_rows(p):
+    # a sweep degree can have no rows, and then the echelon knows no width
+    lanes, tails, img = Echelon(p).back_substitute(3)
+    assert tails == {} and [lanes.unpack(x) for x in img] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 @pytest.mark.parametrize("p", PRIMES)

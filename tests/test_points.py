@@ -1,9 +1,10 @@
 import hashlib
+from math import comb
 import random
 
 import pytest
 
-from conormal import DEGREVLEX, DEGLEX, LEX, buchberger, Ideal, random_linear_form
+from conormal import DEGREVLEX, DEGLEX, LEX, buchberger, contains, Ideal, random_linear_form
 from conormal import points
 from conormal.field import stable_seed
 from conormal.groebner import BudgetExceededError
@@ -192,6 +193,97 @@ def test_buchberger_moller_candidates_match_a_divisor_scan(order, p, monkeypatch
             d = ring.mono_deg(level[0]) + 1
             below = [lt for lt in basis.leading_monomials() if ring.mono_deg(lt) < d]
             assert candidates == successors_by_divisor_scan(ring, below, level)
+
+
+def recording_solvers(monkeypatch):
+    """Patch `points._solver` to record the rank of each echelon it solves
+    over; the pass makes one per degree at most, and only past rank n."""
+    ranks = []
+    honest = points._solver
+
+    def recorded(echelon, n):
+        ranks.append((len(echelon.rows), n))
+        return honest(echelon, n)
+
+    monkeypatch.setattr(points, "_solver", recorded)
+    return ranks
+
+
+def assert_agrees_with_oneshot(ps, order):
+    """The pass under `order` against the kernels of the full evaluation
+    matrices: their dimensions up to one degree past its top element, each
+    kernel vector through that element in its ideal; and every element of
+    its basis evaluated at every point with `pow`."""
+    result = bm_result(ps, order)
+    gb, hf = result.basis, result.hf
+    top = max(int(g.degree) for g in gb.elements)
+    for d, polys in oneshot_vanishing_kernels(ps, top + 1, order).items():
+        total = comb(ps.c + d, d)
+        assert total - count_standard_of_degree(gb, d) == len(polys)
+        assert total - hf[min(d, len(hf) - 1)] == len(polys)
+        assert d > top or all(contains(gb, f) for f in polys)
+    ring = gb.ring
+    for g in gb.elements:
+        for pt in ps.points:
+            terms = [c * value_by_pow(ring.unpack(m), pt, ps.p) for _, m, c in g.terms]
+            assert sum(terms) % ps.p == 0
+    return result
+
+
+@pytest.mark.parametrize("order", [DEGLEX, LEX], ids=lambda order: order.kind)
+@pytest.mark.parametrize("p", [7, 31991, 2**31 - 1])  # 2^31 - 1: 128-bit lanes
+def test_candidates_past_rank_n_are_solved_inside_the_degree_loop(order, p, monkeypatch):
+    # under deglex and lex nothing is read off, so every solve is made in a
+    # degree whose value rank reached n before its last candidate
+    ranks = recording_solvers(monkeypatch)
+    for c, n, seed in ((3, 7, 0), (2, 6, 1), (3, 8, 2)):
+        ranks.clear()
+        assert_agrees_with_oneshot(random_points(c, n, p, seed), order)
+        assert ranks and all(rank == n for rank, _ in ranks)
+
+
+def test_candidates_past_rank_n_are_solved_before_the_read_off(monkeypatch):
+    # under degrevlex with x_c nonzero at every point, the degree that
+    # reaches rank n solves its later candidates and hands the read-off the
+    # same solver: one per pass
+    ranks = recording_solvers(monkeypatch)
+    for p in (7, 31991, 2**31 - 1):
+        ps = make_point_set(2, p, [(1, a, b) for a, b in ((1, 1), (2, 3), (3, 4), (4, 2), (5, 6))])
+        ranks.clear()
+        result = assert_agrees_with_oneshot(ps, DEGREVLEX)
+        assert result.hf == (1, 3, 5, 5) and ranks == [(5, 5)]
+
+
+def test_the_read_off_solves_a_degree_that_reached_rank_n_at_its_last_candidate(monkeypatch):
+    # ten general points in P^2: every candidate of degree 3 is standard, so
+    # no candidate of that degree is solved, and the read-off of degree 4
+    # makes the one solver of the pass
+    ranks = recording_solvers(monkeypatch)
+    ten, _ = general_points(2, 10, 31991, 0)
+    ranks.clear()
+    result = assert_agrees_with_oneshot(make_point_set(2, 31991, ten.points), DEGREVLEX)
+    assert result.hf == (1, 3, 6, 10, 10) and ranks == [(10, 10)]
+
+
+def test_a_wrong_solved_coefficient_fails_the_closing_check(monkeypatch):
+    # the closing check evaluates the solved elements from scratch too
+    honest = points._solver
+
+    def corrupted(echelon, n):
+        solve = honest(echelon, n)
+
+        def wrong(vals):
+            slots = solve(vals)
+            slots[0] = (slots[0] + 1) % 31991
+            return slots
+
+        return wrong
+
+    ps = random_points(3, 7, 31991, 0)
+    monkeypatch.setattr(points, "_solver", corrupted)
+    for order in (DEGREVLEX, DEGLEX):
+        with pytest.raises(RuntimeError, match="does not vanish at"):
+            bm_result(ps, order)
 
 
 def test_all_points_of_p1_over_gf3():

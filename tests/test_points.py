@@ -122,10 +122,6 @@ def test_reduction_length_equals_point_count():
 
 
 def test_vanishing_ideal_agrees_with_oneshot_oracle():
-    from math import comb
-
-    from conormal import contains
-
     rng = random.Random(12)
     drawn = [
         random_points(rng.randrange(1, 4), rng.randrange(1, 9), 31991, seed=rng.randrange(10**6))

@@ -424,7 +424,7 @@ def _sweep(ring: PolynomialRing, top: int, budget: _Budget, pairs):
             _later_rows(tails, xs, shifts, col, rules, firsts, n, p),
             (make() for make in products),
         )
-        ech = Echelon(p)
+        ech = Echelon(p, n)
         for row in rows:
             if len(ech.pivots) == n:
                 break
@@ -468,7 +468,7 @@ def _tails(ech: Echelon, border, rules, shifts):
     most one product below p^2 per standard monomial, read back once, with
     no second elimination.
     """
-    lanes, pivot_tails, img = ech.back_substitute(len(border))
+    lanes, pivot_tails, img = ech.back_substitute()
     tails = {border[j]: tail for j, tail in pivot_tails.items()}
     moved = [[img[j] for j in cols] for cols in shifts]
     for m, (tail, x) in rules.items():

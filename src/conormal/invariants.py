@@ -168,7 +168,7 @@ def _filtration_socle(gb: GroebnerBasis, budget: int):
     images = [[cols[i] for cols in columns] for i in range(n)]  # of the unit vectors of A
     while images:
         dim = len(images)
-        relations, power = Echelon(p), Echelon(p)
+        relations, power = Echelon(p, n * len(columns)), Echelon(p, n)
         for row in images:
             relations.add([c for vec in row for c in vec])
             for vec in row:
@@ -201,7 +201,7 @@ def _graded_socle(gb: GroebnerBasis, budget: int):
     for level, above in zip(levels, levels[1:]):
         h = len(above)
         pos = {m: i for i, m in enumerate(above)}
-        ech = Echelon(p)
+        ech = Echelon(p, len(xs) * h)
         for s in level:
             row = [0] * (len(xs) * h)
             for j, x in enumerate(xs):

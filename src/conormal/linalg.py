@@ -68,15 +68,16 @@ class Echelon:
     pivots of the rows before it.  The pivot set is the set of leading
     positions of the row space, so it and every `reduce` remainder depend
     only on the span, not on the order the rows were added in.  `rows` holds
-    the rows as lists; all vectors must have the length of the first one.
+    the rows as lists; every vector has `ncols` entries, the column count
+    the echelon is made with.
 
     Lanes.  A vector x is reduced by x += (p - c) * row for each pivot, c
     its entry there read as ((x >> col*W) & mask) % p, and only at the end
     is every lane taken mod p.  A stored row is canonical, so a lane starts
     below p and gains at most (p-1)^2 per row applied; with at most n rows
     it stays at most p - 1 + n(p-1)^2.  The lane width W is the smallest
-    multiple of 64 bits above that bound, fixed by p and the column count n
-    of the first vector: 64 at p = 31991 for any n below 2^34, 128 at
+    multiple of 64 bits above that bound, fixed by p and n = `ncols` when
+    the echelon is made: 64 at p = 31991 for any n below 2^34, 128 at
     p = 2^31 - 1 from n = 4 on.  A narrower lane would carry into its
     neighbour and give a wrong rank without any error.
 
@@ -85,20 +86,15 @@ class Echelon:
     remainder: no row is applied and nothing is unpacked.
     """
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, ncols: int):
         self.p = p
+        self.ncols = ncols
         self.pivots = []
         self.rows = []
         self._packed = []  # the rows as lane-packed ints
         self._shifts = []  # bit offset of each pivot's lane
         self._below = 0  # mask of the lanes up to the largest pivot
-        self._n = None
-
-    def _fix_width(self, n):
-        """W: the smallest multiple of 64 bits above p - 1 + n(p-1)^2."""
-        p = self.p
-        self._n = n
-        lanes = Lanes(p, n, p - 1 + n * (p - 1) ** 2)
+        lanes = Lanes(p, ncols, p - 1 + ncols * (p - 1) ** 2)
         self._width = lanes.width
         self._mask = lanes.mask
         self._pack = lanes.pack
@@ -107,10 +103,8 @@ class Echelon:
     def _reduce(self, vec):
         """(vec minus the multiples of the rows as a packed int whose lanes
         are not yet taken mod p, multipliers)."""
-        if len(vec) != self._n:
-            if self._n is not None:
-                raise ValueError(f"vector of length {len(vec)} in an echelon of {self._n} columns")
-            self._fix_width(len(vec))
+        if len(vec) != self.ncols:
+            raise ValueError(f"vector of length {len(vec)} in an echelon of {self.ncols} columns")
         if not any(vec):
             return 0, [0] * len(self.pivots)
         if max(vec) >= self.p:
@@ -166,9 +160,9 @@ class Echelon:
         self._below |= (1 << shift + self._width) - 1
         return scale
 
-    def back_substitute(self, ncols):
-        """(lanes, tails, img): the rows brought to reduced echelon form over
-        `ncols` columns, read at the free columns, those of no pivot.
+    def back_substitute(self):
+        """(lanes, tails, img): the rows brought to reduced echelon form,
+        read at the free columns, those of no pivot.
 
         `lanes` packs one entry per free column, in increasing column order.
         img[k] is the packed image of column k modulo the row space: the
@@ -180,10 +174,9 @@ class Echelon:
         elimination: img[j] is still 0 when it is summed.  Each sum is one
         int whose lanes gain at most ncols products below p^2, read back
         once.  The remainder of a vector x, as `reduce` gives it, is then
-        sum(x[k] * img[k]) at the free columns, one more such sum.  `ncols`
-        is given since an echelon with no rows has no column count.
+        sum(x[k] * img[k]) at the free columns, one more such sum.
         """
-        p = self.p
+        p, ncols = self.p, self.ncols
         pivots = set(self.pivots)
         free = [k for k in range(ncols) if k not in pivots]
         lanes = Lanes(p, len(free), ncols * (p - 1) ** 2)

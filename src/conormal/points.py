@@ -30,19 +30,22 @@ variable, vanishes at none of the points, x_c is regular on R/I and
 in(I) : x_c = in(I) (Bayer and Stillman, Invent. Math. 87, 1987).  So in the
 first degree d with HF(d-1) = n the standard monomials are x_c times those
 of degree d-1, and in(I) has no minimal generator above degree d: the pass
-ends with degree d, which it reads off degree d-1.  A candidate that x_c
-divides is standard, with no row.  Every other candidate lies above all of
-those in degrevlex, and leads a new element; its values divided point by
-point by x_c, its parent's values times the ratio x_j/x_c, are solved
-against degree d-1's echelon, of full rank n, and the slots are the
-element's coefficients on x_c times degree d-1's standard monomials.  The
-read-off starts at degree 2, with an echelon below it, so one point, whose
-HF is n from degree 0, runs the loop through degree 1.  Otherwise (another
-order, or x_c = 0 at some point, as at the coordinate points of Example
-6.1) the loop runs until a degree confirms the Hilbert function at n with
-no new generators, one degree past the stabilization required of saturated
-point ideals, which also covers special configurations whose initial ideal
-acquires late generators.
+ends with degree d, which the same candidate loop reads off degree d-1.
+It keeps degree d-1's echelon, of full rank n, and its solver, and takes
+x_c times degree d-1's standard monomials as the degree's n standard
+monomials, so every candidate is solved.  A candidate that x_c divides is
+standard, with no row.  Every other candidate lies above all of those in
+degrevlex, and leads a new element.  It is solved with its values
+divided point by point by x_c, its parent's values times the ratio
+x_j/x_c, and its slots are the element's coefficients on x_c times degree
+d-1's standard monomials.  The read-off starts at degree 2, with an
+echelon below it, so one point, whose HF is n from degree 0, runs the
+loop through degree 1.
+Otherwise (another order, or x_c = 0 at some point, as at the coordinate
+points of Example 6.1) the loop runs until a degree confirms the Hilbert
+function at n with no new generators, one degree past the stabilization
+required of saturated point ideals, which also covers special
+configurations whose initial ideal acquires late generators.
 Either way it reaches at least degree d0 + 1, d0 the first degree with
 C(c + d0, d0) >= n, and a point count that puts d0 + 1 past the monomial
 degree limit is refused before any evaluation; a configuration that climbs
@@ -88,9 +91,10 @@ class BmResult(NamedTuple):
     """One Buchberger-Moller pass: the reduced basis of the vanishing ideal,
     the Hilbert function of the coordinate ring by degree up to the degree
     the pass stopped at, and the steps the pass took.  The Hilbert function
-    ends at n twice: in the degree read off the one before, when x_c
-    vanishes at no point under degrevlex, otherwise in the degree that
-    confirmed it (see the module docstring); past its end it stays n."""
+    ends at n twice; its last degree is the one read off the degree before
+    when x_c vanishes at no point under degrevlex, otherwise the one that
+    confirmed n with no new element (see the module docstring); past its
+    end it stays n."""
 
     basis: GroebnerBasis
     hf: tuple
@@ -235,6 +239,7 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
     p = ring.field.p
     n = ps.n
     key = ring.key
+    last, guard = ring._var_monos[-1], ring._guard
     coords = [[pt[j] for pt in ps.points] for j in range(ps.c + 1)]
 
     # x_c is regular on R/I: the last degree is read off (module docstring)
@@ -257,28 +262,30 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
         successors = _standard_successors(ring, (), values)
         # ascending, smallest first, with the keys the element terms carry
         candidates = sorted((key(m), m) for m in successors)
-        # from degree 2, read off the echelon, solver and std_keys of degree d - 1
-        if last_is_regular and d > 1 and hf[d - 1] == n:
-            new_gens = _last_degree(
-                ring, coords, candidates, successors, values, solve or _solver(echelon, n),
-                std_keys, steps,
-            )
-            if new_gens and d > MAX_EXPONENT:
-                raise _past_the_degree_limit(ps.c, n)
-            hf.append(len(candidates) - len(new_gens))
-            elements.extend(new_gens)
-            break
-        # a row is the values at the points followed by one slot per standard
-        # monomial of this degree (see the module docstring)
-        slots = min(n, len(candidates))
-        echelon = Echelon(p)
-        solve = None  # made by `_solver` for the first candidate past rank n
+        # from degree 2, read degree d off the echelon and solver of d - 1
+        reading_off = last_is_regular and d > 1 and hf[d - 1] == n
+        if reading_off:
+            # the standard monomials are x_c times those of degree d - 1, and
+            # a candidate's values divided by x_c are its parent's times x_j / x_c
+            std_keys = [(key(m + last), m + last) for _, m in std_keys]
+            inverse = [pow(v, -1, p) for v in coords[-1]]
+            factors = [[a * b % p for a, b in zip(col, inverse)] for col in coords]
+        else:
+            # a row is the values at the points followed by one slot per
+            # standard monomial of this degree (see the module docstring)
+            slots = min(n, len(candidates))
+            echelon = Echelon(p, n + slots)
+            solve = None  # made by `_solver` for the first candidate past rank n
+            std_keys = []  # standard monomials of this degree, ascending: (key, monomial)
+            factors = coords
         new_gens = []
         std_here = {}  # standard monomial of this degree: values
-        std_keys = []  # the same monomials, ascending: (key, monomial)
         for k, m in candidates:
+            # m - x_c borrows into the guard bit of x_c's field iff x_c does not divide m
+            if reading_off and not (m - last) & guard:
+                continue  # standard, with no row
             parent, j = successors[m]
-            vals = [a * b % p for a, b in zip(values[parent], coords[j])]
+            vals = [a * b % p for a, b in zip(values[parent], factors[j])]
             if len(std_keys) == n:
                 solve = solve or _solver(echelon, n)
                 steps.charge_row(vals)
@@ -297,13 +304,15 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
             # sized at once, see PolynomialRing._from_packed_dict
             terms = tuple([(k, m, 1)] + [(kk, mm, c) for (kk, mm), c in tail if c])
             new_gens.append(Polynomial(ring, terms))
-        hf.append(len(std_here))
+        hf.append(len(candidates) - len(new_gens))
         elements.extend(new_gens)
         values = std_here
-        if len(std_here) == n and not new_gens and hf[d - 1] == n:
+        if hf[d] == n and not new_gens and hf[d - 1] == n:
             break
         if d > MAX_EXPONENT:
             raise _past_the_degree_limit(ps.c, n)
+        if reading_off:  # the degree read off is the pass's last
+            break
     _check_vanishing(ring, elements, ps)
     return BmResult(GroebnerBasis(ring, elements), tuple(hf), steps.limit - steps.remaining)
 
@@ -317,40 +326,9 @@ def _solver(echelon: Echelon, n: int):
     summed as one packed int and unpacked once; its multipliers against the
     reduced rows are the values themselves.
     """
-    lanes, _, img = echelon.back_substitute(len(echelon.rows[0]))
+    lanes, _, img = echelon.back_substitute()
     unpack, images = lanes.unpack, img[:n]
     return lambda vals: unpack(sum(map(mul, vals, images)))
-
-
-def _last_degree(ring, coords, candidates, successors, values, solve, std_keys, steps):
-    """The new elements of the first degree d with HF(d-1) = n when x_c,
-    the last variable, vanishes at no point, read off degree d-1: `values`,
-    the `_solver` of its echelon and `std_keys`, its standard monomials
-    ascending.  A candidate that x_c divides is standard; any other, m = x_j
-    times its parent, leads an element on x_c times those standard
-    monomials, all below m under degrevlex, whose coefficients are the
-    slots that `solve` gives for the values of m / x_c, the parent's times
-    x_j / x_c.  Each row is charged by `_Budget.charge_row` with the values
-    as its multipliers."""
-    p = ring.field.p
-    last = ring._var_monos[-1]
-    guard = ring._guard
-    inverse = [pow(v, -1, p) for v in coords[-1]]
-    ratios = [[a * b % p for a, b in zip(col, inverse)] for col in coords]
-    key = ring.key
-    tail = [(key(m + last), m + last) for _, m in reversed(std_keys)]  # descending
-    new_gens = []
-    for k, m in candidates:
-        # m - x_c borrows into the guard bit of x_c's field iff x_c does not divide m
-        if not (m - last) & guard:
-            continue
-        parent, j = successors[m]
-        vals = [a * b % p for a, b in zip(values[parent], ratios[j])]
-        steps.charge_row(vals)
-        coeffs = reversed(solve(vals))
-        terms = tuple([(k, m, 1)] + [(kk, mm, c) for (kk, mm), c in zip(tail, coeffs) if c])
-        new_gens.append(Polynomial(ring, terms))
-    return new_gens
 
 
 def _check_vanishing(ring, elements, ps: PointSet):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import time
 
@@ -7,7 +8,11 @@ from conormal import ParseError
 from conormal.io import parse_ideal_file, parse_ideal_text
 from conormal.constructions import EXAMPLE61_PRIME
 from conormal.cli import main
+from conormal import harness
+from conormal.field import PrimeField
 from conormal.harness import ExperimentConfig, conjecture_experiment, criteria_table
+from conormal.invariants import HilbertFunction
+from conormal.poly import PolynomialRing
 
 from conftest import EXAMPLE61_TEXT, EXAMPLE61_VARS, example61_ideal
 
@@ -237,6 +242,29 @@ def test_cli_stretched_suite_small_grid(capsys):
     assert "c=3 s=2 r=0" in out
     assert "suite: ok" in out
     assert "FAILED" not in out
+
+
+@pytest.mark.parametrize("field", ["hf", "socle_degrees"])
+def test_a_later_unit_draw_with_another_report_fails_the_cell(field, monkeypatch):
+    # the second draw's report differs from the first in one field only,
+    # which the first draw's laws do not read
+    honest = harness.classify
+    calls = []
+
+    def classify(gb, budget):
+        rep = honest(gb, budget)
+        calls.append(rep)
+        if len(calls) == 2:
+            other = {"hf": HilbertFunction((1, 2, 1, 1)), "socle_degrees": (1, 2)}[field]
+            rep = dataclasses.replace(rep, **{field: other})
+        return rep
+
+    monkeypatch.setattr(harness, "classify", classify)
+    config = ExperimentConfig(command="stretched-suite")
+    ring = PolynomialRing(PrimeField(config.p), ["x1", "x2", "x3"])
+    line, ok = harness._stretched_cell(config, ring, 3, 2, 0, [0, 1, 2])
+    assert len(calls) == 3 and not ok
+    assert line.endswith(" FAILED unit-independent")
 
 
 def test_cli_output_file(tmp_path, capsys):

@@ -50,7 +50,7 @@ def matrices(seed):
 
 def test_echelon_shape_and_pivots():
     for p, ncols, rows, _ in matrices(3):
-        ech = Echelon(p)
+        ech = Echelon(p, ncols)
         for row in rows:
             ech.add(row)
         assert sorted(ech.pivots) == gauss_jordan(rows, ncols, p)[0]
@@ -62,12 +62,12 @@ def test_echelon_shape_and_pivots():
 def test_reduce_remainder_ignores_row_order():
     for p, ncols, rows, rng in matrices(4):
         vecs = [[rng.randrange(p) for _ in range(ncols)] for _ in range(3)] + rows[:2]
-        first = Echelon(p)
+        first = Echelon(p, ncols)
         for row in rows:
             first.add(row)
         shuffled = list(rows)
         rng.shuffle(shuffled)
-        second = Echelon(p)
+        second = Echelon(p, ncols)
         for row in shuffled:
             second.add(row)
         for vec in vecs:
@@ -78,7 +78,7 @@ def test_reduce_remainder_ignores_row_order():
 
 def test_multipliers_rebuild_the_reduced_part():
     for p, ncols, rows, rng in matrices(5):
-        ech = Echelon(p)
+        ech = Echelon(p, ncols)
         for row in rows:
             before = list(ech.rows)
             mults, scale = ech.add(row)
@@ -96,13 +96,13 @@ def test_multipliers_rebuild_the_reduced_part():
 def test_back_substitution_matches_gauss_jordan():
     seen = set()
     for p, ncols, rows, rng in matrices(6):
-        ech = Echelon(p)
+        ech = Echelon(p, ncols)
         for row in rows:
             ech.add(row)
-        lanes, tails, img = ech.back_substitute(ncols)
+        lanes, tails, img = ech.back_substitute()
         pivots, reduced = gauss_jordan(rows, ncols, p)
         free = [k for k in range(ncols) if k not in pivots]
-        # a sweep degree can have no rows, and then the echelon knows no width
+        # a sweep degree can have no rows: the echelon still has its width
         seen.add("no vector" if not rows else "full rank" if not free else "other")
         # each pivot's reduced row at the free columns, pivots descending
         assert list(tails) == pivots[::-1]
@@ -155,7 +155,7 @@ def test_lanes_hold_every_pivot_applied_at_the_largest_prime():
     # lanes gather (n-1)(p-1)^2, far past 64 bits
     p, n = 2147483647, 64
     stored = [[0] * i + [1] + [p - 1] * (n - i - 1) for i in range(n)]
-    ech = Echelon(p)
+    ech = Echelon(p, n)
     for i in range(n):
         vec = [sum(col) % p for col in zip(*stored[:i + 1])]
         assert ech.add(vec) == ([1] * i, 1)
@@ -193,7 +193,7 @@ def test_echelon_matches_the_oracles_in_any_row_order(p, ncols, nrows, rank, see
     rng = random.Random(seed)
     rows = entry_matrix(rng, nrows, ncols, p, rank)
     rng.shuffle(rows)
-    ech, plain = Echelon(p), PlainEchelon(p)
+    ech, plain = Echelon(p, ncols), PlainEchelon(p)
     for row in rows:
         assert ech.add(row) == plain.add(row)
         assert (ech.pivots, ech.rows) == (plain.pivots, plain.rows)
@@ -210,7 +210,9 @@ def test_echelon_matches_the_oracles_in_any_row_order(p, ncols, nrows, rank, see
 
 
 def test_vectors_must_be_canonical_and_of_one_length():
-    ech = Echelon(7)
+    with pytest.raises(ValueError, match="length 2 in an echelon of 3 columns"):
+        Echelon(7, 3).add([1, 2])
+    ech = Echelon(7, 3)
     ech.add([1, 2, 3])
     with pytest.raises(ValueError, match="canonical"):
         ech.reduce([0, 7, 0])

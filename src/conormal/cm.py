@@ -237,8 +237,11 @@ def _last_variable_is_regular(gb: GroebnerBasis) -> bool:
     the last variable x_c: then x_c is regular on R/I, and the basis with
     x_c = 0 is the reduced basis of I + (x_c) in S = R/(x_c) (Bayer and
     Stillman, Invent. Math. 87, 1987; Eisenbud, Commutative Algebra,
-    Prop. 15.12).  Under the same order the converse holds, so on points
-    the test reads that x_c vanishes at none of them."""
+    Prop. 15.12).  Under degrevlex the converse holds, so on the basis of
+    the points pass, which is degrevlex, the test reads that x_c vanishes
+    at none of them.  A basis in another order, which only `buchberger` in
+    a ring of that order makes, gives False: there a leading monomial free
+    of x_c proves nothing."""
     ring = gb.ring
     return ring.order.kind == "degrevlex" and all(
         not ring.unpack(lt)[-1] for lt in gb.leading_monomials()

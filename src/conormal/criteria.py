@@ -71,31 +71,6 @@ def short_margin(c: int, s: int) -> Fraction:
     return first - second
 
 
-def short_margin_monotonic(c_max: int, s_max: int) -> bool:
-    """Monotonicity law of the margin on the grid.
-
-    Wherever the margin is nonnegative it cannot decrease: in s always, and
-    in c once c >= 2 and s >= 3.  The law is guarded by nonnegativity
-    because the scaling argument behind it multiplies the margin by a factor
-    above 1, which proves nothing for negative values (and small-s
-    counterexamples do exist).  Nonnegativity therefore propagates up and to
-    the right, which is the content actually used downstream.
-    """
-    _check_range("c_max", c_max, 1)
-    _check_range("s_max", s_max, 1)
-    for c in range(1, c_max + 1):
-        for s in range(1, s_max):
-            here = short_margin(c, s)
-            if here >= 0 and short_margin(c, s + 1) < here:
-                return False
-    for c in range(2, c_max):
-        for s in range(3, s_max + 1):
-            here = short_margin(c, s)
-            if here >= 0 and short_margin(c + 1, s) < here:
-                return False
-    return True
-
-
 def quadric_count_verdict(c: int, q: int, gorenstein=None) -> CriteriaVerdict:
     """Verdict for a socle-degree-2 quotient with q quadric generators.
 

@@ -9,7 +9,7 @@ never as a wrong answer.
 import heapq
 from bisect import insort
 
-from .poly import FIELD_BITS, MAX_EXPONENT, Polynomial, PolynomialRing, MonomialOrder
+from .poly import FIELD_BITS, MAX_EXPONENT, Polynomial, PolynomialRing
 
 DEFAULT_STEP_BUDGET = 10_000_000
 
@@ -219,10 +219,6 @@ class GroebnerBasis:
         self.elements = tuple(sorted(elements, key=lambda f: f.terms[0][0]))
         self._index = index
 
-    @property
-    def order(self) -> MonomialOrder:
-        return self.ring.order
-
     def __repr__(self):
         return f"GroebnerBasis({len(self.elements)} elements in {self.ring})"
 
@@ -240,29 +236,19 @@ class GroebnerBasis:
     def leading_monomials(self):
         return [f.terms[0][1] for f in self.elements]
 
-    def as_ideal(self) -> Ideal:
-        return Ideal(self.ring, self.elements)
-
     def to_text(self) -> str:
         lines = [f"order {self.ring.order.kind}"]
         lines.extend(self.ring.format_poly(f) for f in self.elements)
         return "\n".join(lines)
 
 
-def ring_convert(f: Polynomial, ring: PolynomialRing) -> Polynomial:
-    """Move a polynomial to a sibling ring (same field and variables)."""
-    if f.ring == ring:
-        return f
-    if f.ring.field != ring.field or f.ring.vars != ring.vars:
-        raise ValueError("rings differ in more than the monomial order")
-    return ring._from_packed_dict({m: c for _, m, c in f.terms})
-
-
 def normal_form(f: Polynomial, gb: GroebnerBasis, budget: int = DEFAULT_STEP_BUDGET) -> Polynomial:
     """The unique normal form of f modulo the basis: no term of the result is
-    divisible by any leading monomial, and f - result lies in the ideal."""
+    divisible by any leading monomial, and f - result lies in the ideal.
+    ValueError for a polynomial of another ring than the basis's."""
     ring = gb.ring
-    f = ring_convert(f, ring)
+    if f.ring != ring:
+        raise ValueError(f"polynomial in {f.ring}, basis in {ring}")
     out = _reduce_terms(ring, f.terms, gb.index(), _Budget(budget))
     return ring._from_packed_dict(out)
 
@@ -343,12 +329,8 @@ def _final_reduce(ring, basis, budget):
     return index, reduced
 
 
-def buchberger(
-    ideal: Ideal,
-    order: MonomialOrder = None,
-    budget: int = DEFAULT_STEP_BUDGET,
-) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal under the given (or ring's) order.
+def buchberger(ideal: Ideal, budget: int = DEFAULT_STEP_BUDGET) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal in the order of its ring.
 
     When every generator is a monomial, the minimal monic ones are the
     reduced basis, and no S-pair is formed.  Otherwise a new element h is
@@ -357,8 +339,7 @@ def buchberger(
     of the basis divides is dropped: lcm(m, lt h) divides the class too,
     so either properly (criterion M drops the class) or equally (the class
     has the pair of two monomials m and h, whose S-polynomial is zero)."""
-    ring = ideal.ring if order is None else ideal.ring.with_order(order)
-    gens = [ring_convert(g, ring) for g in ideal.generators]
+    ring, gens = ideal.ring, ideal.generators
     counter = _Budget(budget)
     index, basis = _interreduce(ring, gens, counter)  # index: the reducers so far
     if not basis:

@@ -246,6 +246,8 @@ def stretched_suite(config: ExperimentConfig):
 def criteria_table(config: ExperimentConfig):
     """Exact margin table, socle-degree-2 verdict windows, and conjectured
     point counts over configurable ranges."""
+    if config.cmax < 1 or config.smax < 1:
+        raise ValueError("the margin table starts at c=1, s=1")
     body = ["margin table (rows c, columns s):"]
     header = "c\\s " + " ".join(f"{s:>8}" for s in range(1, config.smax + 1))
     body.append(header)

@@ -25,7 +25,7 @@ taken by `groebner._standard_successors` with no leading terms, since
 every element found so far lies in a lower degree and so divides a
 candidate only through one of those divisors.
 
-Where the pass stops.  When the order is degrevlex and x_c, the last
+Where the pass stops.  The pass runs in degrevlex.  When x_c, the last
 variable, vanishes at none of the points, x_c is regular on R/I and
 in(I) : x_c = in(I) (Bayer and Stillman, Invent. Math. 87, 1987).  So in the
 first degree d with HF(d-1) = n the standard monomials are x_c times those
@@ -41,8 +41,8 @@ x_j/x_c, and its slots are the element's coefficients on x_c times degree
 d-1's standard monomials.  The read-off starts at degree 2, with an
 echelon below it, so one point, whose HF is n from degree 0, runs the
 loop through degree 1.
-Otherwise (another order, or x_c = 0 at some point, as at the coordinate
-points of Example 6.1) the loop runs until a degree confirms the Hilbert
+Otherwise (x_c = 0 at some point, as at the coordinate points of
+Example 6.1) the loop runs until a degree confirms the Hilbert
 function at n with no new generators, one degree past the stabilization
 required of saturated point ideals, which also covers special
 configurations whose initial ideal acquires late generators.
@@ -76,7 +76,7 @@ import random
 from typing import NamedTuple
 
 from .field import PrimeField, stable_seed
-from .poly import DEGREVLEX, MAX_EXPONENT, MonomialOrder, Polynomial, PolynomialRing
+from .poly import MAX_EXPONENT, Polynomial, PolynomialRing
 from .groebner import (
     DEFAULT_STEP_BUDGET,
     BudgetExceededError,
@@ -88,11 +88,11 @@ from .linalg import Echelon, Lanes
 
 
 class BmResult(NamedTuple):
-    """One Buchberger-Moller pass: the reduced basis of the vanishing ideal,
-    the Hilbert function of the coordinate ring by degree up to the degree
-    the pass stopped at, and the steps the pass took.  The Hilbert function
-    ends at n twice; its last degree is the one read off the degree before
-    when x_c vanishes at no point under degrevlex, otherwise the one that
+    """One Buchberger-Moller pass: the reduced degrevlex basis of the
+    vanishing ideal, the Hilbert function of the coordinate ring by degree
+    up to the degree the pass stopped at, and the steps the pass took.  The
+    Hilbert function ends at n twice; its last degree is the one read off
+    the degree before when x_c vanishes at no point, otherwise the one that
     confirmed n with no new element (see the module docstring); past its
     end it stays n."""
 
@@ -110,16 +110,15 @@ class PointSet:
     c: int
     p: int
     points: tuple
-    seed: object = None
     bm: BmResult = dataclasses.field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.points)
 
-    def ring(self, order: MonomialOrder = DEGREVLEX) -> PolynomialRing:
-        names = [f"x{i}" for i in range(self.c + 1)]
-        return PolynomialRing(PrimeField(self.p), names, order)
+    def ring(self) -> PolynomialRing:
+        """The degrevlex ring GF(p)[x0, ..., xc] of the points."""
+        return PolynomialRing(PrimeField(self.p), [f"x{i}" for i in range(self.c + 1)])
 
 
 def normalize_point(coords, field: PrimeField):
@@ -131,7 +130,7 @@ def normalize_point(coords, field: PrimeField):
     return tuple([v * inv % field.p for v in coords])
 
 
-def make_point_set(c: int, p: int, raw_points, seed=None) -> PointSet:
+def make_point_set(c: int, p: int, raw_points) -> PointSet:
     field = PrimeField(p)
     pts = []
     seen = set()
@@ -145,7 +144,7 @@ def make_point_set(c: int, p: int, raw_points, seed=None) -> PointSet:
         pts.append(pt)
     if not pts:
         raise ValueError("a point set needs at least one point")
-    return PointSet(c, p, tuple(pts), seed)
+    return PointSet(c, p, tuple(pts))
 
 
 def projective_point_count(c: int, p: int) -> int:
@@ -180,7 +179,7 @@ def random_points(c: int, n: int, p: int, seed) -> PointSet:
             continue
         seen.add(pt)
         pts.append(pt)
-    return PointSet(c, p, tuple(pts), seed)
+    return PointSet(c, p, tuple(pts))
 
 
 def _monomial_values(exponents, ps: PointSet) -> list:
@@ -227,7 +226,7 @@ def _check_degree_range(c: int, n: int):
         raise _past_the_degree_limit(c, n)
 
 
-def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
+def _bm_run(ps: PointSet, budget: int) -> BmResult:
     """One Buchberger-Moller pass.
 
     Each candidate row is charged to a fresh step budget by
@@ -235,7 +234,7 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
     """
     _check_degree_range(ps.c, ps.n)
     steps = _Budget(budget)
-    ring = ps.ring(order)
+    ring = ps.ring()
     p = ring.field.p
     n = ps.n
     key = ring.key
@@ -243,7 +242,7 @@ def _bm_run(ps: PointSet, order: MonomialOrder, budget: int) -> BmResult:
     coords = [[pt[j] for pt in ps.points] for j in range(ps.c + 1)]
 
     # x_c is regular on R/I: the last degree is read off (module docstring)
-    last_is_regular = order == DEGREVLEX and all(coords[-1])
+    last_is_regular = all(coords[-1])
 
     elements = []
     hf = [1]
@@ -351,29 +350,25 @@ def _check_vanishing(ring, elements, ps: PointSet):
             )
 
 
-def bm_result(
-    ps: PointSet, order: MonomialOrder = DEGREVLEX, budget: int = DEFAULT_STEP_BUDGET
-) -> BmResult:
-    """The Buchberger-Moller result of the points under `order`: the one kept
-    on the point set when it has the order, otherwise a fresh pass.  A kept
-    result answers to the budget as the pass would have: one that took more
-    steps than `budget` raises `BudgetExceededError`."""
+def bm_result(ps: PointSet, budget: int = DEFAULT_STEP_BUDGET) -> BmResult:
+    """The Buchberger-Moller result of the points: the one kept on the point
+    set when there is one, otherwise a fresh pass.  A kept result answers
+    to the budget as the pass would have: one that took more steps than
+    `budget` raises `BudgetExceededError`."""
     kept = ps.bm
-    if kept is None or kept.basis.order != order:
-        return _bm_run(ps, order, budget)
+    if kept is None:
+        return _bm_run(ps, budget)
     if kept.steps > budget:
         raise BudgetExceededError(budget)
     return kept
 
 
-def vanishing_ideal(
-    ps: PointSet, order: MonomialOrder = DEGREVLEX, budget: int = DEFAULT_STEP_BUDGET
-) -> GroebnerBasis:
-    """Reduced Groebner basis of the homogeneous ideal of the points; every
-    element is re-verified to vanish at every point.  A point set that kept
-    its pass under `order` gives the basis it kept, the same object on every
-    call."""
-    return bm_result(ps, order, budget).basis
+def vanishing_ideal(ps: PointSet, budget: int = DEFAULT_STEP_BUDGET) -> GroebnerBasis:
+    """Reduced degrevlex Groebner basis of the homogeneous ideal of the
+    points; every element is re-verified to vanish at every point.  A point
+    set that kept its pass gives the basis it kept, the same object on
+    every call."""
+    return bm_result(ps, budget).basis
 
 
 def _in_general_position(ps: PointSet, hf) -> bool:
@@ -383,9 +378,9 @@ def _in_general_position(ps: PointSet, hf) -> bool:
 
 
 def _certified_general(ps: PointSet, budget: int):
-    """`ps` keeping its degrevlex Buchberger-Moller result, if its coordinate
-    ring has the generic Hilbert function; None otherwise."""
-    result = _bm_run(ps, DEGREVLEX, budget)
+    """`ps` keeping its Buchberger-Moller result, if its coordinate ring has
+    the generic Hilbert function; None otherwise."""
+    result = _bm_run(ps, budget)
     if not _in_general_position(ps, result.hf):
         return None
     return dataclasses.replace(ps, bm=result)
@@ -398,7 +393,7 @@ def general_points(
     Hilbert function.
 
     Returns (point set, number of redraws); the point set keeps the
-    degrevlex Buchberger-Moller result that Hilbert function came from.
+    Buchberger-Moller result that Hilbert function came from.
     Each redraw derives a fresh sub-seed deterministically from the
     previous one.
     """

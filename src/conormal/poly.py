@@ -57,7 +57,8 @@ LEX = MonomialOrder("lex")
 
 
 class PolynomialRing:
-    """GF(p)[x_1, ..., x_v] together with a monomial order."""
+    """GF(p)[x_1, ..., x_v] together with a monomial order, fixed when the
+    ring is made: the same variables in another order make another ring."""
 
     def __init__(self, field: PrimeField, variables, order: MonomialOrder = DEGREVLEX):
         if isinstance(field, int):
@@ -108,11 +109,6 @@ class PolynomialRing:
     def __repr__(self):
         return f"GF({self.field.p})[{', '.join(self.vars)}] ({self.order.kind})"
 
-    def with_order(self, order: MonomialOrder) -> "PolynomialRing":
-        if order == self.order:
-            return self
-        return PolynomialRing(self.field, self.vars, order)
-
     # -- packed monomials ----------------------------------------------------
 
     def pack(self, exponents) -> int:
@@ -132,16 +128,6 @@ class PolynomialRing:
     def unpack(self, m: int) -> tuple:
         # a list, as in _from_packed_dict
         return tuple([(m >> (FIELD_BITS * j)) & 0xFF for j in range(self.nvars)])
-
-    def mono_deg(self, m: int) -> int:
-        return m >> self._deg_shift
-
-    def mono_divides(self, a: int, b: int) -> bool:
-        """True iff monomial a divides monomial b: no exponent field borrows,
-        so every guard bit survives.  Borrows only run upward, so the degree
-        field above cannot disturb the test."""
-        g = self._guard
-        return ((b | g) - a) & g == g
 
     def mono_lcm(self, a: int, b: int) -> int:
         """Fieldwise maximum, all fields at once: the guard bit of a field
@@ -402,16 +388,6 @@ class Polynomial:
             return self.terms[0][1] >> self.ring._deg_shift
         return max(m for _, m, _ in self.terms) >> self.ring._deg_shift
 
-    def leading_monomial(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        return self.terms[0][1]
-
-    def leading_coefficient(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        return self.terms[0][2]
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -421,17 +397,6 @@ class Polynomial:
         shift = self.ring._deg_shift
         d = self.terms[0][1] >> shift
         return all(m >> shift == d for _, m, _ in self.terms)
-
-    def coefficient(self, exponents) -> int:
-        m = exponents if isinstance(exponents, int) else self.ring.pack(exponents)
-        for _, mm, c in self.terms:
-            if mm == m:
-                return c
-        return 0
-
-    def monomials(self):
-        """Exponent tuples of the support, in decreasing order."""
-        return [self.ring.unpack(m) for _, m, _ in self.terms]
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -10,6 +10,9 @@ own, a Groebner basis checked after the fact by reducing its S-pairs, the
 eight seeded quadrics whose square never fills degree 4, with the sweep
 that says so, and the 15 transcribed generators of the ideal of Example
 6.1, which the vanishing ideal of its ten frozen points must reproduce.
+It also holds what only tests read: the degree, divisibility and
+coefficients of packed monomials, an ideal moved to a ring of another
+order, a point set moved onto x_c = 0, and the margin's monotonicity law.
 """
 
 import hashlib
@@ -27,8 +30,10 @@ from conormal import (
 )
 from conormal.cm import _products, _sweep
 from conormal.constructions import EXAMPLE61_PRIME
+from conormal.criteria import short_margin
 from conormal.field import derive_seed
 from conormal.groebner import _Budget, _reduce_terms, _spoly_items
+from conormal.points import make_point_set
 
 
 @pytest.fixture
@@ -46,6 +51,73 @@ def ring_xyz(gf7):
     return PolynomialRing(gf7, ["x", "y", "z"])
 
 
+# -- packed monomials, coefficients and orders, read as the tests need them -----
+
+
+def mono_deg(ring, m):
+    """The total degree of a packed monomial: its top field."""
+    return m >> ring._deg_shift
+
+
+def mono_divides(ring, a, b):
+    """True iff packed monomial a divides packed monomial b: no exponent
+    field borrows, so every guard bit survives, as in the library's divisor
+    lookups.  Borrows only run upward, so the degree field above cannot
+    disturb the test."""
+    g = ring._guard
+    return ((b | g) - a) & g == g
+
+
+def coefficient(f, exponents):
+    """The coefficient in f of the monomial with these exponents."""
+    m = f.ring.pack(exponents)
+    return next((c for _, mm, c in f.terms if mm == m), 0)
+
+
+def in_order(ideal, order):
+    """The ideal with the same generators in the ring of the same field and
+    variables under `order`, a reference for the counts an order must not
+    change."""
+    ring = PolynomialRing(ideal.ring.field, ideal.ring.vars, order)
+    return Ideal(ring, [ring.poly({m: c for _, m, c in g.terms}) for g in ideal.generators])
+
+
+def on_x_c_zero(ps):
+    """`ps` with a point where x_c vanishes, so that its Buchberger-Moller
+    pass confirms its last degree instead of reading it off: as it stands
+    when it has one, otherwise with the last coordinate of its first point
+    set to 0 ((1, 0, ..., 0) in place of (0, ..., 0, 1))."""
+    if not all(pt[-1] for pt in ps.points):
+        return ps
+    first = ps.points[0][:-1] + (0,)
+    if not any(first):
+        first = (1,) + (0,) * ps.c
+    return make_point_set(ps.c, ps.p, (first,) + ps.points[1:])
+
+
+def short_margin_monotonic(c_max, s_max):
+    """Monotonicity law of the margin on the grid.
+
+    Wherever the margin is nonnegative it cannot decrease: in s always, and
+    in c once c >= 2 and s >= 3.  The law is guarded by nonnegativity
+    because the scaling argument behind it multiplies the margin by a factor
+    above 1, which proves nothing for negative values (and small-s
+    counterexamples do exist).  Nonnegativity therefore propagates up and to
+    the right, which is the content actually used downstream.
+    """
+    for c in range(1, c_max + 1):
+        for s in range(1, s_max):
+            here = short_margin(c, s)
+            if here >= 0 and short_margin(c, s + 1) < here:
+                return False
+    for c in range(2, c_max):
+        for s in range(3, s_max + 1):
+            here = short_margin(c, s)
+            if here >= 0 and short_margin(c + 1, s) < here:
+                return False
+    return True
+
+
 # -- setting a linear form to zero, term by term -------------------------------
 
 
@@ -53,7 +125,8 @@ def substitute_term_by_term(f, assignment, target):
     """The image of f under the ring map sending each variable to its value
     in `assignment`, a polynomial of `target`, each term expanded on its own."""
     out = target.zero
-    for exps, (_, _, c) in zip(f.monomials(), f.terms):
+    for _, m, c in f.terms:
+        exps = f.ring.unpack(m)
         term = target.constant(c)
         for name, e in zip(f.ring.vars, exps):
             if e:
@@ -67,7 +140,7 @@ def quotient_term_by_term(polys, ell):
     variable with a nonzero coefficient a_j in ell, goes to x_j - ell/a_j
     in the ring S of the other variables, every other variable to itself."""
     ring = ell.ring
-    coeffs = [ell.coefficient(tuple(int(i == k) for i in range(ring.nvars))) for k in range(ring.nvars)]
+    coeffs = [coefficient(ell, tuple(int(i == k) for i in range(ring.nvars))) for k in range(ring.nvars)]
     j = next(k for k, a in enumerate(coeffs) if a)
     target = PolynomialRing(ring.field, ring.vars[:j] + ring.vars[j + 1:], ring.order)
     assignment = {name: target.var(name) for name in target.vars}
@@ -211,14 +284,14 @@ def gauss_jordan_nullspace(rows, ncols, p):
 # -- one-shot vanishing ideal oracle --------------------------------------------
 
 
-def oneshot_vanishing_kernels(ps, max_degree, order=DEGREVLEX):
+def oneshot_vanishing_kernels(ps, max_degree):
     """Kernel of the full degree-d evaluation matrix for every d <= max_degree.
 
-    Returns {degree: list of polynomials in the ring of `order`}, computed by
-    plain Gaussian elimination on all monomials at once (no candidate
-    filtering).
+    Returns {degree: list of polynomials in the ring of the points},
+    computed by plain Gaussian elimination on all monomials at once (no
+    candidate filtering).
     """
-    ring = ps.ring(order)
+    ring = ps.ring()
     p = ring.field.p
     out = {}
     for d in range(1, max_degree + 1):
@@ -312,7 +385,7 @@ def verify_groebner(gb: GroebnerBasis) -> bool:
     for i, f in enumerate(els):
         for _, m, _ in f.terms:
             for j, lt in enumerate(lts):
-                if ring.mono_divides(lt, m) and not (j == i and m == lts[i]):
+                if mono_divides(ring, lt, m) and not (j == i and m == lts[i]):
                     return False
     guard = ring._guard
     lcms = [[ring.mono_lcm(a, b) for b in lts] for a in lts]

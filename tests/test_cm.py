@@ -33,7 +33,7 @@ from conormal.points import (
     vanishing_ideal,
 )
 
-from conftest import example61_ideal, seeded_quadrics, sweep_square_gap
+from conftest import example61_ideal, in_order, seeded_quadrics, sweep_square_gap
 
 
 def test_reduction_of_coordinate_triangle():
@@ -71,12 +71,15 @@ def test_reduction_needs_a_trial(trials):
 def test_the_last_variable_is_the_form_only_in_degrevlex():
     # no leading monomial of a single point's basis involves x2, in any of
     # the three orders; Bayer and Stillman's test holds in degrevlex only,
-    # so the other two draw a seeded form
-    ps = make_point_set(2, 31991, [(1, 2, 3)])
+    # so the other two draw a seeded form.  The points route is degrevlex;
+    # each order's basis is also made by Buchberger and reduced as a basis
+    bm = bm_result(make_point_set(2, 31991, [(1, 2, 3)]))
+    assert str(artinian_reduction(bm, seed=0).form) == "x2"
     for order in (DEGREVLEX, DEGLEX, LEX):
-        gb = bm_result(ps, order).basis
+        gb = buchberger(in_order(Ideal(bm.basis.ring, bm.basis.elements), order))
+        assert gb.ring.order == order
         assert all(not gb.ring.unpack(lt)[2] for lt in gb.leading_monomials())
-        form = artinian_reduction(bm_result(ps, order), seed=0).form
+        form = artinian_reduction(gb, seed=0).form
         assert (str(form) == "x2") == (order == DEGREVLEX)
 
 

@@ -17,11 +17,12 @@ from conormal.criteria import (
     monomial_count_plus,
     quadric_count_verdict,
     short_margin,
-    short_margin_monotonic,
     short_socle_verdict,
     stretched_verdict,
     undecided_quadric_counts,
 )
+
+from conftest import short_margin_monotonic
 
 
 def test_margin_reported_values():

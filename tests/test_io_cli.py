@@ -616,6 +616,19 @@ def test_cli_refuses_arguments_out_of_range(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
+    "bounds",
+    [["--cmax", "0"], ["--smax", "0"], ["--cmax", "0", "--smax", "0"], ["--smax", "-1"]],
+    ids="_".join,
+)
+def test_cli_criteria_table_refuses_bounds_below_1(bounds, capsys):
+    # below 1, --cmax leaves the margin table with no rows and --smax with
+    # no columns
+    assert main(["criteria-table"] + bounds) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: the margin table starts at c=1, s=1\n")
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("vars=x,y\n1", "error: the quotient is the zero ring"),

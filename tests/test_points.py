@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conormal import DEGREVLEX, DEGLEX, LEX, buchberger, contains, Ideal, random_linear_form
+from conormal import buchberger, contains, Ideal, random_linear_form
 from conormal import points
 from conormal.field import stable_seed
 from conormal.groebner import BudgetExceededError
@@ -21,6 +21,8 @@ from conormal.points import (
 )
 from conftest import (
     count_standard_of_degree,
+    mono_deg,
+    on_x_c_zero,
     oneshot_vanishing_kernels,
     successors_by_divisor_scan,
     verify_groebner,
@@ -74,6 +76,13 @@ def test_random_points_determinism_and_counting():
     with pytest.raises(ValueError):
         random_points(1, 5, 3, seed=0)
     assert projective_point_count(1, 3) == 4
+
+
+def test_random_points_equal_the_same_points_made_by_hand():
+    # a point set is its points: how they were drawn takes no part
+    drawn = random_points(5, 10, 31991, seed=1)
+    made = make_point_set(5, 31991, drawn.points)
+    assert made == drawn and hash(made) == hash(drawn)
 
 
 def test_a_redraw_seed_is_the_hash_of_its_repr():
@@ -132,7 +141,7 @@ def test_vanishing_ideal_agrees_with_oneshot_oracle():
     five, _ = general_points(2, 5, 31991, 0)
     assert bm_result(five).hf[2] == 5
     quadrics = [g for g in vanishing_ideal(five).elements if g.degree == 2]
-    assert [five.ring().unpack(g.leading_monomial()) for g in quadrics] == [(2, 0, 0)]
+    assert [five.ring().unpack(g.terms[0][1]) for g in quadrics] == [(2, 0, 0)]
     # ten general points in P^2: every candidate of degrees 1 to 3 is standard
     ten, _ = general_points(2, 10, 31991, 0)
     assert bm_result(ten).hf[:4] == (1, 3, 6, 10)
@@ -163,12 +172,14 @@ def test_vanishing_ideal_agrees_with_oneshot_oracle():
                 assert contains(gb, f)
 
 
-@pytest.mark.parametrize("order", [DEGREVLEX, DEGLEX, LEX], ids=lambda order: order.kind)
+@pytest.mark.parametrize("moved", [False, True], ids=["degrevlex", "x_c-zero"])
 @pytest.mark.parametrize("p", [7, 31991])
-def test_buchberger_moller_candidates_match_a_divisor_scan(order, p, monkeypatch):
+def test_buchberger_moller_candidates_match_a_divisor_scan(moved, p, monkeypatch):
     # the candidates of degree d are the variable multiples of the standard
     # monomials of degree d - 1 that no leading term of lower degree divides;
-    # the pass hands the walk no leading terms, all of them lying below d
+    # the pass hands the walk no leading terms, all of them lying below d.
+    # The points as drawn, or with a point on x_c = 0, whose pass confirms
+    # its last degree instead of reading it off
     walked = []
     honest = points._standard_successors
 
@@ -183,11 +194,12 @@ def test_buchberger_moller_candidates_match_a_divisor_scan(order, p, monkeypatch
         c = rng.randrange(1, 5)
         n = rng.randrange(1, min(25, projective_point_count(c, p)) + 1)
         walked.clear()
-        basis = bm_result(random_points(c, n, p, rng.randrange(10**6)), order).basis
+        ps = random_points(c, n, p, rng.randrange(10**6))
+        basis = bm_result(on_x_c_zero(ps) if moved else ps).basis
         assert walked
         for ring, level, candidates in walked:
-            d = ring.mono_deg(level[0]) + 1
-            below = [lt for lt in basis.leading_monomials() if ring.mono_deg(lt) < d]
+            d = mono_deg(ring, level[0]) + 1
+            below = [lt for lt in basis.leading_monomials() if mono_deg(ring, lt) < d]
             assert candidates == successors_by_divisor_scan(ring, below, level)
 
 
@@ -205,15 +217,15 @@ def recording_solvers(monkeypatch):
     return ranks
 
 
-def assert_agrees_with_oneshot(ps, order):
-    """The pass under `order` against the kernels of the full evaluation
-    matrices: their dimensions up to one degree past its top element, each
-    kernel vector through that element in its ideal; and every element of
-    its basis evaluated at every point with `pow`."""
-    result = bm_result(ps, order)
+def assert_agrees_with_oneshot(ps):
+    """The pass against the kernels of the full evaluation matrices: their
+    dimensions up to one degree past its top element, each kernel vector
+    through that element in its ideal; and every element of its basis
+    evaluated at every point with `pow`."""
+    result = bm_result(ps)
     gb, hf = result.basis, result.hf
     top = max(int(g.degree) for g in gb.elements)
-    for d, polys in oneshot_vanishing_kernels(ps, top + 1, order).items():
+    for d, polys in oneshot_vanishing_kernels(ps, top + 1).items():
         total = comb(ps.c + d, d)
         assert total - count_standard_of_degree(gb, d) == len(polys)
         assert total - hf[min(d, len(hf) - 1)] == len(polys)
@@ -226,15 +238,14 @@ def assert_agrees_with_oneshot(ps, order):
     return result
 
 
-@pytest.mark.parametrize("order", [DEGLEX, LEX], ids=lambda order: order.kind)
 @pytest.mark.parametrize("p", [7, 31991, 2**31 - 1])  # 2^31 - 1: 128-bit lanes
-def test_candidates_past_rank_n_are_solved_inside_the_degree_loop(order, p, monkeypatch):
-    # under deglex and lex nothing is read off, so every solve is made in a
-    # degree whose value rank reached n before its last candidate
+def test_candidates_past_rank_n_are_solved_inside_the_degree_loop(p, monkeypatch):
+    # with a point on x_c = 0 nothing is read off, so every solve is made in
+    # a degree whose value rank reached n before its last candidate
     ranks = recording_solvers(monkeypatch)
     for c, n, seed in ((3, 7, 0), (2, 6, 1), (3, 8, 2)):
         ranks.clear()
-        assert_agrees_with_oneshot(random_points(c, n, p, seed), order)
+        assert_agrees_with_oneshot(on_x_c_zero(random_points(c, n, p, seed)))
         assert ranks and all(rank == n for rank, _ in ranks)
 
 
@@ -246,7 +257,7 @@ def test_candidates_past_rank_n_are_solved_before_the_read_off(monkeypatch):
     for p in (7, 31991, 2**31 - 1):
         ps = make_point_set(2, p, [(1, a, b) for a, b in ((1, 1), (2, 3), (3, 4), (4, 2), (5, 6))])
         ranks.clear()
-        result = assert_agrees_with_oneshot(ps, DEGREVLEX)
+        result = assert_agrees_with_oneshot(ps)
         assert result.hf == (1, 3, 5, 5) and ranks == [(5, 5)]
 
 
@@ -257,7 +268,7 @@ def test_the_read_off_solves_a_degree_that_reached_rank_n_at_its_last_candidate(
     ranks = recording_solvers(monkeypatch)
     ten, _ = general_points(2, 10, 31991, 0)
     ranks.clear()
-    result = assert_agrees_with_oneshot(make_point_set(2, 31991, ten.points), DEGREVLEX)
+    result = assert_agrees_with_oneshot(make_point_set(2, 31991, ten.points))
     assert result.hf == (1, 3, 6, 10, 10) and ranks == [(10, 10)]
 
 
@@ -275,11 +286,12 @@ def test_a_wrong_solved_coefficient_fails_the_closing_check(monkeypatch):
 
         return wrong
 
+    # on both routes: x_c nonzero at every point, and a point on x_c = 0
     ps = random_points(3, 7, 31991, 0)
     monkeypatch.setattr(points, "_solver", corrupted)
-    for order in (DEGREVLEX, DEGLEX):
+    for drawn in (ps, on_x_c_zero(ps)):
         with pytest.raises(RuntimeError, match="does not vanish at"):
-            bm_result(ps, order)
+            bm_result(drawn)
 
 
 def test_all_points_of_p1_over_gf3():
@@ -294,13 +306,13 @@ def test_all_points_of_p1_over_gf3():
 
 
 def counting_bm_runs(monkeypatch):
-    """Patch the Buchberger-Moller pass to record the order of each run."""
+    """Patch the Buchberger-Moller pass to record the points of each run."""
     runs = []
     real = points._bm_run
 
-    def counting(ps, order, budget):
-        runs.append(order)
-        return real(ps, order, budget)
+    def counting(ps, budget):
+        runs.append(ps)
+        return real(ps, budget)
 
     monkeypatch.setattr(points, "_bm_run", counting)
     return runs
@@ -315,14 +327,12 @@ def test_general_points_keep_their_pass_for_the_vanishing_ideal(monkeypatch):
     assert len(runs) == redraws + 1
     # the kept basis itself, not a copy sorted again
     assert vanishing_ideal(ps) is gb is bm_result(ps).basis
-    # the kept pass takes no part in equality; a point set without it, or
-    # another order, runs the pass again
-    plain = make_point_set(3, 31991, ps.points, ps.seed)
+    # the kept pass takes no part in equality; a point set without it runs
+    # the pass again
+    plain = make_point_set(3, 31991, ps.points)
     assert plain == ps and hash(plain) == hash(ps) and plain.bm is None
     assert vanishing_ideal(plain).elements == gb.elements
-    assert len(runs) == redraws + 2
-    assert verify_groebner(vanishing_ideal(ps, DEGLEX))
-    assert runs[-1] == DEGLEX and len(runs) == redraws + 3
+    assert runs[-1] is plain and len(runs) == redraws + 2
 
 
 def test_a_conjecture_run_makes_one_buchberger_moller_pass(monkeypatch):
@@ -362,8 +372,8 @@ def test_the_pass_reads_its_last_degree_off_the_previous_one_when_x_c_is_regular
 
     ps, _ = general_points(13, 40, 31991, 0)
     assert ps.bm.hf == (1, 14, 40, 40)
-    # another order, or a point with x_c = 0, runs the full loop
-    assert bm_result(ps, DEGLEX).hf[:5] == (1, 14, 40, 40, 40)
+    # a point with x_c = 0 runs the full loop
+    assert bm_result(on_x_c_zero(ps)).hf[:5] == (1, 14, 40, 40, 40)
     assert bm_result(example61_points()).hf == (1, 6, 10, 10, 10)
     # one point is HF = n from degree 0, but the read-off needs an echelon
     # below it: degree 1 runs the loop, and degree 2 is read off degree 1

@@ -14,7 +14,13 @@ from conormal import (
     random_linear_form,
 )
 from conormal.poly import quotient_by_linear_form
-from conftest import exponents_up_to, oracle_compare, quotient_term_by_term
+from conftest import (
+    exponents_up_to,
+    mono_deg,
+    mono_divides,
+    oracle_compare,
+    quotient_term_by_term,
+)
 
 
 def test_product_of_sum_and_difference(ring_xy):
@@ -253,7 +259,7 @@ def test_product_degree_limit(a, b):
     ring = PolynomialRing(PrimeField(31991), ["x", "y"])
     x, y = ring.gens()
     if a + b <= 120:
-        assert (x ** a * x ** b).monomials() == [(a + b, 0)]
+        assert [ring.unpack(m) for _, m, _ in (x ** a * x ** b).terms] == [(a + b, 0)]
         assert (x ** a * y ** b).degree == a + b
     else:
         for f, g in ((x ** a, x ** b), (x ** a, y ** b), (x ** a + y, x ** b)):
@@ -276,7 +282,7 @@ def test_lex_degree_is_the_top_degree_of_any_term():
     ring = PolynomialRing(PrimeField(31991), ["x", "y"], LEX)
     x, y = ring.gens()
     f = x + y ** 5
-    assert f.leading_monomial() == ring.pack((1, 0))
+    assert f.terms[0][1] == ring.pack((1, 0))
     assert f.degree == 5
 
 
@@ -309,16 +315,16 @@ def test_mono_lcm_and_divides_agree_with_the_fields(case):
     pa, pb = ring.pack(a), ring.pack(b)
     top = tuple(max(x, y) for x, y in zip(a, b))
     lcm = ring.mono_lcm(pa, pb)
-    assert ring.unpack(lcm) == top and ring.mono_deg(lcm) == sum(top)
+    assert ring.unpack(lcm) == top and mono_deg(ring, lcm) == sum(top)
     assert ring.mono_lcm(pb, pa) == lcm
     if sum(top) <= 120:
         assert lcm == ring.pack(top)
-    assert ring.mono_divides(pa, pb) == all(x <= y for x, y in zip(a, b))
-    assert ring.mono_divides(pb, pa) == all(y <= x for x, y in zip(a, b))
-    assert ring.mono_divides(pa, pa)
+    assert mono_divides(ring, pa, pb) == all(x <= y for x, y in zip(a, b))
+    assert mono_divides(ring, pb, pa) == all(y <= x for x, y in zip(a, b))
+    assert mono_divides(ring, pa, pa)
     # also past degree 127, where the lcm's degree field fills its top bit
-    assert ring.mono_divides(pa, lcm) and ring.mono_divides(pb, lcm)
-    assert ring.mono_divides(lcm, pa) == (lcm == pa)
+    assert mono_divides(ring, pa, lcm) and mono_divides(ring, pb, lcm)
+    assert mono_divides(ring, lcm, pa) == (lcm == pa)
 
 
 # -- products: the monomial fast path and the ring checks ----------------------
@@ -364,7 +370,7 @@ def test_products_across_ring_objects(order):
     for other in (
         PolynomialRing(PrimeField(31991), ["x", "z"], order),
         PolynomialRing(PrimeField(7), ["x", "y"], order),
-        ring.with_order(LEX if order != LEX else DEGREVLEX),
+        PolynomialRing(PrimeField(31991), ["x", "y"], LEX if order != LEX else DEGREVLEX),
     ):
         with pytest.raises(ValueError, match="mixed rings"):
             x * other.var("x")

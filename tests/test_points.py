@@ -1,13 +1,14 @@
 import hashlib
+from itertools import islice
 from math import comb
 import random
 
 import pytest
 
-from conormal import buchberger, contains, Ideal, random_linear_form
-from conormal import points
+from conormal import DEGLEX, LEX, buchberger, contains, Ideal, random_linear_form
+from conormal import groebner, points
 from conormal.field import stable_seed
-from conormal.groebner import BudgetExceededError
+from conormal.groebner import BudgetExceededError, _standard_levels
 from conormal.invariants import length
 from conormal.points import (
     _check_degree_range,
@@ -21,6 +22,7 @@ from conormal.points import (
 )
 from conftest import (
     count_standard_of_degree,
+    in_order,
     mono_deg,
     on_x_c_zero,
     oneshot_vanishing_kernels,
@@ -172,35 +174,51 @@ def test_vanishing_ideal_agrees_with_oneshot_oracle():
                 assert contains(gb, f)
 
 
-@pytest.mark.parametrize("moved", [False, True], ids=["degrevlex", "x_c-zero"])
+def in_a_ring_of(gb, order):
+    """The basis that `buchberger` makes of the ideal of `gb` in the ring of
+    the same field and variables under `order`."""
+    return buchberger(in_order(Ideal(gb.ring, gb.elements), order))
+
+
+@pytest.mark.parametrize("case", ["degrevlex", "x_c-zero", "deglex", "lex"])
 @pytest.mark.parametrize("p", [7, 31991])
-def test_buchberger_moller_candidates_match_a_divisor_scan(moved, p, monkeypatch):
+def test_buchberger_moller_candidates_match_a_divisor_scan(case, p, monkeypatch):
     # the candidates of degree d are the variable multiples of the standard
-    # monomials of degree d - 1 that no leading term of lower degree divides;
-    # the pass hands the walk no leading terms, all of them lying below d.
-    # The points as drawn, or with a point on x_c = 0, whose pass confirms
-    # its last degree instead of reading it off
+    # monomials of degree d - 1 that no leading term of lower degree divides,
+    # nor one the walk is handed; the pass hands it none, all of them lying
+    # below d.  The points as drawn, or with a point on x_c = 0, whose pass
+    # confirms its last degree instead of reading it off; or, under deglex
+    # and lex, the same walk over the standard monomials of the basis of the
+    # ideal of the points in a ring of that order, handed its leading terms
     walked = []
     honest = points._standard_successors
 
     def recorded(ring, lts, level):
         out = honest(ring, lts, level)
-        walked.append((ring, list(level), out))
+        walked.append((ring, list(lts), list(level), out))
         return out
 
     monkeypatch.setattr(points, "_standard_successors", recorded)
+    monkeypatch.setattr(groebner, "_standard_successors", recorded)
     rng = random.Random(p)
     for _ in range(8):
         c = rng.randrange(1, 5)
         n = rng.randrange(1, min(25, projective_point_count(c, p)) + 1)
-        walked.clear()
         ps = random_points(c, n, p, rng.randrange(10**6))
-        basis = bm_result(on_x_c_zero(ps) if moved else ps).basis
+        if case in ("deglex", "lex"):
+            basis = in_a_ring_of(vanishing_ideal(ps), DEGLEX if case == "deglex" else LEX)
+            top = max(int(g.degree) for g in basis.elements)
+            walked.clear()
+            assert len(list(islice(_standard_levels(basis), top + 2))) == top + 2
+        else:
+            walked.clear()
+            basis = bm_result(on_x_c_zero(ps) if case == "x_c-zero" else ps).basis
         assert walked
-        for ring, level, candidates in walked:
+        for ring, handed, level, candidates in walked:
+            assert ring == basis.ring
             d = mono_deg(ring, level[0]) + 1
             below = [lt for lt in basis.leading_monomials() if mono_deg(ring, lt) < d]
-            assert candidates == successors_by_divisor_scan(ring, below, level)
+            assert candidates == successors_by_divisor_scan(ring, below + handed, level)
 
 
 def recording_solvers(monkeypatch):
@@ -238,15 +256,21 @@ def assert_agrees_with_oneshot(ps):
     return result
 
 
+@pytest.mark.parametrize("order", [DEGLEX, LEX], ids=lambda order: order.kind)
 @pytest.mark.parametrize("p", [7, 31991, 2**31 - 1])  # 2^31 - 1: 128-bit lanes
-def test_candidates_past_rank_n_are_solved_inside_the_degree_loop(p, monkeypatch):
+def test_candidates_past_rank_n_are_solved_inside_the_degree_loop(order, p, monkeypatch):
     # with a point on x_c = 0 nothing is read off, so every solve is made in
-    # a degree whose value rank reached n before its last candidate
+    # a degree whose value rank reached n before its last candidate; and the
+    # basis of the same ideal in a ring of `order` has as many standard
+    # monomials in each degree as the pass's Hilbert function says
     ranks = recording_solvers(monkeypatch)
     for c, n, seed in ((3, 7, 0), (2, 6, 1), (3, 8, 2)):
         ranks.clear()
-        assert_agrees_with_oneshot(on_x_c_zero(random_points(c, n, p, seed)))
+        result = assert_agrees_with_oneshot(on_x_c_zero(random_points(c, n, p, seed)))
         assert ranks and all(rank == n for rank, _ in ranks)
+        other = in_a_ring_of(result.basis, order)
+        assert other.ring.order == order
+        assert [count_standard_of_degree(other, d) for d in range(len(result.hf))] == list(result.hf)
 
 
 def test_candidates_past_rank_n_are_solved_before_the_read_off(monkeypatch):
